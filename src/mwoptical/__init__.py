@@ -52,15 +52,16 @@ from .dynamics import (
     single_atom_response,
 )
 from .ensemble import (
-    BetaPoint,
     EnsembleConfig,
     averaged_excitation,
     beta_of,
     depletion_time,
     eta_max,
+    evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
+    pulse_energy,
     sigma_max,
     sigma_total,
     total_intensity,

@@ -18,15 +18,14 @@ import numpy as np
 
 from .coupling import MicrowaveDrive, damping_decrement, detuning_lineshape
 from .ensemble import (
-    BetaPoint,
     EnsembleConfig,
-    beta_of,
     depletion_time,
+    evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
+    pulse_energy,
     sigma_max,
-    total_intensity,
 )
 from .hydrogen import (
     FINE_STRUCTURE_MHZ,
@@ -41,7 +40,6 @@ from .hydrogen import (
 from .units import (
     CGS,
     CM_PER_NM,
-    field_from_flux,
     flux_si_to_cgs,
     freq_mhz_to_angular,
 )
@@ -88,6 +86,9 @@ OBJECTIVES = {
 
 NO_DEPLETION = "no_depletion"
 
+# The one optical line every scenario and sweep point shares (see module docstring).
+_OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -111,11 +112,12 @@ class ScenarioConfig:
         if self.channel not in CHANNELS:
             raise ConfigError(
                 f"channel: must be one of {', '.join(CHANNELS)}; got {self.channel!r}")
-        if self.flux_w_cm2 < 0:
-            raise ConfigError(f"flux_w_cm2: must be nonnegative, got {self.flux_w_cm2}")
+        # Comparisons with math.inf also reject nan, which fails every comparison.
+        if not 0 <= self.flux_w_cm2 < math.inf:
+            raise ConfigError(f"flux_w_cm2: must be finite and >= 0, got {self.flux_w_cm2}")
         for name in ("vessel_length_cm", "vessel_area_cm2", "gas_density_g_cm3"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}: must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.rho22_initial <= 1.0:
             raise ConfigError(f"rho22_initial: must lie in [0, 1], got {self.rho22_initial}")
         if self.ratio_mode not in RATIO_MODES:
@@ -124,21 +126,21 @@ class ScenarioConfig:
         if self.ratio_mode == "custom":
             if self.ratio_value is None:
                 raise ConfigError("ratio_value: required when ratio_mode = custom")
-            if self.ratio_value < 0:
-                raise ConfigError(f"ratio_value: must be nonnegative, got {self.ratio_value}")
+            if not 0 <= self.ratio_value < math.inf:
+                raise ConfigError(f"ratio_value: must be finite and >= 0, got {self.ratio_value}")
         elif self.ratio_value is not None:
             raise ConfigError("ratio_value: only valid when ratio_mode = custom")
-        if self.time_start_s < 0:
-            raise ConfigError(f"time_start_s: must be nonnegative, got {self.time_start_s}")
-        if not self.time_stop_s > self.time_start_s:
+        if not 0 <= self.time_start_s < math.inf:
+            raise ConfigError(f"time_start_s: must be finite and >= 0, got {self.time_start_s}")
+        if not self.time_start_s < self.time_stop_s < math.inf:
             raise ConfigError(
-                f"time grid must be monotone: time_stop_s={self.time_stop_s} must exceed "
-                f"time_start_s={self.time_start_s}")
+                f"time grid must be monotone and finite: time_stop_s={self.time_stop_s} "
+                f"must exceed time_start_s={self.time_start_s}")
         if self.time_steps < 2:
             raise ConfigError(f"time_steps: must be at least 2, got {self.time_steps}")
-        if self.drive_frequency_mhz <= 0:
-            raise ConfigError(
-                f"detuning_mhz: drive frequency {self.drive_frequency_mhz} MHz must be positive")
+        if not 0 < self.drive_frequency_mhz < math.inf:
+            raise ConfigError(f"detuning_mhz: drive frequency {self.drive_frequency_mhz} MHz "
+                              "must be finite and positive")
 
     @property
     def microwave_resonance_mhz(self) -> float:
@@ -174,9 +176,9 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep parameter {self.parameter!r} unknown; "
                 f"valid: {', '.join(SWEEP_PARAMETERS)}")
-        if not self.minimum < self.maximum:
-            raise ConfigError(
-                f"sweep range: min {self.minimum} must be below max {self.maximum}")
+        if not -math.inf < self.minimum < self.maximum < math.inf:
+            raise ConfigError(f"sweep range: min {self.minimum} must be below max "
+                              f"{self.maximum}, both finite")
         if self.steps < 2:
             raise ConfigError(f"sweep steps: must be at least 2, got {self.steps}")
         if self.log and self.minimum <= 0:
@@ -265,14 +267,11 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _scenario_physics(cfg: ScenarioConfig):
-    """Shared setup: optical line, drive, detuning decrement, ensemble config."""
-    optical = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
-    drive = MicrowaveDrive(
-        e0=field_from_flux(flux_si_to_cgs(cfg.flux_w_cm2)),
-        omega=freq_mhz_to_angular(cfg.drive_frequency_mhz),
-    )
+    """Per-config setup: drive, detuning decrement, ensemble config."""
+    drive = MicrowaveDrive.from_flux(flux_si_to_cgs(cfg.flux_w_cm2),
+                                     freq_mhz_to_angular(cfg.drive_frequency_mhz))
     decrement = detuning_lineshape(
-        2.0 * math.pi * 1.0e6 * cfg.detuning_mhz, optical.gamma_nk)
+        2.0 * math.pi * 1.0e6 * cfg.detuning_mhz, _OPTICAL.gamma_nk)
     ens = EnsembleConfig(
         length=cfg.vessel_length_cm,
         area=cfg.vessel_area_cm2,
@@ -281,30 +280,18 @@ def _scenario_physics(cfg: ScenarioConfig):
         ratio=cfg.ratio,
         wavelength_31=OPTICAL_ANCHOR_CM,
     )
-    return optical, drive, decrement, ens
-
-
-def _eta(ens: EnsembleConfig, drive: MicrowaveDrive, area: float,
-         decrement: float, t: float) -> float:
-    """Conversion efficiency I_total/(area*S_mw); zero by convention at zero drive."""
-    s_mw = drive.s_mw
-    if s_mw == 0:
-        return 0.0
-    return total_intensity(ens, drive, decrement, t) / (area * s_mw)
+    return drive, decrement, ens
 
 
 def fig1_rows(beta_max: float, steps: int):
     """Depletion-curve table: beta, exact f, and both approximations."""
-    if beta_max <= 0:
-        raise ConfigError(f"beta-max: must be positive, got {beta_max}")
+    if not 0 < beta_max < math.inf:
+        raise ConfigError(f"beta-max: must be positive and finite, got {beta_max}")
     if steps < 2:
         raise ConfigError(f"steps: must be at least 2, got {steps}")
     header = ["beta[-]", "f_exact[-]", "f_small_approx[-]", "f_large_approx[-]"]
-    rows = []
-    for b in np.linspace(0.0, beta_max, steps):
-        point = BetaPoint(float(b), f_beta(float(b)))   # revalidates 0 < f <= 1/3
-        rows.append((point.beta, point.f_value,
-                     f_beta_approx_small(point.beta), f_beta_approx_large(point.beta)))
+    rows = [(b, f_beta(b), f_beta_approx_small(b), f_beta_approx_large(b))
+            for b in np.linspace(0.0, beta_max, steps).tolist()]
     return header, rows
 
 
@@ -315,23 +302,18 @@ def run_scenario(cfg: ScenarioConfig):
     is an ordered mapping of labeled scalars.  Output is deterministic: the
     same config yields byte-identical CSV.
     """
-    optical, drive, decrement, ens = _scenario_physics(cfg)
-    s_mw = drive.s_mw
+    drive, decrement, ens = _scenario_physics(cfg)
+    f_mw = cfg.drive_frequency_mhz
+    times = np.linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps).tolist()
 
     header = ["t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]"]
-    rows = []
-    for t in np.linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps):
-        t = float(t)
-        beta = beta_of(drive, ens.ratio, ens.wavelength_31, decrement, t)
-        intensity = total_intensity(ens, drive, decrement, t)
-        eta = intensity / (cfg.vessel_area_cm2 * s_mw) if s_mw > 0 else 0.0
-        rows.append((t, cfg.drive_frequency_mhz, beta, f_beta(beta), intensity, eta))
+    rows = [(t, f_mw, beta, f, intensity, eta)
+            for t, beta, f, intensity, eta in evaluate(ens, drive, decrement, times)]
 
-    tau = depletion_time(drive, ens.ratio, ens.wavelength_31, decrement)
     summary = {
         "channel": cfg.channel,
         "microwave_resonance_mhz": cfg.microwave_resonance_mhz,
-        "microwave_drive_mhz": cfg.drive_frequency_mhz,
+        "microwave_drive_mhz": f_mw,
         "detuning_mhz": cfg.detuning_mhz,
         "flux_w_cm2": cfg.flux_w_cm2,
         "field_e0_statv_cm": drive.e0,
@@ -340,23 +322,20 @@ def run_scenario(cfg: ScenarioConfig):
         "rho22_initial": ens.rho22_0,
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
-        "gamma31_per_s": optical.gamma_nk,
-        "eta_peak": _eta(ens, drive, cfg.vessel_area_cm2, decrement, 0.0),
-        "tau_s": tau,
+        "gamma31_per_s": _OPTICAL.gamma_nk,
+        "eta_peak": _objective_value(cfg, "eta_max_peak", drive, decrement, ens),
+        "tau_s": _objective_value(cfg, "tau", drive, decrement, ens),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
     return header, rows, summary
 
 
-def _objective_value(cfg: ScenarioConfig, objective: str):
-    optical, drive, decrement, ens = _scenario_physics(cfg)
+def _objective_value(cfg: ScenarioConfig, objective: str, drive, decrement, ens):
+    """One sweep objective; None marks 'no depletion' for tau."""
     if objective == "eta_max_peak":
-        return _eta(ens, drive, cfg.vessel_area_cm2, decrement, 0.0)
+        return evaluate(ens, drive, decrement, (0.0,))[0][4]
     if objective == "pulse_energy":
-        times = np.linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
-        intensities = [total_intensity(ens, drive, decrement, float(t)) for t in times]
-        return float(np.trapezoid(intensities, times))
-    # tau
+        return pulse_energy(ens, drive, decrement, cfg.time_start_s, cfg.time_stop_s)
     return depletion_time(drive, ens.ratio, ens.wavelength_31, decrement)
 
 
@@ -371,22 +350,13 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
         f"{spec.objective}[{OBJECTIVES[spec.objective]}]",
     ]
     rows = []
-    best = None
-    for value in spec.grid():
-        value = float(value)
+    for value in spec.grid().tolist():
         sub = replace(cfg, **{spec.parameter: value})
-        obj = _objective_value(sub, spec.objective)
-        rows.append((value, obj))
-        if obj is not None and (best is None or obj > best[1]):
-            best = (value, obj)
-
-    record = {"parameter": spec.parameter, "objective": spec.objective}
-    if best is None:
-        record["argmax"] = NO_DEPLETION
-        record["objective_max"] = NO_DEPLETION
-    else:
-        record["argmax"] = best[0]
-        record["objective_max"] = best[1]
+        rows.append((value, _objective_value(sub, spec.objective, *_scenario_physics(sub))))
+    scored = [row for row in rows if row[1] is not None]
+    argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
+    record = {"parameter": spec.parameter, "objective": spec.objective,
+              "argmax": argmax, "objective_max": best}
     return header, rows, record
 
 
@@ -419,9 +389,12 @@ def format_summary(record) -> str:
 def _write_text(text: str, path: str | None, default_stream):
     if path is None:
         default_stream.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _read_config_file(path: str) -> ScenarioConfig:
@@ -452,7 +425,6 @@ def _cmd_constants(args) -> None:
 def _cmd_transition(args) -> None:
     resonance_mhz, (upper, lower) = CHANNELS[args.channel]
     microwave = make_transition_pair(mode(upper), mode(lower))
-    optical = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
     e_a0 = CGS.e * CGS.a0
     record = {
         "channel": args.channel,
@@ -461,13 +433,13 @@ def _cmd_transition(args) -> None:
         "microwave_resonance_mhz": resonance_mhz,
         "optical_wavelength_nm": OPTICAL_ANCHOR_CM / CM_PER_NM,
         "dipole_mw_z_e_a0": dipole_matrix_element(microwave.upper, microwave.lower) / e_a0,
-        "dipole_optical_z_e_a0": dipole_matrix_element(optical.upper, optical.lower) / e_a0,
+        "dipole_optical_z_e_a0": dipole_matrix_element(_OPTICAL.upper, _OPTICAL.lower) / e_a0,
         "dipole_ratio_hydrogenic": hydrogenic_dipole_ratio(),
-        "gamma31_per_s": optical.gamma_nk,
-        "lifetime31_s": 1.0 / optical.gamma_nk,
+        "gamma31_per_s": _OPTICAL.gamma_nk,
+        "lifetime31_s": 1.0 / _OPTICAL.gamma_nk,
         "lifetime_metastable_s": mode("2s1/2").nominal_lifetime,
         "decrement_at_resonance": damping_decrement(
-            microwave.omega_nk, microwave.omega_nk, optical.gamma_nk),
+            microwave.omega_nk, microwave.omega_nk, _OPTICAL.gamma_nk),
     }
     sys.stdout.write(format_summary(record))
 
@@ -544,12 +516,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

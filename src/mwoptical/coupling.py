@@ -28,10 +28,10 @@ class MicrowaveDrive:
     omega: float
 
     def __post_init__(self):
-        if self.e0 < 0:
-            raise ValueError(f"field amplitude must be nonnegative, got {self.e0}")
-        if self.omega <= 0:
-            raise ValueError(f"drive frequency must be positive, got {self.omega}")
+        if not (math.isfinite(self.e0) and self.e0 >= 0):
+            raise ValueError(f"field amplitude must be finite and nonnegative, got {self.e0}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"drive frequency must be finite and positive, got {self.omega}")
 
     @property
     def s_mw(self) -> float:

@@ -23,13 +23,14 @@ from .units import CGS, PhysicalConstants
 
 __all__ = [
     "EnsembleConfig",
-    "BetaPoint",
     "f_beta",
     "f_beta_approx_small",
     "f_beta_approx_large",
     "beta_of",
     "averaged_excitation",
     "total_intensity",
+    "evaluate",
+    "pulse_energy",
     "sigma_total",
     "sigma_max",
     "eta_max",
@@ -78,20 +79,6 @@ class EnsembleConfig:
         return self.gas_density * self.length * self.wavelength_31**2 / self.constants.mu_H
 
 
-@dataclass(frozen=True)
-class BetaPoint:
-    """One sample of the depletion curve: f is strictly decreasing, f(0) = 1/3."""
-
-    beta: float
-    f_value: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if not 0.0 < self.f_value <= 1.0 / 3.0 + 1e-15:
-            raise ValueError(f"f_value must lie in (0, 1/3], got {self.f_value}")
-
-
 def f_beta(beta: float) -> float:
     """Orientation-average depletion integral of x^2 * exp(-beta*x^2) over x in [0, 1].
 
@@ -132,6 +119,12 @@ def f_beta_approx_large(beta: float) -> float:
     return math.sqrt(math.pi) / 4.0 * beta**-1.5
 
 
+def _beta_numerator(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
+                    decrement: float) -> float:
+    """beta * 32*pi^3*hbar / t, multiplied in the order ``beta_of`` documents."""
+    return 3.0 * drive.e0**2 * wavelength_31**3 * ratio * decrement
+
+
 def beta_of(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
             decrement: float, t: float, constants: PhysicalConstants = CGS) -> float:
     """Depletion parameter 3*E0^2*wavelength_31^3*ratio*decrement*t / (32*pi^3*hbar)."""
@@ -139,7 +132,7 @@ def beta_of(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
                         ("decrement", decrement), ("t", t)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    return (3.0 * drive.e0**2 * wavelength_31**3 * ratio * decrement * t
+    return (_beta_numerator(drive, ratio, wavelength_31, decrement) * t
             / (32.0 * math.pi**3 * constants.hbar))
 
 
@@ -163,8 +156,52 @@ def total_intensity(cfg: EnsembleConfig, drive: MicrowaveDrive,
 
         decrement * N * (3/2pi) * wavelength_31^2 * ratio * rho22_0 * f(beta(t)) * S_mw
     """
-    beta = beta_of(drive, cfg.ratio, cfg.wavelength_31, decrement, t, cfg.constants)
-    return decrement * _sigma_prefactor(cfg) * f_beta(beta) * drive.s_mw
+    return evaluate(cfg, drive, decrement, (t,))[0][3]
+
+
+def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
+    """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
+    evaluated once per time, bit-identical to ``beta_of`` and ``total_intensity``.
+    eta = I_total/(area*S_mw) is the conversion efficiency, zero by convention at
+    zero drive.  Overflow raises ValueError."""
+    if decrement < 0:
+        raise ValueError(f"decrement must be nonnegative, got {decrement}")
+    numerator = _beta_numerator(drive, cfg.ratio, cfg.wavelength_31, decrement)
+    denominator = 32.0 * math.pi**3 * cfg.constants.hbar
+    scale = decrement * _sigma_prefactor(cfg)
+    s_mw = drive.s_mw
+    power = cfg.area * s_mw
+    isfinite = math.isfinite
+    rows = []
+    for t in times:
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        beta = numerator * t / denominator
+        f = f_beta(beta)
+        intensity = scale * f * s_mw
+        eta = intensity / power if s_mw > 0 else 0.0
+        if not (isfinite(beta) and isfinite(intensity) and isfinite(eta) and isfinite(power)):
+            raise ValueError(f"beta, intensity or efficiency overflows at t = {t} s")
+        rows.append((t, beta, f, intensity, eta))
+    return rows
+
+
+def _g(beta: float, f: float) -> float:
+    """G(B)/B, where G(B) = integral of 1 - exp(-B*x^2) over x in [0, 1]
+    = 1 - exp(-B) - 2*B*f(B); g(0) = 1/3."""
+    return -math.expm1(-beta) / beta - 2.0 * f if beta else 1.0 / 3.0
+
+
+def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
+                 t0: float, t1: float) -> float:
+    """Emitted energy (erg): the exact integral of ``total_intensity`` from t0 to t1.
+    With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``)."""
+    (_, beta0, f0, _, _), (_, beta1, f1, _, _) = evaluate(cfg, drive, decrement, (t0, t1))
+    energy = (decrement * _sigma_prefactor(cfg) * drive.s_mw
+              * (t1 * _g(beta1, f1) - t0 * _g(beta0, f0)))
+    if not math.isfinite(energy):
+        raise ValueError("pulse energy overflows")
+    return energy
 
 
 def sigma_total(cfg: EnsembleConfig, decrement: float, beta: float) -> float:
@@ -175,7 +212,7 @@ def sigma_total(cfg: EnsembleConfig, decrement: float, beta: float) -> float:
 def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     """Peak ensemble cross-section (cm^2): ``sigma_total`` at the resonant
     decrement value, which is 1 to within gamma^2/omega_32^2 corrections."""
-    return _sigma_prefactor(cfg) * f_beta(beta)
+    return sigma_total(cfg, 1.0, beta)
 
 
 def eta_max(cfg: EnsembleConfig, beta: float) -> float:
@@ -197,7 +234,8 @@ def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
     (2e3 rounds 64*pi^3 ~ 1984, placing beta(tau) ~ 6).  Inversely
     proportional to the drive flux.  Returns None ("no depletion") when the
     field or the dipole ratio is zero, rather than an infinity that would
-    poison downstream tables.
+    poison downstream tables; a nonzero field too weak for a finite tau
+    raises ValueError.
     """
     if wavelength_31 <= 0:
         raise ValueError(f"wavelength_31 must be positive, got {wavelength_31}")
@@ -207,5 +245,7 @@ def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
         raise ValueError(f"ratio must be nonnegative, got {ratio}")
     if drive.e0 == 0 or ratio == 0:
         return None
-    return (2.0e3 * constants.hbar
-            / (decrement * drive.e0**2 * wavelength_31**3 * ratio))
+    rate = decrement * drive.e0**2 * wavelength_31**3 * ratio
+    if rate == 0:
+        raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
+    return 2.0e3 * constants.hbar / rate

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .units import CGS, PhysicalConstants, freq_mhz_to_angular, wavelength_to_angular
 
@@ -62,11 +61,18 @@ LIFETIME_2P_S = 1.6e-9
 # Illustrative |d_32|^2/|d_31|^2 preset used by order-of-magnitude estimates.
 RATIO_UNITY = 1.0
 
-# Upper limit (units of a0) for the radial quadrature; the integrands decay at
-# least as exp(-r), leaving a relative tail below 1e-10 at r = 40.
-_RADIAL_RMAX = 40.0
+# R_nl(r) = norm * (c0 + c1*r) * exp(-a*r), r in units of a0: (norm, c0, c1, a).
+_RADIAL = {
+    (1, 0): (2.0, 1.0, 0.0, 1.0),
+    (2, 0): (1.0 / math.sqrt(2.0), 1.0, -0.5, 0.5),
+    (2, 1): (1.0 / (2.0 * math.sqrt(6.0)), 0.0, 1.0, 0.5),
+}
 
-_SUPPORTED_NL = {(1, 0), (2, 0), (2, 1)}
+
+def _radial_coefficients(nl) -> tuple:
+    if nl not in _RADIAL:
+        raise ValueError(f"unsupported (n, l) = {nl}; supported: {sorted(_RADIAL)}")
+    return _RADIAL[nl]
 
 
 @dataclass(frozen=True)
@@ -121,17 +127,11 @@ def radial_wavefunction(n: int, l: int, r):
     Returns values in a0^(-3/2) units; accepts scalars or numpy arrays.
     Normalization: integral of R_nl^2 r^2 dr over [0, inf) equals 1.
     """
-    if (n, l) not in _SUPPORTED_NL:
-        raise ValueError(f"unsupported (n, l) = ({n}, {l}); supported: {sorted(_SUPPORTED_NL)}")
+    norm, c0, c1, a = _radial_coefficients((n, l))
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    if (n, l) == (1, 0):
-        out = 2.0 * np.exp(-r)
-    elif (n, l) == (2, 0):
-        out = (1.0 / math.sqrt(2.0)) * (1.0 - r / 2.0) * np.exp(-r / 2.0)
-    else:  # (2, 1)
-        out = (1.0 / (2.0 * math.sqrt(6.0))) * r * np.exp(-r / 2.0)
+    out = norm * (c0 + c1 * r) * np.exp(-a * r)
     return out if out.ndim else float(out)
 
 
@@ -139,18 +139,15 @@ def radial_wavefunction(n: int, l: int, r):
 def radial_dipole_integral(nl_a: tuple, nl_b: tuple) -> float:
     """Signed radial integral of R_a(r) * r * R_b(r) * r^2 over r, in units of a0.
 
-    Evaluated by adaptive quadrature on [0, 40 a0]; the exponential decay of
-    the integrands makes the truncation error negligible at the 1e-10 level.
+    Exact: the integrand is a polynomial in r of degree 3 to 5 times
+    exp(-A*r), and integral of r^k exp(-A*r) over [0, inf) is k!/A^(k+1).
     """
-    for nl in (nl_a, nl_b):
-        if nl not in _SUPPORTED_NL:
-            raise ValueError(f"unsupported (n, l) = {nl}; supported: {sorted(_SUPPORTED_NL)}")
-
-    def integrand(r):
-        return radial_wavefunction(*nl_a, r) * r * radial_wavefunction(*nl_b, r) * r * r
-
-    value, _ = quad(integrand, 0.0, _RADIAL_RMAX, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return value
+    norm_a, a0, a1, rate_a = _radial_coefficients(nl_a)
+    norm_b, b0, b1, rate_b = _radial_coefficients(nl_b)
+    coeffs = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)   # of r^3, r^4, r^5
+    total = sum(c * math.factorial(k) / (rate_a + rate_b) ** (k + 1)
+                for k, c in enumerate(coeffs, start=3))
+    return norm_a * norm_b * total
 
 
 def _angular_factor_z(l_a: int, l_b: int) -> float:
@@ -222,13 +219,10 @@ def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode, convention: s
     return TransitionPair(upper, lower, omega_nk, d_nk, gamma_nk)
 
 
-@lru_cache(maxsize=1)
 def hydrogenic_dipole_ratio() -> float:
-    """|d(2p-2s)|^2 / |d(2p-1s)|^2 from the catalog wavefunctions (~16.22).
+    """|d(2p-2s)|^2 / |d(2p-1s)|^2 from the catalog wavefunctions, 3^12/2^15 ~ 16.22.
 
-    Convention-independent (both elements scale alike), hence usable with
-    either dipole convention.
+    Both are s-p elements with the same angular factor, so this is the squared
+    ratio of their radial integrals, the same in either dipole convention.
     """
-    d32 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
-    d31 = dipole_matrix_element(mode("2p3/2"), mode("1s1/2"))
-    return (d32 / d31) ** 2
+    return (radial_dipole_integral((2, 0), (2, 1)) / radial_dipole_integral((1, 0), (2, 1))) ** 2

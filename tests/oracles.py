@@ -22,6 +22,18 @@ def f_beta_quad(beta: float) -> float:
     return value
 
 
+def g_quad(b: float) -> float:
+    """(1/B) * adaptive quadrature of 1 - exp(-B x^2) on [0, 1]; 1/3 at B = 0.
+
+    The time integral of f(k*t) over [0, T] equals T * g_quad(k*T).
+    """
+    if b == 0:
+        return 1.0 / 3.0
+    value, _ = quad(lambda x: -math.expm1(-b * x * x), 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value / b
+
+
 # Hydrogenic radial functions written out from scratch (r in units of a0).
 def r10(r):
     return 2.0 * math.exp(-r)

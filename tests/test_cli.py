@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,6 +237,9 @@ def test_sweep_pulse_energy_bounded_by_excited_population():
     budget = summary["n_atoms"] * 1e-4 * 1.054571817e-27 * 1.5439766945154534e16
     for _, energy in rows:
         assert 0.9 * budget < energy <= 1.001 * budget
+    # the energy is the exact integral over the window; the grid does not enter
+    assert run_sweep(parse_config("channel = fine_structure\ntime_stop_s = 3e-5\n"
+                                  "time_steps = 2\n"), spec)[1] == rows
 
 
 def test_sweep_validation():
@@ -321,6 +327,58 @@ def test_main_exit_code_on_numerical_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", boom)
     assert main(["scenario", "--config", str(config)]) == 3
     assert "numerical domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["flux_w_cm2 = nan", "vessel_length_cm = inf",
+                                  "time_stop_s = inf", "detuning_mhz = nan",
+                                  "ratio_mode = custom\nratio_value = inf"])
+def test_main_rejects_non_finite_config_values(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"channel = fine_structure\n{line}\n")
+    assert main(["scenario", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and captured.out == ""
+
+
+def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
+    # a finite flux whose field, beta and intensity overflow: exit 3, no nan rows
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = fine_structure\nflux_w_cm2 = 1e300\n")
+    assert main(["scenario", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nan" not in captured.err
+    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
+                 "--max", "1e300", "--steps", "3", "--log", "--objective", "tau"]) == 3
+
+
+def test_main_rejects_non_finite_sweep_range_and_fig1_grid(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "0",
+                 "--max", "inf", "--steps", "3", "--objective", "tau"]) == 2
+    assert main(["fig1", "--beta-max", "nan", "--steps", "3"]) == 2
+    assert main(["fig1", "--beta-max", "inf", "--steps", "3"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_main_unwritable_output_path(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    missing = tmp_path / "no_such_dir" / "out.csv"
+    assert main(["fig1", "--beta-max", "6", "--steps", "4", "--out", str(missing)]) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+    assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "ok.csv"),
+                 "--summary", str(missing)]) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the runtime imports none of it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, mwoptical.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_main_transition_and_constants(capsys):

@@ -33,6 +33,11 @@ def test_drive_validation():
         MicrowaveDrive(e0=-1.0, omega=OMEGA_MW)
     with pytest.raises(ValueError, match="frequency"):
         MicrowaveDrive(e0=1.0, omega=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="field amplitude must be finite"):
+            MicrowaveDrive(e0=bad, omega=OMEGA_MW)
+        with pytest.raises(ValueError, match="drive frequency must be finite"):
+            MicrowaveDrive(e0=1.0, omega=bad)
 
 
 def test_orientation_range():

@@ -7,15 +7,16 @@ import oracles
 from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
-    BetaPoint,
     EnsembleConfig,
     averaged_excitation,
     beta_of,
     depletion_time,
     eta_max,
+    evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
+    pulse_energy,
     sigma_max,
     sigma_total,
     total_intensity,
@@ -119,14 +120,6 @@ def test_large_beta_asymptote():
         b = float(beta)
         assert abs(f_beta_approx_large(b) - f_beta(b)) <= 0.05 * f_beta(b)
     assert math.isinf(f_beta_approx_large(0.0))
-
-
-def test_beta_point_validation():
-    BetaPoint(0.0, 1.0 / 3.0)
-    with pytest.raises(ValueError, match="beta"):
-        BetaPoint(-1.0, 0.1)
-    with pytest.raises(ValueError, match="f_value"):
-        BetaPoint(1.0, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +234,95 @@ def test_eta_worked_example():
     assert eta_max(cfg, 0.0) >= 1.0e6
 
 
+def test_evaluate_matches_pointwise_functions_bit_for_bit():
+    cfg, drive, dec = _vessel(area=2.5), _drive(3.0), 0.7
+    times = [0.0, 1e-9, 3e-8, 1e-6]
+    for t, beta, f, intensity, eta in evaluate(cfg, drive, dec, times):
+        assert beta == beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, t)
+        assert f == f_beta(beta)
+        assert intensity == total_intensity(cfg, drive, dec, t)
+        assert eta == intensity / (cfg.area * drive.s_mw)
+    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    assert evaluate(cfg, off, dec, [0.0, 1e-6]) == [(0.0, 0.0, f_beta(0.0), 0.0, 0.0),
+                                                    (1e-6, 0.0, f_beta(0.0), 0.0, 0.0)]
+
+
+def test_evaluate_rejects_overflow_and_negative_time():
+    with pytest.raises(ValueError, match="overflows at t = 1e"):
+        evaluate(_vessel(), _drive(), 1.0, [0.0, 1e308])
+    with pytest.raises(ValueError, match="overflows"):   # area * S_mw
+        evaluate(_vessel(area=1e30), _drive(1e290), 1.0, [0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate(_vessel(), _drive(), 1.0, [-1e-9])
+
+
+# ---------------------------------------------------------------------------
+# pulse energy: exact time integral of the ensemble intensity
+# ---------------------------------------------------------------------------
+
+def _pulse_oracle(cfg, drive, dec, t0, t1):
+    """I(0)/f(0) * integral of f(k*t) over [t0, t1], through the quadrature oracle."""
+    k = beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, 1.0)
+    scale = 3.0 * total_intensity(cfg, drive, dec, 0.0)
+    return scale * (t1 * oracles.g_quad(k * t1) - t0 * oracles.g_quad(k * t0))
+
+
+def _time_of_beta(cfg, drive, dec, beta):
+    return beta / beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, 1.0)
+
+
+def test_pulse_energy_zero_flux():
+    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    assert pulse_energy(_vessel(), off, 1.0, 0.0, 1e-6) == 0.0
+
+
+@pytest.mark.parametrize("beta_end", [1e-6, 0.05, 0.0999, 0.1001, 0.3, 6.0, 60.0, 1.0e4])
+def test_pulse_energy_matches_quadrature_oracle(beta_end):
+    # both sides of the f_beta series/erf cutoff at 0.1, one depletion time
+    # (beta ~ 6) and deep depletion (beta >> 60)
+    cfg, drive, dec = _vessel(), _drive(2.0), 0.8
+    t1 = _time_of_beta(cfg, drive, dec, beta_end)
+    assert pulse_energy(cfg, drive, dec, 0.0, t1) == pytest.approx(
+        _pulse_oracle(cfg, drive, dec, 0.0, t1), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta_start,beta_end", [(0.02, 0.08), (0.05, 0.5), (3.0, 9.0),
+                                                 (70.0, 400.0)])
+def test_pulse_energy_late_start(beta_start, beta_end):
+    cfg, drive, dec = _vessel(ratio=16.2), _drive(0.3), 1.0
+    t0 = _time_of_beta(cfg, drive, dec, beta_start)
+    t1 = _time_of_beta(cfg, drive, dec, beta_end)
+    energy = pulse_energy(cfg, drive, dec, t0, t1)
+    assert energy == pytest.approx(_pulse_oracle(cfg, drive, dec, t0, t1), rel=1e-11)
+    whole = pulse_energy(cfg, drive, dec, 0.0, t1)
+    head = pulse_energy(cfg, drive, dec, 0.0, t0)
+    assert energy == pytest.approx(whole - head, rel=1e-12)
+
+
+def test_trapezoid_converges_to_pulse_energy_at_second_order():
+    cfg, drive, dec = _vessel(), _drive(), 1.0
+    t1 = _time_of_beta(cfg, drive, dec, 6.0)
+    exact = pulse_energy(cfg, drive, dec, 0.0, t1)
+    errors = []
+    for steps in (51, 101, 201, 401):
+        times = np.linspace(0.0, t1, steps)
+        values = [total_intensity(cfg, drive, dec, float(t)) for t in times]
+        errors.append(float(np.trapezoid(values, times)) - exact)
+    # the integrand is convex, so the trapezoid overshoots by c/N^2
+    assert all(e > 0 for e in errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, rel=0.02)
+
+
+def test_pulse_energy_is_an_oriented_integral():
+    cfg, drive = _vessel(), _drive()
+    forward = pulse_energy(cfg, drive, 1.0, 1e-7, 2e-6)
+    assert pulse_energy(cfg, drive, 1.0, 2e-6, 1e-7) == -forward
+    assert pulse_energy(cfg, drive, 1.0, 1e-7, 1e-7) == 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        pulse_energy(cfg, drive, 1.0, -1e-6, 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # depletion time
 # ---------------------------------------------------------------------------
@@ -272,3 +354,6 @@ def test_depletion_time_validation():
         depletion_time(_drive(1.0), 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="decrement"):
         depletion_time(_drive(1.0), 1.0, LAMBDA_31, 0.0)
+    # a nonzero field whose E0^2 * wavelength^3 underflows: no finite tau
+    with pytest.raises(ValueError, match="depletion time overflows"):
+        depletion_time(_drive(1e-310), 1.0, LAMBDA_31, 1.0)

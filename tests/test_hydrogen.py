@@ -55,6 +55,8 @@ def test_radial_orthogonality_same_l():
 def test_radial_wavefunction_rejects_bad_input():
     with pytest.raises(ValueError, match="unsupported"):
         radial_wavefunction(3, 0, 1.0)
+    with pytest.raises(ValueError, match="unsupported"):
+        radial_dipole_integral((1, 0), (3, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         radial_wavefunction(1, 0, -0.5)
 
@@ -78,6 +80,12 @@ def test_library_radial_integrals_match_oracle():
         oracles.radial_integral_quad((1, 0), (2, 1)), rel=1e-6)
     assert radial_dipole_integral((2, 0), (2, 1)) == pytest.approx(
         oracles.radial_integral_quad((2, 0), (2, 1)), rel=1e-6)
+    # the library sums the same Gamma-function integrals exactly
+    assert radial_dipole_integral((1, 0), (2, 1)) == pytest.approx(
+        oracles.radial_integral_gamma_1s2p(), rel=1e-14)
+    assert radial_dipole_integral((2, 0), (2, 1)) == pytest.approx(
+        oracles.radial_integral_gamma_2s2p(), rel=1e-14)
+    assert radial_dipole_integral((2, 1), (1, 0)) == radial_dipole_integral((1, 0), (2, 1))
 
 
 def test_dipole_selection_rule():
@@ -110,7 +118,8 @@ def test_effective_dipole_conventions():
 
 def test_hydrogenic_dipole_ratio():
     # exact value 3^12 / 2^15 from the closed-form radial integrals
-    assert hydrogenic_dipole_ratio() == pytest.approx(3**12 / 2**15, rel=1e-6)
+    assert 3**12 / 2**15 == 16.218292236328125
+    assert hydrogenic_dipole_ratio() == pytest.approx(16.218292236328125, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
