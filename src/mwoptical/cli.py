@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .coupling import MicrowaveDrive, damping_decrement, detuning_lineshape
 from .ensemble import (
     EnsembleConfig,
@@ -86,6 +84,9 @@ OBJECTIVES = {
 
 NO_DEPLETION = "no_depletion"
 
+# Largest scenario, sweep or fig1 grid; grids are Python lists built point by point.
+MAX_GRID_POINTS = 10**7
+
 # The one optical line every scenario and sweep point shares (see module docstring).
 _OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
 
@@ -136,8 +137,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"time grid must be monotone and finite: time_stop_s={self.time_stop_s} "
                 f"must exceed time_start_s={self.time_start_s}")
-        if self.time_steps < 2:
-            raise ConfigError(f"time_steps: must be at least 2, got {self.time_steps}")
+        if not 2 <= self.time_steps <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"time_steps: must lie in [2, {MAX_GRID_POINTS}], got {self.time_steps}")
         if not 0 < self.drive_frequency_mhz < math.inf:
             raise ConfigError(f"detuning_mhz: drive frequency {self.drive_frequency_mhz} MHz "
                               "must be finite and positive")
@@ -179,18 +181,46 @@ class SweepSpec:
         if not -math.inf < self.minimum < self.maximum < math.inf:
             raise ConfigError(f"sweep range: min {self.minimum} must be below max "
                               f"{self.maximum}, both finite")
-        if self.steps < 2:
-            raise ConfigError(f"sweep steps: must be at least 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"sweep steps: must lie in [2, {MAX_GRID_POINTS}], got {self.steps}")
         if self.log and self.minimum <= 0:
             raise ConfigError("log spacing requires a positive minimum")
         if self.objective not in OBJECTIVES:
             raise ConfigError(
                 f"objective {self.objective!r} unknown; valid: {', '.join(OBJECTIVES)}")
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list:
         if self.log:
-            return np.logspace(math.log10(self.minimum), math.log10(self.maximum), self.steps)
-        return np.linspace(self.minimum, self.maximum, self.steps)
+            return [_pow10(x) for x in
+                    _linspace(math.log10(self.minimum), math.log10(self.maximum), self.steps)]
+        return _linspace(self.minimum, self.maximum, self.steps)
+
+
+def _linspace(start: float, stop: float, num: int) -> list:
+    """num >= 2 evenly spaced points from start to stop, rounded as array linspace rounds.
+
+    Point i is i*step + start with step = (stop - start)/(num - 1), or
+    i/(num - 1)*(stop - start) + start when step underflows to 0; the last
+    point is stop exactly.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _pow10(x: float) -> float:
+    """10**x, or inf where it overflows (x just above log10 of the largest float)."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +317,11 @@ def fig1_rows(beta_max: float, steps: int):
     """Depletion-curve table: beta, exact f, and both approximations."""
     if not 0 < beta_max < math.inf:
         raise ConfigError(f"beta-max: must be positive and finite, got {beta_max}")
-    if steps < 2:
-        raise ConfigError(f"steps: must be at least 2, got {steps}")
+    if not 2 <= steps <= MAX_GRID_POINTS:
+        raise ConfigError(f"steps: must lie in [2, {MAX_GRID_POINTS}], got {steps}")
     header = ["beta[-]", "f_exact[-]", "f_small_approx[-]", "f_large_approx[-]"]
     rows = [(b, f_beta(b), f_beta_approx_small(b), f_beta_approx_large(b))
-            for b in np.linspace(0.0, beta_max, steps).tolist()]
+            for b in _linspace(0.0, beta_max, steps)]
     return header, rows
 
 
@@ -304,7 +334,7 @@ def run_scenario(cfg: ScenarioConfig):
     """
     drive, decrement, ens = _scenario_physics(cfg)
     f_mw = cfg.drive_frequency_mhz
-    times = np.linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps).tolist()
+    times = _linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
 
     header = ["t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]"]
     rows = [(t, f_mw, beta, f, intensity, eta)
@@ -350,7 +380,7 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
         f"{spec.objective}[{OBJECTIVES[spec.objective]}]",
     ]
     rows = []
-    for value in spec.grid().tolist():
+    for value in spec.grid():
         sub = replace(cfg, **{spec.parameter: value})
         rows.append((value, _objective_value(sub, spec.objective, *_scenario_physics(sub))))
     scored = [row for row in rows if row[1] is not None]

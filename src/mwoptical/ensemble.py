@@ -60,13 +60,14 @@ class EnsembleConfig:
     constants: PhysicalConstants = field(default=CGS)
 
     def __post_init__(self):
+        # Comparisons with math.inf also reject nan, which fails every comparison.
         for name in ("length", "area", "gas_density", "wavelength_31"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.rho22_0 <= 1.0:
             raise ValueError(f"rho22_0 must lie in [0, 1], got {self.rho22_0}")
-        if self.ratio < 0:
-            raise ValueError(f"ratio must be nonnegative, got {self.ratio}")
+        if not 0 <= self.ratio < math.inf:
+            raise ValueError(f"ratio must be finite and nonnegative, got {self.ratio}")
 
     @property
     def n_atoms(self) -> float:

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .units import CGS, PhysicalConstants, freq_mhz_to_angular, wavelength_to_angular
 
 __all__ = [
@@ -121,18 +119,16 @@ def mode(label: str) -> HydrogenMode:
         raise ValueError(f"unknown mode {label!r}; valid labels: {', '.join(MODES)}") from None
 
 
-def radial_wavefunction(n: int, l: int, r):
+def radial_wavefunction(n: int, l: int, r: float) -> float:
     """Normalized hydrogenic radial function R_nl(r), r in units of a0.
 
-    Returns values in a0^(-3/2) units; accepts scalars or numpy arrays.
+    Returns the value in a0^(-3/2) units.
     Normalization: integral of R_nl^2 r^2 dr over [0, inf) equals 1.
     """
     norm, c0, c1, a = _radial_coefficients((n, l))
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if r < 0:
         raise ValueError("radius must be nonnegative")
-    out = norm * (c0 + c1 * r) * np.exp(-a * r)
-    return out if out.ndim else float(out)
+    return norm * (c0 + c1 * r) * math.exp(-a * r)
 
 
 @lru_cache(maxsize=None)

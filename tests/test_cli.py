@@ -264,6 +264,65 @@ def test_sweep_no_depletion_marker_in_csv():
 
 
 # ---------------------------------------------------------------------------
+# grids
+# ---------------------------------------------------------------------------
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # denormal steps (the step of (0, 1e-323, 5) underflows to 0), num = 2, negative
+    # starts, a typical time grid and a range whose width overflows
+    cases = [(0.0, 1e-320, 5), (0.0, 1e-323, 5), (0.0, 5e-324, 3), (-3.5, 2.0, 2),
+             (-1e-6, -1e-9, 7), (0.0, 1e-6, 101), (-1e300, 1e300, 9), (-1e308, 1e308, 3)]
+    for _ in range(300):
+        lo, hi = sorted(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-30, 30, 2))
+        cases.append((float(lo), float(hi), int(rng.integers(2, 2000))))
+    for start, stop, num in cases:
+        got = cli._linspace(start, stop, num)
+        with np.errstate(over="ignore", invalid="ignore"):   # the overflowing widths
+            want = np.linspace(start, stop, num).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want], (start, stop, num)
+
+
+def test_log_grid_within_one_ulp_of_numpy():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        lo, hi = sorted(10.0 ** rng.uniform(-30.0, 30.0, 2))
+        steps = int(rng.integers(2, 500))
+        got = SweepSpec("flux_w_cm2", float(lo), float(hi), steps, log=True).grid()
+        want = np.logspace(math.log10(lo), math.log10(hi), steps).tolist()
+        assert len(got) == steps
+        assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
+
+
+def test_log_grid_overflow_is_a_config_error(tmp_path, capsys):
+    # 10**log10(max) overflows for a max within rounding of the largest float: the
+    # point is inf, which the swept config rejects (exit 2), never a traceback
+    assert SweepSpec("flux_w_cm2", 1.0, sys.float_info.max, 3, log=True).grid()[-1] == math.inf
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    assert main(["sweep", "--config", str(config), "--param", "vessel_length_cm", "--min", "1",
+                 "--max", repr(sys.float_info.max), "--steps", "3", "--log",
+                 "--objective", "tau"]) == 2
+    assert "vessel_length_cm: must be finite" in capsys.readouterr().err
+
+
+def test_grid_sizes_are_bounded(tmp_path, capsys):
+    # rejected in validation, before any grid is built
+    huge = str(cli.MAX_GRID_POINTS + 1)
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    assert main(["fig1", "--beta-max", "6", "--steps", "1000000000000"]) == 2
+    assert main(["fig1", "--beta-max", "6", "--steps", huge]) == 2
+    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "0",
+                 "--max", "1", "--steps", huge, "--objective", "tau"]) == 2
+    big = tmp_path / "big.cfg"
+    big.write_text("channel = fine_structure\ntime_steps = 1000000000000\n")
+    assert main(["scenario", "--config", str(big)]) == 2
+    assert capsys.readouterr().err.count(f"must lie in [2, {cli.MAX_GRID_POINTS}]") == 4
+    assert SweepSpec("flux_w_cm2", 0.0, 1.0, cli.MAX_GRID_POINTS).steps == cli.MAX_GRID_POINTS
+
+
+# ---------------------------------------------------------------------------
 # command-line entry point
 # ---------------------------------------------------------------------------
 
@@ -372,13 +431,24 @@ def test_main_unwritable_output_path(tmp_path, capsys):
     assert f"error: cannot write {missing}" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency: the runtime imports none of it
+def _run_python(*args):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, mwoptical.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy and scipy are test-only dependencies: the runtime imports neither
+    for module in ("mwoptical", "mwoptical.cli"):
+        code = f"import sys, {module}; print('numpy' in sys.modules, 'scipy' in sys.modules)"
+        assert _run_python("-c", code).stdout.strip() == "False False", module
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = _run_python("-m", "mwoptical", "constants")
+    assert main(["constants"]) == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_main_transition_and_constants(capsys):

@@ -183,6 +183,16 @@ def test_vessel_validation():
         _vessel(ratio=-0.1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("length", math.inf), ("area", math.inf), ("gas_density", math.nan),
+    ("wavelength_31", math.inf), ("ratio", math.inf), ("ratio", math.nan),
+])
+def test_vessel_rejects_non_finite(name, value):
+    # inf/nan would otherwise pass through to eta_max, n31 and sigma as inf/nan
+    with pytest.raises(ValueError, match=f"{name}.*finite"):
+        _vessel(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # ensemble intensity and cross-sections
 # ---------------------------------------------------------------------------

@@ -30,13 +30,6 @@ def test_radial_wavefunction_origin_values():
     assert radial_wavefunction(2, 1, 0.0) == 0.0
 
 
-def test_radial_wavefunction_accepts_arrays():
-    r = np.linspace(0.0, 10.0, 11)
-    out = radial_wavefunction(2, 0, r)
-    assert out.shape == r.shape
-    assert out[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-
-
 def test_radial_wavefunctions_normalized():
     # quadrature oracle on the normalization integral
     for nl in [(1, 0), (2, 0), (2, 1)]:
