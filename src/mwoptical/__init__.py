@@ -9,8 +9,6 @@ entirely in closed form, with a CSV-emitting CLI on top.
 from .units import (
     CGS,
     PhysicalConstants,
-    angular_to_freq_mhz,
-    angular_to_wavelength,
     field_from_flux,
     flux_from_field,
     flux_si_to_cgs,
@@ -42,18 +40,14 @@ from .coupling import (
     detuning_lineshape,
 )
 from .dynamics import (
-    ExcitationState,
     ModelValidityWarning,
-    SingleAtomResult,
     intensity_full,
     intensity_weak,
     rho22_at,
     single_atom_cross_section,
-    single_atom_response,
 )
 from .ensemble import (
     EnsembleConfig,
-    averaged_excitation,
     beta_of,
     depletion_time,
     eta_max,

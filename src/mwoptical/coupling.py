@@ -6,7 +6,7 @@ against detuning from the 2s-2p resonance.
 import math
 from dataclasses import dataclass
 
-from .units import CGS, PhysicalConstants, field_from_flux, flux_from_field
+from .units import CGS, field_from_flux, flux_from_field
 
 __all__ = [
     "MicrowaveDrive",
@@ -55,8 +55,7 @@ class Orientation:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
-def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation,
-                     constants: PhysicalConstants = CGS) -> float:
+def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation) -> float:
     """Field-dipole coupling rate b = d*E0*cos(theta)/hbar (rad/s).
 
     Carries the sign of cos(theta); everything downstream consumes |b|^2,
@@ -64,7 +63,7 @@ def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation,
     """
     if d < 0:
         raise ValueError(f"dipole magnitude must be nonnegative, got {d}")
-    return d * drive.e0 * math.cos(orient.theta) / constants.hbar
+    return d * drive.e0 * math.cos(orient.theta) / CGS.hbar
 
 
 def damping_decrement(omega: float, omega_32: float, gamma_31: float) -> float:

@@ -5,53 +5,22 @@ effective cross-section sigma = I / S_mw.
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .coupling import MicrowaveDrive, Orientation, coupling_element
+from .coupling import MicrowaveDrive, Orientation
 from .hydrogen import TransitionPair
-from .units import CGS, PhysicalConstants
+from .units import CGS
 
 __all__ = [
     "ModelValidityWarning",
-    "ExcitationState",
-    "SingleAtomResult",
     "rho22_at",
     "intensity_full",
     "intensity_weak",
     "single_atom_cross_section",
-    "single_atom_response",
 ]
 
 
 class ModelValidityWarning(UserWarning):
     """Emitted when inputs leave the weak-excitation regime the formulas assume."""
-
-
-@dataclass(frozen=True)
-class ExcitationState:
-    """Degrees of excitation: rho22_0 of the metastable mode at t = 0, and the
-    (normally negligible) rho33 of the short-lived partner mode."""
-
-    rho22_0: float
-    rho33: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho22_0 <= 1.0:
-            raise ValueError(f"rho22_0 must lie in [0, 1], got {self.rho22_0}")
-        if not 0.0 <= self.rho33 <= self.rho22_0:
-            raise ValueError(
-                f"rho33 must lie in [0, rho22_0={self.rho22_0}], got {self.rho33}"
-            )
-
-
-@dataclass(frozen=True)
-class SingleAtomResult:
-    """One atom's stimulated intensity (erg/s), cross-section (cm^2) and the
-    surviving excitation at the evaluation time."""
-
-    intensity: float
-    sigma: float
-    rho22_t: float
 
 
 def _check_decrement(decrement: float):
@@ -72,8 +41,7 @@ def rho22_at(t: float, b32: float, gamma_31: float, decrement: float, rho22_0: f
 
 
 def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
-                   rho22: float, rho33: float = 0.0,
-                   constants: PhysicalConstants = CGS) -> float:
+                   rho22: float, rho33: float = 0.0) -> float:
     """Stimulated intensity of one atom (erg/s):
 
         I = decrement * hbar * omega_31 * |b32|^2 / (2*gamma_31) * (rho22 - rho33)
@@ -92,13 +60,12 @@ def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
             ModelValidityWarning,
             stacklevel=2,
         )
-    return (decrement * constants.hbar * pair31.omega_nk
+    return (decrement * CGS.hbar * pair31.omega_nk
             * b32 * b32 / (2.0 * pair31.gamma_nk) * (rho22 - rho33))
 
 
 def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
-                   omega_31: float, decrement: float, rho22: float,
-                   constants: PhysicalConstants = CGS) -> float:
+                   omega_31: float, decrement: float, rho22: float) -> float:
     """Weak-excitation stimulated intensity of one atom (erg/s):
 
         I = decrement * (6*pi*c^2/omega_31^2) * ratio * cos^2(theta) * rho22 * S_mw
@@ -113,13 +80,12 @@ def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
         raise ValueError(f"dipole ratio must be nonnegative, got {ratio}")
     _check_decrement(decrement)
     cos_t = math.cos(orient.theta)
-    return (decrement * 6.0 * math.pi * constants.c**2 / omega_31**2
+    return (decrement * 6.0 * math.pi * CGS.c**2 / omega_31**2
             * ratio * cos_t * cos_t * rho22 * drive.s_mw)
 
 
 def single_atom_cross_section(drive: MicrowaveDrive, orient: Orientation, ratio: float,
-                              omega_31: float, decrement: float, rho22: float,
-                              constants: PhysicalConstants = CGS) -> float:
+                              omega_31: float, decrement: float, rho22: float) -> float:
     """Effective stimulated-emission cross-section sigma = I/S_mw (cm^2).
 
     Independent of the drive amplitude: the E0^2 in I cancels against S_mw.
@@ -127,22 +93,4 @@ def single_atom_cross_section(drive: MicrowaveDrive, orient: Orientation, ratio:
     s_mw = drive.s_mw
     if s_mw <= 0:
         raise ValueError("cross-section is undefined at zero drive flux")
-    return intensity_weak(drive, orient, ratio, omega_31, decrement, rho22, constants) / s_mw
-
-
-def single_atom_response(t: float, drive: MicrowaveDrive, orient: Orientation,
-                         ratio: float, pair31: TransitionPair, decrement: float,
-                         state: ExcitationState,
-                         constants: PhysicalConstants = CGS) -> SingleAtomResult:
-    """Evolve one atom to time t under the drive and report intensity, sigma, rho22(t).
-
-    The microwave-transition dipole is taken as sqrt(ratio) * |d_31| so the
-    single ``ratio`` knob controls both the depletion rate and the intensity.
-    """
-    d32 = math.sqrt(ratio) * pair31.d_nk
-    b32 = coupling_element(d32, drive, orient, constants)
-    rho22_t = rho22_at(t, b32, pair31.gamma_nk, decrement, state.rho22_0)
-    intensity = intensity_full(pair31, b32, decrement, rho22_t, state.rho33, constants)
-    s_mw = drive.s_mw
-    sigma = intensity / s_mw if s_mw > 0 else 0.0
-    return SingleAtomResult(intensity=intensity, sigma=sigma, rho22_t=rho22_t)
+    return intensity_weak(drive, orient, ratio, omega_31, decrement, rho22) / s_mw

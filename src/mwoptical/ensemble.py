@@ -16,10 +16,10 @@ the test suite checks against the hydrogen and dynamics modules.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coupling import MicrowaveDrive
-from .units import CGS, PhysicalConstants
+from .units import CGS
 
 __all__ = [
     "EnsembleConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "f_beta_approx_small",
     "f_beta_approx_large",
     "beta_of",
-    "averaged_excitation",
     "total_intensity",
     "evaluate",
     "pulse_energy",
@@ -57,7 +56,6 @@ class EnsembleConfig:
     rho22_0: float
     ratio: float
     wavelength_31: float
-    constants: PhysicalConstants = field(default=CGS)
 
     def __post_init__(self):
         # Comparisons with math.inf also reject nan, which fails every comparison.
@@ -72,12 +70,12 @@ class EnsembleConfig:
     @property
     def n_atoms(self) -> float:
         """Number of atoms in the vessel, gas_density * area * length / mu_H."""
-        return self.gas_density * self.area * self.length / self.constants.mu_H
+        return self.gas_density * self.area * self.length / CGS.mu_H
 
     @property
     def n31(self) -> float:
         """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H."""
-        return self.gas_density * self.length * self.wavelength_31**2 / self.constants.mu_H
+        return self.gas_density * self.length * self.wavelength_31**2 / CGS.mu_H
 
 
 def f_beta(beta: float) -> float:
@@ -112,12 +110,18 @@ def f_beta_approx_small(beta: float) -> float:
 
 
 def f_beta_approx_large(beta: float) -> float:
-    """Large-beta asymptote (sqrt(pi)/4)*beta^(-3/2); comparison tables only."""
+    """Large-beta asymptote (sqrt(pi)/4)*beta^(-3/2); comparison tables only.
+
+    inf at beta = 0 and wherever beta^(-3/2) overflows (beta below about 1e-205).
+    """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return math.inf
-    return math.sqrt(math.pi) / 4.0 * beta**-1.5
+    try:
+        return math.sqrt(math.pi) / 4.0 * beta**-1.5
+    except OverflowError:
+        return math.inf
 
 
 def _beta_numerator(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
@@ -127,22 +131,14 @@ def _beta_numerator(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
 
 
 def beta_of(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
-            decrement: float, t: float, constants: PhysicalConstants = CGS) -> float:
+            decrement: float, t: float) -> float:
     """Depletion parameter 3*E0^2*wavelength_31^3*ratio*decrement*t / (32*pi^3*hbar)."""
     for name, value in (("ratio", ratio), ("wavelength_31", wavelength_31),
                         ("decrement", decrement), ("t", t)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     return (_beta_numerator(drive, ratio, wavelength_31, decrement) * t
-            / (32.0 * math.pi**3 * constants.hbar))
-
-
-def averaged_excitation(beta: float, rho22_0: float) -> float:
-    """Orientation average of rho22 * cos^2(theta) over an isotropic ensemble,
-    rho22_0 * f(beta); equals rho22_0/3 before any depletion."""
-    if not 0.0 <= rho22_0 <= 1.0:
-        raise ValueError(f"rho22_0 must lie in [0, 1], got {rho22_0}")
-    return rho22_0 * f_beta(beta)
+            / (32.0 * math.pi**3 * CGS.hbar))
 
 
 def _sigma_prefactor(cfg: EnsembleConfig) -> float:
@@ -164,14 +160,17 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
     evaluated once per time, bit-identical to ``beta_of`` and ``total_intensity``.
     eta = I_total/(area*S_mw) is the conversion efficiency, zero by convention at
-    zero drive.  Overflow raises ValueError."""
+    zero drive.  Overflow, or a power area*S_mw that underflows to 0 at nonzero
+    drive, raises ValueError."""
     if decrement < 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = _beta_numerator(drive, cfg.ratio, cfg.wavelength_31, decrement)
-    denominator = 32.0 * math.pi**3 * cfg.constants.hbar
+    denominator = 32.0 * math.pi**3 * CGS.hbar
     scale = decrement * _sigma_prefactor(cfg)
     s_mw = drive.s_mw
     power = cfg.area * s_mw
+    if s_mw > 0 and power == 0:
+        raise ValueError(f"vessel power area*S_mw underflows to 0 (S_mw = {s_mw} erg/s/cm^2)")
     isfinite = math.isfinite
     rows = []
     for t in times:
@@ -227,7 +226,7 @@ def eta_max(cfg: EnsembleConfig, beta: float) -> float:
 
 
 def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
-                   decrement: float, constants: PhysicalConstants = CGS):
+                   decrement: float):
     """Characteristic time (s) for the ensemble emission to fall roughly tenfold:
 
         tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio)
@@ -249,4 +248,4 @@ def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
     rate = decrement * drive.e0**2 * wavelength_31**3 * ratio
     if rate == 0:
         raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
-    return 2.0e3 * constants.hbar / rate
+    return 2.0e3 * CGS.hbar / rate

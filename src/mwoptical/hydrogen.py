@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .units import CGS, PhysicalConstants, freq_mhz_to_angular, wavelength_to_angular
+from .units import CGS, freq_mhz_to_angular, wavelength_to_angular
 
 __all__ = [
     "FINE_STRUCTURE_MHZ",
@@ -152,8 +152,7 @@ def _angular_factor_z(l_a: int, l_b: int) -> float:
     return (lmin + 1) / math.sqrt((2 * lmin + 1) * (2 * lmin + 3))
 
 
-def dipole_matrix_element(upper: HydrogenMode, lower: HydrogenMode,
-                          constants: PhysicalConstants = CGS) -> float:
+def dipole_matrix_element(upper: HydrogenMode, lower: HydrogenMode) -> float:
     """Magnitude of the z-component dipole element between m = 0 sublevels (statC cm).
 
     Returns 0 unless the orbital quantum numbers differ by exactly 1
@@ -162,18 +161,17 @@ def dipole_matrix_element(upper: HydrogenMode, lower: HydrogenMode,
     if abs(upper.l - lower.l) != 1:
         return 0.0
     radial = radial_dipole_integral((upper.n, upper.l), (lower.n, lower.l))
-    return constants.e * constants.a0 * _angular_factor_z(upper.l, lower.l) * abs(radial)
+    return CGS.e * CGS.a0 * _angular_factor_z(upper.l, lower.l) * abs(radial)
 
 
-def effective_dipole(upper: HydrogenMode, lower: HydrogenMode, convention: str = "summed",
-                     constants: PhysicalConstants = CGS) -> float:
+def effective_dipole(upper: HydrogenMode, lower: HydrogenMode, convention: str = "summed") -> float:
     """Scalar dipole magnitude |d_nk| (statC cm) under the named convention.
 
     "summed": sublevel-summed line strength folded into a scalar, sqrt(2) times
     the z-element; makes the standard rate formula reproduce the 2p lifetime.
     "m0": the bare z-component element between m = 0 sublevels.
     """
-    z = dipole_matrix_element(upper, lower, constants)
+    z = dipole_matrix_element(upper, lower)
     if convention == "summed":
         return math.sqrt(2.0) * z
     if convention == "m0":
@@ -181,12 +179,12 @@ def effective_dipole(upper: HydrogenMode, lower: HydrogenMode, convention: str =
     raise ValueError(f"unknown dipole convention {convention!r}; use 'summed' or 'm0'")
 
 
-def decay_rate(omega_nk: float, d_nk: float, constants: PhysicalConstants = CGS) -> float:
+def decay_rate(omega_nk: float, d_nk: float) -> float:
     """Spontaneous decay rate 2*omega^3*|d|^2 / (3*hbar*c^3) in 1/s."""
     if omega_nk < 0:
         raise ValueError(f"transition frequency must be nonnegative, got {omega_nk};"
                          " order the pair as (upper, lower)")
-    return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * constants.hbar * constants.c**3)
+    return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * CGS.hbar * CGS.c**3)
 
 
 @dataclass(frozen=True)
@@ -204,14 +202,14 @@ class TransitionPair:
             raise ValueError("decay rate must be nonnegative")
 
 
-def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode, convention: str = "summed",
-                         constants: PhysicalConstants = CGS) -> TransitionPair:
+def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode,
+                         convention: str = "summed") -> TransitionPair:
     """Bundle (omega_nk, d_nk, gamma_nk) for a catalog pair; upper must lie above lower."""
     if upper.label == lower.label:
         raise ValueError(f"transition requires two distinct modes, got {upper.label} twice")
     omega_nk = upper.omega - lower.omega
-    d_nk = effective_dipole(upper, lower, convention, constants)
-    gamma_nk = decay_rate(omega_nk, d_nk, constants)
+    d_nk = effective_dipole(upper, lower, convention)
+    gamma_nk = decay_rate(omega_nk, d_nk)
     return TransitionPair(upper, lower, omega_nk, d_nk, gamma_nk)
 
 

@@ -1,7 +1,8 @@
 """Gaussian-CGS constants and the boundary unit conversions.
 
 Everything downstream (dipole elements, decay rates, field couplings,
-flux bookkeeping) is evaluated in Gaussian CGS; user-facing quantities
+flux bookkeeping) is evaluated in Gaussian CGS with the one constant set
+``CGS``, which every module reads directly; user-facing quantities
 (MHz, nm, W/cm^2) are converted here, once, at the boundary.
 """
 
@@ -14,9 +15,7 @@ __all__ = [
     "ERG_PER_S_PER_W",
     "CM_PER_NM",
     "freq_mhz_to_angular",
-    "angular_to_freq_mhz",
     "wavelength_to_angular",
-    "angular_to_wavelength",
     "flux_si_to_cgs",
     "field_from_flux",
     "flux_from_field",
@@ -58,25 +57,11 @@ def freq_mhz_to_angular(f_mhz: float) -> float:
     return 2.0 * math.pi * 1.0e6 * f_mhz
 
 
-def angular_to_freq_mhz(omega: float) -> float:
-    """Angular frequency in rad/s -> frequency in MHz."""
-    if omega < 0:
-        raise ValueError(f"angular frequency must be nonnegative, got {omega} rad/s")
-    return omega / (2.0 * math.pi * 1.0e6)
-
-
-def wavelength_to_angular(wavelength_cm: float, constants: PhysicalConstants = CGS) -> float:
+def wavelength_to_angular(wavelength_cm: float) -> float:
     """Vacuum wavelength in cm -> angular frequency omega = 2*pi*c/wavelength."""
     if wavelength_cm <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_cm} cm")
-    return 2.0 * math.pi * constants.c / wavelength_cm
-
-
-def angular_to_wavelength(omega: float, constants: PhysicalConstants = CGS) -> float:
-    """Angular frequency in rad/s -> vacuum wavelength in cm (inverse of the above)."""
-    if omega <= 0:
-        raise ValueError(f"angular frequency must be positive, got {omega} rad/s")
-    return 2.0 * math.pi * constants.c / omega
+    return 2.0 * math.pi * CGS.c / wavelength_cm
 
 
 def flux_si_to_cgs(flux_w_cm2: float) -> float:
@@ -86,15 +71,15 @@ def flux_si_to_cgs(flux_w_cm2: float) -> float:
     return flux_w_cm2 * ERG_PER_S_PER_W
 
 
-def field_from_flux(flux_cgs: float, constants: PhysicalConstants = CGS) -> float:
+def field_from_flux(flux_cgs: float) -> float:
     """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi)."""
     if flux_cgs < 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
-    return math.sqrt(8.0 * math.pi * flux_cgs / constants.c)
+    return math.sqrt(8.0 * math.pi * flux_cgs / CGS.c)
 
 
-def flux_from_field(e0: float, constants: PhysicalConstants = CGS) -> float:
+def flux_from_field(e0: float) -> float:
     """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm)."""
     if e0 < 0:
         raise ValueError(f"field amplitude must be nonnegative, got {e0} statV/cm")
-    return constants.c * e0**2 / (8.0 * math.pi)
+    return CGS.c * e0**2 / (8.0 * math.pi)

@@ -410,6 +410,44 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
                  "--max", "1e300", "--steps", "3", "--log", "--objective", "tau"]) == 3
 
 
+UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["scenario"],
+    ["sweep", "--param", "vessel_length_cm", "--min", "1", "--max", "10", "--steps", "3",
+     "--objective", "eta_max_peak"],
+    ["sweep", "--param", "rho22_initial", "--min", "0", "--max", "1e-3", "--steps", "3",
+     "--objective", "pulse_energy"],
+])
+def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, args):
+    # area * S_mw underflows to 0 while S_mw > 0, so eta = I/power has no value
+    config = tmp_path / "run.cfg"
+    config.write_text(UNDERFLOWED_POWER)
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "underflows" in captured.err
+
+
+def test_main_fig1_large_approx_is_inf_at_tiny_beta(tmp_path):
+    # beta**-1.5 overflows below beta ~ 1e-205: the asymptote reads inf, as at beta = 0
+    out = tmp_path / "fig1.csv"
+    assert main(["fig1", "--beta-max", "1e-300", "--steps", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["inf"] * 3
+    assert all(math.isfinite(float(value)) for row in rows for value in row[:3])
+
+
+def test_main_sweep_accepts_negative_exponent_bound_with_equals(tmp_path, capsys):
+    # argparse takes "--min -1e3" for an option; "--min=-1e3" is the documented spelling
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    assert main(["sweep", "--config", str(config), "--param", "detuning_mhz", "--min=-1e3",
+                 "--max", "1e3", "--steps", "3", "--objective", "eta_max_peak"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("-1.00000000e+03,")
+
+
 def test_main_rejects_non_finite_sweep_range_and_fig1_grid(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(WORKED_VESSEL)

@@ -5,13 +5,11 @@ import pytest
 
 from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import (
-    ExcitationState,
     ModelValidityWarning,
     intensity_full,
     intensity_weak,
     rho22_at,
     single_atom_cross_section,
-    single_atom_response,
 )
 from mwoptical.hydrogen import TransitionPair, decay_rate, make_transition_pair, mode
 from mwoptical.units import field_from_flux, flux_si_to_cgs, wavelength_to_angular
@@ -63,14 +61,6 @@ def test_rho22_validation():
         rho22_at(1.0, 1.0, 6.2e8, 0.0, 0.5)
     with pytest.raises(ValueError, match="rho22_0"):
         rho22_at(1.0, 1.0, 6.2e8, 1.0, 1.5)
-
-
-def test_excitation_state_validation():
-    ExcitationState(0.5, 0.1)
-    with pytest.raises(ValueError, match="rho22_0"):
-        ExcitationState(1.5)
-    with pytest.raises(ValueError, match="rho33"):
-        ExcitationState(0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +160,3 @@ def test_single_atom_cross_section_rejects_zero_flux():
     drive = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
     with pytest.raises(ValueError, match="zero drive flux"):
         single_atom_cross_section(drive, Orientation(0.0), 1.0, OPTICAL.omega_nk, 1.0, 0.5)
-
-
-def test_single_atom_response_bundle_consistent():
-    drive = _drive()
-    state = ExcitationState(1e-4)
-    result = single_atom_response(1e-7, drive, Orientation(0.0), 1.0, OPTICAL, 1.0, state)
-    assert result.sigma == pytest.approx(result.intensity / drive.s_mw, rel=1e-14)
-    b32 = coupling_element(OPTICAL.d_nk, drive, Orientation(0.0))
-    assert result.rho22_t == pytest.approx(
-        rho22_at(1e-7, b32, OPTICAL.gamma_nk, 1.0, 1e-4), rel=1e-14)
-    assert 0.0 < result.rho22_t < 1e-4
-    assert result.intensity > 0

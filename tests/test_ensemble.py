@@ -8,7 +8,6 @@ from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    averaged_excitation,
     beta_of,
     depletion_time,
     eta_max,
@@ -120,10 +119,13 @@ def test_large_beta_asymptote():
         b = float(beta)
         assert abs(f_beta_approx_large(b) - f_beta(b)) <= 0.05 * f_beta(b)
     assert math.isinf(f_beta_approx_large(0.0))
+    # beta**-1.5 overflows below beta ~ 1e-205: inf there too, not OverflowError
+    assert f_beta_approx_large(1e-200) < math.inf
+    assert math.isinf(f_beta_approx_large(1e-300)) and math.isinf(f_beta_approx_large(5e-324))
 
 
 # ---------------------------------------------------------------------------
-# beta and the averaged excitation
+# beta
 # ---------------------------------------------------------------------------
 
 def test_beta_of_zeros():
@@ -152,12 +154,6 @@ def test_beta_matches_single_atom_exponent():
             exponent = b32 * b32 * dec * t / (2.0 * pair31.gamma_nk)
             direct = beta_of(drive, ratio, lam31, dec, t)
             assert direct == pytest.approx(exponent, rel=1e-10)
-
-
-def test_averaged_excitation():
-    assert averaged_excitation(0.0, 0.6) == pytest.approx(0.2, rel=1e-12)
-    assert averaged_excitation(3.0, 0.0) == 0.0
-    assert averaged_excitation(6.0, 1.0) == pytest.approx(0.02992744959808268, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +260,8 @@ def test_evaluate_rejects_overflow_and_negative_time():
         evaluate(_vessel(area=1e30), _drive(1e290), 1.0, [0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate(_vessel(), _drive(), 1.0, [-1e-9])
+    with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
+        evaluate(_vessel(area=1e-219), _drive(1e-130), 1.0, [0.0])
 
 
 # ---------------------------------------------------------------------------
