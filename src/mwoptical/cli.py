@@ -10,6 +10,7 @@ across channels by construction.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -374,20 +375,53 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
 
     Objectives are cheap closed forms, so the maximizer is an exhaustive grid
     scan; 'no depletion' points are excluded from the argmax.
+
+    Every ScenarioConfig constraint on a sweepable parameter is an interval,
+    so checking the config at the grid's min and max checks every point (a
+    nan, which only a range whose width overflows puts at its first point,
+    is returned by both).  Each point then rebuilds only the physics its
+    parameter changes.
     """
     header = [
         f"{spec.parameter}[{SWEEP_PARAMETERS[spec.parameter]}]",
         f"{spec.objective}[{OBJECTIVES[spec.objective]}]",
     ]
-    rows = []
-    for value in spec.grid():
-        sub = replace(cfg, **{spec.parameter: value})
-        rows.append((value, _objective_value(sub, spec.objective, *_scenario_physics(sub))))
+    grid = spec.grid()
+    lowest = replace(cfg, **{spec.parameter: min(grid)})
+    replace(cfg, **{spec.parameter: max(grid)})
+    # Base physics at a grid point, not at cfg: cfg's own flux or detuning may
+    # overflow where no swept value does.
+    point = _point_physics(cfg, spec.parameter, *_scenario_physics(lowest))
+    rows = [(value, _objective_value(cfg, spec.objective, *point(value))) for value in grid]
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
     record = {"parameter": spec.parameter, "objective": spec.objective,
               "argmax": argmax, "objective_max": best}
     return header, rows, record
+
+
+# sweep parameter -> the EnsembleConfig field it sets
+_ENSEMBLE_FIELDS = {
+    "rho22_initial": "rho22_0",
+    "vessel_length_cm": "length",
+    "gas_density_g_cm3": "gas_density",
+}
+
+
+def _point_physics(cfg: ScenarioConfig, parameter: str, drive, decrement, ens):
+    """value -> (drive, decrement, ens) for cfg with ``parameter`` set to value,
+    rebuilding only what the parameter changes, with ``_scenario_physics``'s
+    float operations."""
+    if parameter == "flux_w_cm2":
+        omega = drive.omega
+        return lambda value: (MicrowaveDrive.from_flux(flux_si_to_cgs(value), omega),
+                              decrement, ens)
+    if parameter == "detuning_mhz":
+        resonance, e0, gamma = cfg.microwave_resonance_mhz, drive.e0, _OPTICAL.gamma_nk
+        return lambda value: (MicrowaveDrive(e0, freq_mhz_to_angular(resonance + value)),
+                              detuning_lineshape(2.0 * math.pi * 1.0e6 * value, gamma), ens)
+    fields, name = vars(ens), _ENSEMBLE_FIELDS[parameter]
+    return lambda value: (drive, decrement, EnsembleConfig(**{**fields, name: value}))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +440,15 @@ def _format_value(value) -> str:
 
 
 def format_csv(header, rows) -> str:
+    """Header line plus one line per row; an all-float row formats through one
+    template, with the bytes of ``_format_value``."""
+    template, floats = ",".join(["%.8e"] * len(header)), {float}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+        if set(map(type, row)) == floats:
+            lines.append(template % tuple(row))
+        else:
+            lines.append(",".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -501,7 +541,9 @@ def _cmd_sweep(args) -> None:
     _write_text(format_summary(record), args.summary, sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="mwoptical",
         description="Microwave-to-optical conversion estimates for microwave-driven "

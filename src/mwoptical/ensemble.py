@@ -98,8 +98,12 @@ def f_beta(beta: float) -> float:
             term = term * (2 * k + 1) / (2 * k + 3)
         return total
     root = math.sqrt(beta)
-    return (math.sqrt(math.pi) * math.erf(root) / (4.0 * beta * root)
-            - math.exp(-beta) / (2.0 * beta))
+    denominator = 4.0 * beta * root
+    if denominator == math.inf:
+        # beta^(3/2) overflows (beta above about 1.3e205) where erf(root) = 1 and
+        # exp(-beta) = 0: divide in two steps; f underflows to 0 above about 3e215
+        return math.sqrt(math.pi) / (4.0 * root) / beta
+    return math.sqrt(math.pi) * math.erf(root) / denominator - math.exp(-beta) / (2.0 * beta)
 
 
 def f_beta_approx_small(beta: float) -> float:
@@ -160,8 +164,9 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
     evaluated once per time, bit-identical to ``beta_of`` and ``total_intensity``.
     eta = I_total/(area*S_mw) is the conversion efficiency, zero by convention at
-    zero drive.  Overflow, or a power area*S_mw that underflows to 0 at nonzero
-    drive, raises ValueError."""
+    zero drive.  Overflow, a power area*S_mw that underflows to 0 at nonzero
+    drive, or an f(beta) that underflows to 0 (beta above about 3e215) raises
+    ValueError."""
     if decrement < 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = _beta_numerator(drive, cfg.ratio, cfg.wavelength_31, decrement)
@@ -182,6 +187,8 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
         eta = intensity / power if s_mw > 0 else 0.0
         if not (isfinite(beta) and isfinite(intensity) and isfinite(eta) and isfinite(power)):
             raise ValueError(f"beta, intensity or efficiency overflows at t = {t} s")
+        if f == 0:
+            raise ValueError(f"f(beta) underflows to 0 at t = {t} s (beta = {beta})")
         rows.append((t, beta, f, intensity, eta))
     return rows
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +197,27 @@ def test_csv_numeric_format_nine_significant_digits():
     assert re.fullmatch(r"-?\d\.\d{8}e[+-]\d{2,3}", cell)
 
 
+def _per_cell_csv(header, rows):
+    lines = [",".join(header)] + [",".join(cli._format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_format_csv_row_template_matches_per_cell_format():
+    # an all-float row goes through one "%.8e" template; it must print the bytes
+    # of the per-cell f"{v:.8e}" at signed zeros, denormals, the extremes and nan
+    edge = [0.0, -0.0, 5e-324, -2.5e-310, sys.float_info.max, -sys.float_info.max,
+            math.inf, -math.inf, math.nan, 1.0, -123.456789012345]
+    header = [f"c{i}[-]" for i in range(len(edge))]
+    rows = [tuple(edge), tuple(reversed(edge))]
+    assert format_csv(header, rows) == _per_cell_csv(header, rows)
+    # rows holding None, str or int keep the per-cell path
+    mixed = [(None, "x", 3, 1.5), (1.0, None, 2.0, 7), (0.5, 0.25, 0.125, 1.0)]
+    text = format_csv(["a", "b", "c", "d"], mixed)
+    assert text == _per_cell_csv(["a", "b", "c", "d"], mixed)
+    assert text.splitlines()[1:3] == ["no_depletion,x,3,1.50000000e+00",
+                                      "1.00000000e+00,no_depletion,2.00000000e+00,7"]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -261,6 +283,81 @@ def test_sweep_no_depletion_marker_in_csv():
     text = format_csv(header, rows)
     assert "no_depletion" in text.splitlines()[1]
     assert record["argmax"] == 0.5   # smallest positive flux maximizes tau
+
+
+def _per_point_sweep(cfg, spec):
+    """Reference sweep: validate and rebuild the whole scenario at every grid point."""
+    rows = []
+    for value in spec.grid():
+        sub = replace(cfg, **{spec.parameter: value})
+        rows.append((value, cli._objective_value(sub, spec.objective,
+                                                 *cli._scenario_physics(sub))))
+    scored = [row for row in rows if row[1] is not None]
+    argmax, best = max(scored, key=lambda row: row[1]) if scored else (cli.NO_DEPLETION,) * 2
+    return rows, {"parameter": spec.parameter, "objective": spec.objective,
+                  "argmax": argmax, "objective_max": best}
+
+
+# parameter -> (linear range, log range); the linear flux range starts at zero
+# drive, and bounds that are not round numbers put inexact floats on every grid
+SWEEP_RANGES = {
+    "flux_w_cm2": ((0.0, 97.3), (1.3e-3, 870.0)),
+    "rho22_initial": ((1.7e-5, 9.1e-3), (1.3e-7, 0.087)),
+    "vessel_length_cm": ((1.3, 97.1), (0.13, 870.0)),
+    "gas_density_g_cm3": ((1.1e-6, 9.7e-4), (1.3e-7, 8.9e-3)),
+    "detuning_mhz": ((-487.3, 512.9), (0.13, 970.0)),
+}
+RATIO_LINES = ["ratio_mode = unity", "ratio_mode = hydrogenic",
+               "ratio_mode = custom\nratio_value = 2.5"]
+
+
+@pytest.mark.parametrize("ratio_line", RATIO_LINES)
+@pytest.mark.parametrize("parameter", sorted(SWEEP_RANGES))
+def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
+    cfg = parse_config(WORKED_VESSEL.replace("ratio_mode = unity", ratio_line)
+                       + "detuning_mhz = 3.0\n")
+    for log, (lo, hi) in zip((False, True), SWEEP_RANGES[parameter]):
+        for objective in cli.OBJECTIVES:
+            spec = SweepSpec(parameter, lo, hi, 13, log=log, objective=objective)
+            _, rows, record = run_sweep(cfg, spec)
+            want_rows, want_record = _per_point_sweep(cfg, spec)
+            assert repr(rows) == repr(want_rows), (log, objective)
+            assert repr(record) == repr(want_record), (log, objective)
+            if (parameter, log, objective) == ("flux_w_cm2", False, "tau"):
+                assert rows[0] == (0.0, None)   # zero drive: no_depletion
+
+
+@pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),
+                                             ("detuning_mhz", "detuning_mhz = 1e303")])
+def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
+    # the config's own flux (or detuning) overflows the drive, but the sweep replaces it
+    cfg = parse_config(f"channel = fine_structure\n{line}\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        run_scenario(cfg)
+    spec = SweepSpec(parameter, 1.0, 10.0, 4, objective="pulse_energy")
+    assert repr(run_sweep(cfg, spec)[1]) == repr(_per_point_sweep(cfg, spec)[0])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--param", "rho22_initial", "--min", "0.5", "--max", "2"],
+     "rho22_initial: must lie in [0, 1], got 2.0"),
+    (["--param", "detuning_mhz", "--min=-2e4", "--max", "0"],
+     "detuning_mhz: drive frequency -9051.0 MHz must be finite and positive"),
+    # an earlier point's field overflows (exit 3 were each point checked in turn),
+    # but the last point is inf, out of range: the grid is rejected first
+    (["--param", "flux_w_cm2", "--min", "1", "--max", repr(sys.float_info.max), "--log"],
+     "flux_w_cm2: must be finite and >= 0, got inf"),
+    # the range's width overflows, so the first point is nan
+    (["--param", "detuning_mhz", "--min=-1.7e308", "--max", "1.7e308"],
+     "detuning_mhz: drive frequency nan MHz"),
+])
+def test_sweep_rejects_a_grid_whose_extreme_is_out_of_range(tmp_path, capsys, args, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    assert main(["sweep", "--config", str(config), *args, "--steps", "100",
+                 "--objective", "pulse_energy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +465,33 @@ def test_main_sweep(tmp_path):
     assert "argmax = 1.00000000e+02" in summary.read_text()
 
 
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; no option may leak into the next command
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    log_out = tmp_path / "log.csv"
+    sweep = ["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "0.1",
+             "--max", "10", "--steps", "3", "--objective", "tau"]
+    cfg = parse_config(WORKED_VESSEL)
+    linear = format_csv(*run_sweep(cfg, SweepSpec("flux_w_cm2", 0.1, 10.0, 3,
+                                                  objective="tau"))[:2])
+    logged = format_csv(*run_sweep(cfg, SweepSpec("flux_w_cm2", 0.1, 10.0, 3, log=True,
+                                                  objective="tau"))[:2])
+    assert main(sweep + ["--log", "--out", str(log_out)]) == 0
+    assert capsys.readouterr().out == "" and log_out.read_text() == logged
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == linear
+    assert main(["fig1", "--beta-max", "6", "--steps", "4"]) == 0
+    assert capsys.readouterr().out == format_csv(*fig1_rows(6.0, 4))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(config), "--param", "flux_w_cm2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == linear
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_main_exit_code_on_config_error(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("channel = fine_structure\ngas_density_g_cm3 = -1\n")
@@ -428,6 +552,20 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "underflows" in captured.err
+
+
+def test_main_scenario_at_huge_beta(tmp_path, capsys):
+    # beta reaches ~4e206 by the window's end: f is a positive denormal, not 0
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = 1e205\n")
+    assert main(["scenario", "--config", str(config)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert float(rows[-1][2]) > 1e206 and all(float(row[3]) > 0 for row in rows)
+    # past beta ~ 3e215 f underflows to 0, which would print I = eta = 0: exit 3
+    config.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = 1e215\n")
+    assert main(["scenario", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "f(beta) underflows to 0" in captured.err
 
 
 def test_main_fig1_large_approx_is_inf_at_tiny_beta(tmp_path):

@@ -90,6 +90,15 @@ def test_f_beta_rejects_negative():
         f_beta(-0.5)
 
 
+def test_f_beta_past_the_overflow_of_beta_cubed_root():
+    # 4*beta^(3/2) overflows above beta ~ 1.3e205; f is then a denormal, the
+    # large-beta asymptote, until it underflows to 0 above beta ~ 3e215
+    for beta in (1e205, 1.3e205, 1e207, 1e210, 1e215):
+        assert 0.0 < f_beta(beta) < 1e-307
+        assert abs(f_beta(beta) - f_beta_approx_large(beta)) <= 4 * math.ulp(0.0), beta
+    assert f_beta(1e216) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # closed-form approximations (comparison tables only)
 # ---------------------------------------------------------------------------

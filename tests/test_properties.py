@@ -1,0 +1,137 @@
+"""Property tests of the exit-code contract, run in process through ``cli.main``.
+
+For any finite config, a ``scenario`` and a short ``sweep`` (whose range may
+leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
+that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
+an efficiency eta that never rises with t, and the same bytes when repeated.
+The examples are derandomized and no database is kept, so every run of the
+suite draws the same configs.
+"""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mwoptical import cli
+
+PROPERTY_SETTINGS = settings(max_examples=75, derandomize=True, database=None, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def _mostly(typical, other=ANY_FINITE):
+    """Values inside the model's working range five times in six, else any finite float."""
+    return st.sampled_from([typical] * 5 + [other]).flatmap(lambda strategy: strategy)
+
+
+RATIO = st.one_of(
+    st.just({}),
+    st.just({"ratio_mode": "unity"}),
+    st.just({"ratio_mode": "hydrogenic"}),
+    _mostly(_log_uniform(0.1, 30.0)).map(
+        lambda value: {"ratio_mode": "custom", "ratio_value": value}),
+)
+
+CONFIG = st.tuples(
+    st.fixed_dictionaries(
+        {"channel": st.sampled_from(sorted(cli.CHANNELS))},
+        optional={
+            "flux_w_cm2": _mostly(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e3))),
+            "detuning_mhz": _mostly(st.floats(-500.0, 500.0)),
+            "vessel_length_cm": _mostly(_log_uniform(0.1, 1000.0)),
+            "vessel_area_cm2": _mostly(_log_uniform(0.1, 10.0)),
+            "gas_density_g_cm3": _mostly(_log_uniform(1e-7, 1e-2)),
+            "rho22_initial": _mostly(st.floats(0.0, 1.0)),
+            "time_start_s": _mostly(st.floats(0.0, 1e-9)),
+            "time_stop_s": _mostly(_log_uniform(1e-9, 1e-4)),
+            "time_steps": _mostly(st.integers(2, 40), st.integers(-3, 3)),
+        }),
+    RATIO,
+).map(lambda parts: {**parts[0], **parts[1]})
+
+# Sweep bounds around each parameter's valid interval, reaching past its edges
+# (the detuning range passes both channels' -resonance).
+SWEEP_BOUNDS = {
+    "flux_w_cm2": st.floats(-10.0, 1e3),
+    "rho22_initial": st.floats(-0.1, 1.2),
+    "vessel_length_cm": st.floats(-1.0, 1e3),
+    "gas_density_g_cm3": st.floats(-1e-4, 1e-2),
+    "detuning_mhz": st.floats(-2e4, 2e4),
+}
+SWEEP = st.sampled_from(sorted(SWEEP_BOUNDS)).flatmap(lambda parameter: st.tuples(
+    st.just(parameter),
+    st.lists(_mostly(SWEEP_BOUNDS[parameter]), min_size=2, max_size=2,
+             unique=True).map(sorted),
+    st.integers(2, 5),
+    st.booleans(),
+    st.sampled_from(sorted(cli.OBJECTIVES)),
+))
+
+
+def _config_text(config):
+    return "".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                   for key, value in config.items())
+
+
+def _run(config, args):
+    """(exit code, stdout, stderr) of one in-process command on ``config``."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "run.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_config_text(config))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([args[0], "--config", path, *args[1:]])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _checked_run(config, args):
+    """Run twice; check the exit code, byte identity and finite numbers."""
+    first = _run(config, args)
+    assert first == _run(config, args)
+    code, out, err = first
+    assert code in (0, 2, 3), err
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return None
+    for line in out.splitlines()[1:] + err.splitlines():
+        for cell in line.replace(" = ", ",").split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue   # a channel name, a parameter name or no_depletion
+            assert math.isfinite(value), line
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+@PROPERTY_SETTINGS
+@given(CONFIG)
+def test_scenario_exit_contract(config):
+    rows = _checked_run(config, ["scenario"])
+    if rows is None:
+        return
+    f_values = [float(row[3]) for row in rows]
+    assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
+    etas = [float(row[5]) for row in rows]
+    assert all(later <= earlier for earlier, later in zip(etas, etas[1:])), etas
+
+
+@PROPERTY_SETTINGS
+@given(CONFIG, SWEEP)
+def test_sweep_exit_contract(config, sweep):
+    parameter, (low, high), steps, log, objective = sweep
+    args = ["sweep", "--param", parameter, f"--min={low!r}", f"--max={high!r}",
+            "--steps", str(steps), "--objective", objective] + (["--log"] if log else [])
+    rows = _checked_run(config, args)
+    if rows is not None:
+        assert len(rows) == steps
