@@ -13,7 +13,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .coupling import MicrowaveDrive, damping_decrement, detuning_lineshape
 from .ensemble import (
@@ -92,6 +92,11 @@ MAX_GRID_POINTS = 10**7
 _OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
 
 
+def _check_grid_size(name: str, steps: int):
+    if not 2 <= steps <= MAX_GRID_POINTS:
+        raise ConfigError(f"{name}: must lie in [2, {MAX_GRID_POINTS}], got {steps}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario parameters; every field except ``channel`` has a default."""
@@ -138,9 +143,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"time grid must be monotone and finite: time_stop_s={self.time_stop_s} "
                 f"must exceed time_start_s={self.time_start_s}")
-        if not 2 <= self.time_steps <= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"time_steps: must lie in [2, {MAX_GRID_POINTS}], got {self.time_steps}")
+        _check_grid_size("time_steps", self.time_steps)
         if not 0 < self.drive_frequency_mhz < math.inf:
             raise ConfigError(f"detuning_mhz: drive frequency {self.drive_frequency_mhz} MHz "
                               "must be finite and positive")
@@ -182,9 +185,10 @@ class SweepSpec:
         if not -math.inf < self.minimum < self.maximum < math.inf:
             raise ConfigError(f"sweep range: min {self.minimum} must be below max "
                               f"{self.maximum}, both finite")
-        if not 2 <= self.steps <= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"sweep steps: must lie in [2, {MAX_GRID_POINTS}], got {self.steps}")
+        if not self.log and self.maximum - self.minimum == math.inf:
+            raise ConfigError(f"sweep range: the width of min {self.minimum} to max "
+                              f"{self.maximum} overflows")
+        _check_grid_size("sweep steps", self.steps)
         if self.log and self.minimum <= 0:
             raise ConfigError("log spacing requires a positive minimum")
         if self.objective not in OBJECTIVES:
@@ -242,21 +246,10 @@ def _parse_int(value: str) -> int:
         raise ValueError(f"not an integer: {value!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "channel": str,
-    "flux_w_cm2": _parse_float,
-    "detuning_mhz": _parse_float,
-    "vessel_length_cm": _parse_float,
-    "vessel_area_cm2": _parse_float,
-    "gas_density_g_cm3": _parse_float,
-    "rho22_initial": _parse_float,
-    "ratio_mode": str,
-    "ratio_value": _parse_float,
-    "time_start_s": _parse_float,
-    "time_stop_s": _parse_float,
-    "time_steps": _parse_int,
-    "output": str,
-}
+# config key -> parser, one per ScenarioConfig field, chosen by the field's type
+_TYPE_PARSERS = {int: _parse_int, float: _parse_float, float | None: _parse_float}
+_CONFIG_PARSERS = {field.name: _TYPE_PARSERS.get(field.type, str)
+                   for field in fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -297,29 +290,38 @@ def parse_config(text: str) -> ScenarioConfig:
 # computations
 # ---------------------------------------------------------------------------
 
+# scenario field -> the EnsembleConfig field it sets
+_ENSEMBLE_FIELDS = {
+    "vessel_length_cm": "length",
+    "vessel_area_cm2": "area",
+    "gas_density_g_cm3": "gas_density",
+    "rho22_initial": "rho22_0",
+}
+
+
+def _decrement(detuning_mhz: float) -> float:
+    """The lineshape at a detuning in MHz; it is even, and 2*pi*1e6*x is odd in x
+    in floats too, so |detuning| gives every bit of delta^2."""
+    decrement = detuning_lineshape(freq_mhz_to_angular(abs(detuning_mhz)), _OPTICAL.gamma_nk)
+    if decrement == 0.0:
+        raise ValueError(f"detuning lineshape underflows to 0 at detuning {detuning_mhz} MHz")
+    return decrement
+
+
 def _scenario_physics(cfg: ScenarioConfig):
     """Per-config setup: drive, detuning decrement, ensemble config."""
     drive = MicrowaveDrive.from_flux(flux_si_to_cgs(cfg.flux_w_cm2),
                                      freq_mhz_to_angular(cfg.drive_frequency_mhz))
-    decrement = detuning_lineshape(
-        2.0 * math.pi * 1.0e6 * cfg.detuning_mhz, _OPTICAL.gamma_nk)
-    ens = EnsembleConfig(
-        length=cfg.vessel_length_cm,
-        area=cfg.vessel_area_cm2,
-        gas_density=cfg.gas_density_g_cm3,
-        rho22_0=cfg.rho22_initial,
-        ratio=cfg.ratio,
-        wavelength_31=OPTICAL_ANCHOR_CM,
-    )
-    return drive, decrement, ens
+    ens = EnsembleConfig(**{name: getattr(cfg, key) for key, name in _ENSEMBLE_FIELDS.items()},
+                         ratio=cfg.ratio, wavelength_31=OPTICAL_ANCHOR_CM)
+    return drive, _decrement(cfg.detuning_mhz), ens
 
 
 def fig1_rows(beta_max: float, steps: int):
     """Depletion-curve table: beta, exact f, and both approximations."""
     if not 0 < beta_max < math.inf:
         raise ConfigError(f"beta-max: must be positive and finite, got {beta_max}")
-    if not 2 <= steps <= MAX_GRID_POINTS:
-        raise ConfigError(f"steps: must lie in [2, {MAX_GRID_POINTS}], got {steps}")
+    _check_grid_size("steps", steps)
     header = ["beta[-]", "f_exact[-]", "f_small_approx[-]", "f_large_approx[-]"]
     rows = [(b, f_beta(b), f_beta_approx_small(b), f_beta_approx_large(b))
             for b in _linspace(0.0, beta_max, steps)]
@@ -377,10 +379,9 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     scan; 'no depletion' points are excluded from the argmax.
 
     Every ScenarioConfig constraint on a sweepable parameter is an interval,
-    so checking the config at the grid's min and max checks every point (a
-    nan, which only a range whose width overflows puts at its first point,
-    is returned by both).  Each point then rebuilds only the physics its
-    parameter changes.
+    so checking the config at the grid's min and max checks every point.
+    Each point then rebuilds only the physics its parameter changes; a
+    numerical error at a point names the point.
     """
     header = [
         f"{spec.parameter}[{SWEEP_PARAMETERS[spec.parameter]}]",
@@ -392,20 +393,17 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     # Base physics at a grid point, not at cfg: cfg's own flux or detuning may
     # overflow where no swept value does.
     point = _point_physics(cfg, spec.parameter, *_scenario_physics(lowest))
-    rows = [(value, _objective_value(cfg, spec.objective, *point(value))) for value in grid]
+    rows = []
+    for value in grid:
+        try:
+            rows.append((value, _objective_value(cfg, spec.objective, *point(value))))
+        except ValueError as exc:
+            raise type(exc)(f"{spec.parameter} = {value}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
     record = {"parameter": spec.parameter, "objective": spec.objective,
               "argmax": argmax, "objective_max": best}
     return header, rows, record
-
-
-# sweep parameter -> the EnsembleConfig field it sets
-_ENSEMBLE_FIELDS = {
-    "rho22_initial": "rho22_0",
-    "vessel_length_cm": "length",
-    "gas_density_g_cm3": "gas_density",
-}
 
 
 def _point_physics(cfg: ScenarioConfig, parameter: str, drive, decrement, ens):
@@ -417,11 +415,11 @@ def _point_physics(cfg: ScenarioConfig, parameter: str, drive, decrement, ens):
         return lambda value: (MicrowaveDrive.from_flux(flux_si_to_cgs(value), omega),
                               decrement, ens)
     if parameter == "detuning_mhz":
-        resonance, e0, gamma = cfg.microwave_resonance_mhz, drive.e0, _OPTICAL.gamma_nk
+        resonance, e0 = cfg.microwave_resonance_mhz, drive.e0
         return lambda value: (MicrowaveDrive(e0, freq_mhz_to_angular(resonance + value)),
-                              detuning_lineshape(2.0 * math.pi * 1.0e6 * value, gamma), ens)
-    fields, name = vars(ens), _ENSEMBLE_FIELDS[parameter]
-    return lambda value: (drive, decrement, EnsembleConfig(**{**fields, name: value}))
+                              _decrement(value), ens)
+    base, name = vars(ens), _ENSEMBLE_FIELDS[parameter]
+    return lambda value: (drive, decrement, EnsembleConfig(**{**base, name: value}))
 
 
 # ---------------------------------------------------------------------------

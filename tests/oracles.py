@@ -1,8 +1,9 @@
-"""Independent oracles used across the test suite: brute-force quadrature and
-closed Gamma-function evaluations.  Nothing here calls the library code paths
-it is used to check.
+"""Independent oracles used across the test suite: brute-force quadrature,
+closed Gamma-function evaluations and the exact two-level amplitude solution.
+Nothing here calls the library code paths it is used to check.
 """
 
+import cmath
 import math
 
 from scipy.integrate import quad
@@ -76,6 +77,26 @@ def radial_integral_gamma_2s2p() -> float:
     """Closed form of the (2s, 2p) radial integral:
     (2*Gamma(5) - Gamma(6)) / (4*sqrt(12)) = -3*sqrt(3)."""
     return (2.0 * math.gamma(5) - math.gamma(6)) / (4.0 * math.sqrt(12.0))
+
+
+def rho22_two_level(t: float, omega: float, gamma: float) -> float:
+    """Exact |c2(t)|^2 of the resonant RWA amplitude equations
+
+        c2' = -i (omega/2) c3,   c3' = -i (omega/2) c2 - (gamma/2) c3,
+
+    from c2 = 1, c3 = 0: a metastable level 2 Rabi-coupled at frequency omega
+    to a level 3 whose population decays at gamma.  With the roots
+    s+- = -gamma/4 +- sqrt(gamma^2/16 - omega^2/4) (complex above
+    omega = gamma/2, where the atom Rabi-oscillates),
+    c2 = (s+ exp(s- t) - s- exp(s+ t)) / (s+ - s-).  s+ is taken as
+    omega^2/(4 s-), free of cancellation at small omega; the critical point
+    omega = gamma/2 itself, a double root, is excluded.
+    """
+    root = cmath.sqrt(gamma * gamma / 16.0 - omega * omega / 4.0)
+    s_minus = -gamma / 4.0 - root
+    s_plus = omega * omega / (4.0 * s_minus)
+    c2 = (s_plus * cmath.exp(s_minus * t) - s_minus * cmath.exp(s_plus * t)) / (s_plus - s_minus)
+    return abs(c2) ** 2
 
 
 def angular_average_quad(intensity_of_theta) -> float:

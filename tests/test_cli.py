@@ -77,6 +77,8 @@ def test_parse_config_rejects_duplicates_and_missing_channel():
         parse_config("channel = fine_structure\nchannel = lamb_shift\n")
     with pytest.raises(ConfigError, match="missing required key: channel"):
         parse_config("flux_w_cm2 = 1\n")
+    with pytest.raises(ConfigError, match="channel: must be one of fine_structure, lamb_shift"):
+        parse_config("channel = nowhere\n")
 
 
 def test_parse_config_ratio_modes():
@@ -88,6 +90,8 @@ def test_parse_config_ratio_modes():
         parse_config("channel = fine_structure\nratio_mode = custom\n")
     with pytest.raises(ConfigError, match="only valid"):
         parse_config("channel = fine_structure\nratio_value = 2.5\n")
+    with pytest.raises(ConfigError, match="ratio_mode: must be one of unity, hydrogenic, custom"):
+        parse_config("channel = fine_structure\nratio_mode = other\n")
 
 
 def test_parse_config_time_grid_validation():
@@ -95,6 +99,10 @@ def test_parse_config_time_grid_validation():
         parse_config("channel = fine_structure\ntime_start_s = 1e-6\ntime_stop_s = 1e-7\n")
     with pytest.raises(ConfigError, match="time_steps"):
         parse_config("channel = fine_structure\ntime_steps = 1\n")
+    with pytest.raises(ConfigError, match="time_start_s: must be finite and >= 0, got -1.0"):
+        parse_config("channel = fine_structure\ntime_start_s = -1\n")
+    with pytest.raises(ConfigError, match="line 2: time_steps: not an integer: '1.5'"):
+        parse_config("channel = fine_structure\ntime_steps = 1.5\n")
 
 
 def test_config_rejects_unphysical_drive_frequency():
@@ -338,6 +346,14 @@ def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
     assert repr(run_sweep(cfg, spec)[1]) == repr(_per_point_sweep(cfg, spec)[0])
 
 
+def test_detuning_decrement_is_the_lineshape_at_the_signed_detuning():
+    # the decrement reads |detuning|: every bit equals the signed expression's
+    gamma = cli._OPTICAL.gamma_nk
+    for detuning in (0.0, -0.0, 5e-324, -3.0, 3.0, -487.3, 512.9, -1e6, 2.1e147, -2.1e147):
+        want = cli.detuning_lineshape(2.0 * math.pi * 1.0e6 * detuning, gamma)
+        assert cli._decrement(detuning).hex() == want.hex(), detuning
+
+
 @pytest.mark.parametrize("args, message", [
     (["--param", "rho22_initial", "--min", "0.5", "--max", "2"],
      "rho22_initial: must lie in [0, 1], got 2.0"),
@@ -347,9 +363,9 @@ def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
     # but the last point is inf, out of range: the grid is rejected first
     (["--param", "flux_w_cm2", "--min", "1", "--max", repr(sys.float_info.max), "--log"],
      "flux_w_cm2: must be finite and >= 0, got inf"),
-    # the range's width overflows, so the first point is nan
+    # the range's width overflows, so no evenly spaced grid exists
     (["--param", "detuning_mhz", "--min=-1.7e308", "--max", "1.7e308"],
-     "detuning_mhz: drive frequency nan MHz"),
+     "sweep range: the width of min -1.7e+308 to max 1.7e+308 overflows"),
 ])
 def test_sweep_rejects_a_grid_whose_extreme_is_out_of_range(tmp_path, capsys, args, message):
     config = tmp_path / "run.cfg"
@@ -532,6 +548,9 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
     assert captured.out == "" and "nan" not in captured.err
     assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
                  "--max", "1e300", "--steps", "3", "--log", "--objective", "tau"]) == 3
+    # inside a sweep the message names the grid point
+    assert capsys.readouterr().err == ("error: flux_w_cm2 = 1e+300: field amplitude must be "
+                                       "finite and nonnegative, got inf\n")
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -552,6 +571,26 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "underflows" in captured.err
+
+
+@pytest.mark.parametrize("detuning, args, message", [
+    ("1e200", ["scenario"], "at detuning 1e+200 MHz"),
+    # exited 0 printing eta = 0 at the points past |detuning| ~ 2.2e147 MHz
+    ("0", ["sweep", "--param", "detuning_mhz", "--min", "1e100", "--max", "1e200",
+           "--steps", "3", "--log", "--objective", "eta_max_peak"],
+     "detuning_mhz = 1e+150: detuning lineshape underflows to 0 at detuning 1e+150 MHz"),
+    ("1e200", ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2",
+               "--steps", "3", "--objective", "tau"], "at detuning 1e+200 MHz"),
+])
+def test_main_lineshape_underflow_is_a_numerical_error(tmp_path, capsys, detuning, args,
+                                                       message):
+    # delta^2 overflows above |detuning| ~ 2.2e147 MHz, so the lineshape reads 0
+    config = tmp_path / "run.cfg"
+    config.write_text(f"channel = fine_structure\ndetuning_mhz = {detuning}\n")
+    assert main([args[0], "--config", str(config), *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "lineshape underflows to 0" in captured.err and message in captured.err
 
 
 def test_main_scenario_at_huge_beta(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import (
     ModelValidityWarning,
@@ -61,6 +62,50 @@ def test_rho22_validation():
         rho22_at(1.0, 1.0, 6.2e8, 0.0, 0.5)
     with pytest.raises(ValueError, match="rho22_0"):
         rho22_at(1.0, 1.0, 6.2e8, 1.0, 1.5)
+
+
+def _rabi_and_coupling(omega_over_gamma):
+    """(Omega, b32) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
+    takes the given value: Omega from the bare m = 0 dipole, b32 from the
+    default "summed" one, which is sqrt(2) times larger."""
+    m0 = make_transition_pair(mode("2p3/2"), mode("2s1/2"), "m0").d_nk
+    summed = make_transition_pair(mode("2p3/2"), mode("2s1/2")).d_nk
+    drive = MicrowaveDrive(e0=omega_over_gamma * OPTICAL.gamma_nk * oracles.HBAR / m0,
+                           omega=OMEGA_MW)
+    aligned = Orientation(0.0)
+    return coupling_element(m0, drive, aligned), coupling_element(summed, drive, aligned)
+
+
+def test_rho22_is_the_exact_two_level_decay_at_weak_coupling():
+    # adiabatic elimination of 2p: the exact metastable population decays at
+    # Omega^2/gamma_31.  The package's exponent b^2/(2 gamma_31) is that rate
+    # when b uses the summed dipole and Omega the m = 0 one (b^2 = 2 Omega^2).
+    gamma = OPTICAL.gamma_nk
+    assert oracles.rho22_two_level(0.0, 0.1 * gamma, gamma) == pytest.approx(1.0, abs=1e-15)
+    assert oracles.rho22_two_level(1e-6, 0.0, gamma) == 1.0
+    for omega_over_gamma, tolerance in ((0.05, 1e-5), (0.2, 2e-3)):
+        rabi, b32 = _rabi_and_coupling(omega_over_gamma)
+        t = 2.0 * gamma / rabi**2   # two e-foldings
+        package = rho22_at(t, b32, gamma, 1.0, 1.0)
+        assert package == pytest.approx(math.exp(-rabi * rabi * t / gamma), rel=1e-14)
+        assert package == pytest.approx(oracles.rho22_two_level(t, rabi, gamma),
+                                        rel=tolerance)
+    # read as the Rabi frequency itself, b would give twice the package's
+    # exponent: the exact population is about e^-2 where the package reads e^-1
+    t = 2.0 * gamma / b32**2
+    assert rho22_at(t, b32, gamma, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert oracles.rho22_two_level(t, b32, gamma) == pytest.approx(0.137, abs=1e-3)
+
+
+def test_rate_law_fails_as_the_coupling_nears_critical_damping():
+    # at Omega/gamma_31 = 0.375 the exact population at two e-foldings is over 4%
+    # above the rate law's; past 0.5 the roots are complex, the atom
+    # Rabi-oscillates and no rate law holds
+    gamma = OPTICAL.gamma_nk
+    rabi, b32 = _rabi_and_coupling(0.375)
+    t = 2.0 * gamma / rabi**2
+    excess = oracles.rho22_two_level(t, rabi, gamma) / rho22_at(t, b32, gamma, 1.0, 1.0) - 1.0
+    assert 0.04 < excess < 0.05
 
 
 # ---------------------------------------------------------------------------

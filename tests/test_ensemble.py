@@ -86,8 +86,9 @@ def test_f_beta_tenfold_drop_by_six():
 
 
 def test_f_beta_rejects_negative():
-    with pytest.raises(ValueError, match="beta"):
-        f_beta(-0.5)
+    for function in (f_beta, f_beta_approx_small, f_beta_approx_large):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            function(-0.5)
 
 
 def test_f_beta_past_the_overflow_of_beta_cubed_root():
@@ -269,6 +270,8 @@ def test_evaluate_rejects_overflow_and_negative_time():
         evaluate(_vessel(area=1e30), _drive(1e290), 1.0, [0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         evaluate(_vessel(), _drive(), 1.0, [-1e-9])
+    with pytest.raises(ValueError, match="decrement must be nonnegative"):
+        evaluate(_vessel(), _drive(), -0.5, [0.0])
     with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
         evaluate(_vessel(area=1e-219), _drive(1e-130), 1.0, [0.0])
 
@@ -371,6 +374,8 @@ def test_depletion_time_validation():
         depletion_time(_drive(1.0), 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="decrement"):
         depletion_time(_drive(1.0), 1.0, LAMBDA_31, 0.0)
+    with pytest.raises(ValueError, match="ratio must be nonnegative"):
+        depletion_time(_drive(1.0), -1.0, LAMBDA_31, 1.0)
     # a nonzero field whose E0^2 * wavelength^3 underflows: no finite tau
     with pytest.raises(ValueError, match="depletion time overflows"):
         depletion_time(_drive(1e-310), 1.0, LAMBDA_31, 1.0)

@@ -1,14 +1,19 @@
 """Byte-identity of the CLI against recorded digests, and the public-name tables.
 
-``golden_cli.json`` holds 63 commands: the ``cold_cli`` workload of the
-benchmark generator (``perfbench/gen.py``, seeds 0-2, cycles 0-2), which
-covers constants, both transitions, fig1, scenarios at zero and nonzero flux
-and a sweep with each of the three objectives.  For every command it stores
+``golden_cli.json`` holds 129 commands of the benchmark generator
+(``perfbench/gen.py``).  The first 63 are its ``cold_cli`` workload (seeds
+0-2, cycles 0-2), which covers constants, both transitions, fig1, scenarios at
+zero and nonzero flux and a sweep with each of the three objectives.  The
+other 66 are its ``sweep_pulse`` workload (seeds 0-2, cycles 0-1):
+pulse-energy sweeps over all five parameters on linear and log grids, with
+unity, hydrogenic and custom ratios.  For every command it stores
 the config text, the argv with ``{config}``, ``{out}`` and ``{summary}``
 path placeholders, the exit code, and the sha256 digests of stdout, stderr
 and the ``--out`` and ``--summary`` files (null where none is written).  The
-digests were recorded from the code before the constants injection was
-removed, so this test pins that refactors leave every byte unchanged.
+digests were recorded from the code before a refactor (the cold_cli ones
+before the constants injection was removed, the sweep_pulse ones before the
+scenario and sweep physics were merged into one map), so this test pins that
+refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored commands,
 
@@ -76,7 +81,7 @@ def _load():
 
 def test_cli_output_matches_recorded_digests(tmp_path):
     commands = _load()["commands"]
-    assert len(commands) == 63
+    assert len(commands) == 129
     differ = []
     for index, command in enumerate(commands):
         got = replay(command, str(tmp_path))
@@ -94,11 +99,12 @@ def test_every_all_name_exists(module):
 
 
 def test_package_reexports_only_module_all_names():
-    exported = set().union(*(module.__all__ for module in MODULES))
+    # the package's public names are exactly its five layers' __all__ lists
+    exported = set().union(*(module.__all__ for module in MODULES if module is not cli))
     public = {name for name in vars(mwoptical)
               if not name.startswith("_")
               and not isinstance(getattr(mwoptical, name), type(mwoptical))}
-    assert public - exported == set()
+    assert public == exported
 
 
 def _regenerate():

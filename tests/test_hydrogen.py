@@ -7,6 +7,8 @@ from scipy.integrate import quad
 import oracles
 from mwoptical.hydrogen import (
     MODES,
+    HydrogenMode,
+    TransitionPair,
     decay_rate,
     dipole_matrix_element,
     effective_dipole,
@@ -193,6 +195,15 @@ def test_make_transition_pair_rejects_identical_modes():
 def test_mode_lookup_rejects_unknown_label():
     with pytest.raises(ValueError, match="unknown mode"):
         mode("3d5/2")
+
+
+def test_catalog_types_reject_inconsistent_input():
+    with pytest.raises(ValueError, match="inconsistent with"):
+        HydrogenMode("2s1/2", 2, 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="require 0 <= l < n"):
+        HydrogenMode("1p1/2", 1, 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="decay rate must be nonnegative"):
+        TransitionPair(mode("2p3/2"), mode("1s1/2"), 1.0, 1.0, -1.0)
 
 
 def test_mode_lifetimes_informational():

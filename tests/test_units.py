@@ -65,6 +65,8 @@ def test_field_for_one_watt_per_cm2():
 def test_field_from_flux_rejects_negative():
     with pytest.raises(ValueError, match="flux"):
         field_from_flux(-1.0)
+    with pytest.raises(ValueError, match="field amplitude must be nonnegative"):
+        flux_from_field(-1.0)
 
 
 def test_flux_field_bijection():
