@@ -85,6 +85,8 @@ OBJECTIVES = {
 
 NO_DEPLETION = "no_depletion"
 
+SCENARIO_HEADER = ("t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]")
+
 # Largest scenario, sweep or fig1 grid; grids are Python lists built point by point.
 MAX_GRID_POINTS = 10**7
 
@@ -328,20 +330,13 @@ def fig1_rows(beta_max: float, steps: int):
     return header, rows
 
 
-def run_scenario(cfg: ScenarioConfig):
-    """Time series plus summary for one scenario.
-
-    Returns (header, rows, summary) where rows are per-time tuples and summary
-    is an ordered mapping of labeled scalars.  Output is deterministic: the
-    same config yields byte-identical CSV.
-    """
+def _scenario(cfg: ScenarioConfig):
+    """(f_mw, series, summary) for one scenario: the drive frequency in MHz,
+    ``evaluate``'s (t, beta, f, I_total, eta) rows and the labeled scalars."""
     drive, decrement, ens = _scenario_physics(cfg)
     f_mw = cfg.drive_frequency_mhz
     times = _linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
-
-    header = ["t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]"]
-    rows = [(t, f_mw, beta, f, intensity, eta)
-            for t, beta, f, intensity, eta in evaluate(ens, drive, decrement, times)]
+    series = evaluate(ens, drive, decrement, times)
 
     summary = {
         "channel": cfg.channel,
@@ -360,7 +355,19 @@ def run_scenario(cfg: ScenarioConfig):
         "tau_s": _objective_value(cfg, "tau", drive, decrement, ens),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
-    return header, rows, summary
+    return f_mw, series, summary
+
+
+def run_scenario(cfg: ScenarioConfig):
+    """Time series plus summary for one scenario.
+
+    Returns (header, rows, summary) where rows are per-time tuples and summary
+    is an ordered mapping of labeled scalars.  Output is deterministic: the
+    same config yields byte-identical CSV.
+    """
+    f_mw, series, summary = _scenario(cfg)
+    rows = [(t, f_mw, beta, f, intensity, eta) for t, beta, f, intensity, eta in series]
+    return list(SCENARIO_HEADER), rows, summary
 
 
 def _objective_value(cfg: ScenarioConfig, objective: str, drive, decrement, ens):
@@ -519,8 +526,12 @@ def _cmd_fig1(args) -> None:
 
 def _cmd_scenario(args) -> None:
     cfg = _read_config_file(args.config)
-    header, rows, summary = run_scenario(cfg)
-    _write_text(format_csv(header, rows), args.out if args.out else cfg.output, sys.stdout)
+    f_mw, series, summary = _scenario(cfg)
+    # parse_config reads the time grid as floats and evaluate returns floats, so
+    # every cell of series is a float and this template gives format_csv's bytes.
+    template = "%.8e," + _format_value(f_mw) + ",%.8e,%.8e,%.8e,%.8e"
+    text = "\n".join([",".join(SCENARIO_HEADER), *map(template.__mod__, series)]) + "\n"
+    _write_text(text, args.out if args.out else cfg.output, sys.stdout)
     _write_text(format_summary(summary), args.summary, sys.stderr)
 
 

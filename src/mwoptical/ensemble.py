@@ -202,12 +202,18 @@ def _g(beta: float, f: float) -> float:
 def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
                  t0: float, t1: float) -> float:
     """Emitted energy (erg): the exact integral of ``total_intensity`` from t0 to t1.
-    With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``)."""
+    With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).
+    It is at most the energy stored in the metastable level,
+    N*rho22_0*2*pi*hbar*c/wavelength_31; ValueError where even that overflows."""
     (_, beta0, f0, _, _), (_, beta1, f1, _, _) = evaluate(cfg, drive, decrement, (t0, t1))
-    energy = (decrement * _sigma_prefactor(cfg) * drive.s_mw
-              * (t1 * _g(beta1, f1) - t0 * _g(beta0, f0)))
+    scale = decrement * _sigma_prefactor(cfg)
+    window = t1 * _g(beta1, f1) - t0 * _g(beta0, f0)
+    energy = scale * drive.s_mw * window
     if not math.isfinite(energy):
-        raise ValueError("pulse energy overflows")
+        # scale*S_mw can overflow where the energy does not; the window is then short
+        energy = scale * (drive.s_mw * window)
+        if not math.isfinite(energy):
+            raise ValueError("pulse energy overflows")
     return energy
 
 

@@ -1,5 +1,6 @@
 """Independent oracles used across the test suite: brute-force quadrature,
-closed Gamma-function evaluations and the exact two-level amplitude solution.
+closed Gamma-function evaluations, the exact two-level amplitude solution and
+the stored-energy form of the pulse energy.
 Nothing here calls the library code paths it is used to check.
 """
 
@@ -33,6 +34,19 @@ def g_quad(b: float) -> float:
     value, _ = quad(lambda x: -math.expm1(-b * x * x), 0.0, 1.0,
                     epsabs=0.0, epsrel=1e-13, limit=200)
     return value / b
+
+
+def stored_pulse_energy(n_excited: float, wavelength_31: float, e0: float, ratio: float,
+                        decrement: float, t0: float, t1: float) -> float:
+    """Energy (erg) emitted over [t0, t1] by n_excited metastable atoms driven at
+    field e0: n_excited * (2 pi hbar c / wavelength_31) * (G(k t1) - G(k t0)), with
+    k = beta/t = 3 e0^2 wavelength_31^3 ratio decrement / (32 pi^3 hbar) and
+    G(B) = B * g_quad(B).  G rises from 0 to 1 because the integral of f(B) dB
+    over [0, inf) is 1, so the pulse returns at most the stored energy.
+    """
+    k = 3.0 * e0**2 * wavelength_31**3 * ratio * decrement / (32.0 * math.pi**3 * HBAR)
+    quantum = 2.0 * math.pi * HBAR * C / wavelength_31
+    return n_excited * (quantum * (k * t1 * g_quad(k * t1) - k * t0 * g_quad(k * t0)))
 
 
 # Hydrogenic radial functions written out from scratch (r in units of a0).

@@ -468,6 +468,51 @@ def test_main_scenario_output_key_fallback(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "flux_w_cm2 = 0",
+    "time_stop_s = 1e-9\ntime_steps = 40",   # beta <= 0.044: every f on the series branch
+    "time_start_s = 3e-7\ntime_stop_s = 2e-6\ntime_steps = 57",
+    "ratio_mode = hydrogenic",
+    "ratio_mode = custom\nratio_value = 2.5",
+    "detuning_mhz = -35.5\nflux_w_cm2 = 3.7",
+])
+def test_main_scenario_writes_the_run_scenario_table(tmp_path, capsys, lines):
+    # the command formats evaluate's rows itself; run_scenario is the reference
+    text = f"channel = fine_structure\n{lines}\n"
+    header, rows, summary = run_scenario(parse_config(text))
+    expected = format_csv(header, rows)
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert main(["scenario", "--config", str(config)]) == 0
+    assert capsys.readouterr() == (expected, format_summary(summary))
+    out = tmp_path / "series.csv"
+    config.write_text(text + f"output = {out}\n")
+    assert main(["scenario", "--config", str(config), "--summary", str(tmp_path / "s")]) == 0
+    assert out.read_text() == expected and capsys.readouterr() == ("", "")
+
+
+def test_main_pulse_energy_where_scale_times_flux_overflows(tmp_path, capsys):
+    # decrement*sigma*S_mw overflows, but the energy, at most the stored
+    # N*rho22*hbar*omega31 ~ 9e208 erg, does not: this exited 3 with "overflows"
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = fine_structure\nvessel_area_cm2 = 1e100\n"
+                      "vessel_length_cm = 1e100\nratio_mode = custom\nratio_value = 1e92\n"
+                      "rho22_initial = 1\n")
+    assert main(["sweep", "--config", str(config), "--param", "rho22_initial", "--min", "0.5",
+                 "--max", "1", "--steps", "3", "--objective", "pulse_energy"]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    cfg = parse_config(config.read_text())
+    drive, decrement, _ = cli._scenario_physics(cfg)
+    n_atoms = 0.9e-4 * 1e200 / oracles.MU_H
+    for rho22, energy in rows:
+        # 1.22e-5 cm: the optical line every scenario shares
+        assert energy == pytest.approx(oracles.stored_pulse_energy(
+            n_atoms * rho22, 1.22e-5, drive.e0, 1e92, decrement, 0.0, cfg.time_stop_s),
+            rel=1e-8)
+    assert rows[-1][1] == pytest.approx(8.7564e208, rel=1e-4)
+
+
 def test_main_sweep(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(WORKED_VESSEL)
@@ -523,7 +568,7 @@ def test_main_exit_code_on_numerical_error(tmp_path, capsys, monkeypatch):
     def boom(cfg):
         raise ValueError("outside the numerical domain")
 
-    monkeypatch.setattr(cli, "run_scenario", boom)
+    monkeypatch.setattr(cli, "_scenario_physics", boom)
     assert main(["scenario", "--config", str(config)]) == 3
     assert "numerical domain" in capsys.readouterr().err
 

@@ -20,7 +20,12 @@ from mwoptical.ensemble import (
     sigma_total,
     total_intensity,
 )
-from mwoptical.hydrogen import effective_dipole, make_transition_pair, mode
+from mwoptical.hydrogen import (
+    effective_dipole,
+    hydrogenic_dipole_ratio,
+    make_transition_pair,
+    mode,
+)
 from mwoptical.units import field_from_flux, flux_si_to_cgs
 
 OMEGA_MW = 2.0 * math.pi * 1.0949e10
@@ -341,6 +346,49 @@ def test_pulse_energy_is_an_oriented_integral():
     assert pulse_energy(cfg, drive, 1.0, 1e-7, 1e-7) == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         pulse_energy(cfg, drive, 1.0, -1e-6, 1e-6)
+
+
+def _stored_oracle(cfg, drive, dec, t0, t1):
+    n_excited = cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
+    return oracles.stored_pulse_energy(n_excited, cfg.wavelength_31, drive.e0, cfg.ratio,
+                                       dec, t0, t1)
+
+
+@pytest.mark.parametrize("beta_start,beta_end", [
+    (0.0, 1e-6), (0.0, 0.05), (0.0, 6.0), (0.0, 1.0e4),
+    (1e-6, 1e-3), (0.05, 0.5), (3.0, 9.0), (70.0, 400.0), (100.0, 1.0e4)])
+@pytest.mark.parametrize("ratio,dec", [(1.0, 1.0), (16.2, 0.4)])
+def test_pulse_energy_is_the_released_stored_energy(beta_start, beta_end, ratio, dec):
+    cfg, drive = _vessel(ratio=ratio), _drive(2.0)
+    t0 = _time_of_beta(cfg, drive, dec, beta_start)
+    t1 = _time_of_beta(cfg, drive, dec, beta_end)
+    assert pulse_energy(cfg, drive, dec, t0, t1) == pytest.approx(
+        _stored_oracle(cfg, drive, dec, t0, t1), rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [1.0, hydrogenic_dipole_ratio()])
+def test_pulse_energy_never_exceeds_the_stored_energy(ratio):
+    cfg, drive = _vessel(ratio=ratio), _drive()
+    stored = (cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
+              * 2.0 * math.pi * oracles.HBAR * oracles.C / cfg.wavelength_31)
+    tau = depletion_time(drive, ratio, LAMBDA_31, 1.0)
+    shares = [pulse_energy(cfg, drive, 1.0, 0.0, m * tau) / stored
+              for m in (1.0, 10.0, 1e3, 1e6, 1e12)]
+    assert shares == sorted(shares) and shares[-1] < 1.0
+    # G(6050) = 1 - sqrt(pi)/(2*sqrt(6050)) to 1e-9
+    assert shares[2] == pytest.approx(0.98860, abs=5e-6)
+
+
+def test_pulse_energy_overflows_only_past_the_stored_energy():
+    # a stored energy N*rho22*2*pi*hbar*c/wavelength above the largest float,
+    # reachable only with a nonphysical wavelength: no order of the product is finite
+    cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0,
+                  wavelength_31=1e-20)
+    drive = MicrowaveDrive(e0=1.0, omega=OMEGA_MW)
+    assert pulse_energy(cfg, drive, 1.0, 0.0, 1e30) == pytest.approx(
+        _stored_oracle(cfg, drive, 1.0, 0.0, 1e30), rel=1e-10)
+    with pytest.raises(ValueError, match="pulse energy overflows"):
+        pulse_energy(cfg, drive, 1.0, 0.0, 1e37)
 
 
 # ---------------------------------------------------------------------------
