@@ -476,7 +476,7 @@ def _read_config_file(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)
 

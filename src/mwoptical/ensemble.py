@@ -26,13 +26,9 @@ __all__ = [
     "f_beta",
     "f_beta_approx_small",
     "f_beta_approx_large",
-    "beta_of",
-    "total_intensity",
     "evaluate",
     "pulse_energy",
-    "sigma_total",
     "sigma_max",
-    "eta_max",
     "depletion_time",
 ]
 
@@ -128,48 +124,22 @@ def f_beta_approx_large(beta: float) -> float:
         return math.inf
 
 
-def _beta_numerator(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
-                    decrement: float) -> float:
-    """beta * 32*pi^3*hbar / t, multiplied in the order ``beta_of`` documents."""
-    return 3.0 * drive.e0**2 * wavelength_31**3 * ratio * decrement
-
-
-def beta_of(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
-            decrement: float, t: float) -> float:
-    """Depletion parameter 3*E0^2*wavelength_31^3*ratio*decrement*t / (32*pi^3*hbar)."""
-    for name, value in (("ratio", ratio), ("wavelength_31", wavelength_31),
-                        ("decrement", decrement), ("t", t)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    return (_beta_numerator(drive, ratio, wavelength_31, decrement) * t
-            / (32.0 * math.pi**3 * CGS.hbar))
-
-
 def _sigma_prefactor(cfg: EnsembleConfig) -> float:
     """N * (3/2pi) * wavelength^2 * ratio * rho22_0, the cross-section scale (cm^2)."""
     return (cfg.n_atoms * 3.0 / (2.0 * math.pi) * cfg.wavelength_31**2
             * cfg.ratio * cfg.rho22_0)
 
 
-def total_intensity(cfg: EnsembleConfig, drive: MicrowaveDrive,
-                    decrement: float, t: float) -> float:
-    """Ensemble stimulated intensity (erg/s) at time t:
-
-        decrement * N * (3/2pi) * wavelength_31^2 * ratio * rho22_0 * f(beta(t)) * S_mw
-    """
-    return evaluate(cfg, drive, decrement, (t,))[0][3]
-
-
 def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
-    evaluated once per time, bit-identical to ``beta_of`` and ``total_intensity``.
-    eta = I_total/(area*S_mw) is the conversion efficiency, zero by convention at
-    zero drive.  Overflow, a power area*S_mw that underflows to 0 at nonzero
-    drive, or an f(beta) that underflows to 0 (beta above about 3e215) raises
-    ValueError."""
+    evaluated once per time.  I_total = decrement*sigma_max(cfg, beta)*S_mw is the
+    ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
+    conversion efficiency, zero by convention at zero drive.  Overflow, a power
+    area*S_mw that underflows to 0 at nonzero drive, or an f(beta) that underflows
+    to 0 (beta above about 3e215) raises ValueError."""
     if decrement < 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = _beta_numerator(drive, cfg.ratio, cfg.wavelength_31, decrement)
+    numerator = 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
     denominator = 32.0 * math.pi**3 * CGS.hbar
     scale = decrement * _sigma_prefactor(cfg)
     s_mw = drive.s_mw
@@ -201,7 +171,7 @@ def _g(beta: float, f: float) -> float:
 
 def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
                  t0: float, t1: float) -> float:
-    """Emitted energy (erg): the exact integral of ``total_intensity`` from t0 to t1.
+    """Emitted energy (erg): the exact integral of ``evaluate``'s I_total from t0 to t1.
     With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).
     It is at most the energy stored in the metastable level,
     N*rho22_0*2*pi*hbar*c/wavelength_31; ValueError where even that overflows."""
@@ -217,25 +187,13 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
     return energy
 
 
-def sigma_total(cfg: EnsembleConfig, decrement: float, beta: float) -> float:
-    """Ensemble cross-section sigma = I_total/S_mw (cm^2) at depletion beta."""
-    return decrement * _sigma_prefactor(cfg) * f_beta(beta)
-
-
 def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
-    """Peak ensemble cross-section (cm^2): ``sigma_total`` at the resonant
-    decrement value, which is 1 to within gamma^2/omega_32^2 corrections."""
-    return sigma_total(cfg, 1.0, beta)
-
-
-def eta_max(cfg: EnsembleConfig, beta: float) -> float:
-    """Peak conversion efficiency sigma_max/area = (3/2pi)*n31*ratio*rho22_0*f(beta).
-
-    The vessel cross-section cancels, so eta depends on the vessel only
-    through n31; with the worked-example vessel (length 10 cm, density
-    0.9e-4 g/cm^3, 122 nm) the prefactor (3/2pi)*n31 is ~4e10.
-    """
-    return sigma_max(cfg, beta) / cfg.area
+    """Peak ensemble cross-section I_total/S_mw (cm^2) at the resonant decrement
+    value, which is 1 to within gamma^2/omega_32^2 corrections.  sigma_max/area is
+    the peak conversion efficiency (3/2pi)*n31*ratio*rho22_0*f(beta); with the
+    worked-example vessel (length 10 cm, density 0.9e-4 g/cm^3, 122 nm) the
+    prefactor (3/2pi)*n31 is ~4e10."""
+    return _sigma_prefactor(cfg) * f_beta(beta)
 
 
 def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,

@@ -13,13 +13,12 @@ from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_full, intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    beta_of,
     depletion_time,
-    eta_max,
+    evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
-    total_intensity,
+    sigma_max,
 )
 from mwoptical.hydrogen import (
     TransitionPair,
@@ -90,8 +89,8 @@ def test_criterion_3_worked_example():
     cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
                          rho22_0=1.0e-4, ratio=1.0, wavelength_31=1.22e-5)
     n31 = cfg.n31
-    prefactor = eta_max(cfg, 0.0) / (cfg.rho22_0 * f_beta(0.0))
-    eta_peak = eta_max(cfg, 0.0)
+    eta_peak = sigma_max(cfg, 0.0) / cfg.area
+    prefactor = eta_peak / (cfg.rho22_0 * f_beta(0.0))
 
     ok = (abs(n31 - 0.8e11) / 0.8e11 <= 0.03
           and abs(prefactor - 4.0e10) / 4.0e10 <= 0.10
@@ -146,6 +145,12 @@ def test_criterion_5_algebra_chain_equivalence():
 def test_criterion_6_beta_tau_consistency():
     rng = np.random.default_rng(7)
     omega_mw = 2.0 * math.pi * 1.0949e10
+
+    def beta_at(ratio, lam31, drive, dec, t):
+        cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
+                             rho22_0=1.0e-4, ratio=ratio, wavelength_31=lam31)
+        return evaluate(cfg, drive, dec, (t,))[0][1]
+
     worst = 0.0
     for convention in ("summed", "m0"):
         pair31 = make_transition_pair(mode("2p3/2"), mode("1s1/2"), convention)
@@ -159,13 +164,13 @@ def test_criterion_6_beta_tau_consistency():
             drive = MicrowaveDrive(e0=e0, omega=omega_mw)
             b32 = coupling_element(pair32.d_nk, drive, Orientation(0.0))
             exponent = b32 * b32 * dec * t / (2.0 * pair31.gamma_nk)
-            direct = beta_of(drive, ratio, lam31, dec, t)
+            direct = beta_at(ratio, lam31, drive, dec, t)
             scale = max(direct, exponent, 1e-300)
             worst = max(worst, abs(direct - exponent) / scale)
 
     drive = MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(1.0)), omega=omega_mw)
     tau = depletion_time(drive, 1.0, 1.22e-5, 1.0)
-    beta_tau = beta_of(drive, 1.0, 1.22e-5, 1.0, tau)
+    beta_tau = beta_at(1.0, 1.22e-5, drive, 1.0, tau)
 
     ok = worst <= 1e-10 and 5.9 <= beta_tau <= 6.3
     _report(6, "beta/tau self-consistency", ok,
@@ -185,7 +190,7 @@ def test_criterion_7_orientation_average_oracle():
         return intensity_weak(drive, Orientation(theta), cfg.ratio, omega31, 1.0, cfg.rho22_0)
 
     brute = cfg.n_atoms * oracles.angular_average_quad(one_atom)
-    closed = total_intensity(cfg, drive, 1.0, 0.0)
+    closed = evaluate(cfg, drive, 1.0, (0.0,))[0][3]
     rel = abs(closed - brute) / brute
 
     ok = rel <= 1e-10

@@ -559,6 +559,10 @@ def test_main_exit_code_on_config_error(tmp_path, capsys):
     assert main(["scenario", "--config", str(config)]) == 2
     assert "gas_density_g_cm3" in capsys.readouterr().err
     assert main(["scenario", "--config", str(tmp_path / "absent.cfg")]) == 2
+    capsys.readouterr()
+    config.write_bytes(b"channel = fine_structure\n\xff\n")   # not UTF-8
+    assert main(["scenario", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {config}: ")
 
 
 def test_main_exit_code_on_numerical_error(tmp_path, capsys, monkeypatch):

@@ -8,17 +8,13 @@ from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    beta_of,
     depletion_time,
-    eta_max,
     evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
     pulse_energy,
     sigma_max,
-    sigma_total,
-    total_intensity,
 )
 from mwoptical.hydrogen import (
     effective_dipole,
@@ -26,7 +22,7 @@ from mwoptical.hydrogen import (
     make_transition_pair,
     mode,
 )
-from mwoptical.units import field_from_flux, flux_si_to_cgs
+from mwoptical.units import CGS, field_from_flux, flux_si_to_cgs
 
 OMEGA_MW = 2.0 * math.pi * 1.0949e10
 LAMBDA_31 = 1.22e-5   # cm
@@ -143,16 +139,20 @@ def test_large_beta_asymptote():
 # beta
 # ---------------------------------------------------------------------------
 
-def test_beta_of_zeros():
+def _beta(cfg, drive, dec, t):
+    return evaluate(cfg, drive, dec, (t,))[0][1]
+
+
+def test_beta_zeros():
     drive = _drive()
-    assert beta_of(drive, 1.0, LAMBDA_31, 1.0, 0.0) == 0.0
+    assert _beta(_vessel(), drive, 1.0, 0.0) == 0.0
     off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
-    assert beta_of(off, 1.0, LAMBDA_31, 1.0, 1e-3) == 0.0
+    assert _beta(_vessel(), off, 1.0, 1e-3) == 0.0
 
 
-def test_beta_of_rejects_negative():
+def test_beta_rejects_negative_time():
     with pytest.raises(ValueError, match="t"):
-        beta_of(_drive(), 1.0, LAMBDA_31, 1.0, -1.0)
+        _beta(_vessel(), _drive(), 1.0, -1.0)
 
 
 def test_beta_matches_single_atom_exponent():
@@ -167,7 +167,7 @@ def test_beta_matches_single_atom_exponent():
             drive = _drive(flux)
             b32 = coupling_element(d32, drive, Orientation(0.0))
             exponent = b32 * b32 * dec * t / (2.0 * pair31.gamma_nk)
-            direct = beta_of(drive, ratio, lam31, dec, t)
+            direct = _beta(_vessel(ratio=ratio, wavelength_31=lam31), drive, dec, t)
             assert direct == pytest.approx(exponent, rel=1e-10)
 
 
@@ -199,7 +199,7 @@ def test_vessel_validation():
     ("wavelength_31", math.inf), ("ratio", math.inf), ("ratio", math.nan),
 ])
 def test_vessel_rejects_non_finite(name, value):
-    # inf/nan would otherwise pass through to eta_max, n31 and sigma as inf/nan
+    # inf/nan would otherwise pass through to eta, n31 and sigma as inf/nan
     with pytest.raises(ValueError, match=f"{name}.*finite"):
         _vessel(**{name: value})
 
@@ -208,7 +208,11 @@ def test_vessel_rejects_non_finite(name, value):
 # ensemble intensity and cross-sections
 # ---------------------------------------------------------------------------
 
-def test_total_intensity_matches_angular_quadrature_at_t0():
+def _intensity(cfg, drive, dec, t):
+    return evaluate(cfg, drive, dec, (t,))[0][3]
+
+
+def test_intensity_matches_angular_quadrature_at_t0():
     cfg = _vessel()
     drive = _drive()
     dec = 1.0
@@ -218,50 +222,57 @@ def test_total_intensity_matches_angular_quadrature_at_t0():
         return intensity_weak(drive, Orientation(theta), cfg.ratio, omega31, dec, cfg.rho22_0)
 
     brute = cfg.n_atoms * oracles.angular_average_quad(one_atom)
-    assert total_intensity(cfg, drive, dec, 0.0) == pytest.approx(brute, rel=1e-10)
+    assert _intensity(cfg, drive, dec, 0.0) == pytest.approx(brute, rel=1e-10)
 
 
-def test_total_intensity_linear_in_flux_and_density():
+def test_intensity_linear_in_flux_and_density():
     cfg = _vessel()
     dec = 1.0
-    base = total_intensity(cfg, _drive(1.0), dec, 0.0)
-    assert total_intensity(cfg, _drive(2.0), dec, 0.0) == pytest.approx(2.0 * base, rel=1e-12)
+    base = _intensity(cfg, _drive(1.0), dec, 0.0)
+    assert _intensity(cfg, _drive(2.0), dec, 0.0) == pytest.approx(2.0 * base, rel=1e-12)
     half = _vessel(gas_density=0.45e-4)
-    assert total_intensity(half, _drive(1.0), dec, 0.0) == pytest.approx(0.5 * base, rel=1e-12)
+    assert _intensity(half, _drive(1.0), dec, 0.0) == pytest.approx(0.5 * base, rel=1e-12)
 
 
 def test_sigma_and_eta_identities():
-    cfg = _vessel(area=3.7)
-    for beta in (0.0, 2.0, 9.0):
-        assert eta_max(cfg, beta) == sigma_max(cfg, beta) / cfg.area
-        assert sigma_total(cfg, 1.0, beta) == pytest.approx(sigma_max(cfg, beta), rel=1e-14)
-        assert sigma_total(cfg, 0.5, beta) == pytest.approx(0.5 * sigma_max(cfg, beta), rel=1e-14)
+    # evaluate's I/S_mw is decrement * sigma_max and its eta is that over the area
+    cfg, drive = _vessel(area=3.7), _drive()
+    for dec in (1.0, 0.5):
+        for _, beta, _, intensity, eta in evaluate(cfg, drive, dec, [0.0, 1e-7, 1e-6]):
+            sigma = dec * sigma_max(cfg, beta)
+            assert intensity / drive.s_mw == pytest.approx(sigma, rel=1e-14)
+            assert eta == pytest.approx(sigma / cfg.area, rel=1e-14)
 
 
 def test_eta_independent_of_area():
     narrow = _vessel(area=0.2)
     wide = _vessel(area=50.0)
-    assert eta_max(narrow, 1.5) == pytest.approx(eta_max(wide, 1.5), rel=1e-12)
+    assert sigma_max(narrow, 1.5) / narrow.area == pytest.approx(sigma_max(wide, 1.5) / wide.area,
+                                                                 rel=1e-12)
 
 
 def test_eta_worked_example():
     cfg = _vessel()
     # efficiency prefactor (3/2pi)*n31 rounds to ~4e10
-    prefactor = eta_max(cfg, 0.0) / (cfg.rho22_0 * f_beta(0.0))
+    eta_peak = sigma_max(cfg, 0.0) / cfg.area
+    prefactor = eta_peak / (cfg.rho22_0 * f_beta(0.0))
     assert prefactor == pytest.approx(3.8218120774480064e10, rel=1e-10)
     assert prefactor == pytest.approx(4.0e10, rel=0.10)
     # and with rho22(0) = 1e-4 the peak efficiency is ~1.3e6
-    assert eta_max(cfg, 0.0) == pytest.approx(1.2739373591493357e6, rel=1e-10)
-    assert eta_max(cfg, 0.0) >= 1.0e6
+    assert eta_peak == pytest.approx(1.2739373591493357e6, rel=1e-10)
+    assert eta_peak >= 1.0e6
 
 
 def test_evaluate_matches_pointwise_functions_bit_for_bit():
     cfg, drive, dec = _vessel(area=2.5), _drive(3.0), 0.7
     times = [0.0, 1e-9, 3e-8, 1e-6]
-    for t, beta, f, intensity, eta in evaluate(cfg, drive, dec, times):
-        assert beta == beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, t)
+    denominator = 32.0 * math.pi**3 * CGS.hbar
+    for row in evaluate(cfg, drive, dec, times):
+        t, beta, f, intensity, eta = row
+        assert row == evaluate(cfg, drive, dec, (t,))[0]
+        assert beta == (3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * dec * t
+                        / denominator)
         assert f == f_beta(beta)
-        assert intensity == total_intensity(cfg, drive, dec, t)
         assert eta == intensity / (cfg.area * drive.s_mw)
     off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
     assert evaluate(cfg, off, dec, [0.0, 1e-6]) == [(0.0, 0.0, f_beta(0.0), 0.0, 0.0),
@@ -287,13 +298,13 @@ def test_evaluate_rejects_overflow_and_negative_time():
 
 def _pulse_oracle(cfg, drive, dec, t0, t1):
     """I(0)/f(0) * integral of f(k*t) over [t0, t1], through the quadrature oracle."""
-    k = beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, 1.0)
-    scale = 3.0 * total_intensity(cfg, drive, dec, 0.0)
+    k = _beta(cfg, drive, dec, 1.0)
+    scale = 3.0 * _intensity(cfg, drive, dec, 0.0)
     return scale * (t1 * oracles.g_quad(k * t1) - t0 * oracles.g_quad(k * t0))
 
 
 def _time_of_beta(cfg, drive, dec, beta):
-    return beta / beta_of(drive, cfg.ratio, cfg.wavelength_31, dec, 1.0)
+    return beta / _beta(cfg, drive, dec, 1.0)
 
 
 def test_pulse_energy_zero_flux():
@@ -331,7 +342,7 @@ def test_trapezoid_converges_to_pulse_energy_at_second_order():
     errors = []
     for steps in (51, 101, 201, 401):
         times = np.linspace(0.0, t1, steps)
-        values = [total_intensity(cfg, drive, dec, float(t)) for t in times]
+        values = [row[3] for row in evaluate(cfg, drive, dec, [float(t) for t in times])]
         errors.append(float(np.trapezoid(values, times)) - exact)
     # the integrand is convex, so the trapezoid overshoots by c/N^2
     assert all(e > 0 for e in errors)
@@ -406,7 +417,7 @@ def test_depletion_time_places_beta_near_six():
     for flux, ratio, dec in [(1.0, 1.0, 1.0), (25.0, 16.2, 0.4), (1e-3, 0.07, 2.0)]:
         drive = _drive(flux)
         tau = depletion_time(drive, ratio, LAMBDA_31, dec)
-        beta_tau = beta_of(drive, ratio, LAMBDA_31, dec, tau)
+        beta_tau = _beta(_vessel(ratio=ratio), drive, dec, tau)
         assert beta_tau == pytest.approx(6.047162706224905, rel=1e-12)
         assert 5.9 <= beta_tau <= 6.3
 

@@ -4,6 +4,8 @@ For any finite config, a ``scenario`` and a short ``sweep`` (whose range may
 leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
 that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
 an efficiency eta that never rises with t, and the same bytes when repeated.
+Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
+they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
 suite draws the same configs.
 """
@@ -135,3 +137,19 @@ def test_sweep_exit_contract(config, sweep):
     rows = _checked_run(config, args)
     if rows is not None:
         assert len(rows) == steps
+
+
+@PROPERTY_SETTINGS
+@given(st.binary())
+def test_any_config_bytes_exit_0_or_2(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "run.cfg")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["scenario", "--config", path])
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2
+    assert code in (0, 2)
