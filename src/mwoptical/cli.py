@@ -12,6 +12,7 @@ across channels by construction.
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -52,6 +53,7 @@ __all__ = [
     "run_scenario",
     "run_sweep",
     "format_csv",
+    "format_scenario",
     "main",
     "run",
 ]
@@ -330,18 +332,17 @@ def fig1_rows(beta_max: float, steps: int):
     return header, rows
 
 
-def _scenario(cfg: ScenarioConfig):
-    """(f_mw, series, summary) for one scenario: the drive frequency in MHz,
-    ``evaluate``'s (t, beta, f, I_total, eta) rows and the labeled scalars."""
+def run_scenario(cfg: ScenarioConfig):
+    """(series, summary) for one scenario: ``evaluate``'s (t, beta, f, I_total, eta)
+    rows and an ordered mapping of labeled scalars."""
     drive, decrement, ens = _scenario_physics(cfg)
-    f_mw = cfg.drive_frequency_mhz
     times = _linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
     series = evaluate(ens, drive, decrement, times)
 
     summary = {
         "channel": cfg.channel,
         "microwave_resonance_mhz": cfg.microwave_resonance_mhz,
-        "microwave_drive_mhz": f_mw,
+        "microwave_drive_mhz": cfg.drive_frequency_mhz,
         "detuning_mhz": cfg.detuning_mhz,
         "flux_w_cm2": cfg.flux_w_cm2,
         "field_e0_statv_cm": drive.e0,
@@ -355,19 +356,7 @@ def _scenario(cfg: ScenarioConfig):
         "tau_s": _objective_value(cfg, "tau", drive, decrement, ens),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
-    return f_mw, series, summary
-
-
-def run_scenario(cfg: ScenarioConfig):
-    """Time series plus summary for one scenario.
-
-    Returns (header, rows, summary) where rows are per-time tuples and summary
-    is an ordered mapping of labeled scalars.  Output is deterministic: the
-    same config yields byte-identical CSV.
-    """
-    f_mw, series, summary = _scenario(cfg)
-    rows = [(t, f_mw, beta, f, intensity, eta) for t, beta, f, intensity, eta in series]
-    return list(SCENARIO_HEADER), rows, summary
+    return series, summary
 
 
 def _objective_value(cfg: ScenarioConfig, objective: str, drive, decrement, ens):
@@ -376,7 +365,7 @@ def _objective_value(cfg: ScenarioConfig, objective: str, drive, decrement, ens)
         return evaluate(ens, drive, decrement, (0.0,))[0][4]
     if objective == "pulse_energy":
         return pulse_energy(ens, drive, decrement, cfg.time_start_s, cfg.time_stop_s)
-    return depletion_time(drive, ens.ratio, ens.wavelength_31, decrement)
+    return depletion_time(ens, drive, decrement)
 
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
@@ -439,8 +428,6 @@ def _format_value(value) -> str:
         return NO_DEPLETION
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
     return f"{value:.8e}"
 
 
@@ -455,6 +442,13 @@ def format_csv(header, rows) -> str:
         else:
             lines.append(",".join(_format_value(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def format_scenario(series, summary) -> str:
+    """The scenario CSV: ``run_scenario``'s rows with the drive frequency in MHz
+    as second column, one template per row with the bytes of ``_format_value``."""
+    template = "%.8e," + _format_value(summary["microwave_drive_mhz"]) + ",%.8e,%.8e,%.8e,%.8e"
+    return "\n".join([",".join(SCENARIO_HEADER), *map(template.__mod__, series)]) + "\n"
 
 
 def format_summary(record) -> str:
@@ -526,12 +520,8 @@ def _cmd_fig1(args) -> None:
 
 def _cmd_scenario(args) -> None:
     cfg = _read_config_file(args.config)
-    f_mw, series, summary = _scenario(cfg)
-    # parse_config reads the time grid as floats and evaluate returns floats, so
-    # every cell of series is a float and this template gives format_csv's bytes.
-    template = "%.8e," + _format_value(f_mw) + ",%.8e,%.8e,%.8e,%.8e"
-    text = "\n".join([",".join(SCENARIO_HEADER), *map(template.__mod__, series)]) + "\n"
-    _write_text(text, args.out if args.out else cfg.output, sys.stdout)
+    series, summary = run_scenario(cfg)
+    _write_text(format_scenario(series, summary), args.out or cfg.output, sys.stdout)
     _write_text(format_summary(summary), args.summary, sys.stderr)
 
 
@@ -604,4 +594,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Console entry point: ``main``; a stdout pipe whose reader has gone exits 2."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Point stdout at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

@@ -1,6 +1,5 @@
 """Single-atom response to the microwave drive: exponential depletion of the
-metastable excitation, stimulated optical intensity, and the per-atom
-effective cross-section sigma = I / S_mw.
+metastable excitation and the stimulated optical intensity.
 """
 
 import math
@@ -15,7 +14,6 @@ __all__ = [
     "rho22_at",
     "intensity_full",
     "intensity_weak",
-    "single_atom_cross_section",
 ]
 
 
@@ -82,15 +80,3 @@ def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
     cos_t = math.cos(orient.theta)
     return (decrement * 6.0 * math.pi * CGS.c**2 / omega_31**2
             * ratio * cos_t * cos_t * rho22 * drive.s_mw)
-
-
-def single_atom_cross_section(drive: MicrowaveDrive, orient: Orientation, ratio: float,
-                              omega_31: float, decrement: float, rho22: float) -> float:
-    """Effective stimulated-emission cross-section sigma = I/S_mw (cm^2).
-
-    Independent of the drive amplitude: the E0^2 in I cancels against S_mw.
-    """
-    s_mw = drive.s_mw
-    if s_mw <= 0:
-        raise ValueError("cross-section is undefined at zero drive flux")
-    return intensity_weak(drive, orient, ratio, omega_31, decrement, rho22) / s_mw

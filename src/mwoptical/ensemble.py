@@ -81,7 +81,7 @@ def f_beta(beta: float) -> float:
     for beta >= 0.1; the alternating series sum_k (-beta)^k / (k! * (2k+3))
     below that, where the closed form would cancel catastrophically.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if beta < _SERIES_CUTOFF:
         total = 0.0
@@ -104,7 +104,7 @@ def f_beta(beta: float) -> float:
 
 def f_beta_approx_small(beta: float) -> float:
     """Small-beta approximation (1/3)*exp(-beta/2); comparison tables only."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     return math.exp(-beta / 2.0) / 3.0
 
@@ -114,7 +114,7 @@ def f_beta_approx_large(beta: float) -> float:
 
     inf at beta = 0 and wherever beta^(-3/2) overflows (beta below about 1e-205).
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if beta == 0:
         return math.inf
@@ -137,7 +137,7 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     conversion efficiency, zero by convention at zero drive.  Overflow, a power
     area*S_mw that underflows to 0 at nonzero drive, or an f(beta) that underflows
     to 0 (beta above about 3e215) raises ValueError."""
-    if decrement < 0:
+    if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
     denominator = 32.0 * math.pi**3 * CGS.hbar
@@ -149,7 +149,7 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     isfinite = math.isfinite
     rows = []
     for t in times:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         beta = numerator * t / denominator
         f = f_beta(beta)
@@ -196,8 +196,7 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     return _sigma_prefactor(cfg) * f_beta(beta)
 
 
-def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
-                   decrement: float):
+def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float):
     """Characteristic time (s) for the ensemble emission to fall roughly tenfold:
 
         tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio)
@@ -208,15 +207,11 @@ def depletion_time(drive: MicrowaveDrive, ratio: float, wavelength_31: float,
     poison downstream tables; a nonzero field too weak for a finite tau
     raises ValueError.
     """
-    if wavelength_31 <= 0:
-        raise ValueError(f"wavelength_31 must be positive, got {wavelength_31}")
-    if decrement <= 0:
+    if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
-    if ratio < 0:
-        raise ValueError(f"ratio must be nonnegative, got {ratio}")
-    if drive.e0 == 0 or ratio == 0:
+    if drive.e0 == 0 or cfg.ratio == 0:
         return None
-    rate = decrement * drive.e0**2 * wavelength_31**3 * ratio
+    rate = decrement * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio
     if rate == 0:
         raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
     return 2.0e3 * CGS.hbar / rate

@@ -11,10 +11,10 @@ components q gives e^2 R^2/3 for every initial m (equal to the squared
 z-element), but the standard emission-rate prefactor is 4/3 rather than
 the 2/3 used in the scalar rate formula here, so folding the line strength
 into a scalar magnitude doubles the squared dipole: d_summed = sqrt(2) * d_z.
-``make_transition_pair`` defaults to this "summed" convention (which
-reproduces the 1.6 ns 2p lifetime); pass ``convention="m0"`` for the bare
-z-element.  Dipole *ratios* are identical in both conventions, so either
-may feed the intensity formulas as long as it is used uniformly.
+``effective_dipole`` and ``make_transition_pair`` use this "summed" magnitude
+(which reproduces the 1.6 ns 2p lifetime); ``dipole_matrix_element`` is the
+bare m = 0 z-element.  Dipole *ratios* are identical in both conventions, so
+either may feed the intensity formulas as long as it is used uniformly.
 """
 
 import math
@@ -164,19 +164,11 @@ def dipole_matrix_element(upper: HydrogenMode, lower: HydrogenMode) -> float:
     return CGS.e * CGS.a0 * _angular_factor_z(upper.l, lower.l) * abs(radial)
 
 
-def effective_dipole(upper: HydrogenMode, lower: HydrogenMode, convention: str = "summed") -> float:
-    """Scalar dipole magnitude |d_nk| (statC cm) under the named convention.
-
-    "summed": sublevel-summed line strength folded into a scalar, sqrt(2) times
-    the z-element; makes the standard rate formula reproduce the 2p lifetime.
-    "m0": the bare z-component element between m = 0 sublevels.
-    """
-    z = dipole_matrix_element(upper, lower)
-    if convention == "summed":
-        return math.sqrt(2.0) * z
-    if convention == "m0":
-        return z
-    raise ValueError(f"unknown dipole convention {convention!r}; use 'summed' or 'm0'")
+def effective_dipole(upper: HydrogenMode, lower: HydrogenMode) -> float:
+    """Scalar dipole magnitude |d_nk| (statC cm): the sublevel-summed line strength
+    folded into a scalar, sqrt(2) times the z-element; makes the standard rate
+    formula reproduce the 2p lifetime."""
+    return math.sqrt(2.0) * dipole_matrix_element(upper, lower)
 
 
 def decay_rate(omega_nk: float, d_nk: float) -> float:
@@ -202,13 +194,12 @@ class TransitionPair:
             raise ValueError("decay rate must be nonnegative")
 
 
-def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode,
-                         convention: str = "summed") -> TransitionPair:
+def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode) -> TransitionPair:
     """Bundle (omega_nk, d_nk, gamma_nk) for a catalog pair; upper must lie above lower."""
     if upper.label == lower.label:
         raise ValueError(f"transition requires two distinct modes, got {upper.label} twice")
     omega_nk = upper.omega - lower.omega
-    d_nk = effective_dipole(upper, lower, convention)
+    d_nk = effective_dipole(upper, lower)
     gamma_nk = decay_rate(omega_nk, d_nk)
     return TransitionPair(upper, lower, omega_nk, d_nk, gamma_nk)
 

@@ -23,11 +23,12 @@ from mwoptical.ensemble import (
 from mwoptical.hydrogen import (
     TransitionPair,
     decay_rate,
+    dipole_matrix_element,
     make_transition_pair,
     mode,
     radial_dipole_integral,
 )
-from mwoptical.cli import fig1_rows, format_csv, parse_config, run_scenario
+from mwoptical.cli import fig1_rows, format_scenario, parse_config, run_scenario
 from mwoptical.units import field_from_flux, flux_si_to_cgs
 
 
@@ -104,7 +105,7 @@ def test_criterion_3_worked_example():
 
 
 def test_criterion_4_lifetime():
-    pair = make_transition_pair(mode("2p3/2"), mode("1s1/2"))   # sublevel-summed default
+    pair = make_transition_pair(mode("2p3/2"), mode("1s1/2"))   # sublevel-summed
     lifetime = 1.0 / pair.gamma_nk
     ok = abs(lifetime - 1.6e-9) / 1.6e-9 <= 0.05
     _report(4, "2p lifetime", ok,
@@ -146,15 +147,22 @@ def test_criterion_6_beta_tau_consistency():
     rng = np.random.default_rng(7)
     omega_mw = 2.0 * math.pi * 1.0949e10
 
+    def vessel(ratio, lam31):
+        return EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
+                              rho22_0=1.0e-4, ratio=ratio, wavelength_31=lam31)
+
     def beta_at(ratio, lam31, drive, dec, t):
-        cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
-                             rho22_0=1.0e-4, ratio=ratio, wavelength_31=lam31)
-        return evaluate(cfg, drive, dec, (t,))[0][1]
+        return evaluate(vessel(ratio, lam31), drive, dec, (t,))[0][1]
+
+    def m0_pair(upper, lower):
+        d = dipole_matrix_element(upper, lower)
+        omega = upper.omega - lower.omega
+        return TransitionPair(upper, lower, omega, d, decay_rate(omega, d))
 
     worst = 0.0
-    for convention in ("summed", "m0"):
-        pair31 = make_transition_pair(mode("2p3/2"), mode("1s1/2"), convention)
-        pair32 = make_transition_pair(mode("2p3/2"), mode("2s1/2"), convention)
+    for pair in (make_transition_pair, m0_pair):   # sublevel-summed, then bare m = 0 dipoles
+        pair31 = pair(mode("2p3/2"), mode("1s1/2"))
+        pair32 = pair(mode("2p3/2"), mode("2s1/2"))
         ratio = (pair32.d_nk / pair31.d_nk) ** 2
         lam31 = 2.0 * math.pi * 2.99792458e10 / pair31.omega_nk
         for _ in range(200):
@@ -169,7 +177,7 @@ def test_criterion_6_beta_tau_consistency():
             worst = max(worst, abs(direct - exponent) / scale)
 
     drive = MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(1.0)), omega=omega_mw)
-    tau = depletion_time(drive, 1.0, 1.22e-5, 1.0)
+    tau = depletion_time(vessel(1.0, 1.22e-5), drive, 1.0)
     beta_tau = beta_at(1.0, 1.22e-5, drive, 1.0, tau)
 
     ok = worst <= 1e-10 and 5.9 <= beta_tau <= 6.3
@@ -207,8 +215,8 @@ def test_criterion_8_channel_symmetry():
     summaries = {}
     for channel in ("fine_structure", "lamb_shift"):
         cfg = parse_config(f"channel = {channel}\n" + base)
-        header, rows, summary = run_scenario(cfg)
-        outputs[channel] = format_csv(header, rows)
+        series, summary = run_scenario(cfg)
+        outputs[channel] = format_scenario(series, summary)
         summaries[channel] = {k: v for k, v in summary.items()
                               if k not in ("channel", "microwave_resonance_mhz",
                                            "microwave_drive_mhz")}

@@ -15,6 +15,7 @@ from mwoptical.cli import (
     SweepSpec,
     fig1_rows,
     format_csv,
+    format_scenario,
     format_summary,
     main,
     parse_config,
@@ -138,43 +139,43 @@ def test_fig1_rejects_invalid_grid():
 
 def test_scenario_summary_worked_example():
     cfg = parse_config(WORKED_VESSEL)
-    header, rows, summary = run_scenario(cfg)
+    series, summary = run_scenario(cfg)
     assert summary["n31"] == pytest.approx(0.8e11, rel=0.03)
     assert summary["eta_peak"] == pytest.approx(1.2739373591493357e6, rel=1e-10)
     # peak efficiency ~ prefactor * rho22 * f(0) with prefactor ~ 4e10 (rounded)
     assert summary["eta_peak"] == pytest.approx(4.0e10 * 1e-4 * (1 / 3), rel=0.10)
     assert summary["eta_peak"] >= 1.0e6
-    assert rows[0][5] == summary["eta_peak"]
+    assert series[0][4] == summary["eta_peak"]
 
 
 def test_scenario_zero_drive():
     cfg = parse_config("channel = fine_structure\nflux_w_cm2 = 0.0\n")
-    header, rows, summary = run_scenario(cfg)
-    assert all(row[4] == 0.0 and row[5] == 0.0 for row in rows)
+    series, summary = run_scenario(cfg)
+    assert all(row[3] == 0.0 and row[4] == 0.0 for row in series)
     assert summary["tau_s"] is None
     assert "tau_s = no_depletion" in format_summary(summary)
 
 
 def test_scenario_headers_carry_units():
     cfg = parse_config(WORKED_VESSEL)
-    header, rows, summary = run_scenario(cfg)
-    assert header == ["t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]"]
+    header = format_scenario(*run_scenario(cfg)).split("\n", 1)[0]
+    assert header == "t[s],f_mw[MHz],beta[-],f_beta[-],I_total[erg/s],eta[-]"
 
 
 def test_scenario_deterministic_output():
     cfg = parse_config(WORKED_VESSEL)
-    first = format_csv(*run_scenario(cfg)[:2])
-    second = format_csv(*run_scenario(cfg)[:2])
+    first = format_scenario(*run_scenario(cfg))
+    second = format_scenario(*run_scenario(cfg))
     assert first == second
 
 
 def test_scenario_rows_match_depletion_curve():
     cfg = parse_config(WORKED_VESSEL)
-    _, rows, summary = run_scenario(cfg)
+    series, summary = run_scenario(cfg)
     # beta at tau sits near 6 and the oracle agrees with the f column
     tau = summary["tau_s"]
     assert tau == pytest.approx(1.38550312e-7, rel=1e-8)
-    for t, _, beta, f_value, intensity, eta in rows[:5]:
+    for t, beta, f_value, intensity, eta in series[:5]:
         assert f_value == pytest.approx(oracles.f_beta_quad(beta), abs=1e-12)
         assert eta == pytest.approx(intensity / (cfg.vessel_area_cm2 * 1e7), rel=1e-12)
 
@@ -183,8 +184,8 @@ def test_channel_symmetry():
     base = "vessel_length_cm = 10.0\nrho22_initial = 1e-4\nratio_mode = unity\ntime_steps = 7\n"
     fine = parse_config("channel = fine_structure\n" + base)
     lamb = parse_config("channel = lamb_shift\n" + base)
-    csv_fine = format_csv(*run_scenario(fine)[:2])
-    csv_lamb = format_csv(*run_scenario(lamb)[:2])
+    csv_fine = format_scenario(*run_scenario(fine))
+    csv_lamb = format_scenario(*run_scenario(lamb))
     assert csv_fine != csv_lamb  # the frequency column differs
 
     def drop_freq_column(text):
@@ -200,7 +201,7 @@ def test_channel_symmetry():
 
 def test_csv_numeric_format_nine_significant_digits():
     cfg = parse_config(WORKED_VESSEL)
-    text = format_csv(*run_scenario(cfg)[:2])
+    text = format_scenario(*run_scenario(cfg))
     cell = text.splitlines()[1].split(",")[4]
     assert re.fullmatch(r"-?\d\.\d{8}e[+-]\d{2,3}", cell)
 
@@ -218,12 +219,12 @@ def test_format_csv_row_template_matches_per_cell_format():
     header = [f"c{i}[-]" for i in range(len(edge))]
     rows = [tuple(edge), tuple(reversed(edge))]
     assert format_csv(header, rows) == _per_cell_csv(header, rows)
-    # rows holding None, str or int keep the per-cell path
-    mixed = [(None, "x", 3, 1.5), (1.0, None, 2.0, 7), (0.5, 0.25, 0.125, 1.0)]
+    # rows holding None or str keep the per-cell path
+    mixed = [(None, "x", 3.0, 1.5), (1.0, None, 2.0, 7.0), (0.5, 0.25, 0.125, 1.0)]
     text = format_csv(["a", "b", "c", "d"], mixed)
     assert text == _per_cell_csv(["a", "b", "c", "d"], mixed)
-    assert text.splitlines()[1:3] == ["no_depletion,x,3,1.50000000e+00",
-                                      "1.00000000e+00,no_depletion,2.00000000e+00,7"]
+    assert text.splitlines()[1:3] == ["no_depletion,x,3.00000000e+00,1.50000000e+00",
+                                      "1.00000000e+00,no_depletion,2.00000000e+00,7.00000000e+00"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def test_sweep_pulse_energy_bounded_by_excited_population():
         "channel = fine_structure\ntime_stop_s = 3e-5\ntime_steps = 20001\n")
     spec = SweepSpec("flux_w_cm2", 0.5, 1.0, 2, objective="pulse_energy")
     _, rows, _ = run_sweep(cfg, spec)
-    _, _, summary = run_scenario(cfg)
+    _, summary = run_scenario(cfg)
     budget = summary["n_atoms"] * 1e-4 * 1.054571817e-27 * 1.5439766945154534e16
     for _, energy in rows:
         assert 0.9 * budget < energy <= 1.001 * budget
@@ -476,11 +477,13 @@ def test_main_scenario_output_key_fallback(tmp_path):
     "ratio_mode = custom\nratio_value = 2.5",
     "detuning_mhz = -35.5\nflux_w_cm2 = 3.7",
 ])
-def test_main_scenario_writes_the_run_scenario_table(tmp_path, capsys, lines):
-    # the command formats evaluate's rows itself; run_scenario is the reference
+def test_main_scenario_writes_the_per_cell_table(tmp_path, capsys, lines):
+    # the command's one-template rows against the per-cell formatting of run_scenario's rows
     text = f"channel = fine_structure\n{lines}\n"
-    header, rows, summary = run_scenario(parse_config(text))
-    expected = format_csv(header, rows)
+    series, summary = run_scenario(parse_config(text))
+    f_mw = summary["microwave_drive_mhz"]
+    expected = _per_cell_csv(cli.SCENARIO_HEADER, [(t, f_mw, beta, f, intensity, eta)
+                                                   for t, beta, f, intensity, eta in series])
     config = tmp_path / "run.cfg"
     config.write_text(text)
     assert main(["scenario", "--config", str(config)]) == 0
@@ -713,6 +716,26 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert main(["constants"]) == 0
     assert proc.returncode == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [("fig1", "--beta-max", "20", "--steps", "201"),
+                                  ("constants",)])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_pipe_is_an_exit_2_error(args, unbuffered):
+    # stdout is a pipe whose reader has already gone: every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mwoptical", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_main_transition_and_constants(capsys):

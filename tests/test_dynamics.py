@@ -10,9 +10,14 @@ from mwoptical.dynamics import (
     intensity_full,
     intensity_weak,
     rho22_at,
-    single_atom_cross_section,
 )
-from mwoptical.hydrogen import TransitionPair, decay_rate, make_transition_pair, mode
+from mwoptical.hydrogen import (
+    TransitionPair,
+    decay_rate,
+    dipole_matrix_element,
+    make_transition_pair,
+    mode,
+)
 from mwoptical.units import field_from_flux, flux_si_to_cgs, wavelength_to_angular
 
 OMEGA_MW = 2.0 * math.pi * 1.0949e10
@@ -67,8 +72,8 @@ def test_rho22_validation():
 def _rabi_and_coupling(omega_over_gamma):
     """(Omega, b32) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
     takes the given value: Omega from the bare m = 0 dipole, b32 from the
-    default "summed" one, which is sqrt(2) times larger."""
-    m0 = make_transition_pair(mode("2p3/2"), mode("2s1/2"), "m0").d_nk
+    sublevel-summed one, which is sqrt(2) times larger."""
+    m0 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
     summed = make_transition_pair(mode("2p3/2"), mode("2s1/2")).d_nk
     drive = MicrowaveDrive(e0=omega_over_gamma * OPTICAL.gamma_nk * oracles.HBAR / m0,
                            omega=OMEGA_MW)
@@ -172,36 +177,36 @@ def test_weak_equals_full_at_zero_rho33():
         assert weak == pytest.approx(full, rel=1e-12, abs=1e-300)
 
 
+def _sigma(drive, orient, ratio, omega31, dec, rho22):
+    """Single-atom cross-section sigma = I/S_mw (cm^2)."""
+    return intensity_weak(drive, orient, ratio, omega31, dec, rho22) / drive.s_mw
+
+
 def test_single_atom_cross_section_value():
     # resonance, aligned, unit ratio and excitation on the 122 nm line:
     # sigma = (3/2pi) * wavelength^2, frozen from the flux-form arithmetic
     omega31 = wavelength_to_angular(1.22e-5)
     drive = _drive()
-    sigma = single_atom_cross_section(drive, Orientation(0.0), 1.0, omega31, 1.0, 1.0)
+    sigma = _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 1.0)
     assert sigma == pytest.approx(7.10658651893931e-11, rel=1e-12)
     assert sigma == pytest.approx(3.0 / (2.0 * math.pi) * (1.22e-5) ** 2, rel=1e-12)
 
 
 def test_single_atom_cross_section_flux_invariant():
+    # the E0^2 in I cancels against S_mw
     omega31 = OPTICAL.omega_nk
-    base = single_atom_cross_section(_drive(1.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
-    quadrupled = single_atom_cross_section(_drive(4.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
+    base = _sigma(_drive(1.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
+    quadrupled = _sigma(_drive(4.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
     assert quadrupled == pytest.approx(base, rel=1e-12)
 
 
 def test_single_atom_cross_section_linearities():
     omega31 = OPTICAL.omega_nk
     drive = _drive()
-    base = single_atom_cross_section(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.25)
-    assert single_atom_cross_section(drive, Orientation(0.0), 3.0, omega31, 1.0, 0.25) \
+    base = _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.25)
+    assert _sigma(drive, Orientation(0.0), 3.0, omega31, 1.0, 0.25) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert single_atom_cross_section(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.75) \
+    assert _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.75) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert single_atom_cross_section(drive, Orientation(math.pi / 2), 1.0, omega31, 1.0, 0.25) \
+    assert _sigma(drive, Orientation(math.pi / 2), 1.0, omega31, 1.0, 0.25) \
         == pytest.approx(0.0, abs=1e-20)
-
-
-def test_single_atom_cross_section_rejects_zero_flux():
-    drive = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
-    with pytest.raises(ValueError, match="zero drive flux"):
-        single_atom_cross_section(drive, Orientation(0.0), 1.0, OPTICAL.omega_nk, 1.0, 0.5)

@@ -17,6 +17,9 @@ from mwoptical.ensemble import (
     sigma_max,
 )
 from mwoptical.hydrogen import (
+    TransitionPair,
+    decay_rate,
+    dipole_matrix_element,
     effective_dipole,
     hydrogenic_dipole_ratio,
     make_transition_pair,
@@ -88,8 +91,9 @@ def test_f_beta_tenfold_drop_by_six():
 
 def test_f_beta_rejects_negative():
     for function in (f_beta, f_beta_approx_small, f_beta_approx_large):
-        with pytest.raises(ValueError, match="beta must be nonnegative"):
-            function(-0.5)
+        for beta in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="beta must be nonnegative"):
+                function(beta)
 
 
 def test_f_beta_past_the_overflow_of_beta_cubed_root():
@@ -158,9 +162,12 @@ def test_beta_rejects_negative_time():
 def test_beta_matches_single_atom_exponent():
     # the closed form must equal |b32(theta=0)|^2 * decrement * t / (2*gamma_31)
     # when the dipoles come from the hydrogen catalog, in either convention
-    for convention in ("summed", "m0"):
-        pair31 = make_transition_pair(mode("2p3/2"), mode("1s1/2"), convention)
-        d32 = effective_dipole(mode("2p3/2"), mode("2s1/2"), convention)
+    up, lo, metastable = mode("2p3/2"), mode("1s1/2"), mode("2s1/2")
+    d31, omega31 = dipole_matrix_element(up, lo), up.omega - lo.omega
+    summed = (make_transition_pair(up, lo), effective_dipole(up, metastable))
+    m0 = (TransitionPair(up, lo, omega31, d31, decay_rate(omega31, d31)),
+          dipole_matrix_element(up, metastable))
+    for pair31, d32 in (summed, m0):
         ratio = (d32 / pair31.d_nk) ** 2
         lam31 = 2.0 * math.pi * 2.99792458e10 / pair31.omega_nk
         for flux, dec, t in [(1.0, 1.0, 1e-7), (40.0, 0.3, 2e-9), (0.01, 2.0, 1e-4)]:
@@ -284,10 +291,12 @@ def test_evaluate_rejects_overflow_and_negative_time():
         evaluate(_vessel(), _drive(), 1.0, [0.0, 1e308])
     with pytest.raises(ValueError, match="overflows"):   # area * S_mw
         evaluate(_vessel(area=1e30), _drive(1e290), 1.0, [0.0])
-    with pytest.raises(ValueError, match="nonnegative"):
-        evaluate(_vessel(), _drive(), 1.0, [-1e-9])
-    with pytest.raises(ValueError, match="decrement must be nonnegative"):
-        evaluate(_vessel(), _drive(), -0.5, [0.0])
+    for t in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            evaluate(_vessel(), _drive(), 1.0, [t])
+    for decrement in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="decrement must be nonnegative"):
+            evaluate(_vessel(), _drive(), decrement, [0.0])
     with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
         evaluate(_vessel(area=1e-219), _drive(1e-130), 1.0, [0.0])
 
@@ -382,7 +391,7 @@ def test_pulse_energy_never_exceeds_the_stored_energy(ratio):
     cfg, drive = _vessel(ratio=ratio), _drive()
     stored = (cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
               * 2.0 * math.pi * oracles.HBAR * oracles.C / cfg.wavelength_31)
-    tau = depletion_time(drive, ratio, LAMBDA_31, 1.0)
+    tau = depletion_time(cfg, drive, 1.0)
     shares = [pulse_energy(cfg, drive, 1.0, 0.0, m * tau) / stored
               for m in (1.0, 10.0, 1e3, 1e6, 1e12)]
     assert shares == sorted(shares) and shares[-1] < 1.0
@@ -407,16 +416,17 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
 # ---------------------------------------------------------------------------
 
 def test_depletion_time_inverse_in_flux_and_ratio():
-    tau = depletion_time(_drive(1.0), 1.0, LAMBDA_31, 1.0)
-    assert depletion_time(_drive(0.5), 1.0, LAMBDA_31, 1.0) == pytest.approx(2.0 * tau, rel=1e-12)
-    assert depletion_time(_drive(1.0), 4.0, LAMBDA_31, 1.0) == pytest.approx(tau / 4.0, rel=1e-12)
+    vessel, drive = _vessel(), _drive(1.0)
+    tau = depletion_time(vessel, drive, 1.0)
+    assert depletion_time(vessel, _drive(0.5), 1.0) == pytest.approx(2.0 * tau, rel=1e-12)
+    assert depletion_time(_vessel(ratio=4.0), drive, 1.0) == pytest.approx(tau / 4.0, rel=1e-12)
 
 
 def test_depletion_time_places_beta_near_six():
     # beta at t = tau is the pure number 3*2e3/(32*pi^3) ~ 6.05 for any inputs
     for flux, ratio, dec in [(1.0, 1.0, 1.0), (25.0, 16.2, 0.4), (1e-3, 0.07, 2.0)]:
         drive = _drive(flux)
-        tau = depletion_time(drive, ratio, LAMBDA_31, dec)
+        tau = depletion_time(_vessel(ratio=ratio), drive, dec)
         beta_tau = _beta(_vessel(ratio=ratio), drive, dec, tau)
         assert beta_tau == pytest.approx(6.047162706224905, rel=1e-12)
         assert 5.9 <= beta_tau <= 6.3
@@ -424,17 +434,15 @@ def test_depletion_time_places_beta_near_six():
 
 def test_depletion_time_no_depletion_marker():
     off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
-    assert depletion_time(off, 1.0, LAMBDA_31, 1.0) is None
-    assert depletion_time(_drive(1.0), 0.0, LAMBDA_31, 1.0) is None
+    assert depletion_time(_vessel(), off, 1.0) is None
+    assert depletion_time(_vessel(ratio=0.0), _drive(1.0), 1.0) is None
 
 
 def test_depletion_time_validation():
-    with pytest.raises(ValueError, match="wavelength"):
-        depletion_time(_drive(1.0), 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="decrement"):
-        depletion_time(_drive(1.0), 1.0, LAMBDA_31, 0.0)
-    with pytest.raises(ValueError, match="ratio must be nonnegative"):
-        depletion_time(_drive(1.0), -1.0, LAMBDA_31, 1.0)
+    # the wavelength and the ratio are EnsembleConfig's to check (test_vessel_validation)
+    for decrement in (0.0, math.nan):
+        with pytest.raises(ValueError, match="decrement must be positive"):
+            depletion_time(_vessel(), _drive(1.0), decrement)
     # a nonzero field whose E0^2 * wavelength^3 underflows: no finite tau
     with pytest.raises(ValueError, match="depletion time overflows"):
-        depletion_time(_drive(1e-310), 1.0, LAMBDA_31, 1.0)
+        depletion_time(_vessel(), _drive(1e-310), 1.0)

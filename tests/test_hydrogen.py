@@ -103,12 +103,10 @@ def test_dipole_symmetry():
 
 
 def test_effective_dipole_conventions():
+    # the sublevel-summed magnitude is sqrt(2) times the bare m = 0 z-element
     up, lo = mode("2p3/2"), mode("1s1/2")
     z = dipole_matrix_element(up, lo)
-    assert effective_dipole(up, lo, "m0") == z
-    assert effective_dipole(up, lo, "summed") == pytest.approx(math.sqrt(2.0) * z, rel=1e-14)
-    with pytest.raises(ValueError, match="convention"):
-        effective_dipole(up, lo, "reduced")
+    assert effective_dipole(up, lo) == pytest.approx(math.sqrt(2.0) * z, rel=1e-14)
 
 
 def test_hydrogenic_dipole_ratio():
@@ -145,15 +143,17 @@ def test_decay_rate_rejects_negative_frequency():
 
 
 def test_2p_lifetime_sublevel_summed():
-    # the documented default convention reproduces the ~1.6 ns 2p lifetime
+    # the documented sublevel-summed magnitude reproduces the ~1.6 ns 2p lifetime
     pair = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
     assert 5.9e8 <= pair.gamma_nk <= 6.6e8
     assert 1.0 / pair.gamma_nk == pytest.approx(1.6e-9, rel=0.05)
 
 
 def test_2p_lifetime_m0_convention_documented():
-    # the bare z-element gives half the rate (twice the lifetime); kept available
-    pair = make_transition_pair(mode("2p3/2"), mode("1s1/2"), convention="m0")
+    # the bare z-element, dipole_matrix_element, gives half the rate (twice the lifetime)
+    up, lo = mode("2p3/2"), mode("1s1/2")
+    d, omega = dipole_matrix_element(up, lo), up.omega - lo.omega
+    pair = TransitionPair(up, lo, omega, d, decay_rate(omega, d))
     assert 1.0 / pair.gamma_nk == pytest.approx(3.23e-9, rel=0.02)
 
 
