@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 
 from .coupling import MicrowaveDrive, damping_decrement, detuning_lineshape
 from .ensemble import (
@@ -40,6 +39,7 @@ from .hydrogen import (
 from .units import (
     CGS,
     CM_PER_NM,
+    _Record,
     flux_si_to_cgs,
     freq_mhz_to_angular,
 )
@@ -101,25 +101,21 @@ def _check_grid_size(name: str, steps: int):
         raise ConfigError(f"{name}: must lie in [2, {MAX_GRID_POINTS}], got {steps}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """Validated scenario parameters; every field except ``channel`` has a default."""
 
-    channel: str
-    flux_w_cm2: float = 1.0
-    detuning_mhz: float = 0.0
-    vessel_length_cm: float = 10.0
-    vessel_area_cm2: float = 1.0
-    gas_density_g_cm3: float = 0.9e-4
-    rho22_initial: float = 1.0e-4
-    ratio_mode: str = "unity"
-    ratio_value: float | None = None
-    time_start_s: float = 0.0
-    time_stop_s: float = 1.0e-6
-    time_steps: int = 101
-    output: str | None = None
-
-    def __post_init__(self):
+    def __init__(self, channel: str, flux_w_cm2: float = 1.0, detuning_mhz: float = 0.0,
+                 vessel_length_cm: float = 10.0, vessel_area_cm2: float = 1.0,
+                 gas_density_g_cm3: float = 0.9e-4, rho22_initial: float = 1.0e-4,
+                 ratio_mode: str = "unity", ratio_value: float | None = None,
+                 time_start_s: float = 0.0, time_stop_s: float = 1.0e-6,
+                 time_steps: int = 101, output: str | None = None):
+        vars(self).update(
+            channel=channel, flux_w_cm2=flux_w_cm2, detuning_mhz=detuning_mhz,
+            vessel_length_cm=vessel_length_cm, vessel_area_cm2=vessel_area_cm2,
+            gas_density_g_cm3=gas_density_g_cm3, rho22_initial=rho22_initial,
+            ratio_mode=ratio_mode, ratio_value=ratio_value, time_start_s=time_start_s,
+            time_stop_s=time_stop_s, time_steps=time_steps, output=output)
         if self.channel not in CHANNELS:
             raise ConfigError(
                 f"channel: must be one of {', '.join(CHANNELS)}; got {self.channel!r}")
@@ -170,18 +166,13 @@ class ScenarioConfig:
         return self.ratio_value
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One-dimensional grid sweep over a scenario parameter."""
 
-    parameter: str
-    minimum: float
-    maximum: float
-    steps: int
-    log: bool = False
-    objective: str = "eta_max_peak"
-
-    def __post_init__(self):
+    def __init__(self, parameter: str, minimum: float, maximum: float, steps: int,
+                 log: bool = False, objective: str = "eta_max_peak"):
+        vars(self).update(parameter=parameter, minimum=minimum, maximum=maximum, steps=steps,
+                          log=log, objective=objective)
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(
                 f"sweep parameter {self.parameter!r} unknown; "
@@ -252,8 +243,8 @@ def _parse_int(value: str) -> int:
 
 # config key -> parser, one per ScenarioConfig field, chosen by the field's type
 _TYPE_PARSERS = {int: _parse_int, float: _parse_float, float | None: _parse_float}
-_CONFIG_PARSERS = {field.name: _TYPE_PARSERS.get(field.type, str)
-                   for field in fields(ScenarioConfig)}
+_CONFIG_PARSERS = {name: _TYPE_PARSERS.get(kind, str)
+                   for name, kind in ScenarioConfig.__init__.__annotations__.items()}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -384,8 +375,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
         f"{spec.objective}[{OBJECTIVES[spec.objective]}]",
     ]
     grid = spec.grid()
-    lowest = replace(cfg, **{spec.parameter: min(grid)})
-    replace(cfg, **{spec.parameter: max(grid)})
+    lowest = cfg.replace(**{spec.parameter: min(grid)})
+    cfg.replace(**{spec.parameter: max(grid)})
     # Base physics at a grid point, not at cfg: cfg's own flux or detuning may
     # overflow where no swept value does.
     point = _point_physics(cfg, spec.parameter, *_scenario_physics(lowest))
@@ -414,8 +405,8 @@ def _point_physics(cfg: ScenarioConfig, parameter: str, drive, decrement, ens):
         resonance, e0 = cfg.microwave_resonance_mhz, drive.e0
         return lambda value: (MicrowaveDrive(e0, freq_mhz_to_angular(resonance + value)),
                               _decrement(value), ens)
-    base, name = vars(ens), _ENSEMBLE_FIELDS[parameter]
-    return lambda value: (drive, decrement, EnsembleConfig(**{**base, name: value}))
+    name = _ENSEMBLE_FIELDS[parameter]
+    return lambda value: (drive, decrement, ens.replace(**{name: value}))
 
 
 # ---------------------------------------------------------------------------

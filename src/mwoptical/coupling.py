@@ -4,9 +4,8 @@ against detuning from the 2s-2p resonance.
 """
 
 import math
-from dataclasses import dataclass
 
-from .units import CGS, field_from_flux, flux_from_field
+from .units import CGS, _Record, field_from_flux, flux_from_field
 
 __all__ = [
     "MicrowaveDrive",
@@ -17,21 +16,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MicrowaveDrive:
+class MicrowaveDrive(_Record):
     """Microwave field with amplitude e0 (statV/cm) and angular frequency omega (rad/s).
 
     The energy flux s_mw = c*e0^2/(8*pi) is derived, never stored.
     """
 
-    e0: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.e0) and self.e0 >= 0):
-            raise ValueError(f"field amplitude must be finite and nonnegative, got {self.e0}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"drive frequency must be finite and positive, got {self.omega}")
+    def __init__(self, e0: float, omega: float):
+        vars(self).update(e0=e0, omega=omega)
+        # Comparisons with math.inf also reject nan, which fails every comparison.
+        if not 0 <= e0 < math.inf:
+            raise ValueError(f"field amplitude must be finite and nonnegative, got {e0}")
+        if not 0 < omega < math.inf:
+            raise ValueError(f"drive frequency must be finite and positive, got {omega}")
 
     @property
     def s_mw(self) -> float:
@@ -44,13 +41,11 @@ class MicrowaveDrive:
         return cls(field_from_flux(flux_cgs), omega)
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Record):
     """Angle theta (rad) between the microwave field and the atomic dipole axis."""
 
-    theta: float
-
-    def __post_init__(self):
+    def __init__(self, theta: float):
+        vars(self).update(theta=theta)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -61,7 +56,7 @@ def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation) -> fl
     Carries the sign of cos(theta); everything downstream consumes |b|^2,
     so the sign cannot leak into observables.
     """
-    if d < 0:
+    if not d >= 0:
         raise ValueError(f"dipole magnitude must be nonnegative, got {d}")
     return d * drive.e0 * math.cos(orient.theta) / CGS.hbar
 
@@ -75,9 +70,9 @@ def damping_decrement(omega: float, omega_32: float, gamma_31: float) -> float:
     transition's own (negligible) rate.  Peaks at omega = omega_32 where it
     equals 1 + g^2/(g^2 + 4*w32^2), i.e. ~1 for any realistic w32 >> g.
     """
-    if gamma_31 <= 0:
+    if not gamma_31 > 0:
         raise ValueError(f"gamma_31 must be positive, got {gamma_31}")
-    if omega < 0:
+    if not omega >= 0:
         raise ValueError(f"drive frequency must be nonnegative, got {omega}")
     g2 = gamma_31 * gamma_31
     return g2 / (g2 + (omega_32 + omega) ** 2) + g2 / (g2 + (omega_32 - omega) ** 2)
@@ -91,7 +86,7 @@ def detuning_lineshape(detuning: float, gamma_31: float) -> float:
     detuning and is identical for both microwave channels, which keeps the
     conversion figures channel-independent.
     """
-    if gamma_31 <= 0:
+    if not gamma_31 > 0:
         raise ValueError(f"gamma_31 must be positive, got {gamma_31}")
     g2 = gamma_31 * gamma_31
     return g2 / (g2 + detuning * detuning)

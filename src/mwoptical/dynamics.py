@@ -28,9 +28,9 @@ def _check_decrement(decrement: float):
 
 def rho22_at(t: float, b32: float, gamma_31: float, decrement: float, rho22_0: float) -> float:
     """Surviving metastable excitation rho22_0 * exp(-|b32|^2 * decrement * t / (2*gamma_31))."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if gamma_31 <= 0:
+    if not gamma_31 > 0:
         raise ValueError(f"gamma_31 must be positive, got {gamma_31}")
     _check_decrement(decrement)
     if not 0.0 <= rho22_0 <= 1.0:
@@ -48,7 +48,7 @@ def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
     the value is returned unclamped with a ModelValidityWarning rather than
     silently zeroed.
     """
-    if pair31.gamma_nk <= 0:
+    if not pair31.gamma_nk > 0:
         raise ValueError("optical transition must have a positive decay rate")
     _check_decrement(decrement)
     if rho22 < rho33:
@@ -72,9 +72,9 @@ def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
     ``intensity_full`` at rho33 = 0 once the coupling and decay-rate
     definitions are substituted (a property the test suite enforces).
     """
-    if omega_31 <= 0:
+    if not omega_31 > 0:
         raise ValueError(f"omega_31 must be positive, got {omega_31}")
-    if ratio < 0:
+    if not ratio >= 0:
         raise ValueError(f"dipole ratio must be nonnegative, got {ratio}")
     _check_decrement(decrement)
     cos_t = math.cos(orient.theta)

@@ -16,10 +16,9 @@ the test suite checks against the hydrogen and dynamics modules.
 """
 
 import math
-from dataclasses import dataclass
 
 from .coupling import MicrowaveDrive
-from .units import CGS
+from .units import CGS, _Record
 
 __all__ = [
     "EnsembleConfig",
@@ -37,8 +36,7 @@ __all__ = [
 _SERIES_CUTOFF = 0.1
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(_Record):
     """Vessel and gas parameters for the ensemble estimates.
 
     length/area in cm/cm^2, gas_density in g/cm^3, wavelength_31 (the optical
@@ -46,14 +44,10 @@ class EnsembleConfig:
     and ratio the squared dipole ratio |d_32|^2/|d_31|^2.
     """
 
-    length: float
-    area: float
-    gas_density: float
-    rho22_0: float
-    ratio: float
-    wavelength_31: float
-
-    def __post_init__(self):
+    def __init__(self, length: float, area: float, gas_density: float, rho22_0: float,
+                 ratio: float, wavelength_31: float):
+        vars(self).update(length=length, area=area, gas_density=gas_density,
+                          rho22_0=rho22_0, ratio=ratio, wavelength_31=wavelength_31)
         # Comparisons with math.inf also reject nan, which fails every comparison.
         for name in ("length", "area", "gas_density", "wavelength_31"):
             if not 0 < getattr(self, name) < math.inf:

@@ -18,10 +18,9 @@ either may feed the intensity formulas as long as it is used uniformly.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .units import CGS, freq_mhz_to_angular, wavelength_to_angular
+from .units import CGS, _Record, freq_mhz_to_angular, wavelength_to_angular
 
 __all__ = [
     "FINE_STRUCTURE_MHZ",
@@ -73,21 +72,15 @@ def _radial_coefficients(nl) -> tuple:
     return _RADIAL[nl]
 
 
-@dataclass(frozen=True)
-class HydrogenMode:
+class HydrogenMode(_Record):
     """One catalog mode: label, quantum numbers, eigenfrequency, lifetime.
 
     ``omega`` is the mode eigenfrequency in rad/s relative to the 1s1/2 level;
     ``nominal_lifetime`` (s) is informational only.
     """
 
-    label: str
-    n: int
-    l: int
-    omega: float
-    nominal_lifetime: float
-
-    def __post_init__(self):
+    def __init__(self, label: str, n: int, l: int, omega: float, nominal_lifetime: float):
+        vars(self).update(label=label, n=n, l=l, omega=omega, nominal_lifetime=nominal_lifetime)
         if not 0 <= self.l < self.n:
             raise ValueError(f"{self.label}: require 0 <= l < n, got n={self.n}, l={self.l}")
         expect_l = {"s": 0, "p": 1}.get(self.label[1:2])
@@ -126,7 +119,7 @@ def radial_wavefunction(n: int, l: int, r: float) -> float:
     Normalization: integral of R_nl^2 r^2 dr over [0, inf) equals 1.
     """
     norm, c0, c1, a = _radial_coefficients((n, l))
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     return norm * (c0 + c1 * r) * math.exp(-a * r)
 
@@ -173,24 +166,22 @@ def effective_dipole(upper: HydrogenMode, lower: HydrogenMode) -> float:
 
 def decay_rate(omega_nk: float, d_nk: float) -> float:
     """Spontaneous decay rate 2*omega^3*|d|^2 / (3*hbar*c^3) in 1/s."""
-    if omega_nk < 0:
+    if not omega_nk >= 0:
         raise ValueError(f"transition frequency must be nonnegative, got {omega_nk};"
                          " order the pair as (upper, lower)")
     return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * CGS.hbar * CGS.c**3)
 
 
-@dataclass(frozen=True)
-class TransitionPair:
+class TransitionPair(_Record):
     """Two catalog modes with their frequency difference, dipole and decay rate."""
 
-    upper: HydrogenMode
-    lower: HydrogenMode
-    omega_nk: float   # rad/s, omega_upper - omega_lower
-    d_nk: float       # statC cm
-    gamma_nk: float   # 1/s
-
-    def __post_init__(self):
-        if self.gamma_nk < 0:
+    def __init__(self, upper: HydrogenMode, lower: HydrogenMode,
+                 omega_nk: float,    # rad/s, omega_upper - omega_lower
+                 d_nk: float,        # statC cm
+                 gamma_nk: float):   # 1/s
+        vars(self).update(upper=upper, lower=lower, omega_nk=omega_nk, d_nk=d_nk,
+                          gamma_nk=gamma_nk)
+        if not self.gamma_nk >= 0:
             raise ValueError("decay rate must be nonnegative")
 
 

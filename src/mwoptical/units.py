@@ -7,7 +7,6 @@ flux bookkeeping) is evaluated in Gaussian CGS with the one constant set
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "PhysicalConstants",
@@ -26,19 +25,47 @@ ERG_PER_S_PER_W = 1.0e7   # 1 W = 1e7 erg/s, so 1 W/cm^2 = 1e7 erg s^-1 cm^-2
 CM_PER_NM = 1.0e-7
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class _Record:
+    """Base of the frozen records.  Each record's ``__init__`` declares the
+    fields, stores them in order with ``vars(self).update`` and validates them;
+    fields cannot be assigned or deleted afterwards.  Equality and hashing go by
+    class and field values, and ``replace`` builds a validated modified copy."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, validated as a new record."""
+        return self.__class__(**{**vars(self), **changes})
+
+
+class PhysicalConstants(_Record):
     """Fundamental constants in Gaussian CGS (CODATA 2018)."""
 
-    hbar: float = 1.054571817e-27   # erg s
-    c: float = 2.99792458e10        # cm/s
-    e: float = 4.80320471e-10       # statC
-    a0: float = 5.29177210903e-9    # cm (Bohr radius)
-    mu_H: float = 1.6735328e-24     # g (atomic mass of hydrogen)
-
-    def __post_init__(self):
+    def __init__(self,
+                 hbar: float = 1.054571817e-27,   # erg s
+                 c: float = 2.99792458e10,        # cm/s
+                 e: float = 4.80320471e-10,       # statC
+                 a0: float = 5.29177210903e-9,    # cm (Bohr radius)
+                 mu_H: float = 1.6735328e-24):    # g (atomic mass of hydrogen)
+        vars(self).update(hbar=hbar, c=c, e=e, a0=a0, mu_H=mu_H)
         for name in ("hbar", "c", "e", "a0", "mu_H"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name}: must be strictly positive")
 
     @property
@@ -52,34 +79,34 @@ CGS = PhysicalConstants()
 
 def freq_mhz_to_angular(f_mhz: float) -> float:
     """Frequency in MHz -> angular frequency in rad/s (2*pi*1e6*f)."""
-    if f_mhz < 0:
+    if not f_mhz >= 0:
         raise ValueError(f"frequency must be nonnegative, got {f_mhz} MHz")
     return 2.0 * math.pi * 1.0e6 * f_mhz
 
 
 def wavelength_to_angular(wavelength_cm: float) -> float:
     """Vacuum wavelength in cm -> angular frequency omega = 2*pi*c/wavelength."""
-    if wavelength_cm <= 0:
+    if not wavelength_cm > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_cm} cm")
     return 2.0 * math.pi * CGS.c / wavelength_cm
 
 
 def flux_si_to_cgs(flux_w_cm2: float) -> float:
     """Power flux W/cm^2 -> erg s^-1 cm^-2."""
-    if flux_w_cm2 < 0:
+    if not flux_w_cm2 >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_w_cm2} W/cm^2")
     return flux_w_cm2 * ERG_PER_S_PER_W
 
 
 def field_from_flux(flux_cgs: float) -> float:
     """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi)."""
-    if flux_cgs < 0:
+    if not flux_cgs >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
     return math.sqrt(8.0 * math.pi * flux_cgs / CGS.c)
 
 
 def flux_from_field(e0: float) -> float:
     """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm)."""
-    if e0 < 0:
+    if not e0 >= 0:
         raise ValueError(f"field amplitude must be nonnegative, got {e0} statV/cm")
     return CGS.c * e0**2 / (8.0 * math.pi)

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,7 +297,7 @@ def _per_point_sweep(cfg, spec):
     """Reference sweep: validate and rebuild the whole scenario at every grid point."""
     rows = []
     for value in spec.grid():
-        sub = replace(cfg, **{spec.parameter: value})
+        sub = cfg.replace(**{spec.parameter: value})
         rows.append((value, cli._objective_value(sub, spec.objective,
                                                  *cli._scenario_physics(sub))))
     scored = [row for row in rows if row[1] is not None]
@@ -709,6 +708,15 @@ def test_cli_import_leaves_scipy_out():
     for module in ("mwoptical", "mwoptical.cli"):
         code = f"import sys, {module}; print('numpy' in sys.modules, 'scipy' in sys.modules)"
         assert _run_python("-c", code).stdout.strip() == "False False", module
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the records are plain classes: dataclasses, with the inspect module it
+    # loads, took most of the package's import time in a cold command
+    code = "import sys, mwoptical.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli(capsys):

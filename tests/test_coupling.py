@@ -81,8 +81,9 @@ def test_coupling_element_sign_follows_cosine():
     d = 2.0e-18
     drive = MicrowaveDrive(e0=1.0, omega=OMEGA_MW)
     assert coupling_element(d, drive, Orientation(3.0)) < 0
-    with pytest.raises(ValueError, match="dipole"):
-        coupling_element(-d, drive, Orientation(0.0))
+    for bad in (-d, math.nan):
+        with pytest.raises(ValueError, match="dipole"):
+            coupling_element(bad, drive, Orientation(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +131,12 @@ def test_decrement_bounded():
 
 
 def test_decrement_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        damping_decrement(1.0e10, 1.0e10, 0.0)
-    with pytest.raises(ValueError, match="frequency"):
-        damping_decrement(-1.0, 1.0e10, 1.0e6)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            damping_decrement(1.0e10, 1.0e10, bad)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="frequency"):
+            damping_decrement(bad, 1.0e10, 1.0e6)
 
 
 # ---------------------------------------------------------------------------
@@ -160,5 +163,6 @@ def test_detuning_lineshape_matches_full_decrement_near_resonance():
 
 
 def test_detuning_lineshape_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        detuning_lineshape(0.0, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            detuning_lineshape(0.0, bad)

@@ -59,10 +59,12 @@ def test_rho22_semigroup():
 
 
 def test_rho22_validation():
-    with pytest.raises(ValueError, match="time"):
-        rho22_at(-1.0, 1.0, 6.2e8, 1.0, 0.5)
-    with pytest.raises(ValueError, match="gamma"):
-        rho22_at(1.0, 1.0, 0.0, 1.0, 0.5)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="time"):
+            rho22_at(bad, 1.0, 6.2e8, 1.0, 0.5)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            rho22_at(1.0, 1.0, bad, 1.0, 0.5)
     with pytest.raises(ValueError, match="decrement"):
         rho22_at(1.0, 1.0, 6.2e8, 0.0, 0.5)
     with pytest.raises(ValueError, match="rho22_0"):
@@ -147,10 +149,12 @@ def test_intensity_weak_zeros():
 
 def test_intensity_weak_validation():
     drive = _drive()
-    with pytest.raises(ValueError, match="omega_31"):
-        intensity_weak(drive, Orientation(0.0), 1.0, 0.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="ratio"):
-        intensity_weak(drive, Orientation(0.0), -1.0, OPTICAL.omega_nk, 1.0, 0.5)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="omega_31"):
+            intensity_weak(drive, Orientation(0.0), 1.0, bad, 1.0, 0.5)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="ratio"):
+            intensity_weak(drive, Orientation(0.0), bad, OPTICAL.omega_nk, 1.0, 0.5)
 
 
 def test_weak_equals_full_at_zero_rho33():

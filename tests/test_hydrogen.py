@@ -52,8 +52,9 @@ def test_radial_wavefunction_rejects_bad_input():
         radial_wavefunction(3, 0, 1.0)
     with pytest.raises(ValueError, match="unsupported"):
         radial_dipole_integral((1, 0), (3, 1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        radial_wavefunction(1, 0, -0.5)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            radial_wavefunction(1, 0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +139,9 @@ def test_decay_rate_monotone():
 
 
 def test_decay_rate_rejects_negative_frequency():
-    with pytest.raises(ValueError, match="order the pair"):
-        decay_rate(-1.0, 1e-18)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="order the pair"):
+            decay_rate(bad, 1e-18)
 
 
 def test_2p_lifetime_sublevel_summed():
@@ -202,8 +204,9 @@ def test_catalog_types_reject_inconsistent_input():
         HydrogenMode("2s1/2", 2, 1, 0.0, 1.0)
     with pytest.raises(ValueError, match="require 0 <= l < n"):
         HydrogenMode("1p1/2", 1, 1, 0.0, 1.0)
-    with pytest.raises(ValueError, match="decay rate must be nonnegative"):
-        TransitionPair(mode("2p3/2"), mode("1s1/2"), 1.0, 1.0, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="decay rate must be nonnegative"):
+            TransitionPair(mode("2p3/2"), mode("1s1/2"), 1.0, 1.0, bad)
 
 
 def test_mode_lifetimes_informational():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -26,8 +25,9 @@ def test_freq_mhz_to_angular_channel_frequencies():
 
 
 def test_freq_mhz_to_angular_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        freq_mhz_to_angular(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            freq_mhz_to_angular(bad)
 
 
 def test_wavelength_to_angular_122nm():
@@ -40,7 +40,7 @@ def test_wavelength_to_angular_identity_point():
 
 
 def test_wavelength_to_angular_rejects_nonpositive():
-    for bad in (0.0, -1.0e-5):
+    for bad in (0.0, -1.0e-5, math.nan):
         with pytest.raises(ValueError, match="wavelength"):
             wavelength_to_angular(bad)
 
@@ -48,8 +48,9 @@ def test_wavelength_to_angular_rejects_nonpositive():
 def test_flux_si_to_cgs():
     assert flux_si_to_cgs(0.0) == 0.0
     assert flux_si_to_cgs(1.0) == 1.0e7
-    with pytest.raises(ValueError, match="flux"):
-        flux_si_to_cgs(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="flux"):
+            flux_si_to_cgs(bad)
 
 
 def test_field_from_flux_defining_relation():
@@ -63,10 +64,11 @@ def test_field_for_one_watt_per_cm2():
 
 
 def test_field_from_flux_rejects_negative():
-    with pytest.raises(ValueError, match="flux"):
-        field_from_flux(-1.0)
-    with pytest.raises(ValueError, match="field amplitude must be nonnegative"):
-        flux_from_field(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="flux"):
+            field_from_flux(bad)
+        with pytest.raises(ValueError, match="field amplitude must be nonnegative"):
+            flux_from_field(bad)
 
 
 def test_flux_field_bijection():
@@ -83,7 +85,8 @@ def test_fine_structure_consistency():
 def test_constants_positive_and_immutable():
     for name in ("hbar", "c", "e", "a0", "mu_H"):
         assert getattr(CGS, name) > 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         CGS.c = 1.0
-    with pytest.raises(ValueError):
-        PhysicalConstants(c=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="c: must be strictly positive"):
+            PhysicalConstants(c=bad)
