@@ -29,6 +29,7 @@ from .ensemble import (
 from .hydrogen import (
     FINE_STRUCTURE_MHZ,
     LAMB_SHIFT_MHZ,
+    LIFETIME_2S_S,
     OPTICAL_ANCHOR_CM,
     RATIO_UNITY,
     dipole_matrix_element,
@@ -40,6 +41,7 @@ from .units import (
     CGS,
     CM_PER_NM,
     _Record,
+    field_from_flux,
     flux_si_to_cgs,
     freq_mhz_to_angular,
 )
@@ -294,6 +296,10 @@ _ENSEMBLE_FIELDS = {
 }
 
 
+def _drive(flux_w_cm2: float) -> MicrowaveDrive:
+    return MicrowaveDrive(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
+
+
 def _decrement(detuning_mhz: float) -> float:
     """The lineshape at a detuning in MHz; it is even, and 2*pi*1e6*x is odd in x
     in floats too, so |detuning| gives every bit of delta^2."""
@@ -305,8 +311,7 @@ def _decrement(detuning_mhz: float) -> float:
 
 def _scenario_physics(cfg: ScenarioConfig):
     """Per-config setup: drive, detuning decrement, ensemble config."""
-    drive = MicrowaveDrive.from_flux(flux_si_to_cgs(cfg.flux_w_cm2),
-                                     freq_mhz_to_angular(cfg.drive_frequency_mhz))
+    drive = _drive(cfg.flux_w_cm2)
     ens = EnsembleConfig(**{name: getattr(cfg, key) for key, name in _ENSEMBLE_FIELDS.items()},
                          ratio=cfg.ratio, wavelength_31=OPTICAL_ANCHOR_CM)
     return drive, _decrement(cfg.detuning_mhz), ens
@@ -379,7 +384,7 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     cfg.replace(**{spec.parameter: max(grid)})
     # Base physics at a grid point, not at cfg: cfg's own flux or detuning may
     # overflow where no swept value does.
-    point = _point_physics(cfg, spec.parameter, *_scenario_physics(lowest))
+    point = _point_physics(spec.parameter, *_scenario_physics(lowest))
     rows = []
     for value in grid:
         try:
@@ -393,18 +398,12 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     return header, rows, record
 
 
-def _point_physics(cfg: ScenarioConfig, parameter: str, drive, decrement, ens):
-    """value -> (drive, decrement, ens) for cfg with ``parameter`` set to value,
-    rebuilding only what the parameter changes, with ``_scenario_physics``'s
-    float operations."""
+def _point_physics(parameter: str, drive, decrement, ens):
+    """value -> (drive, decrement, ens) at ``parameter`` = value, by the scenario's builders."""
     if parameter == "flux_w_cm2":
-        omega = drive.omega
-        return lambda value: (MicrowaveDrive.from_flux(flux_si_to_cgs(value), omega),
-                              decrement, ens)
+        return lambda value: (_drive(value), decrement, ens)
     if parameter == "detuning_mhz":
-        resonance, e0 = cfg.microwave_resonance_mhz, drive.e0
-        return lambda value: (MicrowaveDrive(e0, freq_mhz_to_angular(resonance + value)),
-                              _decrement(value), ens)
+        return lambda value: (drive, _decrement(value), ens)
     name = _ENSEMBLE_FIELDS[parameter]
     return lambda value: (drive, decrement, ens.replace(**{name: value}))
 
@@ -497,7 +496,7 @@ def _cmd_transition(args) -> None:
         "dipole_ratio_hydrogenic": hydrogenic_dipole_ratio(),
         "gamma31_per_s": _OPTICAL.gamma_nk,
         "lifetime31_s": 1.0 / _OPTICAL.gamma_nk,
-        "lifetime_metastable_s": mode("2s1/2").nominal_lifetime,
+        "lifetime_metastable_s": LIFETIME_2S_S,
         "decrement_at_resonance": damping_decrement(
             microwave.omega_nk, microwave.omega_nk, _OPTICAL.gamma_nk),
     }

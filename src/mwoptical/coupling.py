@@ -5,7 +5,7 @@ against detuning from the 2s-2p resonance.
 
 import math
 
-from .units import CGS, _Record, field_from_flux, flux_from_field
+from .units import CGS, _Record, flux_from_field
 
 __all__ = [
     "MicrowaveDrive",
@@ -17,28 +17,19 @@ __all__ = [
 
 
 class MicrowaveDrive(_Record):
-    """Microwave field with amplitude e0 (statV/cm) and angular frequency omega (rad/s).
+    """Microwave field with amplitude e0 (statV/cm); the detuning enters as a decrement,
+    and the energy flux s_mw = c*e0^2/(8*pi) is derived, never stored."""
 
-    The energy flux s_mw = c*e0^2/(8*pi) is derived, never stored.
-    """
-
-    def __init__(self, e0: float, omega: float):
-        vars(self).update(e0=e0, omega=omega)
+    def __init__(self, e0: float):
+        vars(self).update(e0=e0)
         # Comparisons with math.inf also reject nan, which fails every comparison.
         if not 0 <= e0 < math.inf:
             raise ValueError(f"field amplitude must be finite and nonnegative, got {e0}")
-        if not 0 < omega < math.inf:
-            raise ValueError(f"drive frequency must be finite and positive, got {omega}")
 
     @property
     def s_mw(self) -> float:
         """Energy flux density in erg s^-1 cm^-2."""
         return flux_from_field(self.e0)
-
-    @classmethod
-    def from_flux(cls, flux_cgs: float, omega: float) -> "MicrowaveDrive":
-        """Build a drive from its energy flux (erg s^-1 cm^-2) instead of its field."""
-        return cls(field_from_flux(flux_cgs), omega)
 
 
 class Orientation(_Record):

@@ -128,9 +128,9 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
     evaluated once per time.  I_total = decrement*sigma_max(cfg, beta)*S_mw is the
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
-    conversion efficiency, zero by convention at zero drive.  Overflow, a power
-    area*S_mw that underflows to 0 at nonzero drive, or an f(beta) that underflows
-    to 0 (beta above about 3e215) raises ValueError."""
+    conversion efficiency, zero by convention at zero drive.  ValueError on overflow, on
+    f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
+    decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
@@ -140,6 +140,8 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     power = cfg.area * s_mw
     if s_mw > 0 and power == 0:
         raise ValueError(f"vessel power area*S_mw underflows to 0 (S_mw = {s_mw} erg/s/cm^2)")
+    if scale == 0 and s_mw > 0 and decrement > 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
+        raise ValueError(f"cross-section scale underflows to 0 (N = {cfg.n_atoms} atoms)")
     isfinite = math.isfinite
     rows = []
     for t in times:
@@ -151,8 +153,9 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
         eta = intensity / power if s_mw > 0 else 0.0
         if not (isfinite(beta) and isfinite(intensity) and isfinite(eta) and isfinite(power)):
             raise ValueError(f"beta, intensity or efficiency overflows at t = {t} s")
-        if f == 0:
-            raise ValueError(f"f(beta) underflows to 0 at t = {t} s (beta = {beta})")
+        if eta == 0 and (f == 0 or s_mw > 0 and scale > 0):
+            raise ValueError(f"{'f(beta)' if f == 0 else 'intensity or efficiency'} underflows "
+                             f"to 0 at t = {t} s (beta = {beta})")
         rows.append((t, beta, f, intensity, eta))
     return rows
 
@@ -165,13 +168,22 @@ def _g(beta: float, f: float) -> float:
 
 def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
                  t0: float, t1: float) -> float:
-    """Emitted energy (erg): the exact integral of ``evaluate``'s I_total from t0 to t1.
+    """Emitted energy (erg): the integral of ``evaluate``'s I_total from t0 to t1 >= t0.
     With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).
     It is at most the energy stored in the metastable level,
     N*rho22_0*2*pi*hbar*c/wavelength_31; ValueError where even that overflows."""
-    (_, beta0, f0, _, _), (_, beta1, f1, _, _) = evaluate(cfg, drive, decrement, (t0, t1))
+    if t1 < t0:
+        raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
+    width = t1 - t0
+    if width < t1 / 32.0:
+        # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative
+        mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
+        fa, fm, fb = [r[2] for r in evaluate(cfg, drive, decrement, (mid - half, mid, mid + half))]
+        window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
+    else:
+        (_, beta0, f0, _, _), (_, beta1, f1, _, _) = evaluate(cfg, drive, decrement, (t0, t1))
+        window = t1 * _g(beta1, f1) - t0 * _g(beta0, f0)
     scale = decrement * _sigma_prefactor(cfg)
-    window = t1 * _g(beta1, f1) - t0 * _g(beta0, f0)
     energy = scale * drive.s_mw * window
     if not math.isfinite(energy):
         # scale*S_mw can overflow where the energy does not; the window is then short

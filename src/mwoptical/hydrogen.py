@@ -26,6 +26,7 @@ __all__ = [
     "FINE_STRUCTURE_MHZ",
     "LAMB_SHIFT_MHZ",
     "OPTICAL_ANCHOR_CM",
+    "LIFETIME_2S_S",
     "HydrogenMode",
     "TransitionPair",
     "MODES",
@@ -50,10 +51,8 @@ LAMB_SHIFT_MHZ = 1057.77        # 2s1/2 - 2p1/2
 # within the splittings above (~1e-5 relative).
 OPTICAL_ANCHOR_CM = 122.0e-7
 
-# Informational lifetimes: the metastable 2s1/2 survives ~1/7 s because its
-# electric-dipole decay to 1s is forbidden (delta-l = +-1 rule); 2p decays in ns.
+# Informational lifetime (s) of the metastable 2s1/2, whose dipole decay to 1s is forbidden.
 LIFETIME_2S_S = 1.0 / 7.0
-LIFETIME_2P_S = 1.6e-9
 
 # Illustrative |d_32|^2/|d_31|^2 preset used by order-of-magnitude estimates.
 RATIO_UNITY = 1.0
@@ -73,14 +72,11 @@ def _radial_coefficients(nl) -> tuple:
 
 
 class HydrogenMode(_Record):
-    """One catalog mode: label, quantum numbers, eigenfrequency, lifetime.
+    """One catalog mode: label, quantum numbers and the eigenfrequency ``omega``
+    in rad/s relative to the 1s1/2 level."""
 
-    ``omega`` is the mode eigenfrequency in rad/s relative to the 1s1/2 level;
-    ``nominal_lifetime`` (s) is informational only.
-    """
-
-    def __init__(self, label: str, n: int, l: int, omega: float, nominal_lifetime: float):
-        vars(self).update(label=label, n=n, l=l, omega=omega, nominal_lifetime=nominal_lifetime)
+    def __init__(self, label: str, n: int, l: int, omega: float):
+        vars(self).update(label=label, n=n, l=l, omega=omega)
         if not 0 <= self.l < self.n:
             raise ValueError(f"{self.label}: require 0 <= l < n, got n={self.n}, l={self.l}")
         expect_l = {"s": 0, "p": 1}.get(self.label[1:2])
@@ -93,10 +89,10 @@ def _build_catalog() -> dict:
     w_2s = w_2p32 - freq_mhz_to_angular(FINE_STRUCTURE_MHZ)
     w_2p12 = w_2s - freq_mhz_to_angular(LAMB_SHIFT_MHZ)
     modes = [
-        HydrogenMode("1s1/2", 1, 0, 0.0, math.inf),
-        HydrogenMode("2s1/2", 2, 0, w_2s, LIFETIME_2S_S),
-        HydrogenMode("2p1/2", 2, 1, w_2p12, LIFETIME_2P_S),
-        HydrogenMode("2p3/2", 2, 1, w_2p32, LIFETIME_2P_S),
+        HydrogenMode("1s1/2", 1, 0, 0.0),
+        HydrogenMode("2s1/2", 2, 0, w_2s),
+        HydrogenMode("2p1/2", 2, 1, w_2p12),
+        HydrogenMode("2p3/2", 2, 1, w_2p32),
     ]
     return {m.label: m for m in modes}
 
@@ -119,8 +115,8 @@ def radial_wavefunction(n: int, l: int, r: float) -> float:
     Normalization: integral of R_nl^2 r^2 dr over [0, inf) equals 1.
     """
     norm, c0, c1, a = _radial_coefficients((n, l))
-    if not r >= 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {r}")
     return norm * (c0 + c1 * r) * math.exp(-a * r)
 
 

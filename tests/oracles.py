@@ -36,6 +36,16 @@ def g_quad(b: float) -> float:
     return value / b
 
 
+def f_window_quad(k: float, t0: float, t1: float) -> float:
+    """Integral of f(k*t) over t in [t0, t1], free of cancellation on narrow windows:
+    exchanging the t and x integrals gives (1/k) times the adaptive quadrature of
+    exp(-k*t0*x^2) * (1 - exp(-k*(t1 - t0)*x^2)) on [0, 1]."""
+    b0, width = k * t0, k * (t1 - t0)
+    value, _ = quad(lambda x: math.exp(-b0 * x * x) * -math.expm1(-width * x * x), 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value / k
+
+
 def stored_pulse_energy(n_excited: float, wavelength_31: float, e0: float, ratio: float,
                         decrement: float, t0: float, t1: float) -> float:
     """Energy (erg) emitted over [t0, t1] by n_excited metastable atoms driven at

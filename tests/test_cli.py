@@ -335,12 +335,15 @@ def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
                 assert rows[0] == (0.0, None)   # zero drive: no_depletion
 
 
-@pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),
-                                             ("detuning_mhz", "detuning_mhz = 1e303")])
-def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
-    # the config's own flux (or detuning) overflows the drive, but the sweep replaces it
+@pytest.mark.parametrize("parameter, line, message", [
+    ("flux_w_cm2", "flux_w_cm2 = 1e305", "field amplitude must be finite"),
+    ("detuning_mhz", "detuning_mhz = 1e303", "detuning lineshape underflows to 0"),
+])
+def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line, message):
+    # the config's own flux (or detuning) overflows the drive (or the lineshape's
+    # delta^2), but the sweep replaces it
     cfg = parse_config(f"channel = fine_structure\n{line}\n")
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=message):
         run_scenario(cfg)
     spec = SweepSpec(parameter, 1.0, 10.0, 4, objective="pulse_energy")
     assert repr(run_sweep(cfg, spec)[1]) == repr(_per_point_sweep(cfg, spec)[0])
@@ -624,8 +627,36 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     assert captured.err.startswith("error: ") and "underflows" in captured.err
 
 
+@pytest.mark.parametrize("config, args, message", [
+    # N = 0.9e-4*1e-320/mu_H: the atom count, and with it I and eta, underflows to 0
+    ("vessel_length_cm = 1e-320", ["scenario"], "cross-section scale underflows to 0"),
+    ("vessel_length_cm = 1e-320",
+     ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "3",
+      "--objective", "eta_max_peak"],
+     "flux_w_cm2 = 1.0: cross-section scale underflows to 0"),
+    # I_total = scale*f*S_mw underflows while each factor is positive
+    ("flux_w_cm2 = 1e-305\nvessel_length_cm = 1e-35", ["scenario"],
+     "intensity or efficiency underflows to 0 at t = 0.0 s"),
+    # eta = I_total/(area*S_mw) underflows while I_total is positive
+    ("vessel_length_cm = 1e-300\nrho22_initial = 1e-35\nvessel_area_cm2 = 1e100",
+     ["sweep", "--param", "rho22_initial", "--min", "1e-35", "--max", "1e-34", "--steps", "3",
+      "--objective", "eta_max_peak"],
+     "rho22_initial = 1e-35: intensity or efficiency underflows to 0 at t = 0.0 s"),
+])
+def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
+                                                         message):
+    # each printed eta = 0 with exit 0 at a nonzero flux, ratio and rho22(0)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"channel = fine_structure\n{config}\n")
+    assert main([args[0], "--config", str(path), *args[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("detuning, args, message", [
     ("1e200", ["scenario"], "at detuning 1e+200 MHz"),
+    # past |detuning| ~ 2.9e301 MHz the angular detuning itself is inf
+    ("1e303", ["scenario"], "at detuning 1e+303 MHz"),
     # exited 0 printing eta = 0 at the points past |detuning| ~ 2.2e147 MHz
     ("0", ["sweep", "--param", "detuning_mhz", "--min", "1e100", "--max", "1e200",
            "--steps", "3", "--log", "--objective", "eta_max_peak"],

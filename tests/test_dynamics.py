@@ -20,12 +20,11 @@ from mwoptical.hydrogen import (
 )
 from mwoptical.units import field_from_flux, flux_si_to_cgs, wavelength_to_angular
 
-OMEGA_MW = 2.0 * math.pi * 1.0949e10
 OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
 
 
 def _drive(flux_w_cm2=1.0):
-    return MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(flux_w_cm2)), omega=OMEGA_MW)
+    return MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(flux_w_cm2)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +76,7 @@ def _rabi_and_coupling(omega_over_gamma):
     sublevel-summed one, which is sqrt(2) times larger."""
     m0 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
     summed = make_transition_pair(mode("2p3/2"), mode("2s1/2")).d_nk
-    drive = MicrowaveDrive(e0=omega_over_gamma * OPTICAL.gamma_nk * oracles.HBAR / m0,
-                           omega=OMEGA_MW)
+    drive = MicrowaveDrive(e0=omega_over_gamma * OPTICAL.gamma_nk * oracles.HBAR / m0)
     aligned = Orientation(0.0)
     return coupling_element(m0, drive, aligned), coupling_element(summed, drive, aligned)
 
@@ -170,7 +168,7 @@ def test_weak_equals_full_at_zero_rho33():
         dec = float(rng.uniform(1e-6, 2.0))
         rho22 = float(rng.uniform(0.0, 1.0))
 
-        drive = MicrowaveDrive(e0=e0, omega=OMEGA_MW)
+        drive = MicrowaveDrive(e0=e0)
         orient = Orientation(theta)
         gamma31 = decay_rate(omega31, d31)
         pair = TransitionPair(mode("2p3/2"), mode("1s1/2"), omega31, d31, gamma31)

@@ -27,12 +27,11 @@ from mwoptical.hydrogen import (
 )
 from mwoptical.units import CGS, field_from_flux, flux_si_to_cgs
 
-OMEGA_MW = 2.0 * math.pi * 1.0949e10
 LAMBDA_31 = 1.22e-5   # cm
 
 
 def _drive(flux_w_cm2=1.0):
-    return MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(flux_w_cm2)), omega=OMEGA_MW)
+    return MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(flux_w_cm2)))
 
 
 def _vessel(**overrides):
@@ -150,7 +149,7 @@ def _beta(cfg, drive, dec, t):
 def test_beta_zeros():
     drive = _drive()
     assert _beta(_vessel(), drive, 1.0, 0.0) == 0.0
-    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    off = MicrowaveDrive(e0=0.0)
     assert _beta(_vessel(), off, 1.0, 1e-3) == 0.0
 
 
@@ -281,7 +280,7 @@ def test_evaluate_matches_pointwise_functions_bit_for_bit():
                         / denominator)
         assert f == f_beta(beta)
         assert eta == intensity / (cfg.area * drive.s_mw)
-    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    off = MicrowaveDrive(e0=0.0)
     assert evaluate(cfg, off, dec, [0.0, 1e-6]) == [(0.0, 0.0, f_beta(0.0), 0.0, 0.0),
                                                     (1e-6, 0.0, f_beta(0.0), 0.0, 0.0)]
 
@@ -297,8 +296,27 @@ def test_evaluate_rejects_overflow_and_negative_time():
     for decrement in (-0.5, math.nan):
         with pytest.raises(ValueError, match="decrement must be nonnegative"):
             evaluate(_vessel(), _drive(), decrement, [0.0])
+    with pytest.raises(ValueError, match="overflows at t = 0.0 s"):   # I finite, power not
+        evaluate(_vessel(area=1e30, rho22_0=1e-300), _drive(1e290), 1.0, [0.0])
     with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
         evaluate(_vessel(area=1e-219), _drive(1e-130), 1.0, [0.0])
+
+
+def test_evaluate_rejects_an_intensity_or_efficiency_that_underflows():
+    # N = 0.9e-4*1e-320/mu_H underflows to 0, and with it the cross-section scale
+    tiny = _vessel(length=1e-320)
+    with pytest.raises(ValueError, match=r"cross-section scale underflows to 0 \(N = 0.0"):
+        evaluate(tiny, _drive(), 1.0, [0.0])
+    for cfg, drive in ((_vessel(length=1e-35), _drive(1e-305)),          # I_total
+                       (_vessel(length=1e-300, rho22_0=1e-35, area=1e100), _drive())):  # eta
+        with pytest.raises(ValueError, match="intensity or efficiency underflows to 0 at t = 0"):
+            evaluate(cfg, drive, 1.0, [0.0, 1e-6])
+    # a zero factor makes eta = 0 by convention, at any scale
+    for cfg, drive, dec in ((tiny.replace(ratio=0.0), _drive(), 1.0),
+                            (tiny.replace(rho22_0=0.0), _drive(), 1.0),
+                            (tiny, _drive(), 0.0),
+                            (tiny, MicrowaveDrive(e0=0.0), 1.0)):
+        assert [row[4] for row in evaluate(cfg, drive, dec, [0.0, 1e-6])] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +335,7 @@ def _time_of_beta(cfg, drive, dec, beta):
 
 
 def test_pulse_energy_zero_flux():
-    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    off = MicrowaveDrive(e0=0.0)
     assert pulse_energy(_vessel(), off, 1.0, 0.0, 1e-6) == 0.0
 
 
@@ -359,10 +377,23 @@ def test_trapezoid_converges_to_pulse_energy_at_second_order():
         assert coarse / fine == pytest.approx(4.0, rel=0.02)
 
 
-def test_pulse_energy_is_an_oriented_integral():
+@pytest.mark.parametrize("beta_end", [0.05, 6.0, 60.0, 1.0e4])
+@pytest.mark.parametrize("width", [1.0, 1e-3, 1e-7, "one ulp"])
+def test_pulse_energy_on_narrow_windows_matches_quadrature_oracle(beta_end, width):
+    # t1*g(k*t1) - t0*g(k*t0) cancels as the window narrows: one ulp read a negative energy
+    cfg, drive, dec = _vessel(), _drive(2.0), 0.8
+    t1 = _time_of_beta(cfg, drive, dec, beta_end)
+    t0 = math.nextafter(t1, 0.0) if width == "one ulp" else t1 * (1.0 - width)
+    k = _beta(cfg, drive, dec, 1.0)
+    want = 3.0 * _intensity(cfg, drive, dec, 0.0) * oracles.f_window_quad(k, t0, t1)
+    energy = pulse_energy(cfg, drive, dec, t0, t1)
+    assert energy > 0.0 and energy == pytest.approx(want, rel=1e-9)
+
+
+def test_pulse_energy_rejects_a_reversed_window():
     cfg, drive = _vessel(), _drive()
-    forward = pulse_energy(cfg, drive, 1.0, 1e-7, 2e-6)
-    assert pulse_energy(cfg, drive, 1.0, 2e-6, 1e-7) == -forward
+    with pytest.raises(ValueError, match="pulse window is reversed: t1 = 1e-07 s is below t0"):
+        pulse_energy(cfg, drive, 1.0, 2e-6, 1e-7)
     assert pulse_energy(cfg, drive, 1.0, 1e-7, 1e-7) == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         pulse_energy(cfg, drive, 1.0, -1e-6, 1e-6)
@@ -404,7 +435,7 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
     # reachable only with a nonphysical wavelength: no order of the product is finite
     cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0,
                   wavelength_31=1e-20)
-    drive = MicrowaveDrive(e0=1.0, omega=OMEGA_MW)
+    drive = MicrowaveDrive(e0=1.0)
     assert pulse_energy(cfg, drive, 1.0, 0.0, 1e30) == pytest.approx(
         _stored_oracle(cfg, drive, 1.0, 0.0, 1e30), rel=1e-10)
     with pytest.raises(ValueError, match="pulse energy overflows"):
@@ -433,7 +464,7 @@ def test_depletion_time_places_beta_near_six():
 
 
 def test_depletion_time_no_depletion_marker():
-    off = MicrowaveDrive(e0=0.0, omega=OMEGA_MW)
+    off = MicrowaveDrive(e0=0.0)
     assert depletion_time(_vessel(), off, 1.0) is None
     assert depletion_time(_vessel(ratio=0.0), _drive(1.0), 1.0) is None
 

@@ -155,8 +155,8 @@ def _regenerate():
 
 
 def _edge_commands():
-    """Commands whose exit code or bytes a past change fixed on an overflow or
-    underflow branch."""
+    """Commands whose exit code or bytes a past change fixed on an overflow,
+    underflow or cancellation branch."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -183,6 +183,10 @@ def _edge_commands():
         scenario(plain + "detuning_mhz = 1e200\n"),
         sweep(plain, "detuning_mhz", 1e100, 1e200, 3, "eta_max_peak", "--log"),
         sweep(huge_vessel, "rho22_initial", 0.5, 1.0, 3, "pulse_energy"),
+        scenario(plain + "vessel_length_cm = 1e-320\n"),
+        sweep(plain + "time_start_s = 2.9909999999999997e-07\ntime_stop_s = 2.991e-07\n",
+              "flux_w_cm2", 1.0, 2.0, 3, "pulse_energy"),
+        scenario(plain + "detuning_mhz = 1e303\n"),
     ]
 
 

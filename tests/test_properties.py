@@ -3,7 +3,8 @@
 For any finite config, a ``scenario`` and a short ``sweep`` (whose range may
 leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
 that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
-an efficiency eta that never rises with t, and the same bytes when repeated.
+an efficiency eta that never rises with t and is positive wherever the flux,
+the ratio and rho22(0) are, and the same bytes when repeated.
 Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
 they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
@@ -126,6 +127,11 @@ def test_scenario_exit_contract(config):
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
     etas = [float(row[5]) for row in rows]
     assert all(later <= earlier for earlier, later in zip(etas, etas[1:])), etas
+    # eta reads 0 only where the flux, the ratio or rho22(0) does (the decrement
+    # of an exit-0 run is positive)
+    cfg = cli.parse_config(_config_text(config))
+    if cli._drive(cfg.flux_w_cm2).s_mw > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
+        assert all(eta > 0 for eta in etas), etas
 
 
 @PROPERTY_SETTINGS
