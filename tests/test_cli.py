@@ -335,13 +335,13 @@ def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
                 assert rows[0] == (0.0, None)   # zero drive: no_depletion
 
 
-@pytest.mark.parametrize("parameter, line, message", [
-    ("flux_w_cm2", "flux_w_cm2 = 1e305", "field amplitude must be finite"),
-    ("detuning_mhz", "detuning_mhz = 1e303", "detuning lineshape underflows to 0"),
-])
-def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line, message):
+@pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),
+                                             ("detuning_mhz", "detuning_mhz = 1e303")])
+def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
     # the config's own flux (or detuning) overflows the drive (or the lineshape's
     # delta^2), but the sweep replaces it
+    message = {"flux_w_cm2": "field amplitude must be finite",
+               "detuning_mhz": "detuning lineshape underflows to 0"}[parameter]
     cfg = parse_config(f"channel = fine_structure\n{line}\n")
     with pytest.raises(ValueError, match=message):
         run_scenario(cfg)
@@ -655,14 +655,14 @@ def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, confi
 
 @pytest.mark.parametrize("detuning, args, message", [
     ("1e200", ["scenario"], "at detuning 1e+200 MHz"),
-    # past |detuning| ~ 2.9e301 MHz the angular detuning itself is inf
-    ("1e303", ["scenario"], "at detuning 1e+303 MHz"),
     # exited 0 printing eta = 0 at the points past |detuning| ~ 2.2e147 MHz
     ("0", ["sweep", "--param", "detuning_mhz", "--min", "1e100", "--max", "1e200",
            "--steps", "3", "--log", "--objective", "eta_max_peak"],
      "detuning_mhz = 1e+150: detuning lineshape underflows to 0 at detuning 1e+150 MHz"),
     ("1e200", ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2",
                "--steps", "3", "--objective", "tau"], "at detuning 1e+200 MHz"),
+    # past |detuning| ~ 2.9e301 MHz the angular detuning itself is inf
+    ("1e303", ["scenario"], "at detuning 1e+303 MHz"),
 ])
 def test_main_lineshape_underflow_is_a_numerical_error(tmp_path, capsys, detuning, args,
                                                        message):
