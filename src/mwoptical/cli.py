@@ -32,14 +32,19 @@ from .hydrogen import (
     LIFETIME_2S_S,
     OPTICAL_ANCHOR_CM,
     RATIO_UNITY,
+    decay_rate,
     dipole_matrix_element,
+    effective_dipole,
     hydrogenic_dipole_ratio,
-    make_transition_pair,
     mode,
 )
 from .units import (
-    CGS,
+    A0_CM,
+    C_CM_S,
     CM_PER_NM,
+    E_STATC,
+    HBAR_ERG_S,
+    MU_H_G,
     _Record,
     field_from_flux,
     flux_si_to_cgs,
@@ -94,8 +99,11 @@ SCENARIO_HEADER = ("t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]"
 # Largest scenario, sweep or fig1 grid; grids are Python lists built point by point.
 MAX_GRID_POINTS = 10**7
 
-# The one optical line every scenario and sweep point shares (see module docstring).
-_OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
+# The one optical line every scenario and sweep point shares (see module docstring),
+# and its decay rate, which the decrement of every sweep point reads.
+_OPTICAL_UPPER, _OPTICAL_LOWER = mode("2p3/2"), mode("1s1/2")
+_GAMMA_31 = decay_rate(_OPTICAL_UPPER.omega - _OPTICAL_LOWER.omega,
+                       effective_dipole(_OPTICAL_UPPER, _OPTICAL_LOWER))
 
 
 def _check_grid_size(name: str, steps: int):
@@ -303,7 +311,7 @@ def _drive(flux_w_cm2: float) -> MicrowaveDrive:
 def _decrement(detuning_mhz: float) -> float:
     """The lineshape at a detuning in MHz; it is even, and 2*pi*1e6*x is odd in x
     in floats too, so |detuning| gives every bit of delta^2."""
-    decrement = detuning_lineshape(freq_mhz_to_angular(abs(detuning_mhz)), _OPTICAL.gamma_nk)
+    decrement = detuning_lineshape(freq_mhz_to_angular(abs(detuning_mhz)), _GAMMA_31)
     if decrement == 0.0:
         raise ValueError(f"detuning lineshape underflows to 0 at detuning {detuning_mhz} MHz")
     return decrement
@@ -347,7 +355,7 @@ def run_scenario(cfg: ScenarioConfig):
         "rho22_initial": ens.rho22_0,
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
-        "gamma31_per_s": _OPTICAL.gamma_nk,
+        "gamma31_per_s": _GAMMA_31,
         "eta_peak": _objective_value(cfg, "eta_max_peak", drive, decrement, ens),
         "tau_s": _objective_value(cfg, "tau", drive, decrement, ens),
         "sigma_max_cm2": sigma_max(ens, 0.0),
@@ -458,7 +466,7 @@ def _write_text(text: str, path: str | None, default_stream):
 
 def _read_config_file(path: str) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -471,34 +479,34 @@ def _read_config_file(path: str) -> ScenarioConfig:
 
 def _cmd_constants(args) -> None:
     record = {
-        "hbar_erg_s": CGS.hbar,
-        "c_cm_s": CGS.c,
-        "e_statC": CGS.e,
-        "a0_cm": CGS.a0,
-        "mu_H_g": CGS.mu_H,
-        "fine_structure_constant": CGS.fine_structure,
+        "hbar_erg_s": HBAR_ERG_S,
+        "c_cm_s": C_CM_S,
+        "e_statC": E_STATC,
+        "a0_cm": A0_CM,
+        "mu_H_g": MU_H_G,
+        "fine_structure_constant": E_STATC**2 / (HBAR_ERG_S * C_CM_S),
     }
     sys.stdout.write(format_summary(record))
 
 
 def _cmd_transition(args) -> None:
-    resonance_mhz, (upper, lower) = CHANNELS[args.channel]
-    microwave = make_transition_pair(mode(upper), mode(lower))
-    e_a0 = CGS.e * CGS.a0
+    resonance_mhz, (upper_label, lower_label) = CHANNELS[args.channel]
+    upper, lower = mode(upper_label), mode(lower_label)
+    omega_32 = upper.omega - lower.omega
+    e_a0 = E_STATC * A0_CM
     record = {
         "channel": args.channel,
-        "microwave_upper": microwave.upper.label,
-        "microwave_lower": microwave.lower.label,
+        "microwave_upper": upper_label,
+        "microwave_lower": lower_label,
         "microwave_resonance_mhz": resonance_mhz,
         "optical_wavelength_nm": OPTICAL_ANCHOR_CM / CM_PER_NM,
-        "dipole_mw_z_e_a0": dipole_matrix_element(microwave.upper, microwave.lower) / e_a0,
-        "dipole_optical_z_e_a0": dipole_matrix_element(_OPTICAL.upper, _OPTICAL.lower) / e_a0,
+        "dipole_mw_z_e_a0": dipole_matrix_element(upper, lower) / e_a0,
+        "dipole_optical_z_e_a0": dipole_matrix_element(_OPTICAL_UPPER, _OPTICAL_LOWER) / e_a0,
         "dipole_ratio_hydrogenic": hydrogenic_dipole_ratio(),
-        "gamma31_per_s": _OPTICAL.gamma_nk,
-        "lifetime31_s": 1.0 / _OPTICAL.gamma_nk,
+        "gamma31_per_s": _GAMMA_31,
+        "lifetime31_s": 1.0 / _GAMMA_31,
         "lifetime_metastable_s": LIFETIME_2S_S,
-        "decrement_at_resonance": damping_decrement(
-            microwave.omega_nk, microwave.omega_nk, _OPTICAL.gamma_nk),
+        "decrement_at_resonance": damping_decrement(omega_32, omega_32, _GAMMA_31),
     }
     sys.stdout.write(format_summary(record))
 

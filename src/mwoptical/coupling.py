@@ -5,7 +5,7 @@ against detuning from the 2s-2p resonance.
 
 import math
 
-from .units import CGS, _Record, flux_from_field
+from .units import HBAR_ERG_S, _Record, flux_from_field
 
 __all__ = [
     "MicrowaveDrive",
@@ -49,7 +49,7 @@ def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation) -> fl
     """
     if not d >= 0:
         raise ValueError(f"dipole magnitude must be nonnegative, got {d}")
-    return d * drive.e0 * math.cos(orient.theta) / CGS.hbar
+    return d * drive.e0 * math.cos(orient.theta) / HBAR_ERG_S
 
 
 def damping_decrement(omega: float, omega_32: float, gamma_31: float) -> float:

@@ -6,8 +6,7 @@ import math
 import warnings
 
 from .coupling import MicrowaveDrive, Orientation
-from .hydrogen import TransitionPair
-from .units import CGS
+from .units import C_CM_S, HBAR_ERG_S
 
 __all__ = [
     "ModelValidityWarning",
@@ -38,7 +37,7 @@ def rho22_at(t: float, b32: float, gamma_31: float, decrement: float, rho22_0: f
     return rho22_0 * math.exp(-b32 * b32 * decrement * t / (2.0 * gamma_31))
 
 
-def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
+def intensity_full(omega_31: float, gamma_31: float, b32: float, decrement: float,
                    rho22: float, rho33: float = 0.0) -> float:
     """Stimulated intensity of one atom (erg/s):
 
@@ -48,7 +47,7 @@ def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
     the value is returned unclamped with a ModelValidityWarning rather than
     silently zeroed.
     """
-    if not pair31.gamma_nk > 0:
+    if not gamma_31 > 0:
         raise ValueError("optical transition must have a positive decay rate")
     _check_decrement(decrement)
     if rho22 < rho33:
@@ -58,8 +57,8 @@ def intensity_full(pair31: TransitionPair, b32: float, decrement: float,
             ModelValidityWarning,
             stacklevel=2,
         )
-    return (decrement * CGS.hbar * pair31.omega_nk
-            * b32 * b32 / (2.0 * pair31.gamma_nk) * (rho22 - rho33))
+    return (decrement * HBAR_ERG_S * omega_31
+            * b32 * b32 / (2.0 * gamma_31) * (rho22 - rho33))
 
 
 def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
@@ -78,5 +77,5 @@ def intensity_weak(drive: MicrowaveDrive, orient: Orientation, ratio: float,
         raise ValueError(f"dipole ratio must be nonnegative, got {ratio}")
     _check_decrement(decrement)
     cos_t = math.cos(orient.theta)
-    return (decrement * 6.0 * math.pi * CGS.c**2 / omega_31**2
+    return (decrement * 6.0 * math.pi * C_CM_S**2 / omega_31**2
             * ratio * cos_t * cos_t * rho22 * drive.s_mw)

@@ -18,7 +18,7 @@ the test suite checks against the hydrogen and dynamics modules.
 import math
 
 from .coupling import MicrowaveDrive
-from .units import CGS, _Record
+from .units import HBAR_ERG_S, MU_H_G, _Record
 
 __all__ = [
     "EnsembleConfig",
@@ -60,12 +60,12 @@ class EnsembleConfig(_Record):
     @property
     def n_atoms(self) -> float:
         """Number of atoms in the vessel, gas_density * area * length / mu_H."""
-        return self.gas_density * self.area * self.length / CGS.mu_H
+        return self.gas_density * self.area * self.length / MU_H_G
 
     @property
     def n31(self) -> float:
         """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H."""
-        return self.gas_density * self.length * self.wavelength_31**2 / CGS.mu_H
+        return self.gas_density * self.length * self.wavelength_31**2 / MU_H_G
 
 
 def f_beta(beta: float) -> float:
@@ -134,7 +134,7 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
-    denominator = 32.0 * math.pi**3 * CGS.hbar
+    denominator = 32.0 * math.pi**3 * HBAR_ERG_S
     scale = decrement * _sigma_prefactor(cfg)
     s_mw = drive.s_mw
     power = cfg.area * s_mw
@@ -220,4 +220,4 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     rate = decrement * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio
     if rate == 0:
         raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
-    return 2.0e3 * CGS.hbar / rate
+    return 2.0e3 * HBAR_ERG_S / rate

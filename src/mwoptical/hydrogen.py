@@ -11,16 +11,19 @@ components q gives e^2 R^2/3 for every initial m (equal to the squared
 z-element), but the standard emission-rate prefactor is 4/3 rather than
 the 2/3 used in the scalar rate formula here, so folding the line strength
 into a scalar magnitude doubles the squared dipole: d_summed = sqrt(2) * d_z.
-``effective_dipole`` and ``make_transition_pair`` use this "summed" magnitude
-(which reproduces the 1.6 ns 2p lifetime); ``dipole_matrix_element`` is the
-bare m = 0 z-element.  Dipole *ratios* are identical in both conventions, so
-either may feed the intensity formulas as long as it is used uniformly.
+The convention is the choice of function: ``effective_dipole`` returns this
+"summed" magnitude, and ``decay_rate(upper.omega - lower.omega,
+effective_dipole(upper, lower))`` reproduces the 1.6 ns 2p lifetime;
+``dipole_matrix_element`` is the bare m = 0 z-element.  Dipole *ratios* are
+identical in both conventions, so either may feed the intensity formulas as
+long as it is used uniformly.
 """
 
 import math
 from functools import lru_cache
 
-from .units import CGS, _Record, freq_mhz_to_angular, wavelength_to_angular
+from .units import (A0_CM, C_CM_S, E_STATC, HBAR_ERG_S, _Record, freq_mhz_to_angular,
+                    wavelength_to_angular)
 
 __all__ = [
     "FINE_STRUCTURE_MHZ",
@@ -28,7 +31,6 @@ __all__ = [
     "OPTICAL_ANCHOR_CM",
     "LIFETIME_2S_S",
     "HydrogenMode",
-    "TransitionPair",
     "MODES",
     "mode",
     "radial_wavefunction",
@@ -36,7 +38,6 @@ __all__ = [
     "dipole_matrix_element",
     "effective_dipole",
     "decay_rate",
-    "make_transition_pair",
     "hydrogenic_dipole_ratio",
     "RATIO_UNITY",
 ]
@@ -150,7 +151,7 @@ def dipole_matrix_element(upper: HydrogenMode, lower: HydrogenMode) -> float:
     if abs(upper.l - lower.l) != 1:
         return 0.0
     radial = radial_dipole_integral((upper.n, upper.l), (lower.n, lower.l))
-    return CGS.e * CGS.a0 * _angular_factor_z(upper.l, lower.l) * abs(radial)
+    return E_STATC * A0_CM * _angular_factor_z(upper.l, lower.l) * abs(radial)
 
 
 def effective_dipole(upper: HydrogenMode, lower: HydrogenMode) -> float:
@@ -165,30 +166,7 @@ def decay_rate(omega_nk: float, d_nk: float) -> float:
     if not omega_nk >= 0:
         raise ValueError(f"transition frequency must be nonnegative, got {omega_nk};"
                          " order the pair as (upper, lower)")
-    return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * CGS.hbar * CGS.c**3)
-
-
-class TransitionPair(_Record):
-    """Two catalog modes with their frequency difference, dipole and decay rate."""
-
-    def __init__(self, upper: HydrogenMode, lower: HydrogenMode,
-                 omega_nk: float,    # rad/s, omega_upper - omega_lower
-                 d_nk: float,        # statC cm
-                 gamma_nk: float):   # 1/s
-        vars(self).update(upper=upper, lower=lower, omega_nk=omega_nk, d_nk=d_nk,
-                          gamma_nk=gamma_nk)
-        if not self.gamma_nk >= 0:
-            raise ValueError("decay rate must be nonnegative")
-
-
-def make_transition_pair(upper: HydrogenMode, lower: HydrogenMode) -> TransitionPair:
-    """Bundle (omega_nk, d_nk, gamma_nk) for a catalog pair; upper must lie above lower."""
-    if upper.label == lower.label:
-        raise ValueError(f"transition requires two distinct modes, got {upper.label} twice")
-    omega_nk = upper.omega - lower.omega
-    d_nk = effective_dipole(upper, lower)
-    gamma_nk = decay_rate(omega_nk, d_nk)
-    return TransitionPair(upper, lower, omega_nk, d_nk, gamma_nk)
+    return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * HBAR_ERG_S * C_CM_S**3)
 
 
 def hydrogenic_dipole_ratio() -> float:

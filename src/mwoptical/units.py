@@ -1,16 +1,19 @@
 """Gaussian-CGS constants and the boundary unit conversions.
 
 Everything downstream (dipole elements, decay rates, field couplings,
-flux bookkeeping) is evaluated in Gaussian CGS with the one constant set
-``CGS``, which every module reads directly; user-facing quantities
-(MHz, nm, W/cm^2) are converted here, once, at the boundary.
+flux bookkeeping) is evaluated in Gaussian CGS with the five CODATA 2018
+constants below, module floats that every module reads directly; user-facing
+quantities (MHz, nm, W/cm^2) are converted here, once, at the boundary.
 """
 
 import math
 
 __all__ = [
-    "PhysicalConstants",
-    "CGS",
+    "HBAR_ERG_S",
+    "C_CM_S",
+    "E_STATC",
+    "A0_CM",
+    "MU_H_G",
     "ERG_PER_S_PER_W",
     "CM_PER_NM",
     "freq_mhz_to_angular",
@@ -19,6 +22,13 @@ __all__ = [
     "field_from_flux",
     "flux_from_field",
 ]
+
+# fundamental constants in Gaussian CGS (CODATA 2018)
+HBAR_ERG_S = 1.054571817e-27
+C_CM_S = 2.99792458e10
+E_STATC = 4.80320471e-10
+A0_CM = 5.29177210903e-9      # Bohr radius
+MU_H_G = 1.6735328e-24        # atomic mass of hydrogen
 
 # unit conversion factors
 ERG_PER_S_PER_W = 1.0e7   # 1 W = 1e7 erg/s, so 1 W/cm^2 = 1e7 erg s^-1 cm^-2
@@ -54,29 +64,6 @@ class _Record:
         return self.__class__(**{**vars(self), **changes})
 
 
-class PhysicalConstants(_Record):
-    """Fundamental constants in Gaussian CGS (CODATA 2018)."""
-
-    def __init__(self,
-                 hbar: float = 1.054571817e-27,   # erg s
-                 c: float = 2.99792458e10,        # cm/s
-                 e: float = 4.80320471e-10,       # statC
-                 a0: float = 5.29177210903e-9,    # cm (Bohr radius)
-                 mu_H: float = 1.6735328e-24):    # g (atomic mass of hydrogen)
-        vars(self).update(hbar=hbar, c=c, e=e, a0=a0, mu_H=mu_H)
-        for name in ("hbar", "c", "e", "a0", "mu_H"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be strictly positive")
-
-    @property
-    def fine_structure(self):
-        """Dimensionless e^2/(hbar c), ~1/137; sanity anchor for the unit system."""
-        return self.e**2 / (self.hbar * self.c)
-
-
-CGS = PhysicalConstants()
-
-
 def freq_mhz_to_angular(f_mhz: float) -> float:
     """Frequency in MHz -> angular frequency in rad/s (2*pi*1e6*f)."""
     if not f_mhz >= 0:
@@ -88,7 +75,7 @@ def wavelength_to_angular(wavelength_cm: float) -> float:
     """Vacuum wavelength in cm -> angular frequency omega = 2*pi*c/wavelength."""
     if not wavelength_cm > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength_cm} cm")
-    return 2.0 * math.pi * CGS.c / wavelength_cm
+    return 2.0 * math.pi * C_CM_S / wavelength_cm
 
 
 def flux_si_to_cgs(flux_w_cm2: float) -> float:
@@ -102,11 +89,11 @@ def field_from_flux(flux_cgs: float) -> float:
     """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi)."""
     if not flux_cgs >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
-    return math.sqrt(8.0 * math.pi * flux_cgs / CGS.c)
+    return math.sqrt(8.0 * math.pi * flux_cgs / C_CM_S)
 
 
 def flux_from_field(e0: float) -> float:
     """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm)."""
     if not e0 >= 0:
         raise ValueError(f"field amplitude must be nonnegative, got {e0} statV/cm")
-    return CGS.c * e0**2 / (8.0 * math.pi)
+    return C_CM_S * e0**2 / (8.0 * math.pi)

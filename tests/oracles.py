@@ -24,6 +24,14 @@ def f_beta_quad(beta: float) -> float:
     return value
 
 
+def _dip_points(*rates):
+    """Breakpoints at 1, 2, 4 and 8 times B^(-1/2) inside (0, 1) for each rate B:
+    exp(-B x^2) falls off over x ~ B^(-1/2), and without a breakpoint there
+    quad's first samples miss that narrow dip at x = 0 when B is large."""
+    points = {k / math.sqrt(b) for b in rates if b > 0 for k in (1.0, 2.0, 4.0, 8.0)}
+    return sorted(x for x in points if x < 1.0) or None
+
+
 def g_quad(b: float) -> float:
     """(1/B) * adaptive quadrature of 1 - exp(-B x^2) on [0, 1]; 1/3 at B = 0.
 
@@ -31,7 +39,7 @@ def g_quad(b: float) -> float:
     """
     if b == 0:
         return 1.0 / 3.0
-    value, _ = quad(lambda x: -math.expm1(-b * x * x), 0.0, 1.0,
+    value, _ = quad(lambda x: -math.expm1(-b * x * x), 0.0, 1.0, points=_dip_points(b),
                     epsabs=0.0, epsrel=1e-13, limit=200)
     return value / b
 
@@ -42,7 +50,7 @@ def f_window_quad(k: float, t0: float, t1: float) -> float:
     exp(-k*t0*x^2) * (1 - exp(-k*(t1 - t0)*x^2)) on [0, 1]."""
     b0, width = k * t0, k * (t1 - t0)
     value, _ = quad(lambda x: math.exp(-b0 * x * x) * -math.expm1(-width * x * x), 0.0, 1.0,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
+                    points=_dip_points(b0, k * t1), epsabs=0.0, epsrel=1e-13, limit=200)
     return value / k
 
 
@@ -103,8 +111,8 @@ def radial_integral_gamma_2s2p() -> float:
     return (2.0 * math.gamma(5) - math.gamma(6)) / (4.0 * math.sqrt(12.0))
 
 
-def rho22_two_level(t: float, omega: float, gamma: float) -> float:
-    """Exact |c2(t)|^2 of the resonant RWA amplitude equations
+def two_level_amplitudes(t: float, omega: float, gamma: float) -> tuple:
+    """Exact (c2(t), c3(t)) of the resonant RWA amplitude equations
 
         c2' = -i (omega/2) c3,   c3' = -i (omega/2) c2 - (gamma/2) c3,
 
@@ -112,15 +120,37 @@ def rho22_two_level(t: float, omega: float, gamma: float) -> float:
     to a level 3 whose population decays at gamma.  With the roots
     s+- = -gamma/4 +- sqrt(gamma^2/16 - omega^2/4) (complex above
     omega = gamma/2, where the atom Rabi-oscillates),
-    c2 = (s+ exp(s- t) - s- exp(s+ t)) / (s+ - s-).  s+ is taken as
+    c2 = (s+ exp(s- t) - s- exp(s+ t)) / (s+ - s-) and
+    c3 = (i omega/2) (exp(s- t) - exp(s+ t)) / (s+ - s-).  s+ is taken as
     omega^2/(4 s-), free of cancellation at small omega; the critical point
     omega = gamma/2 itself, a double root, is excluded.
     """
     root = cmath.sqrt(gamma * gamma / 16.0 - omega * omega / 4.0)
     s_minus = -gamma / 4.0 - root
     s_plus = omega * omega / (4.0 * s_minus)
-    c2 = (s_plus * cmath.exp(s_minus * t) - s_minus * cmath.exp(s_plus * t)) / (s_plus - s_minus)
-    return abs(c2) ** 2
+    e_minus, e_plus = cmath.exp(s_minus * t), cmath.exp(s_plus * t)
+    c2 = (s_plus * e_minus - s_minus * e_plus) / (s_plus - s_minus)
+    c3 = 0.5j * omega * (e_minus - e_plus) / (s_plus - s_minus)
+    return c2, c3
+
+
+def rho22_two_level(t: float, omega: float, gamma: float) -> float:
+    """Exact |c2(t)|^2 of ``two_level_amplitudes``."""
+    return abs(two_level_amplitudes(t, omega, gamma)[0]) ** 2
+
+
+def two_level_ensemble(t: float, omega: float, gamma: float) -> tuple:
+    """(<|c2(t)|^2>, <|c3(t)|^2>) of ``two_level_amplitudes`` averaged over an
+    isotropic ensemble: an atom at angle theta to the field sees the Rabi
+    frequency omega*x with x = cos(theta), and x is uniform on [0, 1].  The
+    averages are adaptive quadratures over x; the double root at
+    omega*x = gamma/2 is a single point of the range."""
+    def average(index):
+        value, _ = quad(lambda x: abs(two_level_amplitudes(t, omega * x, gamma)[index]) ** 2,
+                        0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+        return value
+
+    return average(0), average(1)
 
 
 def angular_average_quad(intensity_of_theta) -> float:

@@ -351,7 +351,7 @@ def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
 
 def test_detuning_decrement_is_the_lineshape_at_the_signed_detuning():
     # the decrement reads |detuning|: every bit equals the signed expression's
-    gamma = cli._OPTICAL.gamma_nk
+    gamma = cli._GAMMA_31
     for detuning in (0.0, -0.0, 5e-324, -3.0, 3.0, -487.3, 512.9, -1e6, 2.1e147, -2.1e147):
         want = cli.detuning_lineshape(2.0 * math.pi * 1.0e6 * detuning, gamma)
         assert cli._decrement(detuning).hex() == want.hex(), detuning
@@ -488,6 +488,9 @@ def test_main_scenario_writes_the_per_cell_table(tmp_path, capsys, lines):
                                                    for t, beta, f, intensity, eta in series])
     config = tmp_path / "run.cfg"
     config.write_text(text)
+    assert main(["scenario", "--config", str(config)]) == 0
+    assert capsys.readouterr() == (expected, format_summary(summary))
+    config.write_text("\ufeff" + text, encoding="utf-8")   # a byte-order mark is ignored
     assert main(["scenario", "--config", str(config)]) == 0
     assert capsys.readouterr() == (expected, format_summary(summary))
     out = tmp_path / "series.csv"

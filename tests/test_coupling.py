@@ -10,12 +10,12 @@ from mwoptical.coupling import (
     damping_decrement,
     detuning_lineshape,
 )
-from mwoptical.units import CGS
+from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S
 
 
 def test_drive_flux_is_derived():
     drive = MicrowaveDrive(e0=0.5)
-    assert drive.s_mw == pytest.approx(CGS.c * 0.25 / (8.0 * math.pi), rel=1e-14)
+    assert drive.s_mw == pytest.approx(C_CM_S * 0.25 / (8.0 * math.pi), rel=1e-14)
 
 
 def test_drive_validation():
@@ -36,16 +36,16 @@ def test_orientation_range():
 
 def test_coupling_element_aligned_value():
     # d = 3 e*a0, E0 = 1 statV/cm, theta = 0; frozen constants arithmetic
-    d = 3.0 * CGS.e * CGS.a0
+    d = 3.0 * E_STATC * A0_CM
     drive = MicrowaveDrive(e0=1.0)
     b = coupling_element(d, drive, Orientation(0.0))
     assert b == pytest.approx(7.230649722077543e9, rel=1e-12)
 
 
 def test_coupling_element_orthogonal_and_zero_field():
-    d = 3.0 * CGS.e * CGS.a0
+    d = 3.0 * E_STATC * A0_CM
     drive = MicrowaveDrive(e0=1.0)
-    scale = d * drive.e0 / CGS.hbar
+    scale = d * drive.e0 / HBAR_ERG_S
     assert coupling_element(d, drive, Orientation(math.pi / 2)) == pytest.approx(0.0, abs=1e-12 * scale)
     off = MicrowaveDrive(e0=0.0)
     assert coupling_element(d, off, Orientation(0.3)) == 0.0
@@ -60,7 +60,7 @@ def test_coupling_element_bilinear_and_even():
     double = MicrowaveDrive(e0=1.4)
     assert coupling_element(d, double, theta) == pytest.approx(2.0 * b, rel=1e-14)
     # even in the angle: cos(-theta) = cos(theta)
-    assert b == pytest.approx(d * drive.e0 * math.cos(-0.4) / CGS.hbar, rel=1e-14)
+    assert b == pytest.approx(d * drive.e0 * math.cos(-0.4) / HBAR_ERG_S, rel=1e-14)
 
 
 def test_coupling_element_sign_follows_cosine():

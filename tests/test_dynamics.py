@@ -11,16 +11,18 @@ from mwoptical.dynamics import (
     intensity_weak,
     rho22_at,
 )
+from mwoptical.ensemble import EnsembleConfig, evaluate, pulse_energy
 from mwoptical.hydrogen import (
-    TransitionPair,
     decay_rate,
     dipole_matrix_element,
-    make_transition_pair,
+    effective_dipole,
+    hydrogenic_dipole_ratio,
     mode,
 )
 from mwoptical.units import field_from_flux, flux_si_to_cgs, wavelength_to_angular
 
-OPTICAL = make_transition_pair(mode("2p3/2"), mode("1s1/2"))
+OMEGA_31 = mode("2p3/2").omega - mode("1s1/2").omega
+GAMMA_31 = decay_rate(OMEGA_31, effective_dipole(mode("2p3/2"), mode("1s1/2")))
 
 
 def _drive(flux_w_cm2=1.0):
@@ -71,25 +73,25 @@ def test_rho22_validation():
 
 
 def _rabi_and_coupling(omega_over_gamma):
-    """(Omega, b32) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
+    """(Omega, b32, drive) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
     takes the given value: Omega from the bare m = 0 dipole, b32 from the
     sublevel-summed one, which is sqrt(2) times larger."""
     m0 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
-    summed = make_transition_pair(mode("2p3/2"), mode("2s1/2")).d_nk
-    drive = MicrowaveDrive(e0=omega_over_gamma * OPTICAL.gamma_nk * oracles.HBAR / m0)
+    summed = effective_dipole(mode("2p3/2"), mode("2s1/2"))
+    drive = MicrowaveDrive(e0=omega_over_gamma * GAMMA_31 * oracles.HBAR / m0)
     aligned = Orientation(0.0)
-    return coupling_element(m0, drive, aligned), coupling_element(summed, drive, aligned)
+    return coupling_element(m0, drive, aligned), coupling_element(summed, drive, aligned), drive
 
 
 def test_rho22_is_the_exact_two_level_decay_at_weak_coupling():
     # adiabatic elimination of 2p: the exact metastable population decays at
     # Omega^2/gamma_31.  The package's exponent b^2/(2 gamma_31) is that rate
     # when b uses the summed dipole and Omega the m = 0 one (b^2 = 2 Omega^2).
-    gamma = OPTICAL.gamma_nk
+    gamma = GAMMA_31
     assert oracles.rho22_two_level(0.0, 0.1 * gamma, gamma) == pytest.approx(1.0, abs=1e-15)
     assert oracles.rho22_two_level(1e-6, 0.0, gamma) == 1.0
     for omega_over_gamma, tolerance in ((0.05, 1e-5), (0.2, 2e-3)):
-        rabi, b32 = _rabi_and_coupling(omega_over_gamma)
+        rabi, b32, _ = _rabi_and_coupling(omega_over_gamma)
         t = 2.0 * gamma / rabi**2   # two e-foldings
         package = rho22_at(t, b32, gamma, 1.0, 1.0)
         assert package == pytest.approx(math.exp(-rabi * rabi * t / gamma), rel=1e-14)
@@ -106,11 +108,48 @@ def test_rate_law_fails_as_the_coupling_nears_critical_damping():
     # at Omega/gamma_31 = 0.375 the exact population at two e-foldings is over 4%
     # above the rate law's; past 0.5 the roots are complex, the atom
     # Rabi-oscillates and no rate law holds
-    gamma = OPTICAL.gamma_nk
-    rabi, b32 = _rabi_and_coupling(0.375)
+    gamma = GAMMA_31
+    rabi, b32, _ = _rabi_and_coupling(0.375)
     t = 2.0 * gamma / rabi**2
     excess = oracles.rho22_two_level(t, rabi, gamma) / rho22_at(t, b32, gamma, 1.0, 1.0) - 1.0
     assert 0.04 < excess < 0.05
+
+
+# The package's vessel on the 2p3/2-1s1/2 line with the catalog dipole ratio:
+# under a drive from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
+# Omega^2 t/gamma_31 at theta = 0, the rate law of the two-level oracle.
+RATE_LAW_VESSEL = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4,
+                                 ratio=hydrogenic_dipole_ratio(),
+                                 wavelength_31=2.0 * math.pi * oracles.C / OMEGA_31)
+STORED_ENERGY = RATE_LAW_VESSEL.n_atoms * RATE_LAW_VESSEL.rho22_0 * oracles.HBAR * OMEGA_31
+
+
+@pytest.mark.parametrize("omega_over_gamma, peak_ratio", [(0.05, 0.984), (0.265, 0.814),
+                                                          (1.07, 0.367)])
+def test_ensemble_emission_peaks_below_the_rate_law(omega_over_gamma, peak_ratio):
+    # adiabatic elimination at ensemble level: the rate law emits most at t = 0,
+    # Omega^2/(3 gamma_31) per excited atom; the exact orientation average of
+    # gamma_31 |c3|^2 rises from 0 over ~1/gamma_31 and peaks lower
+    rabi, _, drive = _rabi_and_coupling(omega_over_gamma)
+    rate_law = evaluate(RATE_LAW_VESSEL, drive, 1.0, (0.0,))[0][3] / STORED_ENERGY
+    assert rate_law == pytest.approx(rabi**2 / (3.0 * GAMMA_31), rel=1e-9)
+    exact = max(oracles.two_level_ensemble(0.05 * i / GAMMA_31, rabi, GAMMA_31)[1]
+                for i in range(401))   # gamma_31 t on [0, 20]
+    assert GAMMA_31 * exact / rate_law == pytest.approx(peak_ratio, abs=0.01)
+
+
+@pytest.mark.parametrize("omega_over_gamma, exact_share, rate_law_share", [
+    (0.265, 0.469, 0.481), (1.07, 0.866, 0.869)])
+def test_share_of_stored_energy_released_by_gamma_t_40(omega_over_gamma, exact_share,
+                                                       rate_law_share):
+    # 1 - <|c2|^2 + |c3|^2> has been emitted; the package's pulse energy is the
+    # rate law's share of the stored energy
+    rabi, _, drive = _rabi_and_coupling(omega_over_gamma)
+    t = 40.0 / GAMMA_31
+    c2, c3 = oracles.two_level_ensemble(t, rabi, GAMMA_31)
+    assert 1.0 - c2 - c3 == pytest.approx(exact_share, abs=0.01)
+    released = pulse_energy(RATE_LAW_VESSEL, drive, 1.0, 0.0, t) / STORED_ENERGY
+    assert released == pytest.approx(rate_law_share, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +157,32 @@ def test_rate_law_fails_as_the_coupling_nears_critical_damping():
 # ---------------------------------------------------------------------------
 
 def test_intensity_full_balanced_populations():
-    assert intensity_full(OPTICAL, 5.0e6, 1.0, 0.2, 0.2) == 0.0
+    assert intensity_full(OMEGA_31, GAMMA_31, 5.0e6, 1.0, 0.2, 0.2) == 0.0
 
 
 def test_intensity_full_quadratic_in_coupling():
-    base = intensity_full(OPTICAL, 2.0e6, 1.0, 0.1)
-    assert intensity_full(OPTICAL, 4.0e6, 1.0, 0.1) == pytest.approx(4.0 * base, rel=1e-12)
+    base = intensity_full(OMEGA_31, GAMMA_31, 2.0e6, 1.0, 0.1)
+    assert intensity_full(OMEGA_31, GAMMA_31, 4.0e6, 1.0, 0.1) == pytest.approx(4.0 * base, rel=1e-12)
 
 
 def test_intensity_full_negative_inversion_warns_unclamped():
     with pytest.warns(ModelValidityWarning):
-        value = intensity_full(OPTICAL, 2.0e6, 1.0, 0.1, 0.3)
+        value = intensity_full(OMEGA_31, GAMMA_31, 2.0e6, 1.0, 0.1, 0.3)
     assert value < 0
 
 
 def test_intensity_full_rejects_zero_rate_transition():
-    forbidden = make_transition_pair(mode("2s1/2"), mode("1s1/2"))
+    up, lo = mode("2s1/2"), mode("1s1/2")
+    omega = up.omega - lo.omega
     with pytest.raises(ValueError, match="decay rate"):
-        intensity_full(forbidden, 2.0e6, 1.0, 0.1)
+        intensity_full(omega, decay_rate(omega, effective_dipole(up, lo)), 2.0e6, 1.0, 0.1)
 
 
 def test_intensity_weak_zeros():
     drive = _drive()
-    assert intensity_weak(drive, Orientation(math.pi / 2), 1.0, OPTICAL.omega_nk, 1.0, 0.5) \
+    assert intensity_weak(drive, Orientation(math.pi / 2), 1.0, OMEGA_31, 1.0, 0.5) \
         == pytest.approx(0.0, abs=1e-20)
-    assert intensity_weak(drive, Orientation(0.0), 1.0, OPTICAL.omega_nk, 1.0, 0.0) == 0.0
+    assert intensity_weak(drive, Orientation(0.0), 1.0, OMEGA_31, 1.0, 0.0) == 0.0
 
 
 def test_intensity_weak_validation():
@@ -152,7 +192,7 @@ def test_intensity_weak_validation():
             intensity_weak(drive, Orientation(0.0), 1.0, bad, 1.0, 0.5)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="ratio"):
-            intensity_weak(drive, Orientation(0.0), bad, OPTICAL.omega_nk, 1.0, 0.5)
+            intensity_weak(drive, Orientation(0.0), bad, OMEGA_31, 1.0, 0.5)
 
 
 def test_weak_equals_full_at_zero_rho33():
@@ -170,11 +210,9 @@ def test_weak_equals_full_at_zero_rho33():
 
         drive = MicrowaveDrive(e0=e0)
         orient = Orientation(theta)
-        gamma31 = decay_rate(omega31, d31)
-        pair = TransitionPair(mode("2p3/2"), mode("1s1/2"), omega31, d31, gamma31)
         b32 = coupling_element(math.sqrt(ratio) * d31, drive, orient)
 
-        full = intensity_full(pair, b32, dec, rho22)
+        full = intensity_full(omega31, decay_rate(omega31, d31), b32, dec, rho22)
         weak = intensity_weak(drive, orient, ratio, omega31, dec, rho22)
         assert weak == pytest.approx(full, rel=1e-12, abs=1e-300)
 
@@ -196,14 +234,14 @@ def test_single_atom_cross_section_value():
 
 def test_single_atom_cross_section_flux_invariant():
     # the E0^2 in I cancels against S_mw
-    omega31 = OPTICAL.omega_nk
+    omega31 = OMEGA_31
     base = _sigma(_drive(1.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
     quadrupled = _sigma(_drive(4.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
     assert quadrupled == pytest.approx(base, rel=1e-12)
 
 
 def test_single_atom_cross_section_linearities():
-    omega31 = OPTICAL.omega_nk
+    omega31 = OMEGA_31
     drive = _drive()
     base = _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.25)
     assert _sigma(drive, Orientation(0.0), 3.0, omega31, 1.0, 0.25) \

@@ -156,7 +156,8 @@ def _regenerate():
 
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
-    underflow or cancellation branch."""
+    underflow or cancellation branch, or in reading a config that starts with
+    a UTF-8 byte-order mark."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -187,6 +188,7 @@ def _edge_commands():
         sweep(plain + "time_start_s = 2.9909999999999997e-07\ntime_stop_s = 2.991e-07\n",
               "flux_w_cm2", 1.0, 2.0, 3, "pulse_energy"),
         scenario(plain + "detuning_mhz = 1e303\n"),
+        scenario("\ufeff" + plain),
     ]
 
 

@@ -7,17 +7,15 @@ import pickle
 
 import pytest
 
-from mwoptical.cli import _OPTICAL, ConfigError, ScenarioConfig, SweepSpec
+from mwoptical.cli import ConfigError, ScenarioConfig, SweepSpec
 from mwoptical.coupling import MicrowaveDrive, Orientation
 from mwoptical.ensemble import EnsembleConfig
-from mwoptical.hydrogen import HydrogenMode, TransitionPair, mode
-from mwoptical.units import CGS, PhysicalConstants
+from mwoptical.hydrogen import HydrogenMode, mode
+from mwoptical.units import _Record
 
 # record type -> its fields, in constructor order
 FIELDS = {
-    PhysicalConstants: ("hbar", "c", "e", "a0", "mu_H"),
     HydrogenMode: ("label", "n", "l", "omega"),
-    TransitionPair: ("upper", "lower", "omega_nk", "d_nk", "gamma_nk"),
     MicrowaveDrive: ("e0",),
     Orientation: ("theta",),
     EnsembleConfig: ("length", "area", "gas_density", "rho22_0", "ratio", "wavelength_31"),
@@ -28,7 +26,7 @@ FIELDS = {
 }
 
 VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0, 1.22e-5)
-RECORDS = [CGS, mode("2s1/2"), _OPTICAL, MicrowaveDrive(0.09), Orientation(0.5),
+RECORDS = [mode("2s1/2"), MicrowaveDrive(0.09), Orientation(0.5),
            VESSEL, ScenarioConfig("lamb_shift", ratio_mode="custom", ratio_value=2.5),
            SweepSpec("flux_w_cm2", 0.5, 2.0, 5, log=True)]
 
@@ -43,6 +41,7 @@ def _values(record):
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in RECORDS} == set(FIELDS)
+    assert set(_Record.__subclasses__()) == set(FIELDS)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_name)
