@@ -15,6 +15,7 @@ coupling and decay-rate definitions into that law produces.  beta equals
 the test suite checks against the hydrogen and dynamics modules.
 """
 
+import functools
 import math
 
 from .coupling import MicrowaveDrive
@@ -34,6 +35,9 @@ __all__ = [
 # Below this, the closed form loses digits to cancellation; the alternating
 # series converges to <1e-16 in a handful of terms.
 _SERIES_CUTOFF = 0.1
+
+# beta = numerator * t / _BETA_DENOMINATOR, with the numerator of _beta_numerator
+_BETA_DENOMINATOR = 32.0 * math.pi**3 * HBAR_ERG_S
 
 
 class EnsembleConfig(_Record):
@@ -64,8 +68,13 @@ class EnsembleConfig(_Record):
 
     @property
     def n31(self) -> float:
-        """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H."""
-        return self.gas_density * self.length * self.wavelength_31**2 / MU_H_G
+        """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H;
+        ValueError where it overflows or underflows to 0 (its factors are positive)."""
+        n31 = self.gas_density * self.length * self.wavelength_31**2 / MU_H_G
+        if not 0 < n31 < math.inf:
+            raise ValueError(f"n31 {'overflows' if n31 else 'underflows to 0'} (length = "
+                             f"{self.length} cm, gas density = {self.gas_density} g/cm^3)")
+        return n31
 
 
 def f_beta(beta: float) -> float:
@@ -124,6 +133,11 @@ def _sigma_prefactor(cfg: EnsembleConfig) -> float:
             * cfg.ratio * cfg.rho22_0)
 
 
+def _beta_numerator(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float) -> float:
+    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator."""
+    return 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
+
+
 def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
     evaluated once per time.  I_total = decrement*sigma_max(cfg, beta)*S_mw is the
@@ -133,8 +147,8 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
-    denominator = 32.0 * math.pi**3 * HBAR_ERG_S
+    numerator = _beta_numerator(cfg, drive, decrement)
+    denominator = _BETA_DENOMINATOR
     scale = decrement * _sigma_prefactor(cfg)
     s_mw = drive.s_mw
     power = cfg.area * s_mw
@@ -166,23 +180,45 @@ def _g(beta: float, f: float) -> float:
     return -math.expm1(-beta) / beta - 2.0 * f if beta else 1.0 / 3.0
 
 
-def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
-                 t0: float, t1: float) -> float:
-    """Emitted energy (erg): the integral of ``evaluate``'s I_total from t0 to t1 >= t0.
-    With beta = k*t, the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).
-    It is at most the energy stored in the metastable level,
-    N*rho22_0*2*pi*hbar*c/wavelength_31; ValueError where even that overflows."""
-    if t1 < t0:
-        raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
+@functools.lru_cache(maxsize=1)
+def _window(numerator: float, t0: float, t1: float) -> float:
+    """Integral (s) of f(beta) over t in [t0, t1], 0 <= t0 <= t1, with
+    beta = numerator * t / _BETA_DENOMINATOR; with beta = k*t, the integral of
+    f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  ValueError where beta overflows.
+
+    A pure function of its operands, memoized for one entry: along a sweep of
+    rho22_0, the length or the gas density every point has the same operands."""
+    beta1 = numerator * t1 / _BETA_DENOMINATOR
+    if not math.isfinite(beta1):
+        raise ValueError(f"beta overflows at t = {t1} s")
     width = t1 - t0
     if width < t1 / 32.0:
         # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative
         mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
-        fa, fm, fb = [r[2] for r in evaluate(cfg, drive, decrement, (mid - half, mid, mid + half))]
-        window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
-    else:
-        (_, beta0, f0, _, _), (_, beta1, f1, _, _) = evaluate(cfg, drive, decrement, (t0, t1))
-        window = t1 * _g(beta1, f1) - t0 * _g(beta0, f0)
+        fa, fm, fb = [f_beta(numerator * t / _BETA_DENOMINATOR)
+                      for t in (mid - half, mid, mid + half)]
+        return width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
+    beta0 = numerator * t0 / _BETA_DENOMINATOR
+    return t1 * _g(beta1, f_beta(beta1)) - t0 * _g(beta0, f_beta(beta0))
+
+
+def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
+                 t0: float, t1: float) -> float:
+    """Emitted energy (erg) over the window [t0, t1], 0 <= t0 <= t1 (s): the time integral
+    of ``evaluate``'s I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
+    decrement * _sigma_prefactor * S_mw times ``_window``, without ``evaluate``'s rows and
+    its efficiency checks.  It is at most the energy stored in the metastable level,
+    N*rho22_0*2*pi*hbar*c/wavelength_31.  ValueError on a reversed window, where beta or
+    even the stored energy overflows, and where the energy underflows to 0 at nonzero
+    field, decrement, ratio, rho22_0 and window width."""
+    if t1 < t0:
+        raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
+    if not decrement >= 0:
+        raise ValueError(f"decrement must be nonnegative, got {decrement}")
+    for t in (t0, t1):
+        if not t >= 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+    window = _window(_beta_numerator(cfg, drive, decrement), t0, t1)
     scale = decrement * _sigma_prefactor(cfg)
     energy = scale * drive.s_mw * window
     if not math.isfinite(energy):
@@ -190,6 +226,9 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
         energy = scale * (drive.s_mw * window)
         if not math.isfinite(energy):
             raise ValueError("pulse energy overflows")
+    if energy == 0 and (t1 > t0 and drive.e0 > 0 and decrement > 0 and cfg.ratio > 0
+                        and cfg.rho22_0 > 0):
+        raise ValueError("pulse energy underflows to 0")
     return energy
 
 
@@ -210,8 +249,8 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     (2e3 rounds 64*pi^3 ~ 1984, placing beta(tau) ~ 6).  Inversely
     proportional to the drive flux.  Returns None ("no depletion") when the
     field or the dipole ratio is zero, rather than an infinity that would
-    poison downstream tables; a nonzero field too weak for a finite tau
-    raises ValueError.
+    poison downstream tables; a nonzero field too weak for a finite tau, or so
+    strong that tau underflows to 0, raises ValueError.
     """
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
@@ -220,4 +259,7 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     rate = decrement * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio
     if rate == 0:
         raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
-    return 2.0e3 * HBAR_ERG_S / rate
+    tau = 2.0e3 * HBAR_ERG_S / rate
+    if tau == 0:
+        raise ValueError(f"depletion time underflows to 0 at field {drive.e0} statV/cm")
+    return tau

@@ -608,6 +608,12 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
     # inside a sweep the message names the grid point
     assert capsys.readouterr().err == ("error: flux_w_cm2 = 1e+300: field amplitude must be "
                                        "finite and nonnegative, got inf\n")
+    # n31 = rho*L*lambda^2/mu_H overflows where N = rho*A*L/mu_H does not: this printed inf
+    config.write_text("channel = fine_structure\nflux_w_cm2 = 0\nvessel_length_cm = 1e300\n"
+                      "gas_density_g_cm3 = 1e10\nvessel_area_cm2 = 1e-100\n")
+    assert main(["scenario", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: n31 overflows (length = 1e+300")
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -645,10 +651,23 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
      ["sweep", "--param", "rho22_initial", "--min", "1e-35", "--max", "1e-34", "--steps", "3",
       "--objective", "eta_max_peak"],
      "rho22_initial = 1e-35: intensity or efficiency underflows to 0 at t = 0.0 s"),
+    # the pulse energy N*rho22*S_mw*window underflows while each factor is positive
+    ("vessel_area_cm2 = 1e-200\nrho22_initial = 1e-125\ntime_stop_s = 1e-20",
+     ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "2",
+      "--objective", "pulse_energy"],
+     "flux_w_cm2 = 1.0: pulse energy underflows to 0"),
+    # tau = 2e3*hbar/rate underflows at a rate near the largest float
+    ("ratio_mode = custom\nratio_value = 1e308",
+     ["sweep", "--param", "flux_w_cm2", "--min", "1e10", "--max", "2e10", "--steps", "2",
+      "--objective", "tau"],
+     "flux_w_cm2 = 10000000000.0: depletion time underflows to 0"),
+    # n31 = rho*L*lambda^2/mu_H underflows where N = rho*A*L/mu_H does not
+    ("vessel_length_cm = 1e-300\ngas_density_g_cm3 = 1e-30\nvessel_area_cm2 = 1e280\n"
+     "rho22_initial = 1\nflux_w_cm2 = 1e-5", ["scenario"], "n31 underflows to 0"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):
-    # each printed eta = 0 with exit 0 at a nonzero flux, ratio and rho22(0)
+    # each printed a 0 at exit 0 where every factor of the value was nonzero
     path = tmp_path / "run.cfg"
     path.write_text(f"channel = fine_structure\n{config}\n")
     assert main([args[0], "--config", str(path), *args[1:]]) == 3

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from mwoptical import cli
 from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
+    _window,
     depletion_time,
     evaluate,
     f_beta,
@@ -184,6 +186,11 @@ def test_vessel_counts():
     assert cfg.n_atoms == pytest.approx(0.9e-4 * 1.0 * 10.0 / 1.6735328e-24, rel=1e-12)
     assert cfg.n31 == pytest.approx(8.004384497274269e10, rel=1e-12)
     assert cfg.n31 == pytest.approx(0.8e11, rel=0.03)
+    # positive factors whose product leaves the double range leave no n31 to report
+    with pytest.raises(ValueError, match="n31 underflows to 0"):
+        _vessel(length=1e-300, gas_density=1e-30).n31
+    with pytest.raises(ValueError, match="n31 overflows"):
+        _vessel(length=1e300, gas_density=1e10).n31
 
 
 def test_vessel_validation():
@@ -398,6 +405,71 @@ def test_pulse_energy_rejects_a_reversed_window():
         pulse_energy(cfg, drive, 1.0, -1e-6, 1e-6)
 
 
+def test_pulse_energy_is_zero_only_at_a_zero_factor():
+    cfg, drive = _vessel(), _drive()
+    for zero in (_vessel(ratio=0.0), _vessel(rho22_0=0.0)):
+        assert pulse_energy(zero, drive, 1.0, 0.0, 1e-6) == 0.0
+    assert pulse_energy(cfg, drive, 0.0, 0.0, 1e-6) == 0.0
+    # every factor positive, N*S_mw*window below the smallest denormal: this printed 0 erg
+    tiny = _vessel(area=1e-200, rho22_0=1e-125)
+    with pytest.raises(ValueError, match="pulse energy underflows to 0"):
+        pulse_energy(tiny, drive, 1.0, 0.0, 1e-20)
+    # the energy reads only I_total: an efficiency I/(area*S_mw) that underflows, which
+    # evaluate rejects, leaves the energy positive
+    wide = _vessel(length=1e-300, rho22_0=1e-35, area=1e100)
+    with pytest.raises(ValueError, match="intensity or efficiency underflows"):
+        evaluate(wide, drive, 1.0, [0.0])
+    assert pulse_energy(wide, drive, 1.0, 0.0, 1e-6) == pytest.approx(7.58176995e-227, rel=1e-8)
+
+
+def test_pulse_energy_rejects_an_overflowing_beta_or_a_nan_time():
+    cfg, drive = _vessel(), _drive()
+    with pytest.raises(ValueError, match="beta overflows at t = 1e"):
+        pulse_energy(cfg, drive, 1.0, 0.0, 1e308)
+    for t0, t1 in ((math.nan, 1e-6), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="t must be nonnegative, got nan"):
+            pulse_energy(cfg, drive, 1.0, t0, t1)
+    with pytest.raises(ValueError, match="decrement must be nonnegative"):
+        pulse_energy(cfg, drive, math.nan, 0.0, 1e-6)
+
+
+@pytest.mark.parametrize("beta_end", [1e-6, 0.05, 0.0999, 0.1001, 0.3, 6.0, 60.0, 1.0e4,
+                                      1.0e8, 1.0e12])
+def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end):
+    # the memo's keys compare -0.0 equal to 0.0, so a hit can serve operands of the
+    # other sign: a warm result must equal a cold one bit for bit, on both branches
+    drive, dec = _drive(2.0), 0.8
+    t1 = _time_of_beta(_vessel(), drive, dec, beta_end)
+    one, zero, negative_zero = _vessel(), _vessel(ratio=0.0), _vessel(ratio=-0.0)
+    narrow = t1 * (1.0 - 1e-3)
+    calls = [(one, 0.0), (one, -0.0), (zero, 0.0), (negative_zero, 0.0), (negative_zero, -0.0),
+             (one, narrow), (zero, narrow), (negative_zero, narrow)]
+    cold = []
+    for cfg, t0 in calls:
+        _window.cache_clear()
+        cold.append(pulse_energy(cfg, drive, dec, t0, t1).hex())
+    _window.cache_clear()
+    warm = [pulse_energy(cfg, drive, dec, t0, t1).hex() for cfg, t0 in calls]
+    assert warm == cold
+    assert _window.cache_info().hits == 4   # each call after one whose operands compare equal
+
+
+@pytest.mark.parametrize("parameter, low, high, misses", [
+    ("rho22_initial", 1e-5, 1e-2, 1),
+    ("vessel_length_cm", 1.0, 100.0, 1),
+    ("gas_density_g_cm3", 1e-6, 1e-3, 1),
+    ("flux_w_cm2", 1.0, 100.0, 7),
+    ("detuning_mhz", 0.0, 500.0, 7),
+])
+def test_window_memo_misses_once_per_distinct_beta(parameter, low, high, misses):
+    # beta reads the flux and the detuning, not rho22(0), the length or the density
+    cfg = cli.ScenarioConfig(channel="fine_structure")
+    _window.cache_clear()
+    cli.run_sweep(cfg, cli.SweepSpec(parameter, low, high, 7, objective="pulse_energy"))
+    info = _window.cache_info()
+    assert (info.misses, info.hits) == (misses, 7 - misses)
+
+
 def _stored_oracle(cfg, drive, dec, t0, t1):
     n_excited = cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
     return oracles.stored_pulse_energy(n_excited, cfg.wavelength_31, drive.e0, cfg.ratio,
@@ -476,3 +548,6 @@ def test_depletion_time_validation():
     # a nonzero field whose E0^2 * wavelength^3 underflows: no finite tau
     with pytest.raises(ValueError, match="depletion time overflows"):
         depletion_time(_vessel(), _drive(1e-310), 1.0)
+    # a rate so large that 2e3*hbar/rate underflows: tau would read 0
+    with pytest.raises(ValueError, match="depletion time underflows to 0"):
+        depletion_time(_vessel(ratio=1e308), _drive(1e10), 1.0)

@@ -157,7 +157,9 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark."""
+    a UTF-8 byte-order mark.  The last four print a positive pulse energy where
+    only the efficiency underflows, and exit 3 where the pulse energy, tau or
+    n31 underflows to 0 at nonzero factors."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -189,6 +191,14 @@ def _edge_commands():
               "flux_w_cm2", 1.0, 2.0, 3, "pulse_energy"),
         scenario(plain + "detuning_mhz = 1e303\n"),
         scenario("\ufeff" + plain),
+        sweep(plain + "vessel_length_cm = 1e-300\nvessel_area_cm2 = 1e100\n",
+              "rho22_initial", 1e-35, 2e-35, 2, "pulse_energy"),
+        sweep(plain + "vessel_area_cm2 = 1e-200\nrho22_initial = 1e-125\ntime_stop_s = 1e-20\n",
+              "flux_w_cm2", 1.0, 2.0, 2, "pulse_energy"),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e308\n",
+              "flux_w_cm2", 1e10, 2e10, 2, "tau"),
+        scenario(plain + "vessel_length_cm = 1e-300\ngas_density_g_cm3 = 1e-30\n"
+                 "vessel_area_cm2 = 1e280\nrho22_initial = 1\nflux_w_cm2 = 1e-5\n"),
     ]
 
 

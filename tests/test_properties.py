@@ -4,7 +4,11 @@ For any finite config, a ``scenario`` and a short ``sweep`` (whose range may
 leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
 that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
 an efficiency eta that never rises with t and is positive wherever the flux,
-the ratio and rho22(0) are, and the same bytes when repeated.
+the ratio and rho22(0) are, and the same bytes when repeated.  Its summary's
+eta_peak, tau_s and n31, and every sweep objective, print 0 only where one of
+their factors is 0.  Besides configs mostly inside the model's working range,
+the tests draw configs whose every positive float key is log-uniform over the
+whole double range at once.
 Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
 they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
@@ -24,6 +28,8 @@ from mwoptical import cli
 
 PROPERTY_SETTINGS = settings(max_examples=75, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
+
+WHOLE_RANGE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=150)
 
 ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -62,6 +68,37 @@ CONFIG = st.tuples(
     RATIO,
 ).map(lambda parts: {**parts[0], **parts[1]})
 
+# Every positive float key at once, log-uniform over the whole double range (up to 1
+# for rho22(0), and with the start time below the stop time, so most configs are valid).
+POSITIVE = _log_uniform(1e-320, 1e308)
+FRACTION = _log_uniform(1e-320, 1.0)
+
+
+def _pair(strategy):
+    return st.lists(strategy, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+WHOLE_RANGE = st.tuples(
+    st.fixed_dictionaries({
+        "channel": st.sampled_from(sorted(cli.CHANNELS)),
+        "ratio_mode": st.just("custom"),
+        "rho22_initial": FRACTION,
+        **{key: POSITIVE for key in ("flux_w_cm2", "detuning_mhz", "vessel_length_cm",
+                                     "vessel_area_cm2", "gas_density_g_cm3", "ratio_value")},
+    }),
+    _pair(POSITIVE),
+).map(lambda parts: {**parts[0], "time_start_s": parts[1][0], "time_stop_s": parts[1][1]})
+WHOLE_RANGE_SWEEP = st.sampled_from(sorted(cli.SWEEP_PARAMETERS)).flatmap(
+    lambda parameter: st.tuples(
+        st.just(parameter), _pair(FRACTION if parameter == "rho22_initial" else POSITIVE)))
+
+# The scenario keys a printed 0 may come from: eta and the pulse energy scale with the
+# flux, the ratio and rho22(0) (the decrement of an exit-0 run is positive, and its time
+# window is not empty); tau, where it is printed, and n31 have no factor that can be 0.
+SCALE_FACTORS = ("flux_w_cm2", "ratio", "rho22_initial")
+ZERO_FACTORS = {"eta_peak": SCALE_FACTORS, "eta_max_peak": SCALE_FACTORS,
+                "pulse_energy": SCALE_FACTORS, "tau_s": (), "tau": (), "n31": ()}
+
 # Sweep bounds around each parameter's valid interval, reaching past its edges
 # (the detuning range passes both channels' -resonance).
 SWEEP_BOUNDS = {
@@ -99,7 +136,8 @@ def _run(config, args):
 
 
 def _checked_run(config, args):
-    """Run twice; check the exit code, byte identity and finite numbers."""
+    """Run twice; check the exit code, byte identity and finite numbers.  None on an
+    error exit, else the CSV rows and the summary record as strings."""
     first = _run(config, args)
     assert first == _run(config, args)
     code, out, err = first
@@ -114,15 +152,26 @@ def _checked_run(config, args):
             except ValueError:
                 continue   # a channel name, a parameter name or no_depletion
             assert math.isfinite(value), line
-    return [line.split(",") for line in out.splitlines()[1:]]
+    return ([line.split(",") for line in out.splitlines()[1:]],
+            dict(line.split(" = ") for line in err.splitlines()))
 
 
-@PROPERTY_SETTINGS
-@given(CONFIG)
-def test_scenario_exit_contract(config):
-    rows = _checked_run(config, ["scenario"])
-    if rows is None:
+def _check_zeros(config, name, printed, **swept):
+    """A printed 0 of ``name`` needs a zero factor in config (with the swept key's value)."""
+    if printed == cli.NO_DEPLETION or float(printed) != 0:
         return
+    cfg = cli.parse_config(_config_text(config)).replace(**swept)
+    factors = {key: getattr(cfg, key) for key in ZERO_FACTORS[name]}
+    assert 0 in factors.values(), (name, factors)
+
+
+def _check_scenario(config):
+    result = _checked_run(config, ["scenario"])
+    if result is None:
+        return
+    rows, record = result
+    for name in ("eta_peak", "tau_s", "n31"):
+        _check_zeros(config, name, record[name])
     f_values = [float(row[3]) for row in rows]
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
     etas = [float(row[5]) for row in rows]
@@ -134,15 +183,39 @@ def test_scenario_exit_contract(config):
         assert all(eta > 0 for eta in etas), etas
 
 
+def _check_sweep(config, parameter, low, high, steps, log, objective):
+    args = ["sweep", "--param", parameter, f"--min={low!r}", f"--max={high!r}",
+            "--steps", str(steps), "--objective", objective] + (["--log"] if log else [])
+    result = _checked_run(config, args)
+    if result is None:
+        return
+    rows = result[0]
+    assert len(rows) == steps
+    grid = cli.SweepSpec(parameter, low, high, steps, log, objective).grid()
+    for value, (_, printed) in zip(grid, rows):
+        _check_zeros(config, objective, printed, **{parameter: value})
+
+
+@PROPERTY_SETTINGS
+@given(CONFIG)
+def test_scenario_exit_contract(config):
+    _check_scenario(config)
+
+
 @PROPERTY_SETTINGS
 @given(CONFIG, SWEEP)
 def test_sweep_exit_contract(config, sweep):
     parameter, (low, high), steps, log, objective = sweep
-    args = ["sweep", "--param", parameter, f"--min={low!r}", f"--max={high!r}",
-            "--steps", str(steps), "--objective", objective] + (["--log"] if log else [])
-    rows = _checked_run(config, args)
-    if rows is not None:
-        assert len(rows) == steps
+    _check_sweep(config, parameter, low, high, steps, log, objective)
+
+
+@WHOLE_RANGE_SETTINGS
+@given(WHOLE_RANGE, WHOLE_RANGE_SWEEP)
+def test_whole_range_exit_contract(config, sweep):
+    parameter, bounds = sweep
+    _check_scenario(config)
+    for objective in cli.OBJECTIVES:
+        _check_sweep(config, parameter, *bounds, 2, False, objective)
 
 
 @PROPERTY_SETTINGS
