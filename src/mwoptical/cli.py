@@ -15,15 +15,19 @@ import math
 import os
 import sys
 
-from .coupling import MicrowaveDrive, damping_decrement, detuning_lineshape
+from .coupling import MicrowaveDrive, _checked_field, damping_decrement, detuning_lineshape
 from .ensemble import (
     EnsembleConfig,
+    _depletion_time,
+    _n_atoms,
+    _operands,
+    _pulse_energy,
+    _rows,
     depletion_time,
     evaluate,
     f_beta,
     f_beta_approx_large,
     f_beta_approx_small,
-    pulse_energy,
     sigma_max,
 )
 from .hydrogen import (
@@ -120,12 +124,15 @@ class ScenarioConfig(_Record):
                  ratio_mode: str = "unity", ratio_value: float | None = None,
                  time_start_s: float = 0.0, time_stop_s: float = 1.0e-6,
                  time_steps: int = 101, output: str | None = None):
+        # x + 0.0 is +0.0 at x = -0.0: the three factors of every intensity store no
+        # negative zero, which would print as -0 wherever it scales a product
         vars(self).update(
-            channel=channel, flux_w_cm2=flux_w_cm2, detuning_mhz=detuning_mhz,
+            channel=channel, flux_w_cm2=flux_w_cm2 + 0.0, detuning_mhz=detuning_mhz,
             vessel_length_cm=vessel_length_cm, vessel_area_cm2=vessel_area_cm2,
-            gas_density_g_cm3=gas_density_g_cm3, rho22_initial=rho22_initial,
-            ratio_mode=ratio_mode, ratio_value=ratio_value, time_start_s=time_start_s,
-            time_stop_s=time_stop_s, time_steps=time_steps, output=output)
+            gas_density_g_cm3=gas_density_g_cm3, rho22_initial=rho22_initial + 0.0,
+            ratio_mode=ratio_mode, ratio_value=None if ratio_value is None else ratio_value + 0.0,
+            time_start_s=time_start_s, time_stop_s=time_stop_s, time_steps=time_steps,
+            output=output)
         if self.channel not in CHANNELS:
             raise ConfigError(
                 f"channel: must be one of {', '.join(CHANNELS)}; got {self.channel!r}")
@@ -304,8 +311,9 @@ _ENSEMBLE_FIELDS = {
 }
 
 
-def _drive(flux_w_cm2: float) -> MicrowaveDrive:
-    return MicrowaveDrive(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
+def _field(flux_w_cm2: float) -> float:
+    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the drive checks it."""
+    return _checked_field(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
 
 
 def _decrement(detuning_mhz: float) -> float:
@@ -319,7 +327,7 @@ def _decrement(detuning_mhz: float) -> float:
 
 def _scenario_physics(cfg: ScenarioConfig):
     """Per-config setup: drive, detuning decrement, ensemble config."""
-    drive = _drive(cfg.flux_w_cm2)
+    drive = MicrowaveDrive(_field(cfg.flux_w_cm2))
     ens = EnsembleConfig(**{name: getattr(cfg, key) for key, name in _ENSEMBLE_FIELDS.items()},
                          ratio=cfg.ratio, wavelength_31=OPTICAL_ANCHOR_CM)
     return drive, _decrement(cfg.detuning_mhz), ens
@@ -356,20 +364,11 @@ def run_scenario(cfg: ScenarioConfig):
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
         "gamma31_per_s": _GAMMA_31,
-        "eta_peak": _objective_value(cfg, "eta_max_peak", drive, decrement, ens),
-        "tau_s": _objective_value(cfg, "tau", drive, decrement, ens),
+        "eta_peak": evaluate(ens, drive, decrement, (0.0,))[0][4],
+        "tau_s": depletion_time(ens, drive, decrement),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
     return series, summary
-
-
-def _objective_value(cfg: ScenarioConfig, objective: str, drive, decrement, ens):
-    """One sweep objective; None marks 'no depletion' for tau."""
-    if objective == "eta_max_peak":
-        return evaluate(ens, drive, decrement, (0.0,))[0][4]
-    if objective == "pulse_energy":
-        return pulse_energy(ens, drive, decrement, cfg.time_start_s, cfg.time_stop_s)
-    return depletion_time(ens, drive, decrement)
 
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
@@ -379,9 +378,11 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     scan; 'no depletion' points are excluded from the argmax.
 
     Every ScenarioConfig constraint on a sweepable parameter is an interval,
-    so checking the config at the grid's min and max checks every point.
-    Each point then rebuilds only the physics its parameter changes; a
-    numerical error at a point names the point.
+    and so is every record check on one, so checking the config at the grid's
+    min and max checks every point.  The points then build no record: each
+    recomputes the one operand its parameter sets (see ``_sweep_objective``)
+    and runs every numerical check of the objective; an error at a point names
+    the point.
     """
     header = [
         f"{spec.parameter}[{SWEEP_PARAMETERS[spec.parameter]}]",
@@ -390,13 +391,13 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     grid = spec.grid()
     lowest = cfg.replace(**{spec.parameter: min(grid)})
     cfg.replace(**{spec.parameter: max(grid)})
-    # Base physics at a grid point, not at cfg: cfg's own flux or detuning may
+    # Fixed operands at a grid point, not at cfg: cfg's own flux or detuning may
     # overflow where no swept value does.
-    point = _point_physics(spec.parameter, *_scenario_physics(lowest))
+    objective = _sweep_objective(spec.parameter, spec.objective, lowest)
     rows = []
     for value in grid:
         try:
-            rows.append((value, _objective_value(cfg, spec.objective, *point(value))))
+            rows.append((value, objective(value)))
         except ValueError as exc:
             raise type(exc)(f"{spec.parameter} = {value}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
@@ -406,14 +407,36 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     return header, rows, record
 
 
-def _point_physics(parameter: str, drive, decrement, ens):
-    """value -> (drive, decrement, ens) at ``parameter`` = value, by the scenario's builders."""
-    if parameter == "flux_w_cm2":
-        return lambda value: (_drive(value), decrement, ens)
-    if parameter == "detuning_mhz":
-        return lambda value: (drive, _decrement(value), ens)
-    name = _ENSEMBLE_FIELDS[parameter]
-    return lambda value: (drive, decrement, ens.replace(**{name: value}))
+def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig):
+    """value -> the objective at ``parameter`` = value, by the float kernels of
+    ``ensemble``.  The scenario's drive, decrement and ensemble are built once, at
+    cfg; a point recomputes only the operand its parameter sets: E0 (checked as
+    the drive checks it) for the flux, the decrement for the detuning, N for the
+    length and the density, and rho22_0 itself.  None marks 'no depletion'."""
+    drive, decrement, ens = _scenario_physics(cfg)
+    e0, length, area, density = drive.e0, ens.length, ens.area, ens.gas_density
+    n_atoms, rho22_0, ratio, wavelength_31 = _operands(ens)
+    if objective == "eta_max_peak":
+        def kernel(e0, decrement, n_atoms, rho22_0):
+            return _rows(e0, decrement, n_atoms, rho22_0, ratio, wavelength_31, area,
+                         (0.0,))[0][4]
+    elif objective == "pulse_energy":
+        t0, t1 = cfg.time_start_s, cfg.time_stop_s
+
+        def kernel(e0, decrement, n_atoms, rho22_0):
+            return _pulse_energy(e0, decrement, n_atoms, rho22_0, ratio, wavelength_31, t0, t1)
+    else:
+        def kernel(e0, decrement, n_atoms, rho22_0):
+            return _depletion_time(e0, decrement, ratio, wavelength_31)
+    return {
+        "flux_w_cm2": lambda value: kernel(_field(value), decrement, n_atoms, rho22_0),
+        "detuning_mhz": lambda value: kernel(e0, _decrement(value), n_atoms, rho22_0),
+        "rho22_initial": lambda value: kernel(e0, decrement, n_atoms, value),
+        "vessel_length_cm": lambda value: kernel(e0, decrement, _n_atoms(value, area, density),
+                                                 rho22_0),
+        "gas_density_g_cm3": lambda value: kernel(e0, decrement, _n_atoms(length, area, value),
+                                                  rho22_0),
+    }[parameter]
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +453,16 @@ def _format_value(value) -> str:
 
 
 def format_csv(header, rows) -> str:
-    """Header line plus one line per row; an all-float row formats through one
-    template, with the bytes of ``_format_value``."""
-    template, floats = ",".join(["%.8e"] * len(header)), {float}
+    """Header line plus one line per row; a row of numbers formats through one
+    template, with the bytes of ``_format_value``, and a row that holds None or
+    text, which the template rejects, cell by cell."""
+    template = ",".join(["%.8e"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        if set(map(type, row)) == floats:
+        try:
             lines.append(template % tuple(row))
-        else:
-            lines.append(",".join(_format_value(v) for v in row))
+        except TypeError:
+            lines.append(",".join(map(_format_value, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -21,15 +21,20 @@ class MicrowaveDrive(_Record):
     and the energy flux s_mw = c*e0^2/(8*pi) is derived, never stored."""
 
     def __init__(self, e0: float):
-        vars(self).update(e0=e0)
-        # Comparisons with math.inf also reject nan, which fails every comparison.
-        if not 0 <= e0 < math.inf:
-            raise ValueError(f"field amplitude must be finite and nonnegative, got {e0}")
+        vars(self).update(e0=_checked_field(e0))
 
     @property
     def s_mw(self) -> float:
         """Energy flux density in erg s^-1 cm^-2."""
         return flux_from_field(self.e0)
+
+
+def _checked_field(e0: float) -> float:
+    """e0, or ValueError unless it is a finite, nonnegative field amplitude."""
+    # Comparisons with math.inf also reject nan, which fails every comparison.
+    if not 0 <= e0 < math.inf:
+        raise ValueError(f"field amplitude must be finite and nonnegative, got {e0}")
+    return e0
 
 
 class Orientation(_Record):

@@ -19,7 +19,7 @@ import functools
 import math
 
 from .coupling import MicrowaveDrive
-from .units import HBAR_ERG_S, MU_H_G, _Record
+from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field
 
 __all__ = [
     "EnsembleConfig",
@@ -63,8 +63,14 @@ class EnsembleConfig(_Record):
 
     @property
     def n_atoms(self) -> float:
-        """Number of atoms in the vessel, gas_density * area * length / mu_H."""
-        return self.gas_density * self.area * self.length / MU_H_G
+        """Number of atoms in the vessel, gas_density * area * length / mu_H;
+        ValueError where it overflows or underflows to 0 (its factors are positive)."""
+        n_atoms = _n_atoms(self.length, self.area, self.gas_density)
+        if not 0 < n_atoms < math.inf:
+            raise ValueError(f"n_atoms {'overflows' if n_atoms else 'underflows to 0'} (length = "
+                             f"{self.length} cm, area = {self.area} cm^2, gas density = "
+                             f"{self.gas_density} g/cm^3)")
+        return n_atoms
 
     @property
     def n31(self) -> float:
@@ -127,15 +133,31 @@ def f_beta_approx_large(beta: float) -> float:
         return math.inf
 
 
-def _sigma_prefactor(cfg: EnsembleConfig) -> float:
+# The objectives on floats.  Each public function below unpacks its records into
+# one private kernel: the field e0, the decrement, the atom count N (unchecked, so
+# that a kernel names an N that underflows in its own message), rho22_0, the ratio
+# and wavelength_31.  A sweep calls the kernels with one operand changed per point.
+
+def _n_atoms(length: float, area: float, gas_density: float) -> float:
+    """gas_density * area * length / mu_H, which may over- or underflow."""
+    return gas_density * area * length / MU_H_G
+
+
+def _operands(cfg: EnsembleConfig) -> tuple:
+    """(N, rho22_0, ratio, wavelength_31), the vessel operands of the kernels."""
+    return (_n_atoms(cfg.length, cfg.area, cfg.gas_density), cfg.rho22_0, cfg.ratio,
+            cfg.wavelength_31)
+
+
+def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float,
+                     wavelength_31: float) -> float:
     """N * (3/2pi) * wavelength^2 * ratio * rho22_0, the cross-section scale (cm^2)."""
-    return (cfg.n_atoms * 3.0 / (2.0 * math.pi) * cfg.wavelength_31**2
-            * cfg.ratio * cfg.rho22_0)
+    return n_atoms * 3.0 / (2.0 * math.pi) * wavelength_31**2 * ratio * rho22_0
 
 
-def _beta_numerator(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float) -> float:
+def _beta_numerator(e0: float, wavelength_31: float, ratio: float, decrement: float) -> float:
     """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator."""
-    return 3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * decrement
+    return 3.0 * e0**2 * wavelength_31**3 * ratio * decrement
 
 
 def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
@@ -145,17 +167,23 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
     conversion efficiency, zero by convention at zero drive.  ValueError on overflow, on
     f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
     decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
+    return _rows(drive.e0, decrement, *_operands(cfg), cfg.area, times)
+
+
+def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
+          wavelength_31: float, area: float, times) -> list:
+    """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = _beta_numerator(cfg, drive, decrement)
+    numerator = _beta_numerator(e0, wavelength_31, ratio, decrement)
     denominator = _BETA_DENOMINATOR
-    scale = decrement * _sigma_prefactor(cfg)
-    s_mw = drive.s_mw
-    power = cfg.area * s_mw
+    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio, wavelength_31)
+    s_mw = flux_from_field(e0)
+    power = area * s_mw
     if s_mw > 0 and power == 0:
         raise ValueError(f"vessel power area*S_mw underflows to 0 (S_mw = {s_mw} erg/s/cm^2)")
-    if scale == 0 and s_mw > 0 and decrement > 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
-        raise ValueError(f"cross-section scale underflows to 0 (N = {cfg.n_atoms} atoms)")
+    if scale == 0 and s_mw > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0:
+        raise ValueError(f"cross-section scale underflows to 0 (N = {n_atoms} atoms)")
     isfinite = math.isfinite
     rows = []
     for t in times:
@@ -211,6 +239,12 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
     N*rho22_0*2*pi*hbar*c/wavelength_31.  ValueError on a reversed window, where beta or
     even the stored energy overflows, and where the energy underflows to 0 at nonzero
     field, decrement, ratio, rho22_0 and window width."""
+    return _pulse_energy(drive.e0, decrement, *_operands(cfg), t0, t1)
+
+
+def _pulse_energy(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
+                  wavelength_31: float, t0: float, t1: float) -> float:
+    """``pulse_energy`` on floats."""
     if t1 < t0:
         raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
     if not decrement >= 0:
@@ -218,16 +252,16 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
     for t in (t0, t1):
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-    window = _window(_beta_numerator(cfg, drive, decrement), t0, t1)
-    scale = decrement * _sigma_prefactor(cfg)
-    energy = scale * drive.s_mw * window
+    window = _window(_beta_numerator(e0, wavelength_31, ratio, decrement), t0, t1)
+    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio, wavelength_31)
+    s_mw = flux_from_field(e0)
+    energy = scale * s_mw * window
     if not math.isfinite(energy):
         # scale*S_mw can overflow where the energy does not; the window is then short
-        energy = scale * (drive.s_mw * window)
+        energy = scale * (s_mw * window)
         if not math.isfinite(energy):
             raise ValueError("pulse energy overflows")
-    if energy == 0 and (t1 > t0 and drive.e0 > 0 and decrement > 0 and cfg.ratio > 0
-                        and cfg.rho22_0 > 0):
+    if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0):
         raise ValueError("pulse energy underflows to 0")
     return energy
 
@@ -237,8 +271,13 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     value, which is 1 to within gamma^2/omega_32^2 corrections.  sigma_max/area is
     the peak conversion efficiency (3/2pi)*n31*ratio*rho22_0*f(beta); with the
     worked-example vessel (length 10 cm, density 0.9e-4 g/cm^3, 122 nm) the
-    prefactor (3/2pi)*n31 is ~4e10."""
-    return _sigma_prefactor(cfg) * f_beta(beta)
+    prefactor (3/2pi)*n31 is ~4e10.  ValueError where N leaves the double range (see
+    ``n_atoms``) and where sigma_max underflows to 0 at nonzero ratio and rho22_0."""
+    n_atoms = cfg.n_atoms
+    sigma = _sigma_prefactor(n_atoms, cfg.rho22_0, cfg.ratio, cfg.wavelength_31) * f_beta(beta)
+    if sigma == 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
+        raise ValueError(f"sigma_max underflows to 0 (N = {n_atoms} atoms, beta = {beta})")
+    return sigma
 
 
 def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float):
@@ -252,14 +291,19 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     poison downstream tables; a nonzero field too weak for a finite tau, or so
     strong that tau underflows to 0, raises ValueError.
     """
+    return _depletion_time(drive.e0, decrement, cfg.ratio, cfg.wavelength_31)
+
+
+def _depletion_time(e0: float, decrement: float, ratio: float, wavelength_31: float):
+    """``depletion_time`` on floats."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
-    if drive.e0 == 0 or cfg.ratio == 0:
+    if e0 == 0 or ratio == 0:
         return None
-    rate = decrement * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio
+    rate = decrement * e0**2 * wavelength_31**3 * ratio
     if rate == 0:
-        raise ValueError(f"depletion time overflows at field {drive.e0} statV/cm")
+        raise ValueError(f"depletion time overflows at field {e0} statV/cm")
     tau = 2.0e3 * HBAR_ERG_S / rate
     if tau == 0:
-        raise ValueError(f"depletion time underflows to 0 at field {drive.e0} statV/cm")
+        raise ValueError(f"depletion time underflows to 0 at field {e0} statV/cm")
     return tau

@@ -21,6 +21,7 @@ from mwoptical.cli import (
     run_scenario,
     run_sweep,
 )
+from mwoptical.ensemble import depletion_time, evaluate, pulse_energy
 from mwoptical.units import freq_mhz_to_angular
 
 WORKED_VESSEL = """\
@@ -103,6 +104,25 @@ def test_parse_config_time_grid_validation():
         parse_config("channel = fine_structure\ntime_start_s = -1\n")
     with pytest.raises(ConfigError, match="line 2: time_steps: not an integer: '1.5'"):
         parse_config("channel = fine_structure\ntime_steps = 1.5\n")
+
+
+def test_config_stores_no_negative_zero_factor(tmp_path, capsys):
+    # a -0.0 flux, ratio or rho22(0) carried its sign into every product it scales
+    # and printed -0 at exit 0; the config stores +0.0
+    cfg = parse_config("channel = fine_structure\nflux_w_cm2 = -0.0\nrho22_initial = -0.0\n"
+                       "ratio_mode = custom\nratio_value = -0.0\n")
+    for value in (cfg.flux_w_cm2, cfg.rho22_initial, cfg.ratio_value,
+                  cfg.replace(rho22_initial=-0.0).rho22_initial):
+        assert math.copysign(1.0, value) == 1.0
+    path = tmp_path / "run.cfg"
+    path.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = -0.0\n")
+    for objective in ("pulse_energy", "eta_max_peak"):
+        assert main(["sweep", "--config", str(path), "--param", "flux_w_cm2", "--min", "1",
+                     "--max", "2", "--steps", "2", "--objective", objective]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["1.00000000e+00,0.00000000e+00",
+                                                 "2.00000000e+00,0.00000000e+00"]
+        assert "objective_max = 0.00000000e+00\n" in captured.err
 
 
 def test_config_rejects_unphysical_drive_frequency():
@@ -293,13 +313,34 @@ def test_sweep_no_depletion_marker_in_csv():
     assert record["argmax"] == 0.5   # smallest positive flux maximizes tau
 
 
+# objective -> its value from the records of a scenario, by the public functions
+RECORD_OBJECTIVES = {
+    "eta_max_peak": lambda cfg, drive, decrement, ens:
+        evaluate(ens, drive, decrement, (0.0,))[0][4],
+    "pulse_energy": lambda cfg, drive, decrement, ens:
+        pulse_energy(ens, drive, decrement, cfg.time_start_s, cfg.time_stop_s),
+    "tau": lambda cfg, drive, decrement, ens: depletion_time(ens, drive, decrement),
+}
+
+
 def _per_point_sweep(cfg, spec):
-    """Reference sweep: validate and rebuild the whole scenario at every grid point."""
+    """Reference sweep: validate and rebuild the whole scenario, records and all, at
+    every grid point, and evaluate the objective by its public function.  Like
+    ``run_sweep`` it first checks the config at the grid's extremes and builds the
+    physics at the lowest point, whose errors name no point; every later error
+    names its point."""
+    grid = spec.grid()
+    lowest = cfg.replace(**{spec.parameter: min(grid)})
+    cfg.replace(**{spec.parameter: max(grid)})
+    cli._scenario_physics(lowest)
     rows = []
-    for value in spec.grid():
-        sub = cfg.replace(**{spec.parameter: value})
-        rows.append((value, cli._objective_value(sub, spec.objective,
-                                                 *cli._scenario_physics(sub))))
+    for value in grid:
+        try:
+            sub = cfg.replace(**{spec.parameter: value})
+            rows.append((value, RECORD_OBJECTIVES[spec.objective](
+                sub, *cli._scenario_physics(sub))))
+        except ValueError as exc:
+            raise type(exc)(f"{spec.parameter} = {value}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (cli.NO_DEPLETION,) * 2
     return rows, {"parameter": spec.parameter, "objective": spec.objective,
@@ -664,6 +705,11 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     # n31 = rho*L*lambda^2/mu_H underflows where N = rho*A*L/mu_H does not
     ("vessel_length_cm = 1e-300\ngas_density_g_cm3 = 1e-30\nvessel_area_cm2 = 1e280\n"
      "rho22_initial = 1\nflux_w_cm2 = 1e-5", ["scenario"], "n31 underflows to 0"),
+    # at zero flux evaluate checks no cross-section scale: the summary's N, or its
+    # sigma_max at a positive N, underflows to 0
+    ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
+    ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
+     "sigma_max underflows to 0"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):

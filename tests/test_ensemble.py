@@ -191,6 +191,22 @@ def test_vessel_counts():
         _vessel(length=1e-300, gas_density=1e-30).n31
     with pytest.raises(ValueError, match="n31 overflows"):
         _vessel(length=1e300, gas_density=1e10).n31
+    # and no atom count: rho*A underflows first, or rho*A*L overflows
+    with pytest.raises(ValueError, match=r"n_atoms underflows to 0 \(length = 10.0 cm, "
+                                         r"area = 1e-320 cm\^2, gas density = 9e-05 g/cm\^3\)"):
+        _vessel(area=1e-320).n_atoms
+    with pytest.raises(ValueError, match="n_atoms overflows"):
+        _vessel(area=1e300, length=1e300).n_atoms
+
+
+def test_sigma_max_is_zero_only_at_a_zero_factor():
+    assert sigma_max(_vessel(ratio=0.0), 0.0) == 0.0
+    assert sigma_max(_vessel(rho22_0=0.0), 0.0) == 0.0
+    # every factor positive: N underflows, or N is positive and the product is not
+    with pytest.raises(ValueError, match="n_atoms underflows to 0"):
+        sigma_max(_vessel(area=1e-320), 0.0)
+    with pytest.raises(ValueError, match=r"sigma_max underflows to 0 \(N = 5.37"):
+        sigma_max(_vessel(area=1e-20, rho22_0=1e-320), 0.0)
 
 
 def test_vessel_validation():

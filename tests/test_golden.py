@@ -157,9 +157,11 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  The last four print a positive pulse energy where
-    only the efficiency underflows, and exit 3 where the pulse energy, tau or
-    n31 underflows to 0 at nonzero factors."""
+    a UTF-8 byte-order mark.  Of the last nine, the first four print a positive
+    pulse energy where only the efficiency underflows, and exit 3 where the pulse
+    energy, tau or n31 underflows to 0 at nonzero factors; two exit 3 where the
+    summary's n_atoms or sigma_max_cm2 underflows to 0 at zero flux; and three
+    print +0 where the ratio, rho22(0) or the flux is given as -0.0."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -199,6 +201,12 @@ def _edge_commands():
               "flux_w_cm2", 1e10, 2e10, 2, "tau"),
         scenario(plain + "vessel_length_cm = 1e-300\ngas_density_g_cm3 = 1e-30\n"
                  "vessel_area_cm2 = 1e280\nrho22_initial = 1\nflux_w_cm2 = 1e-5\n"),
+        scenario(plain + "flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320\n"),
+        scenario(plain + "flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320\n"),
+        sweep(plain + "ratio_mode = custom\nratio_value = -0.0\n",
+              "flux_w_cm2", 1.0, 2.0, 2, "pulse_energy"),
+        sweep(plain + "rho22_initial = -0.0\n", "flux_w_cm2", 1.0, 2.0, 2, "eta_max_peak"),
+        scenario(plain + "flux_w_cm2 = -0.0\n"),
     ]
 
 

@@ -5,10 +5,12 @@ leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
 that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
 an efficiency eta that never rises with t and is positive wherever the flux,
 the ratio and rho22(0) are, and the same bytes when repeated.  Its summary's
-eta_peak, tau_s and n31, and every sweep objective, print 0 only where one of
-their factors is 0.  Besides configs mostly inside the model's working range,
-the tests draw configs whose every positive float key is log-uniform over the
-whole double range at once.
+eta_peak, tau_s, n31, n_atoms and sigma_max_cm2, and every sweep objective, print
+0 only where one of their factors is 0.  Besides configs mostly inside the
+model's working range, the tests draw configs whose every positive float key is
+log-uniform over the whole double range at once; on those, ``run_sweep`` gives
+the rows and record of a reference that rebuilds every point from the records,
+or raises the same error.
 Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
 they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
@@ -21,10 +23,12 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mwoptical import cli
+from test_cli import _per_point_sweep
+from mwoptical.units import flux_from_field
 
 PROPERTY_SETTINGS = settings(max_examples=75, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -94,10 +98,12 @@ WHOLE_RANGE_SWEEP = st.sampled_from(sorted(cli.SWEEP_PARAMETERS)).flatmap(
 
 # The scenario keys a printed 0 may come from: eta and the pulse energy scale with the
 # flux, the ratio and rho22(0) (the decrement of an exit-0 run is positive, and its time
-# window is not empty); tau, where it is printed, and n31 have no factor that can be 0.
+# window is not empty), and sigma_max with the ratio and rho22(0); tau, where it is
+# printed, n31 and N have no factor that can be 0.
 SCALE_FACTORS = ("flux_w_cm2", "ratio", "rho22_initial")
 ZERO_FACTORS = {"eta_peak": SCALE_FACTORS, "eta_max_peak": SCALE_FACTORS,
-                "pulse_energy": SCALE_FACTORS, "tau_s": (), "tau": (), "n31": ()}
+                "pulse_energy": SCALE_FACTORS, "sigma_max_cm2": SCALE_FACTORS[1:],
+                "tau_s": (), "tau": (), "n31": (), "n_atoms": ()}
 
 # Sweep bounds around each parameter's valid interval, reaching past its edges
 # (the detuning range passes both channels' -resonance).
@@ -170,7 +176,7 @@ def _check_scenario(config):
     if result is None:
         return
     rows, record = result
-    for name in ("eta_peak", "tau_s", "n31"):
+    for name in ("eta_peak", "tau_s", "n31", "n_atoms", "sigma_max_cm2"):
         _check_zeros(config, name, record[name])
     f_values = [float(row[3]) for row in rows]
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
@@ -179,7 +185,7 @@ def _check_scenario(config):
     # eta reads 0 only where the flux, the ratio or rho22(0) does (the decrement
     # of an exit-0 run is positive)
     cfg = cli.parse_config(_config_text(config))
-    if cli._drive(cfg.flux_w_cm2).s_mw > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
+    if flux_from_field(cli._field(cfg.flux_w_cm2)) > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
         assert all(eta > 0 for eta in etas), etas
 
 
@@ -216,6 +222,30 @@ def test_whole_range_exit_contract(config, sweep):
     _check_scenario(config)
     for objective in cli.OBJECTIVES:
         _check_sweep(config, parameter, *bounds, 2, False, objective)
+
+
+@WHOLE_RANGE_SETTINGS
+@given(WHOLE_RANGE, WHOLE_RANGE_SWEEP, st.booleans())
+@example({"channel": "fine_structure"}, ("flux_w_cm2", [1.0, 1e305]), True)
+@example({"channel": "lamb_shift"}, ("detuning_mhz", [1.0, 1e200]), True)
+def test_whole_range_sweep_equals_per_point_reference(config, sweep, log):
+    # run_sweep evaluates float kernels on operands built once; the reference builds
+    # the records at every point and calls the public objectives.  Both give the same
+    # rows and record, or raise the same error with the same message.  The examples
+    # reach a field that overflows and a lineshape that underflows inside the grid.
+    parameter, bounds = sweep
+    cfg = cli.parse_config(_config_text(config))
+    for objective in cli.OBJECTIVES:
+        spec = cli.SweepSpec(parameter, *bounds, 5, log, objective)
+        assert _outcome(lambda: cli.run_sweep(cfg, spec)[1:]) \
+            == _outcome(lambda: _per_point_sweep(cfg, spec)), objective
+
+
+def _outcome(sweep):
+    try:
+        return repr(sweep())
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 @PROPERTY_SETTINGS
