@@ -312,8 +312,12 @@ _ENSEMBLE_FIELDS = {
 
 
 def _field(flux_w_cm2: float) -> float:
-    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the drive checks it."""
-    return _checked_field(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
+    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the drive checks
+    it; ValueError where a positive flux gives a field of 0."""
+    e0 = _checked_field(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
+    if e0 == 0 < flux_w_cm2:
+        raise ValueError(f"field amplitude underflows to 0 at flux {flux_w_cm2} W/cm^2")
+    return e0
 
 
 def _decrement(detuning_mhz: float) -> float:

@@ -12,7 +12,7 @@ of the single-atom depletion law stays dimensionless (E0^2 in erg/cm^3,
 wavelength^3 in cm^3, hbar in erg s), and it is what the substitution of the
 coupling and decay-rate definitions into that law produces.  beta equals
 |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, a consistency
-the test suite checks against the hydrogen and dynamics modules.
+the test suite checks through ``coupling_element`` and ``decay_rate``.
 """
 
 import functools

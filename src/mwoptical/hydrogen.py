@@ -1,5 +1,5 @@
 """Atomic inputs for the conversion pipeline: the n<=2 hydrogen mode catalog,
-radial wavefunctions, dipole matrix elements and spontaneous decay rates.
+dipole matrix elements and spontaneous decay rates.
 
 Dipole conventions
 ------------------
@@ -33,7 +33,6 @@ __all__ = [
     "HydrogenMode",
     "MODES",
     "mode",
-    "radial_wavefunction",
     "radial_dipole_integral",
     "dipole_matrix_element",
     "effective_dipole",
@@ -107,18 +106,6 @@ def mode(label: str) -> HydrogenMode:
         return MODES[label]
     except KeyError:
         raise ValueError(f"unknown mode {label!r}; valid labels: {', '.join(MODES)}") from None
-
-
-def radial_wavefunction(n: int, l: int, r: float) -> float:
-    """Normalized hydrogenic radial function R_nl(r), r in units of a0.
-
-    Returns the value in a0^(-3/2) units.
-    Normalization: integral of R_nl^2 r^2 dr over [0, inf) equals 1.
-    """
-    norm, c0, c1, a = _radial_coefficients((n, l))
-    if not 0 <= r < math.inf:
-        raise ValueError(f"radius must be finite and nonnegative, got {r}")
-    return norm * (c0 + c1 * r) * math.exp(-a * r)
 
 
 @lru_cache(maxsize=None)

@@ -710,6 +710,14 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
      "sigma_max underflows to 0"),
+    # E0 = sqrt(8*pi*S/c) underflows to 0 below a flux of about 3e-322 W/cm^2, and
+    # the run read as undriven
+    ("flux_w_cm2 = 1e-323", ["scenario"],
+     "field amplitude underflows to 0 at flux 1e-323 W/cm^2"),
+    ("flux_w_cm2 = 1",
+     ["sweep", "--param", "flux_w_cm2", "--min", "0", "--max", "1e-322", "--steps", "3",
+      "--objective", "pulse_energy"],
+     "flux_w_cm2 = 5e-323: field amplitude underflows to 0 at flux 5e-323 W/cm^2"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):

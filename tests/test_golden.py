@@ -157,11 +157,12 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the last nine, the first four print a positive
+    a UTF-8 byte-order mark.  Of the last ten, the first four print a positive
     pulse energy where only the efficiency underflows, and exit 3 where the pulse
     energy, tau or n31 underflows to 0 at nonzero factors; two exit 3 where the
-    summary's n_atoms or sigma_max_cm2 underflows to 0 at zero flux; and three
-    print +0 where the ratio, rho22(0) or the flux is given as -0.0."""
+    summary's n_atoms or sigma_max_cm2 underflows to 0 at zero flux; three print
+    +0 where the ratio, rho22(0) or the flux is given as -0.0; and the last exits
+    3 where the field amplitude underflows to 0 at a positive flux."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -207,6 +208,7 @@ def _edge_commands():
               "flux_w_cm2", 1.0, 2.0, 2, "pulse_energy"),
         sweep(plain + "rho22_initial = -0.0\n", "flux_w_cm2", 1.0, 2.0, 2, "eta_max_peak"),
         scenario(plain + "flux_w_cm2 = -0.0\n"),
+        sweep(plain, "flux_w_cm2", 0.0, 1e-322, 3, "pulse_energy"),
     ]
 
 

@@ -15,7 +15,6 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
     radial_dipole_integral,
-    radial_wavefunction,
 )
 from mwoptical.units import A0_CM, E_STATC
 
@@ -23,37 +22,18 @@ E_A0 = E_STATC * A0_CM
 
 
 # ---------------------------------------------------------------------------
-# radial wavefunctions
+# the oracle's radial functions
 # ---------------------------------------------------------------------------
-
-def test_radial_wavefunction_origin_values():
-    assert radial_wavefunction(1, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
-    assert radial_wavefunction(2, 1, 0.0) == 0.0
-
 
 def test_radial_wavefunctions_normalized():
     # quadrature oracle on the normalization integral
     for nl in [(1, 0), (2, 0), (2, 1)]:
         assert oracles.norm_quad(nl) == pytest.approx(1.0, abs=1e-10)
-    # library functions agree with the oracle's independent expressions
-    for nl, f in oracles.RADIAL.items():
-        for r in (0.1, 0.5, 1.0, 3.0, 7.0):
-            assert radial_wavefunction(*nl, r) == pytest.approx(f(r), rel=1e-13)
 
 
 def test_radial_orthogonality_same_l():
     value, _ = quad(lambda r: oracles.r10(r) * oracles.r20(r) * r * r, 0.0, 60.0)
     assert abs(value) <= 1e-8
-
-
-def test_radial_wavefunction_rejects_bad_input():
-    with pytest.raises(ValueError, match="unsupported"):
-        radial_wavefunction(3, 0, 1.0)
-    with pytest.raises(ValueError, match="unsupported"):
-        radial_dipole_integral((1, 0), (3, 1))
-    for bad in (-0.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            radial_wavefunction(1, 0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +55,15 @@ def test_library_radial_integrals_match_oracle():
         oracles.radial_integral_quad((1, 0), (2, 1)), rel=1e-6)
     assert radial_dipole_integral((2, 0), (2, 1)) == pytest.approx(
         oracles.radial_integral_quad((2, 0), (2, 1)), rel=1e-6)
-    # the library sums the same Gamma-function integrals exactly
+    # the library sums the same Gamma-function integrals exactly; the two pairs
+    # reach all three rows of the radial table
     assert radial_dipole_integral((1, 0), (2, 1)) == pytest.approx(
         oracles.radial_integral_gamma_1s2p(), rel=1e-14)
     assert radial_dipole_integral((2, 0), (2, 1)) == pytest.approx(
         oracles.radial_integral_gamma_2s2p(), rel=1e-14)
     assert radial_dipole_integral((2, 1), (1, 0)) == radial_dipole_integral((1, 0), (2, 1))
+    with pytest.raises(ValueError, match="unsupported"):
+        radial_dipole_integral((1, 0), (3, 1))
 
 
 def test_dipole_selection_rule():

@@ -217,7 +217,10 @@ def test_sweep_exit_contract(config, sweep):
 
 @WHOLE_RANGE_SETTINGS
 @given(WHOLE_RANGE, WHOLE_RANGE_SWEEP)
+@example({"channel": "fine_structure", "flux_w_cm2": 1e-323}, ("flux_w_cm2", [1e-323, 2e-323]))
 def test_whole_range_exit_contract(config, sweep):
+    # the example's field amplitude underflows to 0 at a positive flux, below the
+    # draws of POSITIVE
     parameter, bounds = sweep
     _check_scenario(config)
     for objective in cli.OBJECTIVES:
