@@ -21,7 +21,7 @@ from .ensemble import (
     _depletion_time,
     _n_atoms,
     _operands,
-    _pulse_energy,
+    _pulse_energies,
     _rows,
     depletion_time,
     evaluate,
@@ -383,10 +383,10 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
 
     Every ScenarioConfig constraint on a sweepable parameter is an interval,
     and so is every record check on one, so checking the config at the grid's
-    min and max checks every point.  The points then build no record: each
-    recomputes the one operand its parameter sets (see ``_sweep_objective``)
-    and runs every numerical check of the objective; an error at a point names
-    the point.
+    min and max checks every point.  The points then build no record: the
+    objective takes the whole grid in one call, each point recomputes the one
+    operand its parameter sets (see ``_sweep_objective``) and runs every
+    numerical check of the objective, and an error at a point names the point.
     """
     header = [
         f"{spec.parameter}[{SWEEP_PARAMETERS[spec.parameter]}]",
@@ -396,14 +396,15 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     lowest = cfg.replace(**{spec.parameter: min(grid)})
     cfg.replace(**{spec.parameter: max(grid)})
     # Fixed operands at a grid point, not at cfg: cfg's own flux or detuning may
-    # overflow where no swept value does.
-    objective = _sweep_objective(spec.parameter, spec.objective, lowest)
+    # overflow where no swept value does.  An error in building them names no point.
+    results = _sweep_objective(spec.parameter, spec.objective, lowest, grid)
     rows = []
-    for value in grid:
-        try:
-            rows.append((value, objective(value)))
-        except ValueError as exc:
-            raise type(exc)(f"{spec.parameter} = {value}: {exc}") from None
+    try:
+        # one result per grid point, in order: the point that failed is the next one
+        for result in results:
+            rows.append((grid[len(rows)], result))
+    except ValueError as exc:
+        raise type(exc)(f"{spec.parameter} = {grid[len(rows)]}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
     record = {"parameter": spec.parameter, "objective": spec.objective,
@@ -411,36 +412,32 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     return header, rows, record
 
 
-def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig):
-    """value -> the objective at ``parameter`` = value, by the float kernels of
-    ``ensemble``.  The scenario's drive, decrement and ensemble are built once, at
-    cfg; a point recomputes only the operand its parameter sets: E0 (checked as
-    the drive checks it) for the flux, the decrement for the detuning, N for the
-    length and the density, and rho22_0 itself.  None marks 'no depletion'."""
+def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig, values):
+    """An iterator over the objective at ``parameter`` = each of values, by the float
+    kernels of ``ensemble``; it reads the next value only after the previous result,
+    so an error comes from the value after the last result.  The scenario's drive,
+    decrement and ensemble are built once, at cfg; a point recomputes only the
+    operand its parameter sets: E0 (checked as the drive checks it) for the flux, the
+    decrement for the detuning, N for the length and the density, and rho22_0 itself.
+    None marks 'no depletion'."""
     drive, decrement, ens = _scenario_physics(cfg)
     e0, length, area, density = drive.e0, ens.length, ens.area, ens.gas_density
     n_atoms, rho22_0, ratio, wavelength_31 = _operands(ens)
+    # (e0, decrement, N, rho22_0) at each value
+    points = {
+        "flux_w_cm2": lambda: ((_field(v), decrement, n_atoms, rho22_0) for v in values),
+        "detuning_mhz": lambda: ((e0, _decrement(v), n_atoms, rho22_0) for v in values),
+        "rho22_initial": lambda: ((e0, decrement, n_atoms, v) for v in values),
+        "vessel_length_cm": lambda: ((e0, decrement, _n_atoms(v, area, density), rho22_0)
+                                     for v in values),
+        "gas_density_g_cm3": lambda: ((e0, decrement, _n_atoms(length, area, v), rho22_0)
+                                      for v in values),
+    }[parameter]()
+    if objective == "pulse_energy":
+        return _pulse_energies(points, ratio, wavelength_31, cfg.time_start_s, cfg.time_stop_s)
     if objective == "eta_max_peak":
-        def kernel(e0, decrement, n_atoms, rho22_0):
-            return _rows(e0, decrement, n_atoms, rho22_0, ratio, wavelength_31, area,
-                         (0.0,))[0][4]
-    elif objective == "pulse_energy":
-        t0, t1 = cfg.time_start_s, cfg.time_stop_s
-
-        def kernel(e0, decrement, n_atoms, rho22_0):
-            return _pulse_energy(e0, decrement, n_atoms, rho22_0, ratio, wavelength_31, t0, t1)
-    else:
-        def kernel(e0, decrement, n_atoms, rho22_0):
-            return _depletion_time(e0, decrement, ratio, wavelength_31)
-    return {
-        "flux_w_cm2": lambda value: kernel(_field(value), decrement, n_atoms, rho22_0),
-        "detuning_mhz": lambda value: kernel(e0, _decrement(value), n_atoms, rho22_0),
-        "rho22_initial": lambda value: kernel(e0, decrement, n_atoms, value),
-        "vessel_length_cm": lambda value: kernel(e0, decrement, _n_atoms(value, area, density),
-                                                 rho22_0),
-        "gas_density_g_cm3": lambda value: kernel(e0, decrement, _n_atoms(length, area, value),
-                                                  rho22_0),
-    }[parameter]
+        return (_rows(*point, ratio, wavelength_31, area, (0.0,))[0][4] for point in points)
+    return (_depletion_time(e, d, ratio, wavelength_31) for e, d, _, _ in points)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +478,32 @@ def format_summary(record) -> str:
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in record.items())
 
 
-def _write_text(text: str, path: str | None, default_stream):
-    if path is None:
-        default_stream.write(text)
-        return
+def _write_text(*outputs):
+    """Write each (text, path, default_stream) in order, to the file at path or, where
+    path is None, to the stream.  Every path is opened before any byte is written, so a
+    destination that cannot be opened leaves every output empty; outputs to one path
+    share its file."""
+    files = {}
+    path = None
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            for _, path, _ in outputs:
+                if path is not None and path not in files:
+                    files[path] = open(path, "w", encoding="utf-8")
+            for text, path, default_stream in outputs:
+                if path is None:
+                    default_stream.write(text)
+                else:
+                    files[path].write(text)
+                    files[path].flush()   # a failed write stops the outputs after it
+            for path, handle in files.items():
+                handle.close()
+        finally:
+            for handle in files.values():
+                handle.close()
     except OSError as exc:
+        if path is None:
+            raise   # the stream's own error, which ``run`` reports
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
@@ -541,14 +556,14 @@ def _cmd_transition(args) -> None:
 
 def _cmd_fig1(args) -> None:
     header, rows = fig1_rows(args.beta_max, args.steps)
-    _write_text(format_csv(header, rows), args.out, sys.stdout)
+    _write_text((format_csv(header, rows), args.out, sys.stdout))
 
 
 def _cmd_scenario(args) -> None:
     cfg = _read_config_file(args.config)
     series, summary = run_scenario(cfg)
-    _write_text(format_scenario(series, summary), args.out or cfg.output, sys.stdout)
-    _write_text(format_summary(summary), args.summary, sys.stderr)
+    _write_text((format_scenario(series, summary), args.out or cfg.output, sys.stdout),
+                (format_summary(summary), args.summary, sys.stderr))
 
 
 def _cmd_sweep(args) -> None:
@@ -562,8 +577,8 @@ def _cmd_sweep(args) -> None:
         objective=args.objective,
     )
     header, rows, record = run_sweep(cfg, spec)
-    _write_text(format_csv(header, rows), args.out, sys.stdout)
-    _write_text(format_summary(record), args.summary, sys.stderr)
+    _write_text((format_csv(header, rows), args.out, sys.stdout),
+                (format_summary(record), args.summary, sys.stderr))
 
 
 @functools.cache

@@ -15,7 +15,6 @@ coupling and decay-rate definitions into that law produces.  beta equals
 the test suite checks through ``coupling_element`` and ``decay_rate``.
 """
 
-import functools
 import math
 
 from .coupling import MicrowaveDrive
@@ -136,7 +135,8 @@ def f_beta_approx_large(beta: float) -> float:
 # The objectives on floats.  Each public function below unpacks its records into
 # one private kernel: the field e0, the decrement, the atom count N (unchecked, so
 # that a kernel names an N that underflows in its own message), rho22_0, the ratio
-# and wavelength_31.  A sweep calls the kernels with one operand changed per point.
+# and wavelength_31.  A sweep calls the kernels with one operand changed per point;
+# the pulse kernel takes the whole sweep column at once.
 
 def _n_atoms(length: float, area: float, gas_density: float) -> float:
     """gas_density * area * length / mu_H, which may over- or underflow."""
@@ -202,20 +202,16 @@ def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: fl
     return rows
 
 
-def _g(beta: float, f: float) -> float:
+def _g(beta: float) -> float:
     """G(B)/B, where G(B) = integral of 1 - exp(-B*x^2) over x in [0, 1]
-    = 1 - exp(-B) - 2*B*f(B); g(0) = 1/3."""
-    return -math.expm1(-beta) / beta - 2.0 * f if beta else 1.0 / 3.0
+    = 1 - exp(-B) - 2*B*f(B); g(0) = 1/3, which reads no f."""
+    return -math.expm1(-beta) / beta - 2.0 * f_beta(beta) if beta else 1.0 / 3.0
 
 
-@functools.lru_cache(maxsize=1)
 def _window(numerator: float, t0: float, t1: float) -> float:
     """Integral (s) of f(beta) over t in [t0, t1], 0 <= t0 <= t1, with
     beta = numerator * t / _BETA_DENOMINATOR; with beta = k*t, the integral of
-    f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  ValueError where beta overflows.
-
-    A pure function of its operands, memoized for one entry: along a sweep of
-    rho22_0, the length or the gas density every point has the same operands."""
+    f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  ValueError where beta overflows."""
     beta1 = numerator * t1 / _BETA_DENOMINATOR
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
@@ -226,8 +222,7 @@ def _window(numerator: float, t0: float, t1: float) -> float:
         fa, fm, fb = [f_beta(numerator * t / _BETA_DENOMINATOR)
                       for t in (mid - half, mid, mid + half)]
         return width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
-    beta0 = numerator * t0 / _BETA_DENOMINATOR
-    return t1 * _g(beta1, f_beta(beta1)) - t0 * _g(beta0, f_beta(beta0))
+    return t1 * _g(beta1) - t0 * _g(numerator * t0 / _BETA_DENOMINATOR)
 
 
 def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
@@ -239,31 +234,43 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
     N*rho22_0*2*pi*hbar*c/wavelength_31.  ValueError on a reversed window, where beta or
     even the stored energy overflows, and where the energy underflows to 0 at nonzero
     field, decrement, ratio, rho22_0 and window width."""
-    return _pulse_energy(drive.e0, decrement, *_operands(cfg), t0, t1)
+    n_atoms, rho22_0, ratio, wavelength_31 = _operands(cfg)
+    return next(_pulse_energies([(drive.e0, decrement, n_atoms, rho22_0)], ratio,
+                                wavelength_31, t0, t1))
 
 
-def _pulse_energy(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
-                  wavelength_31: float, t0: float, t1: float) -> float:
-    """``pulse_energy`` on floats."""
-    if t1 < t0:
-        raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
-    if not decrement >= 0:
-        raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    for t in (t0, t1):
-        if not t >= 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-    window = _window(_beta_numerator(e0, wavelength_31, ratio, decrement), t0, t1)
-    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio, wavelength_31)
-    s_mw = flux_from_field(e0)
-    energy = scale * s_mw * window
-    if not math.isfinite(energy):
-        # scale*S_mw can overflow where the energy does not; the window is then short
-        energy = scale * (s_mw * window)
+def _pulse_energies(points, ratio: float, wavelength_31: float, t0: float, t1: float):
+    """``pulse_energy`` at each (e0, decrement, N, rho22_0) of points, yielded before
+    the next point is read.  Every check runs at every point; the window integral and
+    S_mw are recomputed only where e0 or the decrement differs from the previous
+    point's, since beta reads no other operand that changes along a sweep."""
+    two_pi, wavelength_sq = 2.0 * math.pi, wavelength_31**2
+    last_e0 = last_decrement = None
+    for e0, decrement, n_atoms, rho22_0 in points:
+        if t1 < t0:
+            raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
+        if not decrement >= 0:
+            raise ValueError(f"decrement must be nonnegative, got {decrement}")
+        if not t0 >= 0:
+            raise ValueError(f"t must be nonnegative, got {t0}")
+        if not t1 >= 0:
+            raise ValueError(f"t must be nonnegative, got {t1}")
+        if e0 != last_e0 or decrement != last_decrement:
+            window = _window(_beta_numerator(e0, wavelength_31, ratio, decrement), t0, t1)
+            s_mw = flux_from_field(e0)
+            last_e0, last_decrement = e0, decrement
+        # _sigma_prefactor, in its operand order
+        scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
+        energy = scale * s_mw * window
         if not math.isfinite(energy):
-            raise ValueError("pulse energy overflows")
-    if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0):
-        raise ValueError("pulse energy underflows to 0")
-    return energy
+            # scale*S_mw can overflow where the energy does not; the window is then short
+            energy = scale * (s_mw * window)
+            if not math.isfinite(energy):
+                raise ValueError("pulse energy overflows")
+        if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0
+                            and rho22_0 > 0):
+            raise ValueError("pulse energy underflows to 0")
+        yield energy
 
 
 def sigma_max(cfg: EnsembleConfig, beta: float) -> float:

@@ -799,9 +799,24 @@ def test_main_unwritable_output_path(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "out.csv"
     assert main(["fig1", "--beta-max", "6", "--steps", "4", "--out", str(missing)]) == 2
     assert f"error: cannot write {missing}" in capsys.readouterr().err
-    assert main(["scenario", "--config", str(config), "--out", str(tmp_path / "ok.csv"),
+    ok = tmp_path / "ok.csv"
+    assert main(["scenario", "--config", str(config), "--out", str(ok),
                  "--summary", str(missing)]) == 2
     assert f"error: cannot write {missing}" in capsys.readouterr().err
+    # every destination is opened before any byte is written: stdout and the other
+    # file stay empty, and stderr holds only the error
+    sweep = ["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "0",
+             "--max", "1", "--steps", "3", "--objective", "pulse_energy"]
+    for argv in (["scenario", "--config", str(config), "--summary", str(missing)],
+                 [*sweep, "--summary", str(missing)],
+                 [*sweep, "--out", str(ok), "--summary", str(missing)],
+                 [*sweep, "--out", str(missing)]):
+        ok.write_text("old")
+        assert main(argv) == 2, argv
+        assert ok.read_text() == ("" if str(ok) in argv else "old"), argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {missing}: "), argv
+        assert err.count("\n") == 1, argv
 
 
 def _run_python(*args):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from mwoptical import cli
+from mwoptical import cli, ensemble
 from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    _window,
+    _operands,
+    _pulse_energies,
     depletion_time,
     evaluate,
     f_beta,
@@ -449,25 +450,38 @@ def test_pulse_energy_rejects_an_overflowing_beta_or_a_nan_time():
         pulse_energy(cfg, drive, math.nan, 0.0, 1e-6)
 
 
+def _counting(monkeypatch, name):
+    """Replace ensemble.<name> with a wrapper that records each call's arguments."""
+    calls, function = [], getattr(ensemble, name)
+    monkeypatch.setattr(ensemble, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
 @pytest.mark.parametrize("beta_end", [1e-6, 0.05, 0.0999, 0.1001, 0.3, 6.0, 60.0, 1.0e4,
                                       1.0e8, 1.0e12])
-def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end):
-    # the memo's keys compare -0.0 equal to 0.0, so a hit can serve operands of the
-    # other sign: a warm result must equal a cold one bit for bit, on both branches
+def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end, monkeypatch):
+    # the pulse kernel keeps the previous point's window where e0 and the decrement
+    # compare equal, and -0.0 compares equal to 0.0: one multi-point call must give the
+    # bits of fresh one-point calls, on both window branches
     drive, dec = _drive(2.0), 0.8
     t1 = _time_of_beta(_vessel(), drive, dec, beta_end)
-    one, zero, negative_zero = _vessel(), _vessel(ratio=0.0), _vessel(ratio=-0.0)
     narrow = t1 * (1.0 - 1e-3)
-    calls = [(one, 0.0), (one, -0.0), (zero, 0.0), (negative_zero, 0.0), (negative_zero, -0.0),
-             (one, narrow), (zero, narrow), (negative_zero, narrow)]
-    cold = []
-    for cfg, t0 in calls:
-        _window.cache_clear()
-        cold.append(pulse_energy(cfg, drive, dec, t0, t1).hex())
-    _window.cache_clear()
-    warm = [pulse_energy(cfg, drive, dec, t0, t1).hex() for cfg, t0 in calls]
-    assert warm == cold
-    assert _window.cache_info().hits == 4   # each call after one whose operands compare equal
+    off, negative_off = MicrowaveDrive(0.0), MicrowaveDrive(-0.0)
+    points = [(drive, dec, 1e-4), (drive, dec, 3e-4), (drive, 0.0, 1e-4), (drive, -0.0, 1e-4),
+              (off, dec, 1e-4), (negative_off, dec, 1e-4)]
+    for ratio, t0 in [(1.0, 0.0), (1.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0),
+                      (1.0, narrow), (0.0, narrow), (-0.0, narrow)]:
+        vessels = [_vessel(ratio=ratio, rho22_0=rho22_0) for _, _, rho22_0 in points]
+        fresh = [pulse_energy(cfg, d, decrement, t0, t1).hex()
+                 for cfg, (d, decrement, _) in zip(vessels, points)]
+        windows = _counting(monkeypatch, "_window")
+        n_atoms = _operands(vessels[0])[0]
+        column = _pulse_energies([(d.e0, decrement, n_atoms, rho22_0)
+                                  for d, decrement, rho22_0 in points],
+                                 ratio, LAMBDA_31, t0, t1)
+        assert [energy.hex() for energy in column] == fresh
+        assert len(windows) == 3   # at the first point and where e0 or the decrement changes
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("parameter, low, high, misses", [
@@ -477,13 +491,21 @@ def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end):
     ("flux_w_cm2", 1.0, 100.0, 7),
     ("detuning_mhz", 0.0, 500.0, 7),
 ])
-def test_window_memo_misses_once_per_distinct_beta(parameter, low, high, misses):
+def test_window_memo_misses_once_per_distinct_beta(parameter, low, high, misses, monkeypatch):
     # beta reads the flux and the detuning, not rho22(0), the length or the density
+    windows = _counting(monkeypatch, "_window")
     cfg = cli.ScenarioConfig(channel="fine_structure")
-    _window.cache_clear()
     cli.run_sweep(cfg, cli.SweepSpec(parameter, low, high, 7, objective="pulse_energy"))
-    info = _window.cache_info()
-    assert (info.misses, info.hits) == (misses, 7 - misses)
+    assert len(windows) == misses
+
+
+def test_a_window_from_time_zero_evaluates_f_once(monkeypatch):
+    # g(0) = 1/3 reads no f, so a window that starts at t0 = 0 evaluates f at t1 only
+    f_calls = _counting(monkeypatch, "f_beta")
+    cfg = cli.ScenarioConfig(channel="fine_structure")
+    assert cfg.time_start_s == 0.0
+    cli.run_sweep(cfg, cli.SweepSpec("flux_w_cm2", 1.0, 100.0, 7, objective="pulse_energy"))
+    assert len(f_calls) == 7
 
 
 def _stored_oracle(cfg, drive, dec, t0, t1):
