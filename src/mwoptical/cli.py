@@ -302,15 +302,6 @@ def parse_config(text: str) -> ScenarioConfig:
 # computations
 # ---------------------------------------------------------------------------
 
-# scenario field -> the EnsembleConfig field it sets
-_ENSEMBLE_FIELDS = {
-    "vessel_length_cm": "length",
-    "vessel_area_cm2": "area",
-    "gas_density_g_cm3": "gas_density",
-    "rho22_initial": "rho22_0",
-}
-
-
 def _field(flux_w_cm2: float) -> float:
     """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the drive checks
     it; ValueError where a positive flux gives a field of 0."""
@@ -332,8 +323,8 @@ def _decrement(detuning_mhz: float) -> float:
 def _scenario_physics(cfg: ScenarioConfig):
     """Per-config setup: drive, detuning decrement, ensemble config."""
     drive = MicrowaveDrive(_field(cfg.flux_w_cm2))
-    ens = EnsembleConfig(**{name: getattr(cfg, key) for key, name in _ENSEMBLE_FIELDS.items()},
-                         ratio=cfg.ratio, wavelength_31=OPTICAL_ANCHOR_CM)
+    ens = EnsembleConfig(cfg.vessel_length_cm, cfg.vessel_area_cm2, cfg.gas_density_g_cm3,
+                         cfg.rho22_initial, cfg.ratio)
     return drive, _decrement(cfg.detuning_mhz), ens
 
 
@@ -386,7 +377,7 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     min and max checks every point.  The points then build no record: the
     objective takes the whole grid in one call, each point recomputes the one
     operand its parameter sets (see ``_sweep_objective``) and runs every
-    numerical check of the objective, and an error at a point names the point.
+    numerical check that reads a point, and an error at a point names the point.
     """
     header = [
         f"{spec.parameter}[{SWEEP_PARAMETERS[spec.parameter]}]",
@@ -422,7 +413,7 @@ def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig, values
     None marks 'no depletion'."""
     drive, decrement, ens = _scenario_physics(cfg)
     e0, length, area, density = drive.e0, ens.length, ens.area, ens.gas_density
-    n_atoms, rho22_0, ratio, wavelength_31 = _operands(ens)
+    n_atoms, rho22_0, ratio = _operands(ens)
     # (e0, decrement, N, rho22_0) at each value
     points = {
         "flux_w_cm2": lambda: ((_field(v), decrement, n_atoms, rho22_0) for v in values),
@@ -434,10 +425,10 @@ def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig, values
                                       for v in values),
     }[parameter]()
     if objective == "pulse_energy":
-        return _pulse_energies(points, ratio, wavelength_31, cfg.time_start_s, cfg.time_stop_s)
+        return _pulse_energies(points, ratio, cfg.time_start_s, cfg.time_stop_s)
     if objective == "eta_max_peak":
-        return (_rows(*point, ratio, wavelength_31, area, (0.0,))[0][4] for point in points)
-    return (_depletion_time(e, d, ratio, wavelength_31) for e, d, _, _ in points)
+        return (_rows(*point, ratio, area, (0.0,))[0][4] for point in points)
+    return (_depletion_time(e, d, ratio) for e, d, _, _ in points)
 
 
 # ---------------------------------------------------------------------------

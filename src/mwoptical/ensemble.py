@@ -7,18 +7,19 @@ The depletion parameter
 
     beta = 3 * E0^2 * wavelength_31^3 * ratio * decrement * t / (32 * pi^3 * hbar)
 
-carries wavelength_31 *cubed*: that is the only power for which the exponent
-of the single-atom depletion law stays dimensionless (E0^2 in erg/cm^3,
-wavelength^3 in cm^3, hbar in erg s), and it is what the substitution of the
-coupling and decay-rate definitions into that law produces.  beta equals
-|b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, a consistency
-the test suite checks through ``coupling_element`` and ``decay_rate``.
+carries wavelength_31 (the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``) *cubed*: that
+is the only power for which the exponent of the single-atom depletion law stays
+dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3, hbar in erg s), and it is
+what substituting the coupling and decay-rate definitions into that law gives.
+beta equals |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, as the
+test suite checks through ``coupling_element`` and ``decay_rate``.
 """
 
 import math
 
 from .coupling import MicrowaveDrive
-from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field
+from .hydrogen import OPTICAL_ANCHOR_CM
+from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field, wavelength_to_angular
 
 __all__ = [
     "EnsembleConfig",
@@ -42,17 +43,17 @@ _BETA_DENOMINATOR = 32.0 * math.pi**3 * HBAR_ERG_S
 class EnsembleConfig(_Record):
     """Vessel and gas parameters for the ensemble estimates.
 
-    length/area in cm/cm^2, gas_density in g/cm^3, wavelength_31 (the optical
-    emission wavelength) in cm; rho22_0 is the initial degree of excitation
-    and ratio the squared dipole ratio |d_32|^2/|d_31|^2.
+    length/area in cm/cm^2, gas_density in g/cm^3; rho22_0 is the initial degree
+    of excitation and ratio the squared dipole ratio |d_32|^2/|d_31|^2.  The
+    optical wavelength_31 is the one 2p-1s line, ``hydrogen.OPTICAL_ANCHOR_CM``.
     """
 
     def __init__(self, length: float, area: float, gas_density: float, rho22_0: float,
-                 ratio: float, wavelength_31: float):
+                 ratio: float):
         vars(self).update(length=length, area=area, gas_density=gas_density,
-                          rho22_0=rho22_0, ratio=ratio, wavelength_31=wavelength_31)
+                          rho22_0=rho22_0, ratio=ratio)
         # Comparisons with math.inf also reject nan, which fails every comparison.
-        for name in ("length", "area", "gas_density", "wavelength_31"):
+        for name in ("length", "area", "gas_density"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be finite and positive, got {getattr(self, name)}")
         if not 0.0 <= self.rho22_0 <= 1.0:
@@ -75,7 +76,7 @@ class EnsembleConfig(_Record):
     def n31(self) -> float:
         """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H;
         ValueError where it overflows or underflows to 0 (its factors are positive)."""
-        n31 = self.gas_density * self.length * self.wavelength_31**2 / MU_H_G
+        n31 = self.gas_density * self.length * OPTICAL_ANCHOR_CM**2 / MU_H_G
         if not 0 < n31 < math.inf:
             raise ValueError(f"n31 {'overflows' if n31 else 'underflows to 0'} (length = "
                              f"{self.length} cm, gas density = {self.gas_density} g/cm^3)")
@@ -134,8 +135,8 @@ def f_beta_approx_large(beta: float) -> float:
 
 # The objectives on floats.  Each public function below unpacks its records into
 # one private kernel: the field e0, the decrement, the atom count N (unchecked, so
-# that a kernel names an N that underflows in its own message), rho22_0, the ratio
-# and wavelength_31.  A sweep calls the kernels with one operand changed per point;
+# that a kernel names an N that underflows in its own message), rho22_0 and the
+# ratio.  A sweep calls the kernels with one operand changed per point;
 # the pulse kernel takes the whole sweep column at once.
 
 def _n_atoms(length: float, area: float, gas_density: float) -> float:
@@ -144,20 +145,18 @@ def _n_atoms(length: float, area: float, gas_density: float) -> float:
 
 
 def _operands(cfg: EnsembleConfig) -> tuple:
-    """(N, rho22_0, ratio, wavelength_31), the vessel operands of the kernels."""
-    return (_n_atoms(cfg.length, cfg.area, cfg.gas_density), cfg.rho22_0, cfg.ratio,
-            cfg.wavelength_31)
+    """(N, rho22_0, ratio), the vessel operands of the kernels."""
+    return _n_atoms(cfg.length, cfg.area, cfg.gas_density), cfg.rho22_0, cfg.ratio
 
 
-def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float,
-                     wavelength_31: float) -> float:
+def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
     """N * (3/2pi) * wavelength^2 * ratio * rho22_0, the cross-section scale (cm^2)."""
-    return n_atoms * 3.0 / (2.0 * math.pi) * wavelength_31**2 * ratio * rho22_0
+    return n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2 * ratio * rho22_0
 
 
-def _beta_numerator(e0: float, wavelength_31: float, ratio: float, decrement: float) -> float:
+def _beta_numerator(e0: float, ratio: float, decrement: float) -> float:
     """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator."""
-    return 3.0 * e0**2 * wavelength_31**3 * ratio * decrement
+    return 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement
 
 
 def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
@@ -171,13 +170,13 @@ def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times
 
 
 def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
-          wavelength_31: float, area: float, times) -> list:
+          area: float, times) -> list:
     """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = _beta_numerator(e0, wavelength_31, ratio, decrement)
+    numerator = _beta_numerator(e0, ratio, decrement)
     denominator = _BETA_DENOMINATOR
-    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio, wavelength_31)
+    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     s_mw = flux_from_field(e0)
     power = area * s_mw
     if s_mw > 0 and power == 0:
@@ -229,42 +228,43 @@ def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
                  t0: float, t1: float) -> float:
     """Emitted energy (erg) over the window [t0, t1], 0 <= t0 <= t1 (s): the time integral
     of ``evaluate``'s I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
-    decrement * _sigma_prefactor * S_mw times ``_window``, without ``evaluate``'s rows and
-    its efficiency checks.  It is at most the energy stored in the metastable level,
-    N*rho22_0*2*pi*hbar*c/wavelength_31.  ValueError on a reversed window, where beta or
-    even the stored energy overflows, and where the energy underflows to 0 at nonzero
-    field, decrement, ratio, rho22_0 and window width."""
-    n_atoms, rho22_0, ratio, wavelength_31 = _operands(cfg)
-    return next(_pulse_energies([(drive.e0, decrement, n_atoms, rho22_0)], ratio,
-                                wavelength_31, t0, t1))
+    decrement * _sigma_prefactor * S_mw times ``_window``.  It is at most the energy stored
+    in the metastable level, N*rho22_0*2*pi*hbar*c/wavelength_31 (the 2p-1s line
+    ``hydrogen.OPTICAL_ANCHOR_CM``).  ValueError on a reversed window, where beta or the
+    stored energy overflows, and where the energy underflows to 0 at nonzero field,
+    decrement, ratio, rho22_0 and window width."""
+    n_atoms, rho22_0, ratio = _operands(cfg)
+    return next(_pulse_energies([(drive.e0, decrement, n_atoms, rho22_0)], ratio, t0, t1))
 
 
-def _pulse_energies(points, ratio: float, wavelength_31: float, t0: float, t1: float):
+def _pulse_energies(points, ratio: float, t0: float, t1: float):
     """``pulse_energy`` at each (e0, decrement, N, rho22_0) of points, yielded before
-    the next point is read.  Every check runs at every point; the window integral and
-    S_mw are recomputed only where e0 or the decrement differs from the previous
-    point's, since beta reads no other operand that changes along a sweep."""
-    two_pi, wavelength_sq = 2.0 * math.pi, wavelength_31**2
+    the next point is read.  The window checks run once, before the first point, and
+    the rest at every point; the window integral and S_mw are recomputed only where e0
+    or the decrement changes, since beta reads no other operand that varies in a sweep."""
+    if t1 < t0:
+        raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
+    for t in (t0, t1):
+        if not t >= 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+    two_pi, wavelength_sq = 2.0 * math.pi, OPTICAL_ANCHOR_CM**2
     last_e0 = last_decrement = None
     for e0, decrement, n_atoms, rho22_0 in points:
-        if t1 < t0:
-            raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
-        if not t0 >= 0:
-            raise ValueError(f"t must be nonnegative, got {t0}")
-        if not t1 >= 0:
-            raise ValueError(f"t must be nonnegative, got {t1}")
         if e0 != last_e0 or decrement != last_decrement:
-            window = _window(_beta_numerator(e0, wavelength_31, ratio, decrement), t0, t1)
+            window = _window(_beta_numerator(e0, ratio, decrement), t0, t1)
             s_mw = flux_from_field(e0)
             last_e0, last_decrement = e0, decrement
         # _sigma_prefactor, in its operand order
         scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
         energy = scale * s_mw * window
         if not math.isfinite(energy):
-            # scale*S_mw can overflow where the energy does not; the window is then short
-            energy = scale * (s_mw * window)
+            # scale*S_mw can overflow where the energy does not: N*rho22_0*hbar*omega_31
+            # times G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
+            beta1 = _beta_numerator(e0, ratio, decrement) * t1 / _BETA_DENOMINATOR
+            energy = (n_atoms * rho22_0 * HBAR_ERG_S * wavelength_to_angular(OPTICAL_ANCHOR_CM)
+                      * (beta1 * window / t1 if window else 0.0))
             if not math.isfinite(energy):
                 raise ValueError("pulse energy overflows")
         if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0
@@ -281,7 +281,7 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     prefactor (3/2pi)*n31 is ~4e10.  ValueError where N leaves the double range (see
     ``n_atoms``) and where sigma_max underflows to 0 at nonzero ratio and rho22_0."""
     n_atoms = cfg.n_atoms
-    sigma = _sigma_prefactor(n_atoms, cfg.rho22_0, cfg.ratio, cfg.wavelength_31) * f_beta(beta)
+    sigma = _sigma_prefactor(n_atoms, cfg.rho22_0, cfg.ratio) * f_beta(beta)
     if sigma == 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
         raise ValueError(f"sigma_max underflows to 0 (N = {n_atoms} atoms, beta = {beta})")
     return sigma
@@ -298,16 +298,16 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     poison downstream tables; a nonzero field too weak for a finite tau, or so
     strong that tau underflows to 0, raises ValueError.
     """
-    return _depletion_time(drive.e0, decrement, cfg.ratio, cfg.wavelength_31)
+    return _depletion_time(drive.e0, decrement, cfg.ratio)
 
 
-def _depletion_time(e0: float, decrement: float, ratio: float, wavelength_31: float):
+def _depletion_time(e0: float, decrement: float, ratio: float):
     """``depletion_time`` on floats."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
     if e0 == 0 or ratio == 0:
         return None
-    rate = decrement * e0**2 * wavelength_31**3 * ratio
+    rate = decrement * e0**2 * OPTICAL_ANCHOR_CM**3 * ratio
     if rate == 0:
         raise ValueError(f"depletion time overflows at field {e0} statV/cm")
     tau = 2.0e3 * HBAR_ERG_S / rate

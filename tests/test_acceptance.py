@@ -86,8 +86,7 @@ def test_criterion_2_asymptotics():
 
 
 def test_criterion_3_worked_example():
-    cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
-                         rho22_0=1.0e-4, ratio=1.0, wavelength_31=1.22e-5)
+    cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4, ratio=1.0)
     n31 = cfg.n31
     eta_peak = sigma_max(cfg, 0.0) / cfg.area
     prefactor = eta_peak / (cfg.rho22_0 * f_beta(0.0))
@@ -143,12 +142,12 @@ def test_criterion_5_algebra_chain_equivalence():
 def test_criterion_6_beta_tau_consistency():
     rng = np.random.default_rng(7)
 
-    def vessel(ratio, lam31):
+    def vessel(ratio):
         return EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
-                              rho22_0=1.0e-4, ratio=ratio, wavelength_31=lam31)
+                              rho22_0=1.0e-4, ratio=ratio)
 
-    def beta_at(ratio, lam31, drive, dec, t):
-        return evaluate(vessel(ratio, lam31), drive, dec, (t,))[0][1]
+    def beta_at(ratio, drive, dec, t):
+        return evaluate(vessel(ratio), drive, dec, (t,))[0][1]
 
     up, lo, metastable = mode("2p3/2"), mode("1s1/2"), mode("2s1/2")
     omega31 = up.omega - lo.omega
@@ -157,7 +156,6 @@ def test_criterion_6_beta_tau_consistency():
         d31, d32 = dipole(up, lo), dipole(up, metastable)
         gamma31 = decay_rate(omega31, d31)
         ratio = (d32 / d31) ** 2
-        lam31 = 2.0 * math.pi * 2.99792458e10 / omega31
         for _ in range(200):
             e0 = float(rng.uniform(1e-3, 10.0))
             dec = float(rng.uniform(1e-3, 2.0))
@@ -165,13 +163,13 @@ def test_criterion_6_beta_tau_consistency():
             drive = MicrowaveDrive(e0=e0)
             b32 = coupling_element(d32, drive, Orientation(0.0))
             exponent = b32 * b32 * dec * t / (2.0 * gamma31)
-            direct = beta_at(ratio, lam31, drive, dec, t)
+            direct = beta_at(ratio, drive, dec, t)
             scale = max(direct, exponent, 1e-300)
             worst = max(worst, abs(direct - exponent) / scale)
 
     drive = MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(1.0)))
-    tau = depletion_time(vessel(1.0, 1.22e-5), drive, 1.0)
-    beta_tau = beta_at(1.0, 1.22e-5, drive, 1.0, tau)
+    tau = depletion_time(vessel(1.0), drive, 1.0)
+    beta_tau = beta_at(1.0, drive, 1.0, tau)
 
     ok = worst <= 1e-10 and 5.9 <= beta_tau <= 6.3
     _report(6, "beta/tau self-consistency", ok,
@@ -181,10 +179,9 @@ def test_criterion_6_beta_tau_consistency():
 
 
 def test_criterion_7_orientation_average_oracle():
-    cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
-                         rho22_0=1.0e-4, ratio=1.0, wavelength_31=1.22e-5)
+    cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4, ratio=1.0)
     drive = MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(1.0)))
-    omega31 = 2.0 * math.pi * 2.99792458e10 / cfg.wavelength_31
+    omega31 = 2.0 * math.pi * 2.99792458e10 / 1.22e-5
 
     def one_atom(theta):
         return intensity_weak(drive, Orientation(theta), cfg.ratio, omega31, 1.0, cfg.rho22_0)

@@ -503,13 +503,19 @@ def test_main_scenario_files(tmp_path):
     assert "eta_peak = 1.27393736e+06" in summary.read_text()
 
 
-def test_main_scenario_output_key_fallback(tmp_path):
+def test_main_scenario_output_key_fallback(tmp_path, capsys):
     out = tmp_path / "from_config.csv"
     config = tmp_path / "run.cfg"
     config.write_text(WORKED_VESSEL + f"output = {out}\n")
     assert main(["scenario", "--config", str(config), "--summary",
                  str(tmp_path / "s.txt")]) == 0
     assert out.exists()
+    # sweep reads the same file but not its output key: the table goes to stdout
+    out.unlink()
+    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
+                 "--max", "2", "--steps", "2", "--objective", "tau"]) == 0
+    assert capsys.readouterr().out.startswith("flux_w_cm2[W/cm^2],tau[s]\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lines", [
@@ -542,24 +548,28 @@ def test_main_scenario_writes_the_per_cell_table(tmp_path, capsys, lines):
 
 def test_main_pulse_energy_where_scale_times_flux_overflows(tmp_path, capsys):
     # decrement*sigma*S_mw overflows, but the energy, at most the stored
-    # N*rho22*hbar*omega31 ~ 9e208 erg, does not: this exited 3 with "overflows"
+    # N*rho22*hbar*omega31 (~9e208 and ~1e73 erg), does not: both exited 3 with
+    # "overflows"; in the second the cross-section scale itself overflows
     config = tmp_path / "run.cfg"
-    config.write_text("channel = fine_structure\nvessel_area_cm2 = 1e100\n"
-                      "vessel_length_cm = 1e100\nratio_mode = custom\nratio_value = 1e92\n"
-                      "rho22_initial = 1\n")
-    assert main(["sweep", "--config", str(config), "--param", "rho22_initial", "--min", "0.5",
-                 "--max", "1", "--steps", "3", "--objective", "pulse_energy"]) == 0
-    rows = [[float(v) for v in line.split(",")]
-            for line in capsys.readouterr().out.splitlines()[1:]]
-    cfg = parse_config(config.read_text())
-    drive, decrement, _ = cli._scenario_physics(cfg)
-    n_atoms = 0.9e-4 * 1e200 / oracles.MU_H
-    for rho22, energy in rows:
-        # 1.22e-5 cm: the optical line every scenario shares
-        assert energy == pytest.approx(oracles.stored_pulse_energy(
-            n_atoms * rho22, 1.22e-5, drive.e0, 1e92, decrement, 0.0, cfg.time_stop_s),
-            rel=1e-8)
-    assert rows[-1][1] == pytest.approx(8.7564e208, rel=1e-4)
+    for lines, steps, n_atoms, ratio, last in [
+            ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\nratio_value = 1e92\n", "3",
+             0.9e-4 * 1e200 / oracles.MU_H, 1e92, 8.7564e208),
+            ("vessel_area_cm2 = 1e30\nvessel_length_cm = 1e30\nratio_value = 1e300\n"
+             "gas_density_g_cm3 = 1\n", "2", 1e60 / oracles.MU_H, 1e300, 9.7293e72)]:
+        config.write_text(f"channel = fine_structure\nratio_mode = custom\n{lines}"
+                          "rho22_initial = 1\n")
+        assert main(["sweep", "--config", str(config), "--param", "rho22_initial", "--min",
+                     "0.5", "--max", "1", "--steps", steps, "--objective", "pulse_energy"]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        cfg = parse_config(config.read_text())
+        drive, decrement, _ = cli._scenario_physics(cfg)
+        for rho22, energy in rows:
+            # 1.22e-5 cm: the optical line every scenario shares
+            assert energy == pytest.approx(oracles.stored_pulse_energy(
+                n_atoms * rho22, 1.22e-5, drive.e0, ratio, decrement, 0.0, cfg.time_stop_s),
+                rel=1e-8)
+        assert rows[-1][1] == pytest.approx(last, rel=1e-4)
 
 
 def test_main_sweep(tmp_path):

@@ -39,8 +39,7 @@ def _rabi_and_coupling(omega_over_gamma):
 # under a drive from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
 # Omega^2 t/gamma_31 at theta = 0, the rate law of the two-level oracle.
 RATE_LAW_VESSEL = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4,
-                                 ratio=hydrogenic_dipole_ratio(),
-                                 wavelength_31=2.0 * math.pi * oracles.C / OMEGA_31)
+                                 ratio=hydrogenic_dipole_ratio())
 STORED_ENERGY = RATE_LAW_VESSEL.n_atoms * RATE_LAW_VESSEL.rho22_0 * oracles.HBAR * OMEGA_31
 
 

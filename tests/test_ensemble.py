@@ -36,8 +36,7 @@ def _drive(flux_w_cm2=1.0):
 
 
 def _vessel(**overrides):
-    kwargs = dict(length=10.0, area=1.0, gas_density=0.9e-4,
-                  rho22_0=1.0e-4, ratio=1.0, wavelength_31=LAMBDA_31)
+    kwargs = dict(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4, ratio=1.0)
     kwargs.update(overrides)
     return EnsembleConfig(**kwargs)
 
@@ -168,12 +167,11 @@ def test_beta_matches_single_atom_exponent():
         d31, d32 = dipole(up, lo), dipole(up, metastable)
         gamma31 = decay_rate(omega31, d31)
         ratio = (d32 / d31) ** 2
-        lam31 = 2.0 * math.pi * 2.99792458e10 / omega31
         for flux, dec, t in [(1.0, 1.0, 1e-7), (40.0, 0.3, 2e-9), (0.01, 2.0, 1e-4)]:
             drive = _drive(flux)
             b32 = coupling_element(d32, drive, Orientation(0.0))
             exponent = b32 * b32 * dec * t / (2.0 * gamma31)
-            direct = _beta(_vessel(ratio=ratio, wavelength_31=lam31), drive, dec, t)
+            direct = _beta(_vessel(ratio=ratio), drive, dec, t)
             assert direct == pytest.approx(exponent, rel=1e-10)
 
 
@@ -223,7 +221,7 @@ def test_vessel_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("length", math.inf), ("area", math.inf), ("gas_density", math.nan),
-    ("wavelength_31", math.inf), ("ratio", math.inf), ("ratio", math.nan),
+    ("ratio", math.inf), ("ratio", math.nan),
 ])
 def test_vessel_rejects_non_finite(name, value):
     # inf/nan would otherwise pass through to eta, n31 and sigma as inf/nan
@@ -243,7 +241,7 @@ def test_intensity_matches_angular_quadrature_at_t0():
     cfg = _vessel()
     drive = _drive()
     dec = 1.0
-    omega31 = 2.0 * math.pi * 2.99792458e10 / cfg.wavelength_31
+    omega31 = 2.0 * math.pi * 2.99792458e10 / LAMBDA_31
 
     def one_atom(theta):
         return intensity_weak(drive, Orientation(theta), cfg.ratio, omega31, dec, cfg.rho22_0)
@@ -297,7 +295,7 @@ def test_evaluate_matches_pointwise_functions_bit_for_bit():
     for row in evaluate(cfg, drive, dec, times):
         t, beta, f, intensity, eta = row
         assert row == evaluate(cfg, drive, dec, (t,))[0]
-        assert beta == (3.0 * drive.e0**2 * cfg.wavelength_31**3 * cfg.ratio * dec * t
+        assert beta == (3.0 * drive.e0**2 * LAMBDA_31**3 * cfg.ratio * dec * t
                         / denominator)
         assert f == f_beta(beta)
         assert eta == intensity / (cfg.area * drive.s_mw)
@@ -478,7 +476,7 @@ def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end, monkeypat
         n_atoms = _operands(vessels[0])[0]
         column = _pulse_energies([(d.e0, decrement, n_atoms, rho22_0)
                                   for d, decrement, rho22_0 in points],
-                                 ratio, LAMBDA_31, t0, t1)
+                                 ratio, t0, t1)
         assert [energy.hex() for energy in column] == fresh
         assert len(windows) == 3   # at the first point and where e0 or the decrement changes
         monkeypatch.undo()
@@ -510,7 +508,7 @@ def test_a_window_from_time_zero_evaluates_f_once(monkeypatch):
 
 def _stored_oracle(cfg, drive, dec, t0, t1):
     n_excited = cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
-    return oracles.stored_pulse_energy(n_excited, cfg.wavelength_31, drive.e0, cfg.ratio,
+    return oracles.stored_pulse_energy(n_excited, LAMBDA_31, drive.e0, cfg.ratio,
                                        dec, t0, t1)
 
 
@@ -530,7 +528,7 @@ def test_pulse_energy_is_the_released_stored_energy(beta_start, beta_end, ratio,
 def test_pulse_energy_never_exceeds_the_stored_energy(ratio):
     cfg, drive = _vessel(ratio=ratio), _drive()
     stored = (cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
-              * 2.0 * math.pi * oracles.HBAR * oracles.C / cfg.wavelength_31)
+              * 2.0 * math.pi * oracles.HBAR * oracles.C / LAMBDA_31)
     tau = depletion_time(cfg, drive, 1.0)
     shares = [pulse_energy(cfg, drive, 1.0, 0.0, m * tau) / stored
               for m in (1.0, 10.0, 1e3, 1e6, 1e12)]
@@ -540,15 +538,17 @@ def test_pulse_energy_never_exceeds_the_stored_energy(ratio):
 
 
 def test_pulse_energy_overflows_only_past_the_stored_energy():
-    # a stored energy N*rho22*2*pi*hbar*c/wavelength above the largest float,
-    # reachable only with a nonphysical wavelength: no order of the product is finite
-    cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0,
-                  wavelength_31=1e-20)
-    drive = MicrowaveDrive(e0=1.0)
-    assert pulse_energy(cfg, drive, 1.0, 0.0, 1e30) == pytest.approx(
-        _stored_oracle(cfg, drive, 1.0, 0.0, 1e30), rel=1e-10)
+    # decrement*sigma*S_mw overflows here, the stored energy N*rho22*2*pi*hbar*c/wavelength
+    # (~1e295 erg) does not, and neither does the energy
+    cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0)
+    drive = MicrowaveDrive(e0=1e3)
+    assert pulse_energy(cfg, drive, 1.0, 0.0, 1e-15) == pytest.approx(
+        _stored_oracle(cfg, drive, 1.0, 0.0, 1e-15), rel=1e-10)
+    assert pulse_energy(cfg, drive, 1.0, 0.0, 0.0) == 0.0   # an empty window at t = 0
+    # on the 122 nm line the stored energy overflows only where N itself does
     with pytest.raises(ValueError, match="pulse energy overflows"):
-        pulse_energy(cfg, drive, 1.0, 0.0, 1e37)
+        pulse_energy(_vessel(length=1e200, area=1e200, gas_density=1.0, rho22_0=1.0),
+                     drive, 1.0, 0.0, 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +579,7 @@ def test_depletion_time_no_depletion_marker():
 
 
 def test_depletion_time_validation():
-    # the wavelength and the ratio are EnsembleConfig's to check (test_vessel_validation)
+    # the ratio is EnsembleConfig's to check (test_vessel_validation)
     for decrement in (0.0, math.nan):
         with pytest.raises(ValueError, match="decrement must be positive"):
             depletion_time(_vessel(), _drive(1.0), decrement)

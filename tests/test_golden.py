@@ -2,21 +2,25 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``).  The first 63 are its ``cold_cli`` workload (seeds
-0-2, cycles 0-2), which covers constants, both transitions, fig1, scenarios at
-zero and nonzero flux and a sweep with each of the three objectives.  The
-other 66 are its ``sweep_pulse`` workload (seeds 0-2, cycles 0-1):
-pulse-energy sweeps over all five parameters on linear and log grids, with
-unity, hydrogenic and custom ratios.  For every command it stores
+(``perfbench/gen.py``) under "commands", and the 29 edge commands of
+``_edge_commands`` under "edge".  The first 63 generator commands are its
+``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
+transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
+the three objectives.  The other 66 are its ``sweep_pulse`` workload (seeds 0-2,
+cycles 0-1): pulse-energy sweeps over all five parameters on linear and log
+grids, with unity, hydrogenic and custom ratios.  For every command it stores
 the config text, the argv with ``{config}``, ``{out}`` and ``{summary}``
 path placeholders, the exit code, and the sha256 digests of stdout, stderr
 and the ``--out`` and ``--summary`` files (null where none is written).  The
 digests were recorded from the code before a refactor (the cold_cli ones
 before the constants injection was removed, the sweep_pulse ones before the
-scenario and sweep physics were merged into one map), so this test pins that
-refactors leave every byte unchanged.
+scenario and sweep physics were merged into one map, and the first 28 edge
+ones before the optical wavelength became a constant; the last edge command
+was recorded after its overflow was fixed, at exit 0), so these tests pin
+that refactors leave every byte unchanged.
 
-An intended numeric change regenerates the digests from the stored commands,
+An intended numeric change regenerates the digests from the stored generator
+commands and the current ``_edge_commands``,
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
@@ -108,13 +112,24 @@ def _differences(commands, wanted, got):
             if want != have]
 
 
-def test_cli_output_matches_recorded_digests(tmp_path):
-    commands = _load()["commands"]
-    assert len(commands) == 129
-    got = [replay(command, str(tmp_path)) for command in commands]
+def _assert_replays_match(commands, workdir):
+    got = [replay(command, workdir) for command in commands]
     wanted = [{key: command[key] for key in record} for command, record in zip(commands, got)]
     differ = _differences(commands, wanted, got)
     assert not differ, "output differs from the recorded digests:\n" + "\n".join(differ)
+
+
+def test_cli_output_matches_recorded_digests(tmp_path):
+    commands = _load()["commands"]
+    assert len(commands) == 129
+    _assert_replays_match(commands, str(tmp_path))
+
+
+def test_edge_commands_match_recorded_digests(tmp_path):
+    edge = _load()["edge"]
+    assert len(edge) == 29
+    assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
+    _assert_replays_match(edge, str(tmp_path))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -146,8 +161,9 @@ def test_readme_library_example_prints_the_documented_values():
 
 def _regenerate():
     data = _load()
+    data["edge"] = _edge_commands()
     with tempfile.TemporaryDirectory() as workdir:
-        for command in data["commands"]:
+        for command in data["commands"] + data["edge"]:
             command.update(replay(command, workdir))
     with open(GOLDEN, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1)
@@ -157,12 +173,13 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the last ten, the first four print a positive
+    a UTF-8 byte-order mark.  Of the last eleven, the first four print a positive
     pulse energy where only the efficiency underflows, and exit 3 where the pulse
     energy, tau or n31 underflows to 0 at nonzero factors; two exit 3 where the
     summary's n_atoms or sigma_max_cm2 underflows to 0 at zero flux; three print
-    +0 where the ratio, rho22(0) or the flux is given as -0.0; and the last exits
-    3 where the field amplitude underflows to 0 at a positive flux."""
+    +0 where the ratio, rho22(0) or the flux is given as -0.0; one exits 3 where
+    the field amplitude underflows to 0 at a positive flux; and the last prints a
+    pulse energy below the stored energy where the cross-section scale overflows."""
     plain = "channel = fine_structure\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
@@ -209,6 +226,9 @@ def _edge_commands():
         sweep(plain + "rho22_initial = -0.0\n", "flux_w_cm2", 1.0, 2.0, 2, "eta_max_peak"),
         scenario(plain + "flux_w_cm2 = -0.0\n"),
         sweep(plain, "flux_w_cm2", 0.0, 1e-322, 3, "pulse_energy"),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e300\nvessel_length_cm = 1e30\n"
+              "vessel_area_cm2 = 1e30\ngas_density_g_cm3 = 1\nrho22_initial = 1\n",
+              "rho22_initial", 0.5, 1.0, 2, "pulse_energy"),
     ]
 
 

@@ -18,14 +18,14 @@ FIELDS = {
     HydrogenMode: ("label", "n", "l", "omega"),
     MicrowaveDrive: ("e0",),
     Orientation: ("theta",),
-    EnsembleConfig: ("length", "area", "gas_density", "rho22_0", "ratio", "wavelength_31"),
+    EnsembleConfig: ("length", "area", "gas_density", "rho22_0", "ratio"),
     ScenarioConfig: ("channel", "flux_w_cm2", "detuning_mhz", "vessel_length_cm",
                      "vessel_area_cm2", "gas_density_g_cm3", "rho22_initial", "ratio_mode",
                      "ratio_value", "time_start_s", "time_stop_s", "time_steps", "output"),
     SweepSpec: ("parameter", "minimum", "maximum", "steps", "log", "objective"),
 }
 
-VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0, 1.22e-5)
+VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0)
 RECORDS = [mode("2s1/2"), MicrowaveDrive(0.09), Orientation(0.5),
            VESSEL, ScenarioConfig("lamb_shift", ratio_mode="custom", ratio_value=2.5),
            SweepSpec("flux_w_cm2", 0.5, 2.0, 5, log=True)]
@@ -80,7 +80,7 @@ def test_repr_shows_every_field_in_order(record):
 
 def test_replace_changes_the_named_fields_only():
     shorter = VESSEL.replace(length=3.0, ratio=2.0)
-    assert _values(shorter) == [3.0, 1.0, 0.9e-4, 1.0e-4, 2.0, 1.22e-5]
+    assert _values(shorter) == [3.0, 1.0, 0.9e-4, 1.0e-4, 2.0]
     assert VESSEL.length == 10.0 and VESSEL.ratio == 1.0
     assert VESSEL.replace() == VESSEL
     with pytest.raises(TypeError):
