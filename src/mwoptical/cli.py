@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .coupling import MicrowaveDrive, _checked_field, damping_decrement, detuning_lineshape
+from .coupling import _checked_field, damping_decrement, detuning_lineshape
 from .ensemble import (
     EnsembleConfig,
     _depletion_time,
@@ -303,8 +303,8 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _field(flux_w_cm2: float) -> float:
-    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the drive checks
-    it; ValueError where a positive flux gives a field of 0."""
+    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the library
+    checks a field; ValueError where a positive flux gives a field of 0."""
     e0 = _checked_field(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
     if e0 == 0 < flux_w_cm2:
         raise ValueError(f"field amplitude underflows to 0 at flux {flux_w_cm2} W/cm^2")
@@ -321,11 +321,11 @@ def _decrement(detuning_mhz: float) -> float:
 
 
 def _scenario_physics(cfg: ScenarioConfig):
-    """Per-config setup: drive, detuning decrement, ensemble config."""
-    drive = MicrowaveDrive(_field(cfg.flux_w_cm2))
+    """Per-config setup: field amplitude E0, detuning decrement, ensemble config."""
+    e0 = _field(cfg.flux_w_cm2)
     ens = EnsembleConfig(cfg.vessel_length_cm, cfg.vessel_area_cm2, cfg.gas_density_g_cm3,
                          cfg.rho22_initial, cfg.ratio)
-    return drive, _decrement(cfg.detuning_mhz), ens
+    return e0, _decrement(cfg.detuning_mhz), ens
 
 
 def fig1_rows(beta_max: float, steps: int):
@@ -342,9 +342,9 @@ def fig1_rows(beta_max: float, steps: int):
 def run_scenario(cfg: ScenarioConfig):
     """(series, summary) for one scenario: ``evaluate``'s (t, beta, f, I_total, eta)
     rows and an ordered mapping of labeled scalars."""
-    drive, decrement, ens = _scenario_physics(cfg)
+    e0, decrement, ens = _scenario_physics(cfg)
     times = _linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
-    series = evaluate(ens, drive, decrement, times)
+    series = evaluate(ens, e0, decrement, times)
 
     summary = {
         "channel": cfg.channel,
@@ -352,15 +352,15 @@ def run_scenario(cfg: ScenarioConfig):
         "microwave_drive_mhz": cfg.drive_frequency_mhz,
         "detuning_mhz": cfg.detuning_mhz,
         "flux_w_cm2": cfg.flux_w_cm2,
-        "field_e0_statv_cm": drive.e0,
+        "field_e0_statv_cm": e0,
         "decrement": decrement,
         "ratio": ens.ratio,
         "rho22_initial": ens.rho22_0,
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
         "gamma31_per_s": _GAMMA_31,
-        "eta_peak": evaluate(ens, drive, decrement, (0.0,))[0][4],
-        "tau_s": depletion_time(ens, drive, decrement),
+        "eta_peak": evaluate(ens, e0, decrement, (0.0,))[0][4],
+        "tau_s": depletion_time(ens, e0, decrement),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
     return series, summary
@@ -406,13 +406,13 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
 def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig, values):
     """An iterator over the objective at ``parameter`` = each of values, by the float
     kernels of ``ensemble``; it reads the next value only after the previous result,
-    so an error comes from the value after the last result.  The scenario's drive,
+    so an error comes from the value after the last result.  The scenario's field,
     decrement and ensemble are built once, at cfg; a point recomputes only the
-    operand its parameter sets: E0 (checked as the drive checks it) for the flux, the
+    operand its parameter sets: E0 (checked as ``_field`` checks it) for the flux, the
     decrement for the detuning, N for the length and the density, and rho22_0 itself.
     None marks 'no depletion'."""
-    drive, decrement, ens = _scenario_physics(cfg)
-    e0, length, area, density = drive.e0, ens.length, ens.area, ens.gas_density
+    e0, decrement, ens = _scenario_physics(cfg)
+    length, area, density = ens.length, ens.area, ens.gas_density
     n_atoms, rho22_0, ratio = _operands(ens)
     # (e0, decrement, N, rho22_0) at each value
     points = {

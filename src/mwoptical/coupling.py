@@ -1,32 +1,17 @@
-"""Microwave drive bookkeeping, the field-dipole coupling element, and the
+"""The field-dipole coupling element of a microwave field, and the
 double-Lorentzian damping decrement that weights drive effectiveness
 against detuning from the 2s-2p resonance.
 """
 
 import math
 
-from .units import HBAR_ERG_S, _Record, flux_from_field
+from .units import HBAR_ERG_S
 
 __all__ = [
-    "MicrowaveDrive",
-    "Orientation",
     "coupling_element",
     "damping_decrement",
     "detuning_lineshape",
 ]
-
-
-class MicrowaveDrive(_Record):
-    """Microwave field with amplitude e0 (statV/cm); the detuning enters as a decrement,
-    and the energy flux s_mw = c*e0^2/(8*pi) is derived, never stored."""
-
-    def __init__(self, e0: float):
-        vars(self).update(e0=_checked_field(e0))
-
-    @property
-    def s_mw(self) -> float:
-        """Energy flux density in erg s^-1 cm^-2."""
-        return flux_from_field(self.e0)
 
 
 def _checked_field(e0: float) -> float:
@@ -37,24 +22,26 @@ def _checked_field(e0: float) -> float:
     return e0
 
 
-class Orientation(_Record):
-    """Angle theta (rad) between the microwave field and the atomic dipole axis."""
+def _cos_theta(theta: float) -> float:
+    """cos(theta) for the angle theta (rad) between the microwave field and the
+    atomic dipole axis, or ValueError unless theta lies in [0, pi]."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    return math.cos(theta)
 
-    def __init__(self, theta: float):
-        vars(self).update(theta=theta)
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
-
-def coupling_element(d: float, drive: MicrowaveDrive, orient: Orientation) -> float:
-    """Field-dipole coupling rate b = d*E0*cos(theta)/hbar (rad/s).
+def coupling_element(d: float, e0: float, theta: float) -> float:
+    """Field-dipole coupling rate b = d*E0*cos(theta)/hbar (rad/s) for a field of
+    amplitude e0 (statV/cm) at angle theta (rad) to the dipole axis.
 
     Carries the sign of cos(theta); everything downstream consumes |b|^2,
     so the sign cannot leak into observables.
     """
+    _checked_field(e0)
+    cos_t = _cos_theta(theta)
     if not d >= 0:
         raise ValueError(f"dipole magnitude must be nonnegative, got {d}")
-    return d * drive.e0 * math.cos(orient.theta) / HBAR_ERG_S
+    return d * e0 * cos_t / HBAR_ERG_S
 
 
 def damping_decrement(omega: float, omega_32: float, gamma_31: float) -> float:

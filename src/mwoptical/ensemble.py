@@ -17,7 +17,7 @@ test suite checks through ``coupling_element`` and ``decay_rate``.
 
 import math
 
-from .coupling import MicrowaveDrive
+from .coupling import _checked_field
 from .hydrogen import OPTICAL_ANCHOR_CM
 from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field, wavelength_to_angular
 
@@ -133,7 +133,7 @@ def f_beta_approx_large(beta: float) -> float:
         return math.inf
 
 
-# The objectives on floats.  Each public function below unpacks its records into
+# The objectives on floats.  Each public function below unpacks its vessel into
 # one private kernel: the field e0, the decrement, the atom count N (unchecked, so
 # that a kernel names an N that underflows in its own message), rho22_0 and the
 # ratio.  A sweep calls the kernels with one operand changed per point;
@@ -159,14 +159,15 @@ def _beta_numerator(e0: float, ratio: float, decrement: float) -> float:
     return 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement
 
 
-def evaluate(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float, times) -> list:
-    """Rows (t, beta, f(beta), I_total, eta) for each time t (s), beta and f(beta)
-    evaluated once per time.  I_total = decrement*sigma_max(cfg, beta)*S_mw is the
+def evaluate(cfg: EnsembleConfig, e0: float, decrement: float, times) -> list:
+    """Rows (t, beta, f(beta), I_total, eta) for each time t (s) at field amplitude e0
+    (statV/cm), beta and f(beta) evaluated once per time.
+    I_total = decrement*sigma_max(cfg, beta)*S_mw is the
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
     conversion efficiency, zero by convention at zero drive.  ValueError on overflow, on
     f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
     decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
-    return _rows(drive.e0, decrement, *_operands(cfg), cfg.area, times)
+    return _rows(_checked_field(e0), decrement, *_operands(cfg), cfg.area, times)
 
 
 def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
@@ -207,6 +208,14 @@ def _g(beta: float) -> float:
     return -math.expm1(-beta) / beta - 2.0 * f_beta(beta) if beta else 1.0 / 3.0
 
 
+def _stored_share(beta: float) -> float:
+    """E(B) = 1 - G(B), the integral of exp(-B*x^2) over x in [0, 1]
+    = sqrt(pi)*erf(sqrt(B))/(2*sqrt(B)) for B > 0: the share of the stored energy
+    not yet released at beta = B.  It exceeds 6e-155 at every finite B."""
+    root = math.sqrt(beta)
+    return math.sqrt(math.pi) * math.erf(root) / (2.0 * root)
+
+
 def _window(numerator: float, t0: float, t1: float) -> float:
     """Integral (s) of f(beta) over t in [t0, t1], 0 <= t0 <= t1, with
     beta = numerator * t / _BETA_DENOMINATOR; with beta = k*t, the integral of
@@ -224,47 +233,63 @@ def _window(numerator: float, t0: float, t1: float) -> float:
     return t1 * _g(beta1) - t0 * _g(numerator * t0 / _BETA_DENOMINATOR)
 
 
-def pulse_energy(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float,
-                 t0: float, t1: float) -> float:
-    """Emitted energy (erg) over the window [t0, t1], 0 <= t0 <= t1 (s): the time integral
-    of ``evaluate``'s I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
-    decrement * _sigma_prefactor * S_mw times ``_window``.  It is at most the energy stored
-    in the metastable level, N*rho22_0*2*pi*hbar*c/wavelength_31 (the 2p-1s line
-    ``hydrogen.OPTICAL_ANCHOR_CM``).  ValueError on a reversed window, where beta or the
-    stored energy overflows, and where the energy underflows to 0 at nonzero field,
-    decrement, ratio, rho22_0 and window width."""
+def pulse_energy(cfg: EnsembleConfig, e0: float, decrement: float, t0: float,
+                 t1: float) -> float:
+    """Emitted energy (erg) at field amplitude e0 (statV/cm) over the window [t0, t1],
+    0 <= t0 <= t1 (s): the time integral of ``evaluate``'s
+    I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
+    decrement * _sigma_prefactor * S_mw times ``_window``.  Equally, it is the energy
+    stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s line
+    ``hydrogen.OPTICAL_ANCHOR_CM``), times the share G(beta(t1)) - G(beta(t0))
+    released over the window (see ``_g``), and it is formed so where the product
+    overflows, and on a window wider than t1/32 that starts at beta >= 1, where
+    ``_window``'s G difference would cancel.  ValueError on a reversed window, where
+    beta or the stored energy overflows, and where the energy underflows to 0 at
+    nonzero field, decrement, ratio, rho22_0 and window width."""
+    _checked_field(e0)
     n_atoms, rho22_0, ratio = _operands(cfg)
-    return next(_pulse_energies([(drive.e0, decrement, n_atoms, rho22_0)], ratio, t0, t1))
+    return next(_pulse_energies([(e0, decrement, n_atoms, rho22_0)], ratio, t0, t1))
 
 
 def _pulse_energies(points, ratio: float, t0: float, t1: float):
     """``pulse_energy`` at each (e0, decrement, N, rho22_0) of points, yielded before
     the next point is read.  The window checks run once, before the first point, and
-    the rest at every point; the window integral and S_mw are recomputed only where e0
-    or the decrement changes, since beta reads no other operand that varies in a sweep."""
+    the rest at every point; the window integral, the released share and S_mw are
+    recomputed only where e0 or the decrement changes, since beta reads no other
+    operand that varies in a sweep."""
     if t1 < t0:
         raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
     for t in (t0, t1):
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
     two_pi, wavelength_sq = 2.0 * math.pi, OPTICAL_ANCHOR_CM**2
+    quantum = HBAR_ERG_S * wavelength_to_angular(OPTICAL_ANCHOR_CM)   # hbar*omega_31 (erg)
     last_e0 = last_decrement = None
     for e0, decrement, n_atoms, rho22_0 in points:
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if e0 != last_e0 or decrement != last_decrement:
-            window = _window(_beta_numerator(e0, ratio, decrement), t0, t1)
+            numerator = _beta_numerator(e0, ratio, decrement)
+            beta0 = numerator * t0 / _BETA_DENOMINATOR
+            beta1 = numerator * t1 / _BETA_DENOMINATOR
+            if 1.0 <= beta0 and beta1 < math.inf and t1 - t0 >= t1 / 32.0:
+                # deep in depletion both G values lie near 1 and the window's
+                # G(beta1) - G(beta0) cancels; E(beta0) - E(beta1) cancels 120-fold at most
+                window, released = None, _stored_share(beta0) - _stored_share(beta1)
+            else:
+                window = _window(numerator, t0, t1)
+                # G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
+                released = beta1 * window / t1 if window else 0.0
             s_mw = flux_from_field(e0)
             last_e0, last_decrement = e0, decrement
-        # _sigma_prefactor, in its operand order
-        scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
-        energy = scale * s_mw * window
-        if not math.isfinite(energy):
-            # scale*S_mw can overflow where the energy does not: N*rho22_0*hbar*omega_31
-            # times G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
-            beta1 = _beta_numerator(e0, ratio, decrement) * t1 / _BETA_DENOMINATOR
-            energy = (n_atoms * rho22_0 * HBAR_ERG_S * wavelength_to_angular(OPTICAL_ANCHOR_CM)
-                      * (beta1 * window / t1 if window else 0.0))
+        if window is not None:
+            # _sigma_prefactor, in its operand order
+            scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
+            energy = scale * s_mw * window
+        if window is None or not math.isfinite(energy):
+            # the stored energy times the released share, which scale*S_mw can overflow
+            # where this does not; N*rho22_0 first, since the other factors are below 1
+            energy = n_atoms * rho22_0 * (quantum * released)
             if not math.isfinite(energy):
                 raise ValueError("pulse energy overflows")
         if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0
@@ -287,8 +312,9 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     return sigma
 
 
-def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float):
-    """Characteristic time (s) for the ensemble emission to fall roughly tenfold:
+def depletion_time(cfg: EnsembleConfig, e0: float, decrement: float):
+    """Characteristic time (s) for the ensemble emission to fall roughly tenfold at
+    field amplitude e0 (statV/cm):
 
         tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio)
 
@@ -298,7 +324,7 @@ def depletion_time(cfg: EnsembleConfig, drive: MicrowaveDrive, decrement: float)
     poison downstream tables; a nonzero field too weak for a finite tau, or so
     strong that tau underflows to 0, raises ValueError.
     """
-    return _depletion_time(drive.e0, decrement, cfg.ratio)
+    return _depletion_time(_checked_field(e0), decrement, cfg.ratio)
 
 
 def _depletion_time(e0: float, decrement: float, ratio: float):

@@ -44,27 +44,34 @@ def g_quad(b: float) -> float:
     return value / b
 
 
-def f_window_quad(k: float, t0: float, t1: float) -> float:
-    """Integral of f(k*t) over t in [t0, t1], free of cancellation on narrow windows:
-    exchanging the t and x integrals gives (1/k) times the adaptive quadrature of
-    exp(-k*t0*x^2) * (1 - exp(-k*(t1 - t0)*x^2)) on [0, 1]."""
-    b0, width = k * t0, k * (t1 - t0)
+def _released_quad(b0: float, width: float) -> float:
+    """G(b0 + width) - G(b0), where G(B) = B * g_quad(B) is the integral of
+    1 - exp(-B x^2) on [0, 1]: the adaptive quadrature of
+    exp(-b0 x^2) * (1 - exp(-width x^2)) on [0, 1], which takes no difference of
+    G values and so does not cancel on narrow windows or deep in depletion."""
     value, _ = quad(lambda x: math.exp(-b0 * x * x) * -math.expm1(-width * x * x), 0.0, 1.0,
-                    points=_dip_points(b0, k * t1), epsabs=0.0, epsrel=1e-13, limit=200)
-    return value / k
+                    points=_dip_points(b0, b0 + width), epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
+
+
+def f_window_quad(k: float, t0: float, t1: float) -> float:
+    """Integral of f(k*t) over t in [t0, t1], free of cancellation: exchanging the
+    t and x integrals gives (1/k) * (G(k t1) - G(k t0)), see ``_released_quad``."""
+    return _released_quad(k * t0, k * (t1 - t0)) / k
 
 
 def stored_pulse_energy(n_excited: float, wavelength_31: float, e0: float, ratio: float,
                         decrement: float, t0: float, t1: float) -> float:
     """Energy (erg) emitted over [t0, t1] by n_excited metastable atoms driven at
     field e0: n_excited * (2 pi hbar c / wavelength_31) * (G(k t1) - G(k t0)), with
-    k = beta/t = 3 e0^2 wavelength_31^3 ratio decrement / (32 pi^3 hbar) and
-    G(B) = B * g_quad(B).  G rises from 0 to 1 because the integral of f(B) dB
-    over [0, inf) is 1, so the pulse returns at most the stored energy.
+    k = beta/t = 3 e0^2 wavelength_31^3 ratio decrement / (32 pi^3 hbar) and the
+    G difference taken by ``_released_quad``.  G rises from 0 to 1 because the
+    integral of f(B) dB over [0, inf) is 1, so the pulse returns at most the
+    stored energy.
     """
     k = 3.0 * e0**2 * wavelength_31**3 * ratio * decrement / (32.0 * math.pi**3 * HBAR)
     quantum = 2.0 * math.pi * HBAR * C / wavelength_31
-    return n_excited * (quantum * (k * t1 * g_quad(k * t1) - k * t0 * g_quad(k * t0)))
+    return n_excited * (quantum * _released_quad(k * t0, k * (t1 - t0)))
 
 
 # Hydrogenic radial functions written out from scratch (r in units of a0).

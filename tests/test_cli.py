@@ -315,11 +315,11 @@ def test_sweep_no_depletion_marker_in_csv():
 
 # objective -> its value from the records of a scenario, by the public functions
 RECORD_OBJECTIVES = {
-    "eta_max_peak": lambda cfg, drive, decrement, ens:
-        evaluate(ens, drive, decrement, (0.0,))[0][4],
-    "pulse_energy": lambda cfg, drive, decrement, ens:
-        pulse_energy(ens, drive, decrement, cfg.time_start_s, cfg.time_stop_s),
-    "tau": lambda cfg, drive, decrement, ens: depletion_time(ens, drive, decrement),
+    "eta_max_peak": lambda cfg, e0, decrement, ens:
+        evaluate(ens, e0, decrement, (0.0,))[0][4],
+    "pulse_energy": lambda cfg, e0, decrement, ens:
+        pulse_energy(ens, e0, decrement, cfg.time_start_s, cfg.time_stop_s),
+    "tau": lambda cfg, e0, decrement, ens: depletion_time(ens, e0, decrement),
 }
 
 
@@ -379,7 +379,7 @@ def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
 @pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),
                                              ("detuning_mhz", "detuning_mhz = 1e303")])
 def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
-    # the config's own flux (or detuning) overflows the drive (or the lineshape's
+    # the config's own flux (or detuning) overflows the field (or the lineshape's
     # delta^2), but the sweep replaces it
     message = {"flux_w_cm2": "field amplitude must be finite",
                "detuning_mhz": "detuning lineshape underflows to 0"}[parameter]
@@ -563,11 +563,11 @@ def test_main_pulse_energy_where_scale_times_flux_overflows(tmp_path, capsys):
         rows = [[float(v) for v in line.split(",")]
                 for line in capsys.readouterr().out.splitlines()[1:]]
         cfg = parse_config(config.read_text())
-        drive, decrement, _ = cli._scenario_physics(cfg)
+        e0, decrement, _ = cli._scenario_physics(cfg)
         for rho22, energy in rows:
             # 1.22e-5 cm: the optical line every scenario shares
             assert energy == pytest.approx(oracles.stored_pulse_energy(
-                n_atoms * rho22, 1.22e-5, drive.e0, ratio, decrement, 0.0, cfg.time_stop_s),
+                n_atoms * rho22, 1.22e-5, e0, ratio, decrement, 0.0, cfg.time_stop_s),
                 rel=1e-8)
         assert rows[-1][1] == pytest.approx(last, rel=1e-4)
 

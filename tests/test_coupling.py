@@ -3,73 +3,81 @@ import math
 import numpy as np
 import pytest
 
-from mwoptical.coupling import (
-    MicrowaveDrive,
-    Orientation,
-    coupling_element,
-    damping_decrement,
-    detuning_lineshape,
-)
-from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S
+from mwoptical.coupling import coupling_element, damping_decrement, detuning_lineshape
+from mwoptical.dynamics import intensity_weak
+from mwoptical.ensemble import EnsembleConfig, depletion_time, evaluate, pulse_energy
+from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S, flux_from_field
+
+VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0)
+OMEGA_31 = 1.5e16   # rad/s, near the 2p-1s line
+
+# each function that takes a field amplitude e0 (statV/cm), called at e0
+FIELD_TAKERS = {
+    "evaluate": lambda e0: evaluate(VESSEL, e0, 1.0, [0.0, 1e-7]),
+    "pulse_energy": lambda e0: pulse_energy(VESSEL, e0, 1.0, 0.0, 1e-7),
+    "depletion_time": lambda e0: depletion_time(VESSEL, e0, 1.0),
+    "coupling_element": lambda e0: coupling_element(1e-18, e0, 0.3),
+    "intensity_weak": lambda e0: intensity_weak(e0, 0.3, 1.0, OMEGA_31, 1.0, 0.5),
+}
+
+# each function that takes an angle theta (rad), called at theta
+ANGLE_TAKERS = {
+    "coupling_element": lambda theta: coupling_element(1e-18, 1.0, theta),
+    "intensity_weak": lambda theta: intensity_weak(1.0, theta, 1.0, OMEGA_31, 1.0, 0.5),
+}
 
 
 def test_drive_flux_is_derived():
-    drive = MicrowaveDrive(e0=0.5)
-    assert drive.s_mw == pytest.approx(C_CM_S * 0.25 / (8.0 * math.pi), rel=1e-14)
+    assert flux_from_field(0.5) == pytest.approx(C_CM_S * 0.25 / (8.0 * math.pi), rel=1e-14)
 
 
 def test_drive_validation():
-    with pytest.raises(ValueError, match="field"):
-        MicrowaveDrive(e0=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="field amplitude must be finite"):
-            MicrowaveDrive(e0=bad)
+    for call in FIELD_TAKERS.values():
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="field amplitude must be finite and nonnegative"):
+                call(bad)
+        for zero in (0.0, -0.0):
+            call(zero)
 
 
 def test_orientation_range():
-    Orientation(0.0)
-    Orientation(math.pi)
-    for bad in (-0.1, math.pi + 0.1):
-        with pytest.raises(ValueError, match="theta"):
-            Orientation(bad)
+    for call in ANGLE_TAKERS.values():
+        call(0.0)
+        call(math.pi)
+        for bad in (-0.1, math.pi + 0.1, math.nan):
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+                call(bad)
 
 
 def test_coupling_element_aligned_value():
     # d = 3 e*a0, E0 = 1 statV/cm, theta = 0; frozen constants arithmetic
     d = 3.0 * E_STATC * A0_CM
-    drive = MicrowaveDrive(e0=1.0)
-    b = coupling_element(d, drive, Orientation(0.0))
+    b = coupling_element(d, 1.0, 0.0)
     assert b == pytest.approx(7.230649722077543e9, rel=1e-12)
 
 
 def test_coupling_element_orthogonal_and_zero_field():
     d = 3.0 * E_STATC * A0_CM
-    drive = MicrowaveDrive(e0=1.0)
-    scale = d * drive.e0 / HBAR_ERG_S
-    assert coupling_element(d, drive, Orientation(math.pi / 2)) == pytest.approx(0.0, abs=1e-12 * scale)
-    off = MicrowaveDrive(e0=0.0)
-    assert coupling_element(d, off, Orientation(0.3)) == 0.0
+    scale = d / HBAR_ERG_S
+    assert coupling_element(d, 1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12 * scale)
+    assert coupling_element(d, 0.0, 0.3) == 0.0
 
 
 def test_coupling_element_bilinear_and_even():
     d = 2.0e-18
-    drive = MicrowaveDrive(e0=0.7)
-    theta = Orientation(0.4)
-    b = coupling_element(d, drive, theta)
-    assert coupling_element(2.0 * d, drive, theta) == pytest.approx(2.0 * b, rel=1e-14)
-    double = MicrowaveDrive(e0=1.4)
-    assert coupling_element(d, double, theta) == pytest.approx(2.0 * b, rel=1e-14)
+    b = coupling_element(d, 0.7, 0.4)
+    assert coupling_element(2.0 * d, 0.7, 0.4) == pytest.approx(2.0 * b, rel=1e-14)
+    assert coupling_element(d, 1.4, 0.4) == pytest.approx(2.0 * b, rel=1e-14)
     # even in the angle: cos(-theta) = cos(theta)
-    assert b == pytest.approx(d * drive.e0 * math.cos(-0.4) / HBAR_ERG_S, rel=1e-14)
+    assert b == pytest.approx(d * 0.7 * math.cos(-0.4) / HBAR_ERG_S, rel=1e-14)
 
 
 def test_coupling_element_sign_follows_cosine():
     d = 2.0e-18
-    drive = MicrowaveDrive(e0=1.0)
-    assert coupling_element(d, drive, Orientation(3.0)) < 0
+    assert coupling_element(d, 1.0, 3.0) < 0
     for bad in (-d, math.nan):
         with pytest.raises(ValueError, match="dipole"):
-            coupling_element(bad, drive, Orientation(0.0))
+            coupling_element(bad, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mwoptical.coupling import MicrowaveDrive, Orientation, coupling_element
+from mwoptical.coupling import coupling_element
 from mwoptical.dynamics import intensity_full, intensity_weak
 from mwoptical.ensemble import EnsembleConfig, evaluate, pulse_energy
 from mwoptical.hydrogen import (
@@ -14,39 +14,38 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
 )
-from mwoptical.units import field_from_flux, flux_si_to_cgs, wavelength_to_angular
+from mwoptical.units import field_from_flux, flux_from_field, flux_si_to_cgs, wavelength_to_angular
 
 OMEGA_31 = mode("2p3/2").omega - mode("1s1/2").omega
 GAMMA_31 = decay_rate(OMEGA_31, effective_dipole(mode("2p3/2"), mode("1s1/2")))
 
 
-def _drive(flux_w_cm2=1.0):
-    return MicrowaveDrive(e0=field_from_flux(flux_si_to_cgs(flux_w_cm2)))
+def _field(flux_w_cm2=1.0):
+    return field_from_flux(flux_si_to_cgs(flux_w_cm2))
 
 
 def _rabi_and_coupling(omega_over_gamma):
-    """(Omega, b32, drive) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
+    """(Omega, b32, e0) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
     takes the given value: Omega from the bare m = 0 dipole, b32 from the
     sublevel-summed one, which is sqrt(2) times larger."""
     m0 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
     summed = effective_dipole(mode("2p3/2"), mode("2s1/2"))
-    drive = MicrowaveDrive(e0=omega_over_gamma * GAMMA_31 * oracles.HBAR / m0)
-    aligned = Orientation(0.0)
-    return coupling_element(m0, drive, aligned), coupling_element(summed, drive, aligned), drive
+    e0 = omega_over_gamma * GAMMA_31 * oracles.HBAR / m0
+    return coupling_element(m0, e0, 0.0), coupling_element(summed, e0, 0.0), e0
 
 
 # The package's vessel on the 2p3/2-1s1/2 line with the catalog dipole ratio:
-# under a drive from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
+# under a field e0 from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
 # Omega^2 t/gamma_31 at theta = 0, the rate law of the two-level oracle.
 RATE_LAW_VESSEL = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4,
                                  ratio=hydrogenic_dipole_ratio())
 STORED_ENERGY = RATE_LAW_VESSEL.n_atoms * RATE_LAW_VESSEL.rho22_0 * oracles.HBAR * OMEGA_31
 
 
-def _surviving(drive, decrement, times):
-    """rho22(t)/rho22(0) = exp(-beta) of an atom aligned with the drive, with beta
+def _surviving(e0, decrement, times):
+    """rho22(t)/rho22(0) = exp(-beta) of an atom aligned with the field e0, with beta
     the depletion exponent of ``evaluate`` on RATE_LAW_VESSEL."""
-    return [math.exp(-row[1]) for row in evaluate(RATE_LAW_VESSEL, drive, decrement, times)]
+    return [math.exp(-row[1]) for row in evaluate(RATE_LAW_VESSEL, e0, decrement, times)]
 
 
 # ---------------------------------------------------------------------------
@@ -54,28 +53,28 @@ def _surviving(drive, decrement, times):
 # ---------------------------------------------------------------------------
 
 def test_rho22_initial_and_undriven():
-    _, _, drive = _rabi_and_coupling(0.2)
-    assert _surviving(drive, 1.0, (0.0,)) == [1.0]
-    assert _surviving(MicrowaveDrive(e0=0.0), 1.0, (0.0, 1e-6, 1e-3)) == [1.0] * 3
+    _, _, e0 = _rabi_and_coupling(0.2)
+    assert _surviving(e0, 1.0, (0.0,)) == [1.0]
+    assert _surviving(0.0, 1.0, (0.0, 1e-6, 1e-3)) == [1.0] * 3
 
 
 def test_rho22_e_folding_time():
-    _, b32, drive = _rabi_and_coupling(0.2)
+    _, b32, e0 = _rabi_and_coupling(0.2)
     dec = 0.8
     t_e = 2.0 * GAMMA_31 / (b32 * b32 * dec)
-    assert _surviving(drive, dec, (t_e,)) == [pytest.approx(1.0 / math.e, rel=1e-12)]
+    assert _surviving(e0, dec, (t_e,)) == [pytest.approx(1.0 / math.e, rel=1e-12)]
 
 
 def test_rho22_monotone_nonincreasing():
-    _, _, drive = _rabi_and_coupling(0.2)
-    values = _surviving(drive, 1.0, [float(t) for t in np.linspace(0.0, 1e-6, 50)])
+    _, _, e0 = _rabi_and_coupling(0.2)
+    values = _surviving(e0, 1.0, [float(t) for t in np.linspace(0.0, 1e-6, 50)])
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_rho22_semigroup():
-    _, _, drive = _rabi_and_coupling(0.2)
+    _, _, e0 = _rabi_and_coupling(0.2)
     for t1, t2 in [(1e-9, 3e-9), (2e-8, 5e-7), (0.0, 1e-6)]:
-        direct, first, second = _surviving(drive, 0.7, (t1 + t2, t1, t2))
+        direct, first, second = _surviving(e0, 0.7, (t1 + t2, t1, t2))
         assert direct == pytest.approx(first * second, rel=1e-12)
 
 
@@ -87,16 +86,16 @@ def test_rho22_is_the_exact_two_level_decay_at_weak_coupling():
     assert oracles.rho22_two_level(0.0, 0.1 * gamma, gamma) == pytest.approx(1.0, abs=1e-15)
     assert oracles.rho22_two_level(1e-6, 0.0, gamma) == 1.0
     for omega_over_gamma, tolerance in ((0.05, 1e-5), (0.2, 2e-3)):
-        rabi, b32, drive = _rabi_and_coupling(omega_over_gamma)
+        rabi, b32, e0 = _rabi_and_coupling(omega_over_gamma)
         t = 2.0 * gamma / rabi**2   # two e-foldings
-        [package] = _surviving(drive, 1.0, (t,))
+        [package] = _surviving(e0, 1.0, (t,))
         assert package == pytest.approx(math.exp(-rabi * rabi * t / gamma), rel=1e-14)
         assert package == pytest.approx(oracles.rho22_two_level(t, rabi, gamma),
                                         rel=tolerance)
     # read as the Rabi frequency itself, b would give twice the package's
     # exponent: the exact population is about e^-2 where the package reads e^-1
     t = 2.0 * gamma / b32**2
-    assert _surviving(drive, 1.0, (t,)) == [pytest.approx(math.exp(-1.0), rel=1e-14)]
+    assert _surviving(e0, 1.0, (t,)) == [pytest.approx(math.exp(-1.0), rel=1e-14)]
     assert oracles.rho22_two_level(t, b32, gamma) == pytest.approx(0.137, abs=1e-3)
 
 
@@ -105,9 +104,9 @@ def test_rate_law_fails_as_the_coupling_nears_critical_damping():
     # above the rate law's; past 0.5 the roots are complex, the atom
     # Rabi-oscillates and no rate law holds
     gamma = GAMMA_31
-    rabi, _, drive = _rabi_and_coupling(0.375)
+    rabi, _, e0 = _rabi_and_coupling(0.375)
     t = 2.0 * gamma / rabi**2
-    [package] = _surviving(drive, 1.0, (t,))
+    [package] = _surviving(e0, 1.0, (t,))
     excess = oracles.rho22_two_level(t, rabi, gamma) / package - 1.0
     assert 0.04 < excess < 0.05
 
@@ -118,8 +117,8 @@ def test_ensemble_emission_peaks_below_the_rate_law(omega_over_gamma, peak_ratio
     # adiabatic elimination at ensemble level: the rate law emits most at t = 0,
     # Omega^2/(3 gamma_31) per excited atom; the exact orientation average of
     # gamma_31 |c3|^2 rises from 0 over ~1/gamma_31 and peaks lower
-    rabi, _, drive = _rabi_and_coupling(omega_over_gamma)
-    rate_law = evaluate(RATE_LAW_VESSEL, drive, 1.0, (0.0,))[0][3] / STORED_ENERGY
+    rabi, _, e0 = _rabi_and_coupling(omega_over_gamma)
+    rate_law = evaluate(RATE_LAW_VESSEL, e0, 1.0, (0.0,))[0][3] / STORED_ENERGY
     assert rate_law == pytest.approx(rabi**2 / (3.0 * GAMMA_31), rel=1e-9)
     exact = max(oracles.two_level_ensemble(0.05 * i / GAMMA_31, rabi, GAMMA_31)[1]
                 for i in range(401))   # gamma_31 t on [0, 20]
@@ -132,11 +131,11 @@ def test_share_of_stored_energy_released_by_gamma_t_40(omega_over_gamma, exact_s
                                                        rate_law_share):
     # 1 - <|c2|^2 + |c3|^2> has been emitted; the package's pulse energy is the
     # rate law's share of the stored energy
-    rabi, _, drive = _rabi_and_coupling(omega_over_gamma)
+    rabi, _, e0 = _rabi_and_coupling(omega_over_gamma)
     t = 40.0 / GAMMA_31
     c2, c3 = oracles.two_level_ensemble(t, rabi, GAMMA_31)
     assert 1.0 - c2 - c3 == pytest.approx(exact_share, abs=0.01)
-    released = pulse_energy(RATE_LAW_VESSEL, drive, 1.0, 0.0, t) / STORED_ENERGY
+    released = pulse_energy(RATE_LAW_VESSEL, e0, 1.0, 0.0, t) / STORED_ENERGY
     assert released == pytest.approx(rate_law_share, abs=1e-3)
 
 
@@ -161,20 +160,20 @@ def test_intensity_full_rejects_zero_rate_transition():
 
 
 def test_intensity_weak_zeros():
-    drive = _drive()
-    assert intensity_weak(drive, Orientation(math.pi / 2), 1.0, OMEGA_31, 1.0, 0.5) \
+    e0 = _field()
+    assert intensity_weak(e0, math.pi / 2, 1.0, OMEGA_31, 1.0, 0.5) \
         == pytest.approx(0.0, abs=1e-20)
-    assert intensity_weak(drive, Orientation(0.0), 1.0, OMEGA_31, 1.0, 0.0) == 0.0
+    assert intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 0.0) == 0.0
 
 
 def test_intensity_weak_validation():
-    drive = _drive()
+    e0 = _field()
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="omega_31"):
-            intensity_weak(drive, Orientation(0.0), 1.0, bad, 1.0, 0.5)
+            intensity_weak(e0, 0.0, 1.0, bad, 1.0, 0.5)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="ratio"):
-            intensity_weak(drive, Orientation(0.0), bad, OMEGA_31, 1.0, 0.5)
+            intensity_weak(e0, 0.0, bad, OMEGA_31, 1.0, 0.5)
 
 
 def test_weak_equals_full_at_zero_rho33():
@@ -190,26 +189,24 @@ def test_weak_equals_full_at_zero_rho33():
         dec = float(rng.uniform(1e-6, 2.0))
         rho22 = float(rng.uniform(0.0, 1.0))
 
-        drive = MicrowaveDrive(e0=e0)
-        orient = Orientation(theta)
-        b32 = coupling_element(math.sqrt(ratio) * d31, drive, orient)
+        b32 = coupling_element(math.sqrt(ratio) * d31, e0, theta)
 
         full = intensity_full(omega31, decay_rate(omega31, d31), b32, dec, rho22)
-        weak = intensity_weak(drive, orient, ratio, omega31, dec, rho22)
+        weak = intensity_weak(e0, theta, ratio, omega31, dec, rho22)
         assert weak == pytest.approx(full, rel=1e-12, abs=1e-300)
 
 
-def _sigma(drive, orient, ratio, omega31, dec, rho22):
+def _sigma(e0, theta, ratio, omega31, dec, rho22):
     """Single-atom cross-section sigma = I/S_mw (cm^2)."""
-    return intensity_weak(drive, orient, ratio, omega31, dec, rho22) / drive.s_mw
+    return intensity_weak(e0, theta, ratio, omega31, dec, rho22) / flux_from_field(e0)
 
 
 def test_single_atom_cross_section_value():
     # resonance, aligned, unit ratio and excitation on the 122 nm line:
     # sigma = (3/2pi) * wavelength^2, frozen from the flux-form arithmetic
     omega31 = wavelength_to_angular(1.22e-5)
-    drive = _drive()
-    sigma = _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 1.0)
+    e0 = _field()
+    sigma = _sigma(e0, 0.0, 1.0, omega31, 1.0, 1.0)
     assert sigma == pytest.approx(7.10658651893931e-11, rel=1e-12)
     assert sigma == pytest.approx(3.0 / (2.0 * math.pi) * (1.22e-5) ** 2, rel=1e-12)
 
@@ -217,18 +214,18 @@ def test_single_atom_cross_section_value():
 def test_single_atom_cross_section_flux_invariant():
     # the E0^2 in I cancels against S_mw
     omega31 = OMEGA_31
-    base = _sigma(_drive(1.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
-    quadrupled = _sigma(_drive(4.0), Orientation(0.4), 2.0, omega31, 0.9, 0.3)
+    base = _sigma(_field(1.0), 0.4, 2.0, omega31, 0.9, 0.3)
+    quadrupled = _sigma(_field(4.0), 0.4, 2.0, omega31, 0.9, 0.3)
     assert quadrupled == pytest.approx(base, rel=1e-12)
 
 
 def test_single_atom_cross_section_linearities():
     omega31 = OMEGA_31
-    drive = _drive()
-    base = _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.25)
-    assert _sigma(drive, Orientation(0.0), 3.0, omega31, 1.0, 0.25) \
+    e0 = _field()
+    base = _sigma(e0, 0.0, 1.0, omega31, 1.0, 0.25)
+    assert _sigma(e0, 0.0, 3.0, omega31, 1.0, 0.25) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert _sigma(drive, Orientation(0.0), 1.0, omega31, 1.0, 0.75) \
+    assert _sigma(e0, 0.0, 1.0, omega31, 1.0, 0.75) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert _sigma(drive, Orientation(math.pi / 2), 1.0, omega31, 1.0, 0.25) \
+    assert _sigma(e0, math.pi / 2, 1.0, omega31, 1.0, 0.25) \
         == pytest.approx(0.0, abs=1e-20)
