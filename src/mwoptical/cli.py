@@ -32,13 +32,12 @@ from .ensemble import (
 )
 from .hydrogen import (
     FINE_STRUCTURE_MHZ,
+    GAMMA_31,
     LAMB_SHIFT_MHZ,
     LIFETIME_2S_S,
     OPTICAL_ANCHOR_CM,
     RATIO_UNITY,
-    decay_rate,
     dipole_matrix_element,
-    effective_dipole,
     hydrogenic_dipole_ratio,
     mode,
 )
@@ -102,12 +101,6 @@ SCENARIO_HEADER = ("t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]"
 
 # Largest scenario, sweep or fig1 grid; grids are Python lists built point by point.
 MAX_GRID_POINTS = 10**7
-
-# The one optical line every scenario and sweep point shares (see module docstring),
-# and its decay rate, which the decrement of every sweep point reads.
-_OPTICAL_UPPER, _OPTICAL_LOWER = mode("2p3/2"), mode("1s1/2")
-_GAMMA_31 = decay_rate(_OPTICAL_UPPER.omega - _OPTICAL_LOWER.omega,
-                       effective_dipole(_OPTICAL_UPPER, _OPTICAL_LOWER))
 
 
 def _check_grid_size(name: str, steps: int):
@@ -314,7 +307,7 @@ def _field(flux_w_cm2: float) -> float:
 def _decrement(detuning_mhz: float) -> float:
     """The lineshape at a detuning in MHz; it is even, and 2*pi*1e6*x is odd in x
     in floats too, so |detuning| gives every bit of delta^2."""
-    decrement = detuning_lineshape(freq_mhz_to_angular(abs(detuning_mhz)), _GAMMA_31)
+    decrement = detuning_lineshape(freq_mhz_to_angular(abs(detuning_mhz)))
     if decrement == 0.0:
         raise ValueError(f"detuning lineshape underflows to 0 at detuning {detuning_mhz} MHz")
     return decrement
@@ -358,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig):
         "rho22_initial": ens.rho22_0,
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
-        "gamma31_per_s": _GAMMA_31,
+        "gamma31_per_s": GAMMA_31,
         "eta_peak": evaluate(ens, e0, decrement, (0.0,))[0][4],
         "tau_s": depletion_time(ens, e0, decrement),
         "sigma_max_cm2": sigma_max(ens, 0.0),
@@ -535,12 +528,12 @@ def _cmd_transition(args) -> None:
         "microwave_resonance_mhz": resonance_mhz,
         "optical_wavelength_nm": OPTICAL_ANCHOR_CM / CM_PER_NM,
         "dipole_mw_z_e_a0": dipole_matrix_element(upper, lower) / e_a0,
-        "dipole_optical_z_e_a0": dipole_matrix_element(_OPTICAL_UPPER, _OPTICAL_LOWER) / e_a0,
+        "dipole_optical_z_e_a0": dipole_matrix_element(mode("2p3/2"), mode("1s1/2")) / e_a0,
         "dipole_ratio_hydrogenic": hydrogenic_dipole_ratio(),
-        "gamma31_per_s": _GAMMA_31,
-        "lifetime31_s": 1.0 / _GAMMA_31,
+        "gamma31_per_s": GAMMA_31,
+        "lifetime31_s": 1.0 / GAMMA_31,
         "lifetime_metastable_s": LIFETIME_2S_S,
-        "decrement_at_resonance": damping_decrement(omega_32, omega_32, _GAMMA_31),
+        "decrement_at_resonance": damping_decrement(omega_32, omega_32),
     }
     sys.stdout.write(format_summary(record))
 

@@ -5,6 +5,7 @@ against detuning from the 2s-2p resonance.
 
 import math
 
+from .hydrogen import GAMMA_31
 from .units import HBAR_ERG_S
 
 __all__ = [
@@ -44,32 +45,28 @@ def coupling_element(d: float, e0: float, theta: float) -> float:
     return d * e0 * cos_t / HBAR_ERG_S
 
 
-def damping_decrement(omega: float, omega_32: float, gamma_31: float) -> float:
+def damping_decrement(omega: float, omega_32: float) -> float:
     """Dimensionless stimulated-emission decrement, a sum of two Lorentzians:
 
-        g^2/(g^2 + (w32 + w)^2) + g^2/(g^2 + (w32 - w)^2),   g = gamma_31.
+        g^2/(g^2 + (w32 + w)^2) + g^2/(g^2 + (w32 - w)^2),   g = hydrogen.GAMMA_31.
 
     The width is set by the *optical* decay rate gamma_31, not by the microwave
     transition's own (negligible) rate.  Peaks at omega = omega_32 where it
     equals 1 + g^2/(g^2 + 4*w32^2), i.e. ~1 for any realistic w32 >> g.
     """
-    if not gamma_31 > 0:
-        raise ValueError(f"gamma_31 must be positive, got {gamma_31}")
     if not omega >= 0:
         raise ValueError(f"drive frequency must be nonnegative, got {omega}")
-    g2 = gamma_31 * gamma_31
+    g2 = GAMMA_31 * GAMMA_31
     return g2 / (g2 + (omega_32 + omega) ** 2) + g2 / (g2 + (omega_32 - omega) ** 2)
 
 
-def detuning_lineshape(detuning: float, gamma_31: float) -> float:
-    """Resonant Lorentzian g^2/(g^2 + delta^2) for angular detuning delta (rad/s).
+def detuning_lineshape(detuning: float) -> float:
+    """Resonant Lorentzian g^2/(g^2 + delta^2), g = GAMMA_31, at detuning delta (rad/s).
 
     Near-resonance form of ``damping_decrement`` with the counter-rotating term
     (<= 2e-3 at the catalog resonances) dropped: it equals exactly 1 at zero
     detuning and is identical for both microwave channels, which keeps the
     conversion figures channel-independent.
     """
-    if not gamma_31 > 0:
-        raise ValueError(f"gamma_31 must be positive, got {gamma_31}")
-    g2 = gamma_31 * gamma_31
+    g2 = GAMMA_31 * GAMMA_31
     return g2 / (g2 + detuning * detuning)

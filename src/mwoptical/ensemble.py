@@ -16,10 +16,11 @@ test suite checks through ``coupling_element`` and ``decay_rate``.
 """
 
 import math
+import sys
 
 from .coupling import _checked_field
-from .hydrogen import OPTICAL_ANCHOR_CM
-from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field, wavelength_to_angular
+from .hydrogen import OMEGA_31, OPTICAL_ANCHOR_CM
+from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field
 
 __all__ = [
     "EnsembleConfig",
@@ -155,8 +156,14 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
 
 
 def _beta_numerator(e0: float, ratio: float, decrement: float) -> float:
-    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator."""
-    return 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement
+    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator.
+    Where 3 * E0^2 * wavelength_31^3 is subnormal, the product is formed on E0's
+    mantissa and scaled back, so that a large ratio does not meet a head short of digits."""
+    head = 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3
+    if head >= sys.float_info.min:
+        return head * ratio * decrement
+    mantissa, exponent = math.frexp(e0)
+    return math.ldexp(3.0 * mantissa**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement, 2 * exponent)
 
 
 def evaluate(cfg: EnsembleConfig, e0: float, decrement: float, times) -> list:
@@ -263,7 +270,7 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
     two_pi, wavelength_sq = 2.0 * math.pi, OPTICAL_ANCHOR_CM**2
-    quantum = HBAR_ERG_S * wavelength_to_angular(OPTICAL_ANCHOR_CM)   # hbar*omega_31 (erg)
+    quantum = HBAR_ERG_S * OMEGA_31   # hbar*omega_31 (erg)
     last_e0 = last_decrement = None
     for e0, decrement, n_atoms, rho22_0 in points:
         if not decrement >= 0:
@@ -328,15 +335,15 @@ def depletion_time(cfg: EnsembleConfig, e0: float, decrement: float):
 
 
 def _depletion_time(e0: float, decrement: float, ratio: float):
-    """``depletion_time`` on floats."""
+    """``depletion_time`` on floats: 6e3 * hbar over ``_beta_numerator``, 3 times the rate."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
     if e0 == 0 or ratio == 0:
         return None
-    rate = decrement * e0**2 * OPTICAL_ANCHOR_CM**3 * ratio
-    if rate == 0:
+    numerator = _beta_numerator(e0, ratio, decrement)
+    if numerator == 0:
         raise ValueError(f"depletion time overflows at field {e0} statV/cm")
-    tau = 2.0e3 * HBAR_ERG_S / rate
+    tau = 6.0e3 * HBAR_ERG_S / numerator
     if tau == 0:
         raise ValueError(f"depletion time underflows to 0 at field {e0} statV/cm")
     return tau

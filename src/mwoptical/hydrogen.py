@@ -29,6 +29,8 @@ __all__ = [
     "FINE_STRUCTURE_MHZ",
     "LAMB_SHIFT_MHZ",
     "OPTICAL_ANCHOR_CM",
+    "OMEGA_31",
+    "GAMMA_31",
     "LIFETIME_2S_S",
     "HydrogenMode",
     "MODES",
@@ -154,6 +156,12 @@ def decay_rate(omega_nk: float, d_nk: float) -> float:
         raise ValueError(f"transition frequency must be nonnegative, got {omega_nk};"
                          " order the pair as (upper, lower)")
     return 2.0 * omega_nk**3 * d_nk**2 / (3.0 * HBAR_ERG_S * C_CM_S**3)
+
+
+# The optical line every scenario and sweep point shares: its angular frequency
+# (rad/s, the 2p3/2 - 1s1/2 line at OPTICAL_ANCHOR_CM) and decay rate (1/s, 1/1.615 ns).
+OMEGA_31 = MODES["2p3/2"].omega - MODES["1s1/2"].omega
+GAMMA_31 = decay_rate(OMEGA_31, effective_dipole(MODES["2p3/2"], MODES["1s1/2"]))
 
 
 def hydrogenic_dipole_ratio() -> float:

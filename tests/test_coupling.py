@@ -6,6 +6,7 @@ import pytest
 from mwoptical.coupling import coupling_element, damping_decrement, detuning_lineshape
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import EnsembleConfig, depletion_time, evaluate, pulse_energy
+from mwoptical.hydrogen import GAMMA_31
 from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S, flux_from_field
 
 VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0)
@@ -85,31 +86,27 @@ def test_coupling_element_sign_follows_cosine():
 # ---------------------------------------------------------------------------
 
 def test_decrement_at_resonance_is_near_one():
-    gamma = 6.2e8
+    gamma = GAMMA_31
     w32 = 2.0 * math.pi * 1.0949e10   # w32/gamma ~ 110, counter-rotating term ~ 2e-5
-    value = damping_decrement(w32, w32, gamma)
+    value = damping_decrement(w32, w32)
     assert value == pytest.approx(1.0 + gamma**2 / (gamma**2 + 4.0 * w32**2), rel=1e-14)
     assert abs(value - 1.0) < 1e-4
 
 
 def test_decrement_half_width_point():
-    gamma = 1.0e6
-    w32 = 1.0e12   # w32 >> gamma: anti-resonant term negligible
-    for omega in (w32 - gamma, w32 + gamma):
-        assert damping_decrement(omega, w32, gamma) == pytest.approx(0.5, rel=1e-9)
+    w32 = 1.0e15   # w32 >> gamma: anti-resonant term negligible
+    for omega in (w32 - GAMMA_31, w32 + GAMMA_31):
+        assert damping_decrement(omega, w32) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_decrement_off_resonance_limit():
-    gamma = 1.0e6
-    w32 = 1.0e12
-    assert damping_decrement(1.0e18, w32, gamma) < 1e-12
+    assert damping_decrement(1.0e18, 1.0e15) < 1e-12
 
 
 def test_decrement_peaks_at_resonance():
-    gamma = 1.0e6
-    w32 = 1.0e10   # w32/gamma = 1e4
+    w32 = 1.0e11   # w32/gamma ~ 160, grid step below gamma
     grid = np.linspace(0.5 * w32, 1.5 * w32, 2001)
-    values = [damping_decrement(float(w), w32, gamma) for w in grid]
+    values = [damping_decrement(float(w), w32) for w in grid]
     step = grid[1] - grid[0]
     assert abs(grid[int(np.argmax(values))] - w32) <= step
 
@@ -117,20 +114,16 @@ def test_decrement_peaks_at_resonance():
 def test_decrement_bounded():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        gamma = float(rng.uniform(1e3, 1e9))
         w32 = float(rng.uniform(1e6, 1e13))
         omega = float(rng.uniform(0.0, 1e13))
-        value = damping_decrement(omega, w32, gamma)
+        value = damping_decrement(omega, w32)
         assert 0.0 < value <= 2.0
 
 
 def test_decrement_validation():
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError, match="gamma"):
-            damping_decrement(1.0e10, 1.0e10, bad)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="frequency"):
-            damping_decrement(bad, 1.0e10, 1.0e6)
+            damping_decrement(bad, 1.0e10)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +131,17 @@ def test_decrement_validation():
 # ---------------------------------------------------------------------------
 
 def test_detuning_lineshape_unity_on_resonance():
-    assert detuning_lineshape(0.0, 6.2e8) == 1.0
+    assert detuning_lineshape(0.0) == 1.0
 
 
 def test_detuning_lineshape_symmetric_half_width():
-    gamma = 6.2e8
-    assert detuning_lineshape(gamma, gamma) == pytest.approx(0.5, rel=1e-14)
-    assert detuning_lineshape(-gamma, gamma) == pytest.approx(0.5, rel=1e-14)
+    assert detuning_lineshape(GAMMA_31) == pytest.approx(0.5, rel=1e-14)
+    assert detuning_lineshape(-GAMMA_31) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_detuning_lineshape_matches_full_decrement_near_resonance():
     # agrees with the two-term decrement up to the ~2e-5 counter-rotating term
-    gamma = 6.191908577e8
     w32 = 2.0 * math.pi * 1.0949e10
-    for delta in (0.0, 0.3 * gamma, 2.0 * gamma):
-        full = damping_decrement(w32 + delta, w32, gamma)
-        assert detuning_lineshape(delta, gamma) == pytest.approx(full, abs=3e-5)
-
-
-def test_detuning_lineshape_validation():
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="gamma"):
-            detuning_lineshape(0.0, bad)
+    for delta in (0.0, 0.3 * GAMMA_31, 2.0 * GAMMA_31):
+        full = damping_decrement(w32 + delta, w32)
+        assert detuning_lineshape(delta) == pytest.approx(full, abs=3e-5)

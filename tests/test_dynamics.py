@@ -8,6 +8,8 @@ from mwoptical.coupling import coupling_element
 from mwoptical.dynamics import intensity_full, intensity_weak
 from mwoptical.ensemble import EnsembleConfig, evaluate, pulse_energy
 from mwoptical.hydrogen import (
+    GAMMA_31,
+    OMEGA_31,
     decay_rate,
     dipole_matrix_element,
     effective_dipole,
@@ -15,9 +17,6 @@ from mwoptical.hydrogen import (
     mode,
 )
 from mwoptical.units import field_from_flux, flux_from_field, flux_si_to_cgs, wavelength_to_angular
-
-OMEGA_31 = mode("2p3/2").omega - mode("1s1/2").omega
-GAMMA_31 = decay_rate(OMEGA_31, effective_dipole(mode("2p3/2"), mode("1s1/2")))
 
 
 def _field(flux_w_cm2=1.0):

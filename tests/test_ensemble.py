@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mwoptical.coupling import coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
+    _beta_numerator,
     _operands,
     _pulse_energies,
     depletion_time,
@@ -172,6 +175,45 @@ def test_beta_matches_single_atom_exponent():
             exponent = b32 * b32 * dec * t / (2.0 * gamma31)
             direct = _beta(_vessel(ratio=ratio), e0, dec, t)
             assert direct == pytest.approx(exponent, rel=1e-10)
+
+
+def _draws(seed, *bounds, count=4000):
+    """count tuples of floats, the i-th log-uniform over [10^low, 10^high] of bounds[i]."""
+    rng = np.random.default_rng(seed)
+    columns = [10.0 ** rng.uniform(low, high, count) for low, high in bounds]
+    return [tuple(map(float, draw)) for draw in zip(*columns)]
+
+
+def test_beta_numerator_keeps_the_plain_product_where_its_head_is_normal():
+    checked = 0
+    for e0, ratio, dec in _draws(22, *[(-323.5, 308.25)] * 3):
+        try:
+            head = 3.0 * e0**2 * LAMBDA_31**3
+        except OverflowError:   # e0^2 leaves the double range
+            with pytest.raises(OverflowError):
+                _beta_numerator(e0, ratio, dec)
+            continue
+        if head >= sys.float_info.min:
+            checked += 1
+            assert _beta_numerator(e0, ratio, dec).hex() == (head * ratio * dec).hex()
+    assert checked > 1500
+
+
+def test_beta_numerator_keeps_its_digits_where_its_head_is_subnormal():
+    # where 3*E0^2*wavelength^3 is subnormal or 0 and the rate is normal, the rate keeps
+    # the rounding error of its six operations (four products within half an ulp, two
+    # powers within an ulp) against the exact product
+    checked = 0
+    for e0, ratio, dec in _draws(23, (-301.0, -146.7), (150.0, 308.25), (-20.0, 0.0)):
+        if 3.0 * e0**2 * LAMBDA_31**3 >= sys.float_info.min:
+            continue
+        got = _beta_numerator(e0, ratio, dec)
+        if not sys.float_info.min <= got < math.inf:
+            continue
+        checked += 1
+        exact = 3 * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec)
+        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (e0, ratio, dec)
+    assert checked > 2000
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +630,29 @@ def test_depletion_time_places_beta_near_six():
         beta_tau = _beta(_vessel(ratio=ratio), e0, dec, tau)
         assert beta_tau == pytest.approx(6.047162706224905, rel=1e-12)
         assert 5.9 <= beta_tau <= 6.3
+
+
+def test_depletion_time_reads_the_beta_rate():
+    # tau = 6e3*hbar/_beta_numerator puts beta(tau) at 6e3/(32*pi^3) to rounding, and
+    # keeps tau within 4 ulp of 2e3*hbar/(decrement * E0^2 * wavelength^3 * ratio)
+    for flux, ratio, dec in _draws(24, (-3.0, 3.0), (-2.0, 3.0), (-3.0, 0.0), count=2000):
+        e0 = _field(flux)
+        tau = depletion_time(_vessel(ratio=ratio), e0, dec)
+        assert _beta(_vessel(ratio=ratio), e0, dec, tau) == pytest.approx(
+            6.0e3 / (32.0 * math.pi**3), rel=1e-13)
+        plain = 2.0e3 * HBAR_ERG_S / (dec * e0**2 * LAMBDA_31**3 * ratio)
+        assert abs(tau - plain) <= 4 * math.ulp(plain), (flux, ratio, dec)
+
+
+def test_depletion_time_where_the_beta_head_is_subnormal():
+    # E0^2 * wavelength^3 is subnormal here and ratio ~3e282 brings the rate back
+    e0, dec = cli._field(1.4004939611837856e-304), cli._decrement(1e8)
+    ratio = 3.027736961255513e+282
+    tau = depletion_time(_vessel(ratio=ratio), e0, dec)
+    exact = 2000 * Fraction(HBAR_ERG_S) / (
+        Fraction(dec) * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio))
+    assert f"{tau:.8e}" == "3.36448650e+26"
+    assert float(Fraction(tau) / exact - 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_depletion_time_no_depletion_marker():

@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 32 edge commands of
+(``perfbench/gen.py``) under "commands", and the 34 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -16,8 +16,9 @@ digests were recorded from the code before a refactor (the cold_cli ones
 before the constants injection was removed, the sweep_pulse ones before the
 scenario and sweep physics were merged into one map, and the first 28 edge
 ones before the optical wavelength became a constant; the 29th edge command
-was recorded after its overflow was fixed, at exit 0, and the last three after
-the deep-depletion pulse energy was fixed), so these tests pin that refactors
+was recorded after its overflow was fixed, at exit 0, the next three after
+the deep-depletion pulse energy was fixed, and the last two after beta's rate
+kept its digits below a subnormal head), so these tests pin that refactors
 leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
@@ -128,7 +129,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 32
+    assert len(edge) == 34
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -174,19 +175,26 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the fourteen from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the sixteen from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
     flux; three print +0 where the ratio, rho22(0) or the flux is given as -0.0;
     one exits 3 where the field amplitude underflows to 0 at a positive flux; one
     prints a pulse energy below the stored energy where the cross-section scale
-    overflows; and the last three print the pulse energy of a window that starts
-    deep in depletion, which read negative or up to 53% off, or exited 3 as
-    underflowing to 0."""
+    overflows; three print the pulse energy of a window that starts deep in
+    depletion, which read negative or up to 53% off, or exited 3 as underflowing
+    to 0; and the last two print the pulse energy and tau of a field whose
+    3*E0^2*wavelength^3 is subnormal, which read 1.8e-4 off or exited 3 as tau
+    overflowing."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
+    subnormal_head = ("channel = lamb_shift\nflux_w_cm2 = 1.4004939611837856e-304\n"
+                      "ratio_mode = custom\nratio_value = 3.027736961255513e+282\n"
+                      "detuning_mhz = 1e8\nvessel_area_cm2 = 10\n"
+                      "gas_density_g_cm3 = 3.292595919092061e-220\nrho22_initial = 1\n"
+                      "time_start_s = 4.258347710216384e+50\ntime_stop_s = 5.249387779664677e+50\n")
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
                            "ratio_mode = custom\nratio_value = 1e92\nrho22_initial = 1\n")
 
@@ -239,6 +247,8 @@ def _edge_commands():
         sweep(late + "ratio_mode = custom\nratio_value = 1e31\n",
               "rho22_initial", 0.5, 1.0, 2, "pulse_energy"),
         sweep(late, "flux_w_cm2", 1e18, 1e26, 9, "pulse_energy", "--log"),
+        sweep(subnormal_head, "vessel_length_cm", 1.0, 5.249387779664677e+50, 2, "pulse_energy"),
+        scenario(subnormal_head),
     ]
 
 

@@ -6,7 +6,10 @@ from scipy.integrate import quad
 
 import oracles
 from mwoptical.hydrogen import (
+    GAMMA_31,
     LIFETIME_2S_S,
+    OMEGA_31,
+    OPTICAL_ANCHOR_CM,
     MODES,
     HydrogenMode,
     decay_rate,
@@ -16,7 +19,7 @@ from mwoptical.hydrogen import (
     mode,
     radial_dipole_integral,
 )
-from mwoptical.units import A0_CM, E_STATC
+from mwoptical.units import A0_CM, E_STATC, wavelength_to_angular
 
 E_A0 = E_STATC * A0_CM
 
@@ -132,6 +135,14 @@ def test_2p_lifetime_sublevel_summed():
     gamma = decay_rate(up.omega - lo.omega, effective_dipole(up, lo))
     assert 5.9e8 <= gamma <= 6.6e8
     assert 1.0 / gamma == pytest.approx(1.6e-9, rel=0.05)
+
+
+def test_optical_line_constants():
+    # the catalog's omega_31 and gamma_31 are the bits their expressions give
+    up, lo = mode("2p3/2"), mode("1s1/2")
+    assert OMEGA_31.hex() == wavelength_to_angular(OPTICAL_ANCHOR_CM).hex()
+    assert GAMMA_31.hex() == decay_rate(up.omega - lo.omega, effective_dipole(up, lo)).hex()
+    assert 1.0 / GAMMA_31 == pytest.approx(1.615e-9, rel=1e-3)
 
 
 def test_2p_lifetime_m0_convention_documented():

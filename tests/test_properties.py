@@ -15,15 +15,27 @@ Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
 they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
 suite draws the same configs.
+
+A longer search runs the two whole-range tests on fresh draws, outside the suite:
+
+    PYTHONPATH=src python tests/test_properties.py --draws N [--seed S]
+
+draws N examples for each test from seed S (a random seed when none is given),
+prints the seed and the draw count, and exits 1 on the first failing draw, which
+it prints unshrunk.
 """
 
+import argparse
 import contextlib
+import functools
 import io
 import math
 import os
+import random
 import tempfile
+import traceback
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from mwoptical import cli
@@ -95,6 +107,7 @@ WHOLE_RANGE = st.tuples(
 WHOLE_RANGE_SWEEP = st.sampled_from(sorted(cli.SWEEP_PARAMETERS)).flatmap(
     lambda parameter: st.tuples(
         st.just(parameter), _pair(FRACTION if parameter == "rho22_initial" else POSITIVE)))
+WHOLE_RANGE_DRAWS = (WHOLE_RANGE, WHOLE_RANGE_SWEEP)
 
 # The scenario keys a printed 0 may come from: eta and the pulse energy scale with the
 # flux, the ratio and rho22(0) (the decrement of an exit-0 run is positive, and its time
@@ -216,7 +229,7 @@ def test_sweep_exit_contract(config, sweep):
 
 
 @WHOLE_RANGE_SETTINGS
-@given(WHOLE_RANGE, WHOLE_RANGE_SWEEP)
+@given(*WHOLE_RANGE_DRAWS)
 @example({"channel": "fine_structure", "flux_w_cm2": 1e-323}, ("flux_w_cm2", [1e-323, 2e-323]))
 def test_whole_range_exit_contract(config, sweep):
     # the example's field amplitude underflows to 0 at a positive flux, below the
@@ -228,7 +241,7 @@ def test_whole_range_exit_contract(config, sweep):
 
 
 @WHOLE_RANGE_SETTINGS
-@given(WHOLE_RANGE, WHOLE_RANGE_SWEEP, st.booleans())
+@given(*WHOLE_RANGE_DRAWS, st.booleans())
 @example({"channel": "fine_structure"}, ("flux_w_cm2", [1.0, 1e305]), True)
 @example({"channel": "lamb_shift"}, ("detuning_mhz", [1.0, 1e200]), True)
 def test_whole_range_sweep_equals_per_point_reference(config, sweep, log):
@@ -265,3 +278,37 @@ def test_any_config_bytes_exit_0_or_2(data):
     except UnicodeDecodeError:
         assert code == 2
     assert code in (0, 2)
+
+
+def _long_run(draws, draw_seed):
+    """Run both whole-range tests on ``draws`` fresh draws each; 1 on the first failure."""
+    long_settings = settings(WHOLE_RANGE_SETTINGS, max_examples=draws, derandomize=False,
+                             phases=[Phase.generate])
+    print(f"seed {draw_seed}, {draws} draws per test")
+    for test, strategies in ((test_whole_range_exit_contract, WHOLE_RANGE_DRAWS),
+                             (test_whole_range_sweep_equals_per_point_reference,
+                              WHOLE_RANGE_DRAWS + (st.booleans(),))):
+        inner, count = test.hypothesis.inner_test, [0]
+
+        @functools.wraps(inner)
+        def counted(*args, **kwargs):
+            count[0] += 1
+            inner(*args, **kwargs)
+
+        try:
+            seed(draw_seed)(long_settings(given(*strategies)(counted)))()
+        except Exception:
+            traceback.print_exc()
+            print(f"{inner.__name__}: FAILED at draw {count[0]}")
+            return 1
+        print(f"{inner.__name__}: {count[0]} draws passed")
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Run the whole-range tests on fresh draws.")
+    parser.add_argument("--draws", type=int, required=True, help="examples per test")
+    parser.add_argument("--seed", type=int, default=random.randrange(2**32),
+                        help="hypothesis seed (default: a random one)")
+    args = parser.parse_args()
+    raise SystemExit(_long_run(args.draws, args.seed))
