@@ -9,11 +9,10 @@ selects the microwave-frequency metadata; conversion figures are identical
 across channels by construction.
 """
 
-import argparse
-import functools
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .coupling import _checked_field, damping_decrement, detuning_lineshape
 from .ensemble import (
@@ -565,51 +564,156 @@ def _cmd_sweep(args) -> None:
                 (format_summary(record), args.summary, sys.stderr))
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="mwoptical",
-        description="Microwave-to-optical conversion estimates for microwave-driven "
-                    "metastable hydrogen (CSV tables, scenario summaries, sweeps).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _argument(name, kind=str, required=False, choices=None, help=""):
+    """One argument of a command: a positional where name has no leading "--", else
+    an option; kind converts its value, and kind None makes a flag that takes no value."""
+    return name, kind, required, choices, help
 
-    p = sub.add_parser("constants", help="print the Gaussian-CGS constants in use")
-    p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("transition", help="print catalog data for a microwave channel")
-    p.add_argument("channel", choices=sorted(CHANNELS))
-    p.set_defaults(func=_cmd_transition)
+# command -> (handler, help line, arguments); the one declaration of the command line
+_COMMANDS = {
+    "constants": (_cmd_constants, "print the Gaussian-CGS constants in use", ()),
+    "transition": (_cmd_transition, "print catalog data for a microwave channel", (
+        _argument("channel", required=True, choices=sorted(CHANNELS)),
+    )),
+    "fig1": (_cmd_fig1, "CSV table of the depletion integral vs beta", (
+        _argument("--beta-max", float, required=True),
+        _argument("--steps", int, required=True),
+        _argument("--out", help="CSV output path (default: stdout)"),
+    )),
+    "scenario": (_cmd_scenario, "time series + summary for a config file", (
+        _argument("--config", required=True),
+        _argument("--out", help="CSV output path (default: config 'output' or stdout)"),
+        _argument("--summary", help="summary output path (default: stderr)"),
+    )),
+    "sweep": (_cmd_sweep, "grid sweep of one parameter with argmax record", (
+        _argument("--config", required=True),
+        _argument("--param", required=True, choices=sorted(SWEEP_PARAMETERS)),
+        _argument("--min", float, required=True),
+        _argument("--max", float, required=True),
+        _argument("--steps", int, required=True),
+        _argument("--log", None, help="logarithmic grid spacing"),
+        _argument("--objective", required=True, choices=sorted(OBJECTIVES)),
+        _argument("--out", help="CSV output path (default: stdout)"),
+        _argument("--summary", help="argmax record path (default: stderr)"),
+    )),
+}
 
-    p = sub.add_parser("fig1", help="CSV table of the depletion integral vs beta")
-    p.add_argument("--beta-max", type=float, required=True, dest="beta_max")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.set_defaults(func=_cmd_fig1)
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("scenario", help="time series + summary for a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="CSV output path (default: config 'output' or stdout)")
-    p.add_argument("--summary", help="summary output path (default: stderr)")
-    p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("sweep", help="grid sweep of one parameter with argmax record")
-    p.add_argument("--config", required=True)
-    p.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMETERS))
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--log", action="store_true", help="logarithmic grid spacing")
-    p.add_argument("--objective", required=True, choices=sorted(OBJECTIVES))
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--summary", help="argmax record path (default: stderr)")
-    p.set_defaults(func=_cmd_sweep)
-    return parser
+def _spelling(name, kind, choices) -> str:
+    """How an argument is written: its value as {choice,...} or as its upper-case name."""
+    value = "{" + ",".join(choices) + "}" if choices else _dest(name).upper()
+    if not name.startswith("--"):
+        return value
+    return name if kind is None else f"{name} {value}"
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: mwoptical [-h] {" + ",".join(_COMMANDS) + "} ..."
+    parts = [f"usage: mwoptical {command} [-h]"]
+    for name, kind, required, choices, _ in _COMMANDS[command][2]:
+        spelling = _spelling(name, kind, choices)
+        parts.append(spelling if required else f"[{spelling}]")
+    return " ".join(parts)
+
+
+def _help(command) -> str:
+    """The usage line, then each command, or each argument of command, with its help."""
+    if command is None:
+        heading = ("Microwave-to-optical conversion estimates for microwave-driven metastable "
+                   "hydrogen (CSV tables, scenario summaries, sweeps).\n\ncommands:")
+        rows = [(name, help_line) for name, (_, help_line, _) in _COMMANDS.items()]
+    else:
+        _, help_line, arguments = _COMMANDS[command]
+        heading = help_line + "\n\narguments:"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (_spelling(name, kind, choices), text) for name, kind, _, choices, text in arguments]
+    width = max(len(left) for left, right in rows if right) + 2
+    lines = [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join([_usage(command), "", heading, *lines]) + "\n"
+
+
+def _usage_error(command, message):
+    """Exit 2 with the usage line, then the error, on stderr."""
+    prog = "mwoptical" if command is None else f"mwoptical {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _print_help(command):
+    sys.stdout.write(_help(command))
+    raise SystemExit(0)
+
+
+def _parse_args(argv=None) -> SimpleNamespace:
+    """The command and its arguments from argv (default ``sys.argv[1:]``), as a
+    namespace of ``func`` and one attribute per argument of ``_COMMANDS``.
+
+    ``mwoptical COMMAND [ARGS]``: an option is ``--flag VALUE`` or ``--flag=VALUE``,
+    and the token after a flag that takes a value is that value, even where it
+    starts with "-"; a repeated option keeps its last value; a flag is never
+    abbreviated.  ``-h``/``--help`` prints the help and exits 0; a usage error
+    prints the usage and the error to stderr and exits 2.
+    """
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    if not tokens:
+        _usage_error(None, "the following arguments are required: command")
+    command, *tokens = tokens
+    if command in ("-h", "--help"):
+        _print_help(None)
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, arguments = _COMMANDS[command]
+    options = {argument[0]: argument for argument in arguments if argument[0].startswith("--")}
+    positionals = [argument for argument in arguments if not argument[0].startswith("--")]
+    values = {_dest(name): False if kind is None else None for name, kind, *_ in arguments}
+    given, extras = set(), []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_help(command)
+        flag, equals, value = token.partition("=")
+        if flag in options:
+            name, kind, _, choices, _ = options[flag]
+        elif positionals and not token.startswith("-"):
+            (name, kind, _, choices, _), value = positionals.pop(0), token
+        else:
+            extras.append(token)
+            continue
+        if kind is None:
+            if equals:
+                _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if name in options and not equals:
+                value = next(tokens, None)
+                if value is None:
+                    _usage_error(command, f"argument {name}: expected one argument")
+            try:
+                value = kind(value)
+            except ValueError:
+                _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            if choices is not None and value not in choices:
+                listed = ", ".join(map(repr, choices))
+                _usage_error(command,
+                             f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+        values[_dest(name)] = value
+        given.add(name)
+    missing = [name for name, _, required, *_ in arguments if required and name not in given]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error(command, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(func=func, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         args.func(args)
     except ValueError as exc:

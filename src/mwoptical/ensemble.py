@@ -156,14 +156,22 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
 
 
 def _beta_numerator(e0: float, ratio: float, decrement: float) -> float:
-    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator.
-    Where 3 * E0^2 * wavelength_31^3 is subnormal, the product is formed on E0's
-    mantissa and scaled back, so that a large ratio does not meet a head short of digits."""
-    head = 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3
-    if head >= sys.float_info.min:
+    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator,
+    or inf where it overflows.  Where the head 3 * E0^2 * wavelength_31^3 is not a finite
+    normal number, the product is formed on E0's mantissa and scaled back, so that a
+    large ratio does not meet a head short of digits, nor a small one a head at inf."""
+    try:
+        head = 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3
+    except OverflowError:   # E0^2 leaves the double range
+        head = math.inf
+    if sys.float_info.min <= head < math.inf:
         return head * ratio * decrement
     mantissa, exponent = math.frexp(e0)
-    return math.ldexp(3.0 * mantissa**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement, 2 * exponent)
+    try:
+        return math.ldexp(3.0 * mantissa**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement,
+                          2 * exponent)
+    except OverflowError:
+        return math.inf
 
 
 def evaluate(cfg: EnsembleConfig, e0: float, decrement: float, times) -> list:
@@ -183,6 +191,8 @@ def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: fl
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     numerator = _beta_numerator(e0, ratio, decrement)
+    if numerator == math.inf:   # inf * t would read nan at t = 0
+        raise ValueError(f"beta's rate overflows at field amplitude {e0} statV/cm")
     denominator = _BETA_DENOMINATOR
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     s_mw = flux_from_field(e0)

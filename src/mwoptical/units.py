@@ -93,7 +93,14 @@ def field_from_flux(flux_cgs: float) -> float:
 
 
 def flux_from_field(e0: float) -> float:
-    """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm)."""
+    """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm);
+    ValueError where S is not finite."""
     if not e0 >= 0:
         raise ValueError(f"field amplitude must be nonnegative, got {e0} statV/cm")
-    return C_CM_S * e0**2 / (8.0 * math.pi)
+    try:
+        flux = C_CM_S * e0**2 / (8.0 * math.pi)
+    except OverflowError:   # E0^2 leaves the double range
+        flux = math.inf
+    if flux == math.inf:
+        raise ValueError(f"energy flux overflows at field amplitude {e0} statV/cm")
+    return flux

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import math
 import os
 import re
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+import test_golden
 from mwoptical import cli
 from mwoptical.cli import (
     ConfigError,
@@ -585,7 +589,7 @@ def test_main_sweep(tmp_path):
 
 
 def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
-    # the parser is built once per process; no option may leak into the next command
+    # no option may leak into the next command
     config = tmp_path / "run.cfg"
     config.write_text(WORKED_VESSEL)
     log_out = tmp_path / "log.csv"
@@ -608,7 +612,6 @@ def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(sweep) == 0
     assert capsys.readouterr().out == linear
-    assert cli.build_parser() is cli.build_parser()
 
 
 def test_main_exit_code_on_config_error(tmp_path, capsys):
@@ -664,6 +667,15 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
     assert main(["scenario", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: n31 overflows (length = 1e+300")
+    # beta's rate overflows at a finite field: inf*t read nan at t = 0
+    config.write_text("channel = fine_structure\nflux_w_cm2 = 1e20\n"
+                      "ratio_mode = custom\nratio_value = 1e308\n")
+    for args in (["scenario"], ["sweep", "--param", "flux_w_cm2", "--min", "1e19", "--max",
+                                "1e20", "--steps", "2", "--objective", "eta_max_peak"]):
+        assert main([args[0], "--config", str(config), *args[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nan" not in captured.err
+        assert "beta's rate overflows at field amplitude" in captured.err
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -784,12 +796,17 @@ def test_main_fig1_large_approx_is_inf_at_tiny_beta(tmp_path):
 
 
 def test_main_sweep_accepts_negative_exponent_bound_with_equals(tmp_path, capsys):
-    # argparse takes "--min -1e3" for an option; "--min=-1e3" is the documented spelling
+    # the token after a flag is its value even where it starts with "-": "--min -1e3",
+    # which argparse took for an option, prints the bytes of "--min=-1e3"
     config = tmp_path / "run.cfg"
     config.write_text(WORKED_VESSEL)
-    assert main(["sweep", "--config", str(config), "--param", "detuning_mhz", "--min=-1e3",
-                 "--max", "1e3", "--steps", "3", "--objective", "eta_max_peak"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("-1.00000000e+03,")
+    outputs = []
+    for bound in (["--min=-1e3"], ["--min", "-1e3"]):
+        assert main(["sweep", "--config", str(config), "--param", "detuning_mhz", *bound,
+                     "--max", "1e3", "--steps", "3", "--objective", "eta_max_peak"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.splitlines()[1].startswith("-1.00000000e+03,")
+    assert outputs[0] == outputs[1]
 
 
 def test_main_rejects_non_finite_sweep_range_and_fig1_grid(tmp_path, capsys):
@@ -892,3 +909,198 @@ def test_main_rejects_unknown_sweep_param():
         main(["sweep", "--config", "x", "--param", "bogus",
               "--min", "0", "--max", "1", "--steps", "3", "--objective", "tau"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the command line against argparse
+# ---------------------------------------------------------------------------
+
+def _reference_parser():
+    """The argparse declaration of the command line that the command table replaced,
+    kept as the reference the table's parser is checked against."""
+    parser = argparse.ArgumentParser(prog="mwoptical")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("constants")
+    p.set_defaults(func=cli._cmd_constants)
+
+    p = sub.add_parser("transition")
+    p.add_argument("channel", choices=sorted(cli.CHANNELS))
+    p.set_defaults(func=cli._cmd_transition)
+
+    p = sub.add_parser("fig1")
+    p.add_argument("--beta-max", type=float, required=True, dest="beta_max")
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli._cmd_fig1)
+
+    p = sub.add_parser("scenario")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out")
+    p.add_argument("--summary")
+    p.set_defaults(func=cli._cmd_scenario)
+
+    p = sub.add_parser("sweep")
+    p.add_argument("--config", required=True)
+    p.add_argument("--param", required=True, choices=sorted(cli.SWEEP_PARAMETERS))
+    p.add_argument("--min", type=float, required=True)
+    p.add_argument("--max", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--log", action="store_true")
+    p.add_argument("--objective", required=True, choices=sorted(cli.OBJECTIVES))
+    p.add_argument("--out")
+    p.add_argument("--summary")
+    p.set_defaults(func=cli._cmd_sweep)
+    return parser
+
+
+def _outcome(parse, argv):
+    """(None, attributes) where parse(argv) returns, else (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+    return None, {name: value for name, value in vars(args).items() if name != "command"}
+
+
+def _both(argv):
+    return _outcome(_reference_parser().parse_args, argv), _outcome(cli._parse_args, argv)
+
+
+def _recorded_argv():
+    """The argv of the 174 generator and 34 edge commands of ``test_golden``."""
+    commands = test_golden._generator_commands() + test_golden._edge_commands()
+    assert len(commands) == 208
+    return [command["argv"] for command in commands]
+
+
+def _groups(tokens):
+    """tokens as [positional], [flag], [flag=value] or [flag, value] groups."""
+    groups, tokens = [], iter(tokens)
+    for token in tokens:
+        takes_value = token.startswith("--") and "=" not in token and token != "--log"
+        groups.append([token, next(tokens)] if takes_value else [token])
+    return groups
+
+
+def _variants(argv):
+    """argv with each option as --flag=value, with its groups reversed, with every
+    option given once more before it with another value, and with --log moved to
+    each position."""
+    command, groups = argv[0], _groups(argv[1:])
+
+    def flat(groups):
+        return [command, *(token for group in groups for token in group)]
+
+    yield flat([["=".join(group)] if len(group) == 2 else group for group in groups])
+    yield flat(groups[::-1])
+    earlier = [[group[0].partition("=")[0],
+                {"--param": "rho22_initial", "--objective": "tau"}.get(group[0], "7")]
+               for group in groups if group[0].startswith("--") and group != ["--log"]]
+    yield flat(earlier + groups)
+    if command == "sweep":
+        rest = [group for group in groups if group != ["--log"]]
+        for position in range(len(rest) + 1):
+            yield flat(rest[:position] + [["--log"]] + rest[position:])
+
+
+def test_parser_matches_argparse_on_every_recorded_command_and_its_variants():
+    checked = 0
+    for argv in _recorded_argv():
+        for variant in [argv, *_variants(argv)]:
+            reference, table = _both(variant)
+            assert reference[0] is None, (variant, reference)
+            assert table == reference, variant
+            checked += 1
+    assert checked > 1500
+
+
+SWEEP_ARGS = ["--config", "c", "--param", "flux_w_cm2", "--min", "0", "--max", "1",
+              "--steps", "3", "--objective", "tau"]
+FIG1_ARGS = ["--beta-max", "1", "--steps", "3"]
+MALFORMED = [
+    [],                                                        # no command
+    ["bogus"],                                                 # unknown command
+    ["fig1", "--steps", "3"],                                  # missing required option
+    ["scenario"],
+    ["sweep", "--config", "c", "--param", "tau"],
+    ["transition"],                                            # missing positional
+    ["constants", "--bogus"],                                  # unknown flag
+    ["fig1", *FIG1_ARGS, "--bogus=1"],
+    ["scenario", "--config", "c", "--Out", "x"],
+    ["constants", "extra"],                                    # extra token
+    ["transition", "fine_structure", "lamb_shift"],
+    ["fig1", *FIG1_ARGS, "extra"],
+    ["fig1", "--beta-max", "1", "--steps"],                    # missing value
+    ["scenario", "--config"],
+    ["fig1", "--beta-max", "1", "--steps", "x"],               # bad int
+    ["fig1", "--beta-max", "1", "--steps=1.5"],
+    ["sweep", *SWEEP_ARGS[:-4], "--steps", "", *SWEEP_ARGS[-2:]],
+    ["fig1", "--beta-max", "abc", "--steps", "3"],             # bad float
+    ["fig1", "--beta-max=", "--steps", "3"],
+    ["sweep", *SWEEP_ARGS[:4], "--min", "one", *SWEEP_ARGS[6:]],
+    ["transition", "bogus"],                                   # value outside the choices
+    ["sweep", *SWEEP_ARGS[:2], "--param", "bogus", *SWEEP_ARGS[4:]],
+    ["sweep", *SWEEP_ARGS[:-1], "eta"],
+    ["sweep", *SWEEP_ARGS, "--log=1"],                         # a value for a flag
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_usage_errors_exit_2_as_argparse_does(argv):
+    for code, stdout, stderr in _both(argv):
+        assert (code, stdout) == (2, "")
+        usage, *_, error = stderr.splitlines()
+        assert usage.startswith("usage: mwoptical")
+        assert re.match(r"mwoptical( \w+)?: error: ", error), error
+    # the same message; only an unrecognized argument names the command's prog
+    messages = [stderr.split(": error: ")[1] for _, _, stderr in _both(argv)]
+    assert messages[0].split(" (choose from")[0] == messages[1].split(" (choose from")[0]
+
+
+def test_documented_departures_from_argparse():
+    # a value that starts with "-" is read as the value
+    argv = ["sweep", *SWEEP_ARGS[:4], "--min", "-1e3", *SWEEP_ARGS[6:]]
+    reference, table = _both(argv)
+    assert reference[0] == 2 and "expected one argument" in reference[2]
+    assert table[0] is None and table[1]["min"] == -1000.0
+    # a flag is never abbreviated
+    argv = ["sweep", *SWEEP_ARGS[:-2], "--obj", "tau"]
+    reference, table = _both(argv)
+    assert reference[0] is None and reference[1]["objective"] == "tau"
+    assert table[0] == 2 and "error: " in table[2]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[command, "-h"] for command in
+                                                          cli._COMMANDS] + [["sweep", "--help"]])
+def test_help_exits_0_and_names_every_option(argv):
+    code, stdout, stderr = _outcome(cli._parse_args, argv)
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("usage: mwoptical")
+    if len(argv) == 1:
+        names = list(cli._COMMANDS)
+    else:
+        names = [argument[0] for argument in cli._COMMANDS[argv[0]][2]]
+        names = [name if name.startswith("--") else "{" for name in names]
+    for name in names:
+        assert re.search(rf"^  {re.escape(name)}", stdout, re.MULTILINE), (name, stdout)
+
+
+def test_a_command_imports_neither_argparse_nor_gettext(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    out = tmp_path / "out.csv"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from mwoptical.cli import main; "
+            f"main(['constants']); "
+            f"main(['sweep', '--config', {str(config)!r}, '--param', 'flux_w_cm2', "
+            f"'--min', '0.1', '--max', '10', '--steps', '3', '--objective', 'tau', "
+            f"'--out', {str(out)!r}, '--summary', {str(out)!r}]); "
+            f"print(' '.join(sorted(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stderr.split()
+    assert "mwoptical.cli" in modules and "tau[s]" in out.read_text()
+    assert not {"argparse", "gettext"} & set(modules)

@@ -23,6 +23,7 @@ from mwoptical.ensemble import (
     sigma_max,
 )
 from mwoptical.hydrogen import (
+    OMEGA_31,
     decay_rate,
     dipole_matrix_element,
     effective_dipole,
@@ -190,10 +191,8 @@ def test_beta_numerator_keeps_the_plain_product_where_its_head_is_normal():
         try:
             head = 3.0 * e0**2 * LAMBDA_31**3
         except OverflowError:   # e0^2 leaves the double range
-            with pytest.raises(OverflowError):
-                _beta_numerator(e0, ratio, dec)
             continue
-        if head >= sys.float_info.min:
+        if sys.float_info.min <= head < math.inf:
             checked += 1
             assert _beta_numerator(e0, ratio, dec).hex() == (head * ratio * dec).hex()
     assert checked > 1500
@@ -214,6 +213,27 @@ def test_beta_numerator_keeps_its_digits_where_its_head_is_subnormal():
         exact = 3 * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec)
         assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (e0, ratio, dec)
     assert checked > 2000
+
+
+def test_beta_numerator_keeps_its_digits_where_its_head_overflows():
+    # where 3*E0^2*wavelength^3, or E0^2 itself, overflows, a small ratio*decrement
+    # brings the rate back into range: it keeps the rounding error of its six
+    # operations, and reads inf only where the exact rate exceeds the largest float
+    finite = 0
+    for e0, ratio, dec in _draws(25, (153.9, 308.25), (-150.0, 0.0), (-20.0, 0.0)):
+        try:
+            if 3.0 * e0**2 * LAMBDA_31**3 < math.inf:
+                continue
+        except OverflowError:
+            pass
+        got = _beta_numerator(e0, ratio, dec)
+        exact = 3 * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec)
+        if got == math.inf:
+            assert exact > sys.float_info.max * (1 - 8 * 2.0**-53), (e0, ratio, dec)
+            continue
+        finite += 1
+        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (e0, ratio, dec)
+    assert finite > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +673,28 @@ def test_depletion_time_where_the_beta_head_is_subnormal():
         Fraction(dec) * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio))
     assert f"{tau:.8e}" == "3.36448650e+26"
     assert float(Fraction(tau) / exact - 1) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("e0", [1.2e154, 1.3e154, 1e160, 1e300, sys.float_info.max])
+def test_a_huge_field_raises_value_error(e0):
+    # c*E0^2, or E0^2 itself, overflows: each raises ValueError, which names no nan
+    cfg = _vessel()
+    calls = [lambda: evaluate(cfg, e0, 1.0, [0.0, 1e-6]),
+             lambda: pulse_energy(cfg, e0, 1.0, 0.0, 1e-6),
+             lambda: intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 1e-4)]
+    if e0 > 1.3e154:
+        calls.append(lambda: depletion_time(cfg, e0, 1.0))
+    else:
+        # 3*E0^2*wavelength^3 overflows, but tau = 6e3*hbar/rate is subnormal and
+        # keeps the digits a subnormal holds (ROADMAP item 8's partial underflow)
+        tau = depletion_time(cfg, e0, 1.0)
+        exact = 2000 * Fraction(HBAR_ERG_S) / (Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3)
+        assert 0 < tau < sys.float_info.min
+        assert abs(Fraction(tau) - exact) <= 2 * 5e-324
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert "nan" not in str(exc.value)
 
 
 def test_depletion_time_no_depletion_marker():

@@ -262,14 +262,21 @@ def _replay_file(path):
     json.dump({"package": mwoptical.__file__, "records": records}, sys.stdout)
 
 
-def _against(rev):
-    """Replay the generator and edge commands on REV and on this tree; 1 if any differs."""
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+def _generator_commands():
+    """The 174 commands of ``perfbench/gen.py``: its three workloads, seeds 0-2, cycles 0-1."""
+    perfbench = os.path.join(ROOT, "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
     import gen
 
-    generated = [{"config": op.config_text(), "argv": op.argv("{config}", "{out}", "{summary}")}
-                 for workload in gen.WORKLOADS for seed in range(3) for index in range(2)
-                 for op in gen.cycle(workload, seed, index)]
+    return [{"config": op.config_text(), "argv": op.argv("{config}", "{out}", "{summary}")}
+            for workload in gen.WORKLOADS for seed in range(3) for index in range(2)
+            for op in gen.cycle(workload, seed, index)]
+
+
+def _against(rev):
+    """Replay the generator and edge commands on REV and on this tree; 1 if any differs."""
+    generated = _generator_commands()
     commands = generated + _edge_commands()
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "commands.json")
