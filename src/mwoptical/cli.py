@@ -9,6 +9,7 @@ selects the microwave-frequency metadata; conversion figures are identical
 across channels by construction.
 """
 
+import contextlib
 import math
 import os
 import sys
@@ -115,7 +116,7 @@ class ScenarioConfig(_Record):
                  gas_density_g_cm3: float = 0.9e-4, rho22_initial: float = 1.0e-4,
                  ratio_mode: str = "unity", ratio_value: float | None = None,
                  time_start_s: float = 0.0, time_stop_s: float = 1.0e-6,
-                 time_steps: int = 101, output: str | None = None):
+                 time_steps: int = 101):
         # x + 0.0 is +0.0 at x = -0.0: the three factors of every intensity store no
         # negative zero, which would print as -0 wherever it scales a product
         vars(self).update(
@@ -123,8 +124,7 @@ class ScenarioConfig(_Record):
             vessel_length_cm=vessel_length_cm, vessel_area_cm2=vessel_area_cm2,
             gas_density_g_cm3=gas_density_g_cm3, rho22_initial=rho22_initial + 0.0,
             ratio_mode=ratio_mode, ratio_value=None if ratio_value is None else ratio_value + 0.0,
-            time_start_s=time_start_s, time_stop_s=time_stop_s, time_steps=time_steps,
-            output=output)
+            time_start_s=time_start_s, time_stop_s=time_stop_s, time_steps=time_steps)
         if self.channel not in CHANNELS:
             raise ConfigError(
                 f"channel: must be one of {', '.join(CHANNELS)}; got {self.channel!r}")
@@ -462,10 +462,11 @@ def format_summary(record) -> str:
 
 
 def _write_text(*outputs):
-    """Write each (text, path, default_stream) in order, to the file at path or, where
-    path is None, to the stream.  Every path is opened before any byte is written, so a
-    destination that cannot be opened leaves every output empty; outputs to one path
-    share its file."""
+    """Write and flush each (text, path, stream) in order, to the file at path or, where
+    path is None, to ``sys.stdout`` or ``sys.stderr`` as stream names it.  Every path is
+    opened before any byte is written, outputs to one path share its file, and a failed
+    write stops the outputs after it.  Any OSError is a ConfigError naming the path or
+    the stream."""
     files = {}
     path = None
     try:
@@ -473,12 +474,10 @@ def _write_text(*outputs):
             for _, path, _ in outputs:
                 if path is not None and path not in files:
                     files[path] = open(path, "w", encoding="utf-8")
-            for text, path, default_stream in outputs:
-                if path is None:
-                    default_stream.write(text)
-                else:
-                    files[path].write(text)
-                    files[path].flush()   # a failed write stops the outputs after it
+            for text, path, stream in outputs:
+                handle = getattr(sys, stream) if path is None else files[path]
+                handle.write(text)
+                handle.flush()
             for path, handle in files.items():
                 handle.close()
         finally:
@@ -486,8 +485,12 @@ def _write_text(*outputs):
                 handle.close()
     except OSError as exc:
         if path is None:
-            raise   # the stream's own error, which ``run`` reports
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+            # Point the failed stream's descriptor, where it has one, at devnull, so that
+            # no later write and no flush at exit meets the failure again.
+            with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), getattr(sys, stream).fileno())
+        raise ConfigError(f"cannot write {stream if path is None else path}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _read_config_file(path: str) -> ScenarioConfig:
@@ -512,7 +515,7 @@ def _cmd_constants(args) -> None:
         "mu_H_g": MU_H_G,
         "fine_structure_constant": E_STATC**2 / (HBAR_ERG_S * C_CM_S),
     }
-    sys.stdout.write(format_summary(record))
+    _write_text((format_summary(record), None, "stdout"))
 
 
 def _cmd_transition(args) -> None:
@@ -534,19 +537,19 @@ def _cmd_transition(args) -> None:
         "lifetime_metastable_s": LIFETIME_2S_S,
         "decrement_at_resonance": damping_decrement(omega_32, omega_32),
     }
-    sys.stdout.write(format_summary(record))
+    _write_text((format_summary(record), None, "stdout"))
 
 
 def _cmd_fig1(args) -> None:
     header, rows = fig1_rows(args.beta_max, args.steps)
-    _write_text((format_csv(header, rows), args.out, sys.stdout))
+    _write_text((format_csv(header, rows), args.out, "stdout"))
 
 
 def _cmd_scenario(args) -> None:
     cfg = _read_config_file(args.config)
     series, summary = run_scenario(cfg)
-    _write_text((format_scenario(series, summary), args.out or cfg.output, sys.stdout),
-                (format_summary(summary), args.summary, sys.stderr))
+    _write_text((format_scenario(series, summary), args.out, "stdout"),
+                (format_summary(summary), args.summary, "stderr"))
 
 
 def _cmd_sweep(args) -> None:
@@ -560,8 +563,8 @@ def _cmd_sweep(args) -> None:
         objective=args.objective,
     )
     header, rows, record = run_sweep(cfg, spec)
-    _write_text((format_csv(header, rows), args.out, sys.stdout),
-                (format_summary(record), args.summary, sys.stderr))
+    _write_text((format_csv(header, rows), args.out, "stdout"),
+                (format_summary(record), args.summary, "stderr"))
 
 
 def _argument(name, kind=str, required=False, choices=None, help=""):
@@ -583,7 +586,7 @@ _COMMANDS = {
     )),
     "scenario": (_cmd_scenario, "time series + summary for a config file", (
         _argument("--config", required=True),
-        _argument("--out", help="CSV output path (default: config 'output' or stdout)"),
+        _argument("--out", help="CSV output path (default: stdout)"),
         _argument("--summary", help="summary output path (default: stderr)"),
     )),
     "sweep": (_cmd_sweep, "grid sweep of one parameter with argmax record", (
@@ -640,12 +643,12 @@ def _help(command) -> str:
 def _usage_error(command, message):
     """Exit 2 with the usage line, then the error, on stderr."""
     prog = "mwoptical" if command is None else f"mwoptical {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    _write_text((f"{_usage(command)}\n{prog}: error: {message}\n", None, "stderr"))
     raise SystemExit(2)
 
 
 def _print_help(command):
-    sys.stdout.write(_help(command))
+    _write_text((_help(command), None, "stdout"))
     raise SystemExit(0)
 
 
@@ -713,23 +716,16 @@ def _parse_args(argv=None) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
     try:
+        args = _parse_args(argv)
         args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(ConfigError):   # stderr failed: the exit code alone reports it
+            _write_text((f"error: {exc}\n", None, "stderr"))
         return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 
 def run() -> None:
-    """Console entry point: ``main``; a stdout pipe whose reader has gone exits 2."""
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # Point stdout at devnull so the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        code = 2
-    raise SystemExit(code)
+    """Console entry point."""
+    raise SystemExit(main())

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import math
 import os
@@ -61,8 +62,10 @@ def test_parse_config_comments_and_blank_lines():
 
 
 def test_parse_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match=r"unknown configuration keys: foo"):
-        parse_config("channel = fine_structure\nfoo = 3\n")
+    # the scenario CSV goes to --out or stdout: a config names no output path
+    for line, key in [("foo = 3", "foo"), ("output = series.csv", "output")]:
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}$"):
+            parse_config(f"channel = fine_structure\n{line}\n")
 
 
 def test_parse_config_rejects_negative_density():
@@ -506,21 +509,6 @@ def test_main_scenario_files(tmp_path):
     assert "eta_peak = 1.27393736e+06" in summary.read_text()
 
 
-def test_main_scenario_output_key_fallback(tmp_path, capsys):
-    out = tmp_path / "from_config.csv"
-    config = tmp_path / "run.cfg"
-    config.write_text(WORKED_VESSEL + f"output = {out}\n")
-    assert main(["scenario", "--config", str(config), "--summary",
-                 str(tmp_path / "s.txt")]) == 0
-    assert out.exists()
-    # sweep reads the same file but not its output key: the table goes to stdout
-    out.unlink()
-    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
-                 "--max", "2", "--steps", "2", "--objective", "tau"]) == 0
-    assert capsys.readouterr().out.startswith("flux_w_cm2[W/cm^2],tau[s]\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("lines", [
     "flux_w_cm2 = 0",
     "time_stop_s = 1e-9\ntime_steps = 40",   # beta <= 0.044: every f on the series branch
@@ -544,8 +532,8 @@ def test_main_scenario_writes_the_per_cell_table(tmp_path, capsys, lines):
     assert main(["scenario", "--config", str(config)]) == 0
     assert capsys.readouterr() == (expected, format_summary(summary))
     out = tmp_path / "series.csv"
-    config.write_text(text + f"output = {out}\n")
-    assert main(["scenario", "--config", str(config), "--summary", str(tmp_path / "s")]) == 0
+    assert main(["scenario", "--config", str(config), "--out", str(out),
+                 "--summary", str(tmp_path / "s")]) == 0
     assert out.read_text() == expected and capsys.readouterr() == ("", "")
 
 
@@ -875,23 +863,71 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 
 @pytest.mark.parametrize("args", [("fig1", "--beta-max", "20", "--steps", "201"),
-                                  ("constants",)])
+                                  ("constants",), ("-h",), ("sweep", "-h")])
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_pipe_is_an_exit_2_error(args, unbuffered):
-    # stdout is a pipe whose reader has already gone: every write fails with EPIPE
+    # stdout is a pipe whose reader has already gone, where every write fails with
+    # EPIPE, or /dev/full, where every write fails with ENOSPC
     read_end, write_end = os.pipe()
     os.close(read_end)
+    targets = [(write_end, errno.EPIPE)]
+    if os.path.exists("/dev/full"):
+        targets.append((os.open("/dev/full", os.O_WRONLY), errno.ENOSPC))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
     try:
-        proc = subprocess.run([sys.executable, "-m", "mwoptical", *args], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        for stdout, error in targets:
+            proc = subprocess.run([sys.executable, "-m", "mwoptical", *args], stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+            assert proc.returncode == 2, proc.stderr
+            # one error line: no traceback, no "Exception ignored" at exit
+            assert proc.stderr == f"error: cannot write stdout: {os.strerror(error)}\n"
     finally:
-        os.close(write_end)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        for fd, _ in targets:
+            os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, config, code", [
+    (["constants"], "", 0),
+    (["-h"], "", 0),
+    (["bogus"], "", 2),
+    (["scenario", "--config", "{absent}"], "", 2),
+    (["scenario", "--config", "{config}"], "channel = fine_structure\n", 2),
+    (["scenario", "--config", "{config}", "--out", "{out}"], "channel = fine_structure\n", 2),
+    (["scenario", "--config", "{config}"], "channel = fine_structure\nflux_w_cm2 = 1e300\n", 3),
+], ids=["constants", "help", "usage", "absent-config", "summary", "summary-out", "overflow"])
+def test_a_full_stderr_leaves_the_exit_code(tmp_path, argv, config, code):
+    # every write to stderr fails with ENOSPC: the exit code alone reports the outcome
+    paths = {name: str(tmp_path / name) for name in ("absent", "config", "out")}
+    (tmp_path / "config").write_text(config)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as stderr:
+        proc = subprocess.run([sys.executable, "-m", "mwoptical",
+                               *(arg.format(**paths) for arg in argv)],
+                              stdout=subprocess.PIPE, stderr=stderr, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == code
+    if "{out}" in argv:
+        # the table was written before the summary failed
+        assert (tmp_path / "out").read_text().startswith("t[s],")
+
+
+def test_a_failed_stream_is_a_config_error(tmp_path, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    with pytest.raises(ConfigError, match="^cannot write stdout: No space left on device$"):
+        cli._write_text(("text", None, "stdout"))
+    # where the error line fails too, main still returns the exit code
+    monkeypatch.setattr(sys, "stderr", Full())
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = fine_structure\nflux_w_cm2 = 1e300\n")
+    assert main(["constants"]) == 2
+    assert main(["bogus"]) == 2
+    assert main(["scenario", "--config", str(config)]) == 3
 
 
 def test_main_transition_and_constants(capsys):

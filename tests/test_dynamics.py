@@ -173,6 +173,11 @@ def test_intensity_weak_validation():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="ratio"):
             intensity_weak(e0, 0.0, bad, OMEGA_31, 1.0, 0.5)
+    for bad in (0.0, -0.5, 2.5, math.nan):
+        with pytest.raises(ValueError, match=r"damping decrement must lie in \(0, 2\]"):
+            intensity_weak(e0, 0.0, 1.0, OMEGA_31, bad, 0.5)
+    with pytest.raises(ValueError, match=r"damping decrement must lie in \(0, 2\]"):
+        intensity_full(OMEGA_31, GAMMA_31, 2.0e6, 0.0, 0.1)
 
 
 def test_weak_equals_full_at_zero_rho33():

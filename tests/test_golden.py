@@ -47,6 +47,7 @@ prints each command that differs and exits 1 if any does.
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -159,6 +160,24 @@ def test_readme_library_example_prints_the_documented_values():
     eta, tau = (float(line) for line in stdout.getvalue().splitlines())
     assert f"{eta:.3g}" == "1.27e+06"
     assert f"{tau:.3g}" == "1.39e-07"
+
+
+def test_readme_config_block_names_every_key_with_its_default():
+    # the keys of README's config block, commented ones included, are exactly the
+    # scenario config's; each uncommented key but the required channel shows its default
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("### Config format", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {}
+    for line in block.splitlines():
+        commented = line.startswith("#")
+        key, _, value = line.lstrip("# ").split("#", 1)[0].partition("=")
+        keys[key.strip()] = (commented, value.strip())
+    parameters = inspect.signature(cli.ScenarioConfig).parameters
+    assert set(keys) == set(parameters)
+    for key, (commented, value) in keys.items():
+        if not commented and key != "channel":
+            assert cli._CONFIG_PARSERS[key](value) == parameters[key].default, key
 
 
 def _regenerate():

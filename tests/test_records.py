@@ -18,7 +18,7 @@ FIELDS = {
     EnsembleConfig: ("length", "area", "gas_density", "rho22_0", "ratio"),
     ScenarioConfig: ("channel", "flux_w_cm2", "detuning_mhz", "vessel_length_cm",
                      "vessel_area_cm2", "gas_density_g_cm3", "rho22_initial", "ratio_mode",
-                     "ratio_value", "time_start_s", "time_stop_s", "time_steps", "output"),
+                     "ratio_value", "time_start_s", "time_stop_s", "time_steps"),
     SweepSpec: ("parameter", "minimum", "maximum", "steps", "log", "objective"),
 }
 
