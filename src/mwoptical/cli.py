@@ -10,6 +10,7 @@ across channels by construction.
 """
 
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -465,8 +466,8 @@ def _write_text(*outputs):
     """Write and flush each (text, path, stream) in order, to the file at path or, where
     path is None, to ``sys.stdout`` or ``sys.stderr`` as stream names it.  Every path is
     opened before any byte is written, outputs to one path share its file, and a failed
-    write stops the outputs after it.  Any OSError is a ConfigError naming the path or
-    the stream."""
+    write stops the outputs after it.  Any OSError, or a stream the process started
+    without, is a ConfigError naming the path or the stream."""
     files = {}
     path = None
     try:
@@ -476,6 +477,8 @@ def _write_text(*outputs):
                     files[path] = open(path, "w", encoding="utf-8")
             for text, path, stream in outputs:
                 handle = getattr(sys, stream) if path is None else files[path]
+                if handle is None:   # the descriptor was closed when the process started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 handle.write(text)
                 handle.flush()
             for path, handle in files.items():
@@ -484,7 +487,7 @@ def _write_text(*outputs):
             for handle in files.values():
                 handle.close()
     except OSError as exc:
-        if path is None:
+        if path is None and getattr(sys, stream) is not None:
             # Point the failed stream's descriptor, where it has one, at devnull, so that
             # no later write and no flush at exit meets the failure again.
             with contextlib.suppress(OSError), open(os.devnull, "wb") as devnull:

@@ -56,8 +56,7 @@ def damping_decrement(omega: float, omega_32: float) -> float:
     """
     if not omega >= 0:
         raise ValueError(f"drive frequency must be nonnegative, got {omega}")
-    g2 = GAMMA_31 * GAMMA_31
-    return g2 / (g2 + (omega_32 + omega) ** 2) + g2 / (g2 + (omega_32 - omega) ** 2)
+    return detuning_lineshape(omega_32 + omega) + detuning_lineshape(omega_32 - omega)
 
 
 def detuning_lineshape(detuning: float) -> float:

@@ -233,10 +233,14 @@ def _stored_share(beta: float) -> float:
     return math.sqrt(math.pi) * math.erf(root) / (2.0 * root)
 
 
-def _window(numerator: float, t0: float, t1: float) -> float:
-    """Integral (s) of f(beta) over t in [t0, t1], 0 <= t0 <= t1, with
-    beta = numerator * t / _BETA_DENOMINATOR; with beta = k*t, the integral of
-    f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  ValueError where beta overflows."""
+def _window(numerator: float, t0: float, t1: float) -> tuple:
+    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = numerator * t /
+    _BETA_DENOMINATOR: W is the integral (s) of f(beta) over the window and R the share
+    G(beta(t1)) - G(beta(t0)) of the stored energy released over it; with beta = k*t,
+    the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  A window narrower
+    than t1/32 is integrated by Gauss-Legendre; a wider one that starts at beta >= 1
+    gives (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta overflows."""
+    beta0 = numerator * t0 / _BETA_DENOMINATOR
     beta1 = numerator * t1 / _BETA_DENOMINATOR
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
@@ -246,8 +250,15 @@ def _window(numerator: float, t0: float, t1: float) -> float:
         mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
         fa, fm, fb = [f_beta(numerator * t / _BETA_DENOMINATOR)
                       for t in (mid - half, mid, mid + half)]
-        return width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
-    return t1 * _g(beta1) - t0 * _g(numerator * t0 / _BETA_DENOMINATOR)
+        window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
+    elif 1.0 <= beta0:
+        # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
+        # cancels; E(beta0) - E(beta1) cancels 120-fold at most
+        return None, _stored_share(beta0) - _stored_share(beta1)
+    else:
+        window = t1 * _g(beta1) - t0 * _g(beta0)
+    # G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
+    return window, beta1 * window / t1 if window else 0.0
 
 
 def pulse_energy(cfg: EnsembleConfig, e0: float, decrement: float, t0: float,
@@ -255,12 +266,11 @@ def pulse_energy(cfg: EnsembleConfig, e0: float, decrement: float, t0: float,
     """Emitted energy (erg) at field amplitude e0 (statV/cm) over the window [t0, t1],
     0 <= t0 <= t1 (s): the time integral of ``evaluate``'s
     I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
-    decrement * _sigma_prefactor * S_mw times ``_window``.  Equally, it is the energy
-    stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s line
-    ``hydrogen.OPTICAL_ANCHOR_CM``), times the share G(beta(t1)) - G(beta(t0))
-    released over the window (see ``_g``), and it is formed so where the product
-    overflows, and on a window wider than t1/32 that starts at beta >= 1, where
-    ``_window``'s G difference would cancel.  ValueError on a reversed window, where
+    decrement * _sigma_prefactor * S_mw times the window integral W.  Equally, it is the
+    energy stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s
+    line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released over the window, and it
+    is formed so where the product overflows or ``_window``, which picks one of the three
+    window formulas, gives no W.  ValueError on a reversed window, where
     beta or the stored energy overflows, and where the energy underflows to 0 at
     nonzero field, decrement, ratio, rho22_0 and window width."""
     _checked_field(e0)
@@ -286,17 +296,7 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if e0 != last_e0 or decrement != last_decrement:
-            numerator = _beta_numerator(e0, ratio, decrement)
-            beta0 = numerator * t0 / _BETA_DENOMINATOR
-            beta1 = numerator * t1 / _BETA_DENOMINATOR
-            if 1.0 <= beta0 and beta1 < math.inf and t1 - t0 >= t1 / 32.0:
-                # deep in depletion both G values lie near 1 and the window's
-                # G(beta1) - G(beta0) cancels; E(beta0) - E(beta1) cancels 120-fold at most
-                window, released = None, _stored_share(beta0) - _stored_share(beta1)
-            else:
-                window = _window(numerator, t0, t1)
-                # G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
-                released = beta1 * window / t1 if window else 0.0
+            window, released = _window(_beta_numerator(e0, ratio, decrement), t0, t1)
             s_mw = flux_from_field(e0)
             last_e0, last_decrement = e0, decrement
         if window is not None:

@@ -867,27 +867,29 @@ def test_python_dash_m_runs_the_cli(capsys):
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_pipe_is_an_exit_2_error(args, unbuffered):
     # stdout is a pipe whose reader has already gone, where every write fails with
-    # EPIPE, or /dev/full, where every write fails with ENOSPC
+    # EPIPE, /dev/full, where every write fails with ENOSPC, or a descriptor closed
+    # before the process started, which leaves sys.stdout None
     read_end, write_end = os.pipe()
     os.close(read_end)
-    targets = [(write_end, errno.EPIPE)]
+    targets = [(write_end, None, errno.EPIPE), (None, lambda: os.close(1), errno.EBADF)]
     if os.path.exists("/dev/full"):
-        targets.append((os.open("/dev/full", os.O_WRONLY), errno.ENOSPC))
+        targets.append((os.open("/dev/full", os.O_WRONLY), None, errno.ENOSPC))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
     try:
-        for stdout, error in targets:
+        for stdout, preexec, error in targets:
             proc = subprocess.run([sys.executable, "-m", "mwoptical", *args], stdout=stdout,
-                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                                  preexec_fn=preexec)
             assert proc.returncode == 2, proc.stderr
             # one error line: no traceback, no "Exception ignored" at exit
             assert proc.stderr == f"error: cannot write stdout: {os.strerror(error)}\n"
     finally:
-        for fd, _ in targets:
-            os.close(fd)
+        for fd, _, _ in targets:
+            if fd is not None:
+                os.close(fd)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, config, code", [
     (["constants"], "", 0),
     (["-h"], "", 0),
@@ -898,19 +900,30 @@ def test_closed_stdout_pipe_is_an_exit_2_error(args, unbuffered):
     (["scenario", "--config", "{config}"], "channel = fine_structure\nflux_w_cm2 = 1e300\n", 3),
 ], ids=["constants", "help", "usage", "absent-config", "summary", "summary-out", "overflow"])
 def test_a_full_stderr_leaves_the_exit_code(tmp_path, argv, config, code):
-    # every write to stderr fails with ENOSPC: the exit code alone reports the outcome
+    # every write to stderr fails, with ENOSPC on /dev/full or because the descriptor was
+    # closed before the process started: the exit code alone reports the outcome
     paths = {name: str(tmp_path / name) for name in ("absent", "config", "out")}
     (tmp_path / "config").write_text(config)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    with open("/dev/full", "w") as stderr:
-        proc = subprocess.run([sys.executable, "-m", "mwoptical",
-                               *(arg.format(**paths) for arg in argv)],
-                              stdout=subprocess.PIPE, stderr=stderr, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == code
-    if "{out}" in argv:
-        # the table was written before the summary failed
-        assert (tmp_path / "out").read_text().startswith("t[s],")
+    targets = [(None, lambda: os.close(2))]
+    if os.path.exists("/dev/full"):
+        targets.append((os.open("/dev/full", os.O_WRONLY), None))
+    try:
+        for stderr, preexec in targets:
+            (tmp_path / "out").unlink(missing_ok=True)
+            proc = subprocess.run([sys.executable, "-m", "mwoptical",
+                                   *(arg.format(**paths) for arg in argv)],
+                                  stdout=subprocess.PIPE, stderr=stderr, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                                  preexec_fn=preexec)
+            assert proc.returncode == code, stderr
+            if "{out}" in argv:
+                # the table was written before the summary failed
+                assert (tmp_path / "out").read_text().startswith("t[s],")
+    finally:
+        for fd, _ in targets:
+            if fd is not None:
+                os.close(fd)
 
 
 def test_a_failed_stream_is_a_config_error(tmp_path, monkeypatch):

@@ -103,6 +103,12 @@ def test_decrement_off_resonance_limit():
     assert damping_decrement(1.0e18, 1.0e15) < 1e-12
 
 
+def test_decrement_at_the_edge_of_the_double_range():
+    # (w32 + w)^2 overflows the double range: the counter-rotating term is 0 there, and
+    # the resonant term 1, where x**2 raised OverflowError
+    assert damping_decrement(1.0e154, 1.0e154) == 1.0
+
+
 def test_decrement_peaks_at_resonance():
     w32 = 1.0e11   # w32/gamma ~ 160, grid step below gamma
     grid = np.linspace(0.5 * w32, 1.5 * w32, 2001)
