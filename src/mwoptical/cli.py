@@ -16,7 +16,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .coupling import _checked_field, damping_decrement, detuning_lineshape
+from .coupling import damping_decrement, detuning_lineshape
 from .ensemble import (
     EnsembleConfig,
     _depletion_time,
@@ -49,6 +49,7 @@ from .units import (
     E_STATC,
     HBAR_ERG_S,
     MU_H_G,
+    _checked,
     _Record,
     field_from_flux,
     flux_si_to_cgs,
@@ -295,13 +296,9 @@ def parse_config(text: str) -> ScenarioConfig:
 # computations
 # ---------------------------------------------------------------------------
 
-def _field(flux_w_cm2: float) -> float:
-    """The field amplitude E0 (statV/cm) at a flux in W/cm^2, checked as the library
-    checks a field; ValueError where a positive flux gives a field of 0."""
-    e0 = _checked_field(field_from_flux(flux_si_to_cgs(flux_w_cm2)))
-    if e0 == 0 < flux_w_cm2:
-        raise ValueError(f"field amplitude underflows to 0 at flux {flux_w_cm2} W/cm^2")
-    return e0
+def _flux(flux_w_cm2: float) -> float:
+    """The drive flux S_mw (erg s^-1 cm^-2) at a flux in W/cm^2; ValueError where it is inf."""
+    return _checked(flux_si_to_cgs(flux_w_cm2), "flux S_mw")
 
 
 def _decrement(detuning_mhz: float) -> float:
@@ -314,11 +311,11 @@ def _decrement(detuning_mhz: float) -> float:
 
 
 def _scenario_physics(cfg: ScenarioConfig):
-    """Per-config setup: field amplitude E0, detuning decrement, ensemble config."""
-    e0 = _field(cfg.flux_w_cm2)
+    """Per-config setup: drive flux S_mw, detuning decrement, ensemble config."""
+    s_mw = _flux(cfg.flux_w_cm2)
     ens = EnsembleConfig(cfg.vessel_length_cm, cfg.vessel_area_cm2, cfg.gas_density_g_cm3,
                          cfg.rho22_initial, cfg.ratio)
-    return e0, _decrement(cfg.detuning_mhz), ens
+    return s_mw, _decrement(cfg.detuning_mhz), ens
 
 
 def fig1_rows(beta_max: float, steps: int):
@@ -335,9 +332,9 @@ def fig1_rows(beta_max: float, steps: int):
 def run_scenario(cfg: ScenarioConfig):
     """(series, summary) for one scenario: ``evaluate``'s (t, beta, f, I_total, eta)
     rows and an ordered mapping of labeled scalars."""
-    e0, decrement, ens = _scenario_physics(cfg)
+    s_mw, decrement, ens = _scenario_physics(cfg)
     times = _linspace(cfg.time_start_s, cfg.time_stop_s, cfg.time_steps)
-    series = evaluate(ens, e0, decrement, times)
+    series = evaluate(ens, s_mw, decrement, times)
 
     summary = {
         "channel": cfg.channel,
@@ -345,15 +342,15 @@ def run_scenario(cfg: ScenarioConfig):
         "microwave_drive_mhz": cfg.drive_frequency_mhz,
         "detuning_mhz": cfg.detuning_mhz,
         "flux_w_cm2": cfg.flux_w_cm2,
-        "field_e0_statv_cm": e0,
+        "field_e0_statv_cm": field_from_flux(s_mw),
         "decrement": decrement,
         "ratio": ens.ratio,
         "rho22_initial": ens.rho22_0,
         "n_atoms": ens.n_atoms,
         "n31": ens.n31,
         "gamma31_per_s": GAMMA_31,
-        "eta_peak": evaluate(ens, e0, decrement, (0.0,))[0][4],
-        "tau_s": depletion_time(ens, e0, decrement),
+        "eta_peak": evaluate(ens, s_mw, decrement, (0.0,))[0][4],
+        "tau_s": depletion_time(ens, s_mw, decrement),
         "sigma_max_cm2": sigma_max(ens, 0.0),
     }
     return series, summary
@@ -399,29 +396,29 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
 def _sweep_objective(parameter: str, objective: str, cfg: ScenarioConfig, values):
     """An iterator over the objective at ``parameter`` = each of values, by the float
     kernels of ``ensemble``; it reads the next value only after the previous result,
-    so an error comes from the value after the last result.  The scenario's field,
+    so an error comes from the value after the last result.  The scenario's flux,
     decrement and ensemble are built once, at cfg; a point recomputes only the
-    operand its parameter sets: E0 (checked as ``_field`` checks it) for the flux, the
+    operand its parameter sets: S_mw (checked by ``_flux``) for the flux, the
     decrement for the detuning, N for the length and the density, and rho22_0 itself.
     None marks 'no depletion'."""
-    e0, decrement, ens = _scenario_physics(cfg)
+    s_mw, decrement, ens = _scenario_physics(cfg)
     length, area, density = ens.length, ens.area, ens.gas_density
     n_atoms, rho22_0, ratio = _operands(ens)
-    # (e0, decrement, N, rho22_0) at each value
+    # (S_mw, decrement, N, rho22_0) at each value
     points = {
-        "flux_w_cm2": lambda: ((_field(v), decrement, n_atoms, rho22_0) for v in values),
-        "detuning_mhz": lambda: ((e0, _decrement(v), n_atoms, rho22_0) for v in values),
-        "rho22_initial": lambda: ((e0, decrement, n_atoms, v) for v in values),
-        "vessel_length_cm": lambda: ((e0, decrement, _n_atoms(v, area, density), rho22_0)
+        "flux_w_cm2": lambda: ((_flux(v), decrement, n_atoms, rho22_0) for v in values),
+        "detuning_mhz": lambda: ((s_mw, _decrement(v), n_atoms, rho22_0) for v in values),
+        "rho22_initial": lambda: ((s_mw, decrement, n_atoms, v) for v in values),
+        "vessel_length_cm": lambda: ((s_mw, decrement, _n_atoms(v, area, density), rho22_0)
                                      for v in values),
-        "gas_density_g_cm3": lambda: ((e0, decrement, _n_atoms(length, area, v), rho22_0)
+        "gas_density_g_cm3": lambda: ((s_mw, decrement, _n_atoms(length, area, v), rho22_0)
                                       for v in values),
     }[parameter]()
     if objective == "pulse_energy":
         return _pulse_energies(points, ratio, cfg.time_start_s, cfg.time_stop_s)
     if objective == "eta_max_peak":
         return (_rows(*point, ratio, area, (0.0,))[0][4] for point in points)
-    return (_depletion_time(e, d, ratio) for e, d, _, _ in points)
+    return (_depletion_time(s, d, ratio) for s, d, _, _ in points)
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,13 @@ against detuning from the 2s-2p resonance.
 import math
 
 from .hydrogen import GAMMA_31
-from .units import HBAR_ERG_S
+from .units import HBAR_ERG_S, _checked
 
 __all__ = [
     "coupling_element",
     "damping_decrement",
     "detuning_lineshape",
 ]
-
-
-def _checked_field(e0: float) -> float:
-    """e0, or ValueError unless it is a finite, nonnegative field amplitude."""
-    # Comparisons with math.inf also reject nan, which fails every comparison.
-    if not 0 <= e0 < math.inf:
-        raise ValueError(f"field amplitude must be finite and nonnegative, got {e0}")
-    return e0
 
 
 def _cos_theta(theta: float) -> float:
@@ -38,7 +30,7 @@ def coupling_element(d: float, e0: float, theta: float) -> float:
     Carries the sign of cos(theta); everything downstream consumes |b|^2,
     so the sign cannot leak into observables.
     """
-    _checked_field(e0)
+    _checked(e0, "field amplitude")
     cos_t = _cos_theta(theta)
     if not d >= 0:
         raise ValueError(f"dipole magnitude must be nonnegative, got {d}")

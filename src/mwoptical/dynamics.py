@@ -4,8 +4,8 @@ coupling form and in the flux form.
 
 import math
 
-from .coupling import _checked_field, _cos_theta
-from .units import C_CM_S, HBAR_ERG_S, flux_from_field
+from .coupling import _cos_theta
+from .units import C_CM_S, HBAR_ERG_S, _checked, flux_from_field
 
 __all__ = [
     "intensity_full",
@@ -44,7 +44,7 @@ def intensity_weak(e0: float, theta: float, ratio: float, omega_31: float,
     identical to ``intensity_full`` once the coupling and decay-rate definitions
     are substituted (a property the test suite enforces).
     """
-    _checked_field(e0)
+    _checked(e0, "field amplitude")
     cos_t = _cos_theta(theta)
     if not omega_31 > 0:
         raise ValueError(f"omega_31 must be positive, got {omega_31}")

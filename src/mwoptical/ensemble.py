@@ -3,7 +3,7 @@ the depletion integral f(beta) with its closed form and asymptotics, the
 ensemble intensity and cross-sections, the depletion time, and the vessel
 figure of merit n31 that sets the peak conversion efficiency.
 
-The depletion parameter
+The depletion parameter at drive flux S_mw (erg s^-1 cm^-2), with E0^2 = 8*pi*S_mw/c,
 
     beta = 3 * E0^2 * wavelength_31^3 * ratio * decrement * t / (32 * pi^3 * hbar)
 
@@ -18,9 +18,8 @@ test suite checks through ``coupling_element`` and ``decay_rate``.
 import math
 import sys
 
-from .coupling import _checked_field
 from .hydrogen import OMEGA_31, OPTICAL_ANCHOR_CM
-from .units import HBAR_ERG_S, MU_H_G, _Record, flux_from_field
+from .units import HBAR_ERG_S, MU_H_G, _checked, _field_squared, _Record
 
 __all__ = [
     "EnsembleConfig",
@@ -135,7 +134,7 @@ def f_beta_approx_large(beta: float) -> float:
 
 
 # The objectives on floats.  Each public function below unpacks its vessel into
-# one private kernel: the field e0, the decrement, the atom count N (unchecked, so
+# one private kernel: the flux S_mw, the decrement, the atom count N (unchecked, so
 # that a kernel names an N that underflows in its own message), rho22_0 and the
 # ratio.  A sweep calls the kernels with one operand changed per point;
 # the pulse kernel takes the whole sweep column at once.
@@ -155,47 +154,41 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
     return n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2 * ratio * rho22_0
 
 
-def _beta_numerator(e0: float, ratio: float, decrement: float) -> float:
+def _beta_numerator(s_mw: float, ratio: float, decrement: float) -> float:
     """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator,
-    or inf where it overflows.  Where the head 3 * E0^2 * wavelength_31^3 is not a finite
-    normal number, the product is formed on E0's mantissa and scaled back, so that a
-    large ratio does not meet a head short of digits, nor a small one a head at inf."""
-    try:
-        head = 3.0 * e0**2 * OPTICAL_ANCHOR_CM**3
-    except OverflowError:   # E0^2 leaves the double range
-        head = math.inf
-    if sys.float_info.min <= head < math.inf:
+    with E0^2 = 8 * pi * S_mw / c, the value ``units.field_from_flux`` takes the root
+    of; inf where it overflows.  A finite S_mw gives a head 3 * E0^2 * wavelength_31^3
+    below about 1e285; where the head is subnormal, the product is formed on S_mw's
+    mantissa and scaled back, so that a large ratio does not meet a head short of digits."""
+    head = 3.0 * _field_squared(s_mw) * OPTICAL_ANCHOR_CM**3
+    if head >= sys.float_info.min:
         return head * ratio * decrement
-    mantissa, exponent = math.frexp(e0)
-    try:
-        return math.ldexp(3.0 * mantissa**2 * OPTICAL_ANCHOR_CM**3 * ratio * decrement,
-                          2 * exponent)
-    except OverflowError:
-        return math.inf
+    mantissa, exponent = math.frexp(s_mw)
+    return math.ldexp(3.0 * _field_squared(mantissa) * OPTICAL_ANCHOR_CM**3 * ratio * decrement,
+                      exponent)
 
 
-def evaluate(cfg: EnsembleConfig, e0: float, decrement: float, times) -> list:
-    """Rows (t, beta, f(beta), I_total, eta) for each time t (s) at field amplitude e0
-    (statV/cm), beta and f(beta) evaluated once per time.
+def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
+    """Rows (t, beta, f(beta), I_total, eta) for each time t (s) at drive flux s_mw
+    (erg s^-1 cm^-2), beta and f(beta) evaluated once per time.
     I_total = decrement*sigma_max(cfg, beta)*S_mw is the
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
     conversion efficiency, zero by convention at zero drive.  ValueError on overflow, on
     f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
     decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
-    return _rows(_checked_field(e0), decrement, *_operands(cfg), cfg.area, times)
+    return _rows(_checked(s_mw, "flux S_mw"), decrement, *_operands(cfg), cfg.area, times)
 
 
-def _rows(e0: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
+def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
           area: float, times) -> list:
     """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = _beta_numerator(e0, ratio, decrement)
+    numerator = _beta_numerator(s_mw, ratio, decrement)
     if numerator == math.inf:   # inf * t would read nan at t = 0
-        raise ValueError(f"beta's rate overflows at field amplitude {e0} statV/cm")
+        raise ValueError(f"beta's rate overflows at S_mw = {s_mw} erg/s/cm^2")
     denominator = _BETA_DENOMINATOR
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
-    s_mw = flux_from_field(e0)
     power = area * s_mw
     if s_mw > 0 and power == 0:
         raise ValueError(f"vessel power area*S_mw underflows to 0 (S_mw = {s_mw} erg/s/cm^2)")
@@ -261,28 +254,28 @@ def _window(numerator: float, t0: float, t1: float) -> tuple:
     return window, beta1 * window / t1 if window else 0.0
 
 
-def pulse_energy(cfg: EnsembleConfig, e0: float, decrement: float, t0: float,
+def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
                  t1: float) -> float:
-    """Emitted energy (erg) at field amplitude e0 (statV/cm) over the window [t0, t1],
+    """Emitted energy (erg) at drive flux s_mw (erg s^-1 cm^-2) over the window [t0, t1],
     0 <= t0 <= t1 (s): the time integral of ``evaluate``'s
     I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
     decrement * _sigma_prefactor * S_mw times the window integral W.  Equally, it is the
     energy stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s
     line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released over the window, and it
     is formed so where the product overflows or ``_window``, which picks one of the three
-    window formulas, gives no W.  ValueError on a reversed window, where
-    beta or the stored energy overflows, and where the energy underflows to 0 at
-    nonzero field, decrement, ratio, rho22_0 and window width."""
-    _checked_field(e0)
+    window formulas, gives no W.  ValueError on a reversed window, where beta or the stored
+    energy overflows, where the energy is below the normal range but not 0, and where it
+    is 0 at nonzero flux, decrement, ratio, rho22_0 and window width."""
+    _checked(s_mw, "flux S_mw")
     n_atoms, rho22_0, ratio = _operands(cfg)
-    return next(_pulse_energies([(e0, decrement, n_atoms, rho22_0)], ratio, t0, t1))
+    return next(_pulse_energies([(s_mw, decrement, n_atoms, rho22_0)], ratio, t0, t1))
 
 
 def _pulse_energies(points, ratio: float, t0: float, t1: float):
-    """``pulse_energy`` at each (e0, decrement, N, rho22_0) of points, yielded before
+    """``pulse_energy`` at each (S_mw, decrement, N, rho22_0) of points, yielded before
     the next point is read.  The window checks run once, before the first point, and
-    the rest at every point; the window integral, the released share and S_mw are
-    recomputed only where e0 or the decrement changes, since beta reads no other
+    the rest at every point; the window integral and the released share are
+    recomputed only where S_mw or the decrement changes, since beta reads no other
     operand that varies in a sweep."""
     if t1 < t0:
         raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
@@ -291,14 +284,13 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             raise ValueError(f"t must be nonnegative, got {t}")
     two_pi, wavelength_sq = 2.0 * math.pi, OPTICAL_ANCHOR_CM**2
     quantum = HBAR_ERG_S * OMEGA_31   # hbar*omega_31 (erg)
-    last_e0 = last_decrement = None
-    for e0, decrement, n_atoms, rho22_0 in points:
+    last_s_mw = last_decrement = None
+    for s_mw, decrement, n_atoms, rho22_0 in points:
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
-        if e0 != last_e0 or decrement != last_decrement:
-            window, released = _window(_beta_numerator(e0, ratio, decrement), t0, t1)
-            s_mw = flux_from_field(e0)
-            last_e0, last_decrement = e0, decrement
+        if s_mw != last_s_mw or decrement != last_decrement:
+            window, released = _window(_beta_numerator(s_mw, ratio, decrement), t0, t1)
+            last_s_mw, last_decrement = s_mw, decrement
         if window is not None:
             # _sigma_prefactor, in its operand order
             scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
@@ -309,9 +301,10 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             energy = n_atoms * rho22_0 * (quantum * released)
             if not math.isfinite(energy):
                 raise ValueError("pulse energy overflows")
-        if energy == 0 and (t1 > t0 and e0 > 0 and decrement > 0 and ratio > 0
-                            and rho22_0 > 0):
-            raise ValueError("pulse energy underflows to 0")
+        if energy < sys.float_info.min and (energy or t1 > t0 and s_mw > 0 and decrement > 0
+                                            and ratio > 0 and rho22_0 > 0):
+            raise ValueError("pulse energy underflows "
+                             + ("below the normal range" if energy else "to 0"))
         yield energy
 
 
@@ -329,31 +322,32 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     return sigma
 
 
-def depletion_time(cfg: EnsembleConfig, e0: float, decrement: float):
+def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
     """Characteristic time (s) for the ensemble emission to fall roughly tenfold at
-    field amplitude e0 (statV/cm):
+    drive flux s_mw (erg s^-1 cm^-2):
 
-        tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio)
+        tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio),  E0^2 = 8*pi*S_mw/c
 
     (2e3 rounds 64*pi^3 ~ 1984, placing beta(tau) ~ 6).  Inversely
     proportional to the drive flux.  Returns None ("no depletion") when the
-    field or the dipole ratio is zero, rather than an infinity that would
-    poison downstream tables; a nonzero field too weak for a finite tau, or so
-    strong that tau underflows to 0, raises ValueError.
+    flux or the dipole ratio is zero, rather than an infinity that would
+    poison downstream tables; a nonzero flux too weak for a finite tau, or so
+    strong that tau falls below the normal range, raises ValueError.
     """
-    return _depletion_time(_checked_field(e0), decrement, cfg.ratio)
+    return _depletion_time(_checked(s_mw, "flux S_mw"), decrement, cfg.ratio)
 
 
-def _depletion_time(e0: float, decrement: float, ratio: float):
+def _depletion_time(s_mw: float, decrement: float, ratio: float):
     """``depletion_time`` on floats: 6e3 * hbar over ``_beta_numerator``, 3 times the rate."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
-    if e0 == 0 or ratio == 0:
+    if s_mw == 0 or ratio == 0:
         return None
-    numerator = _beta_numerator(e0, ratio, decrement)
+    numerator = _beta_numerator(s_mw, ratio, decrement)
     if numerator == 0:
-        raise ValueError(f"depletion time overflows at field {e0} statV/cm")
+        raise ValueError(f"depletion time overflows at S_mw = {s_mw} erg/s/cm^2")
     tau = 6.0e3 * HBAR_ERG_S / numerator
-    if tau == 0:
-        raise ValueError(f"depletion time underflows to 0 at field {e0} statV/cm")
+    if tau < sys.float_info.min:
+        raise ValueError(f"depletion time underflows {'below the normal range' if tau else 'to 0'}"
+                         f" at S_mw = {s_mw} erg/s/cm^2")
     return tau

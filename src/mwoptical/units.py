@@ -64,6 +64,15 @@ class _Record:
         return self.__class__(**{**vars(self), **changes})
 
 
+def _checked(value: float, name: str) -> float:
+    """value, or ValueError naming it unless it is finite and nonnegative: the one
+    check of a drive, the field amplitude E0 or the flux S_mw."""
+    # Comparisons with math.inf also reject nan, which fails every comparison.
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def freq_mhz_to_angular(f_mhz: float) -> float:
     """Frequency in MHz -> angular frequency in rad/s (2*pi*1e6*f)."""
     if not f_mhz >= 0:
@@ -89,7 +98,14 @@ def field_from_flux(flux_cgs: float) -> float:
     """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi)."""
     if not flux_cgs >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
-    return math.sqrt(8.0 * math.pi * flux_cgs / C_CM_S)
+    return math.sqrt(_field_squared(flux_cgs))
+
+
+def _field_squared(flux_cgs: float) -> float:
+    """E0^2 = 8*pi*S/c (erg/cm^3) at energy flux S, finite at every finite S: where
+    8*pi*S overflows (S above about 7e306), 8*pi/c scales S first."""
+    e0_squared = 8.0 * math.pi * flux_cgs / C_CM_S
+    return e0_squared if e0_squared < math.inf else 8.0 * math.pi / C_CM_S * flux_cgs
 
 
 def flux_from_field(e0: float) -> float:

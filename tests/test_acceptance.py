@@ -28,7 +28,7 @@ from mwoptical.hydrogen import (
     radial_dipole_integral,
 )
 from mwoptical.cli import fig1_rows, format_scenario, parse_config, run_scenario
-from mwoptical.units import field_from_flux, flux_si_to_cgs
+from mwoptical.units import field_from_flux, flux_from_field, flux_si_to_cgs
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -144,8 +144,8 @@ def test_criterion_6_beta_tau_consistency():
         return EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4,
                               rho22_0=1.0e-4, ratio=ratio)
 
-    def beta_at(ratio, e0, dec, t):
-        return evaluate(vessel(ratio), e0, dec, (t,))[0][1]
+    def beta_at(ratio, s_mw, dec, t):
+        return evaluate(vessel(ratio), s_mw, dec, (t,))[0][1]
 
     up, lo, metastable = mode("2p3/2"), mode("1s1/2"), mode("2s1/2")
     omega31 = up.omega - lo.omega
@@ -160,13 +160,13 @@ def test_criterion_6_beta_tau_consistency():
             t = float(rng.uniform(0.0, 1e-4))
             b32 = coupling_element(d32, e0, 0.0)
             exponent = b32 * b32 * dec * t / (2.0 * gamma31)
-            direct = beta_at(ratio, e0, dec, t)
+            direct = beta_at(ratio, flux_from_field(e0), dec, t)
             scale = max(direct, exponent, 1e-300)
             worst = max(worst, abs(direct - exponent) / scale)
 
-    e0 = field_from_flux(flux_si_to_cgs(1.0))
-    tau = depletion_time(vessel(1.0), e0, 1.0)
-    beta_tau = beta_at(1.0, e0, 1.0, tau)
+    s_mw = flux_si_to_cgs(1.0)
+    tau = depletion_time(vessel(1.0), s_mw, 1.0)
+    beta_tau = beta_at(1.0, s_mw, 1.0, tau)
 
     ok = worst <= 1e-10 and 5.9 <= beta_tau <= 6.3
     _report(6, "beta/tau self-consistency", ok,
@@ -177,14 +177,15 @@ def test_criterion_6_beta_tau_consistency():
 
 def test_criterion_7_orientation_average_oracle():
     cfg = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4, ratio=1.0)
-    e0 = field_from_flux(flux_si_to_cgs(1.0))
+    s_mw = flux_si_to_cgs(1.0)
     omega31 = 2.0 * math.pi * 2.99792458e10 / 1.22e-5
 
     def one_atom(theta):
-        return intensity_weak(e0, theta, cfg.ratio, omega31, 1.0, cfg.rho22_0)
+        return intensity_weak(field_from_flux(s_mw), theta, cfg.ratio, omega31, 1.0,
+                              cfg.rho22_0)
 
     brute = cfg.n_atoms * oracles.angular_average_quad(one_atom)
-    closed = evaluate(cfg, e0, 1.0, (0.0,))[0][3]
+    closed = evaluate(cfg, s_mw, 1.0, (0.0,))[0][3]
     rel = abs(closed - brute) / brute
 
     ok = rel <= 1e-10

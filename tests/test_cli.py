@@ -27,7 +27,7 @@ from mwoptical.cli import (
     run_sweep,
 )
 from mwoptical.ensemble import depletion_time, evaluate, pulse_energy
-from mwoptical.units import freq_mhz_to_angular
+from mwoptical.units import field_from_flux, freq_mhz_to_angular
 
 WORKED_VESSEL = """\
 # worked-example vessel
@@ -284,6 +284,21 @@ def test_sweep_tau_inverse_in_flux():
     assert slope == pytest.approx(-1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("low, high, steps, log", [
+    (2.964e-322, 1e-300, 2, False),   # read 1.99 times the linear energy at the subnormal flux
+    (1e-320, 1e-300, 3, True),        # read 0.19% high at the subnormal flux
+])
+def test_sweep_pulse_energy_linear_in_a_subnormal_flux(low, high, steps, log):
+    # far below depletion the energy is linear in S_mw = 1e7 * flux, a subnormal one too
+    cfg = parse_config("channel = fine_structure\nvessel_area_cm2 = 1e10\n"
+                       "vessel_length_cm = 1e10\n")
+    _, rows, _ = run_sweep(cfg, SweepSpec("flux_w_cm2", low, high, steps, log,
+                                          "pulse_energy"))
+    assert rows[0][0] < sys.float_info.min
+    per_flux = [energy / flux for flux, energy in rows]
+    assert per_flux == pytest.approx([per_flux[-1]] * steps, rel=1e-9)
+
+
 def test_sweep_pulse_energy_bounded_by_excited_population():
     # over a long window the emitted energy approaches N * rho22(0) * hbar * omega31
     cfg = parse_config(
@@ -322,11 +337,11 @@ def test_sweep_no_depletion_marker_in_csv():
 
 # objective -> its value from the records of a scenario, by the public functions
 RECORD_OBJECTIVES = {
-    "eta_max_peak": lambda cfg, e0, decrement, ens:
-        evaluate(ens, e0, decrement, (0.0,))[0][4],
-    "pulse_energy": lambda cfg, e0, decrement, ens:
-        pulse_energy(ens, e0, decrement, cfg.time_start_s, cfg.time_stop_s),
-    "tau": lambda cfg, e0, decrement, ens: depletion_time(ens, e0, decrement),
+    "eta_max_peak": lambda cfg, s_mw, decrement, ens:
+        evaluate(ens, s_mw, decrement, (0.0,))[0][4],
+    "pulse_energy": lambda cfg, s_mw, decrement, ens:
+        pulse_energy(ens, s_mw, decrement, cfg.time_start_s, cfg.time_stop_s),
+    "tau": lambda cfg, s_mw, decrement, ens: depletion_time(ens, s_mw, decrement),
 }
 
 
@@ -386,9 +401,9 @@ def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
 @pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),
                                              ("detuning_mhz", "detuning_mhz = 1e303")])
 def test_sweep_ignores_the_swept_parameter_of_the_config(parameter, line):
-    # the config's own flux (or detuning) overflows the field (or the lineshape's
+    # the config's own flux (or detuning) overflows S_mw (or the lineshape's
     # delta^2), but the sweep replaces it
-    message = {"flux_w_cm2": "field amplitude must be finite",
+    message = {"flux_w_cm2": "flux S_mw must be finite",
                "detuning_mhz": "detuning lineshape underflows to 0"}[parameter]
     cfg = parse_config(f"channel = fine_structure\n{line}\n")
     with pytest.raises(ValueError, match=message):
@@ -554,12 +569,12 @@ def test_main_pulse_energy_where_scale_times_flux_overflows(tmp_path, capsys):
         rows = [[float(v) for v in line.split(",")]
                 for line in capsys.readouterr().out.splitlines()[1:]]
         cfg = parse_config(config.read_text())
-        e0, decrement, _ = cli._scenario_physics(cfg)
+        s_mw, decrement, _ = cli._scenario_physics(cfg)
         for rho22, energy in rows:
             # 1.22e-5 cm: the optical line every scenario shares
             assert energy == pytest.approx(oracles.stored_pulse_energy(
-                n_atoms * rho22, 1.22e-5, e0, ratio, decrement, 0.0, cfg.time_stop_s),
-                rel=1e-8)
+                n_atoms * rho22, 1.22e-5, field_from_flux(s_mw), ratio, decrement, 0.0,
+                cfg.time_stop_s), rel=1e-8)
         assert rows[-1][1] == pytest.approx(last, rel=1e-4)
 
 
@@ -638,16 +653,20 @@ def test_main_rejects_non_finite_config_values(tmp_path, capsys, line):
 
 
 def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
-    # a finite flux whose field, beta and intensity overflow: exit 3, no nan rows
+    # a finite flux whose beta and intensity overflow: exit 3, no nan rows
     config = tmp_path / "run.cfg"
     config.write_text("channel = fine_structure\nflux_w_cm2 = 1e300\n")
     assert main(["scenario", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "nan" not in captured.err
-    assert main(["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
-                 "--max", "1e300", "--steps", "3", "--log", "--objective", "tau"]) == 3
+    # S_mw = 1e7 * flux is finite up to about 1.8e301 W/cm^2, and so is tau there
+    sweep = ["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1",
+             "--steps", "3", "--log", "--objective", "tau", "--max"]
+    assert main(sweep + ["1e300"]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == "1.00000000e+300,1.38550312e-307"
     # inside a sweep the message names the grid point
-    assert capsys.readouterr().err == ("error: flux_w_cm2 = 1e+300: field amplitude must be "
+    assert main(sweep + ["1e302"]) == 3
+    assert capsys.readouterr().err == ("error: flux_w_cm2 = 1e+302: flux S_mw must be "
                                        "finite and nonnegative, got inf\n")
     # n31 = rho*L*lambda^2/mu_H overflows where N = rho*A*L/mu_H does not: this printed inf
     config.write_text("channel = fine_structure\nflux_w_cm2 = 0\nvessel_length_cm = 1e300\n"
@@ -663,7 +682,7 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
         assert main([args[0], "--config", str(config), *args[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "nan" not in captured.err
-        assert "beta's rate overflows at field amplitude" in captured.err
+        assert "beta's rate overflows at S_mw = " in captured.err
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -719,14 +738,14 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
      "sigma_max underflows to 0"),
-    # E0 = sqrt(8*pi*S/c) underflows to 0 below a flux of about 3e-322 W/cm^2, and
-    # the run read as undriven
+    # at a subnormal S_mw beta's rate underflows to 0, so tau overflows, and the pulse
+    # energy falls below the normal range, where it keeps too few digits to print
     ("flux_w_cm2 = 1e-323", ["scenario"],
-     "field amplitude underflows to 0 at flux 1e-323 W/cm^2"),
+     "depletion time overflows at S_mw = 9.881313e-317 erg/s/cm^2"),
     ("flux_w_cm2 = 1",
      ["sweep", "--param", "flux_w_cm2", "--min", "0", "--max", "1e-322", "--steps", "3",
       "--objective", "pulse_energy"],
-     "flux_w_cm2 = 5e-323: field amplitude underflows to 0 at flux 5e-323 W/cm^2"),
+     "flux_w_cm2 = 5e-323: pulse energy underflows below the normal range"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):
@@ -1019,9 +1038,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 34 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 36 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 208
+    assert len(commands) == 210
     return [command["argv"] for command in commands]
 
 

@@ -12,13 +12,15 @@ from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S, flux_from_field
 VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0)
 OMEGA_31 = 1.5e16   # rad/s, near the 2p-1s line
 
-# each function that takes a field amplitude e0 (statV/cm), called at e0
-FIELD_TAKERS = {
-    "evaluate": lambda e0: evaluate(VESSEL, e0, 1.0, [0.0, 1e-7]),
-    "pulse_energy": lambda e0: pulse_energy(VESSEL, e0, 1.0, 0.0, 1e-7),
-    "depletion_time": lambda e0: depletion_time(VESSEL, e0, 1.0),
-    "coupling_element": lambda e0: coupling_element(1e-18, e0, 0.3),
-    "intensity_weak": lambda e0: intensity_weak(e0, 0.3, 1.0, OMEGA_31, 1.0, 0.5),
+# each function that takes the drive, called at the drive: the ensemble functions take
+# the flux S_mw (erg s^-1 cm^-2), coupling and dynamics the field amplitude E0 (statV/cm)
+DRIVE_TAKERS = {
+    "evaluate": ("flux S_mw", lambda s_mw: evaluate(VESSEL, s_mw, 1.0, [0.0, 1e-7])),
+    "pulse_energy": ("flux S_mw", lambda s_mw: pulse_energy(VESSEL, s_mw, 1.0, 0.0, 1e-7)),
+    "depletion_time": ("flux S_mw", lambda s_mw: depletion_time(VESSEL, s_mw, 1.0)),
+    "coupling_element": ("field amplitude", lambda e0: coupling_element(1e-18, e0, 0.3)),
+    "intensity_weak": ("field amplitude",
+                       lambda e0: intensity_weak(e0, 0.3, 1.0, OMEGA_31, 1.0, 0.5)),
 }
 
 # each function that takes an angle theta (rad), called at theta
@@ -33,9 +35,9 @@ def test_drive_flux_is_derived():
 
 
 def test_drive_validation():
-    for call in FIELD_TAKERS.values():
+    for drive, call in DRIVE_TAKERS.values():
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="field amplitude must be finite and nonnegative"):
+            with pytest.raises(ValueError, match=f"{drive} must be finite and nonnegative"):
                 call(bad)
         for zero in (0.0, -0.0):
             call(zero)

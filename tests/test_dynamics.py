@@ -24,27 +24,29 @@ def _field(flux_w_cm2=1.0):
 
 
 def _rabi_and_coupling(omega_over_gamma):
-    """(Omega, b32, e0) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
+    """(Omega, b32, S_mw) of the 2p3/2-2s1/2 pair at the field where Omega/gamma_31
     takes the given value: Omega from the bare m = 0 dipole, b32 from the
-    sublevel-summed one, which is sqrt(2) times larger."""
+    sublevel-summed one, which is sqrt(2) times larger, and the drive flux S_mw
+    that the ensemble functions take."""
     m0 = dipole_matrix_element(mode("2p3/2"), mode("2s1/2"))
     summed = effective_dipole(mode("2p3/2"), mode("2s1/2"))
     e0 = omega_over_gamma * GAMMA_31 * oracles.HBAR / m0
-    return coupling_element(m0, e0, 0.0), coupling_element(summed, e0, 0.0), e0
+    return (coupling_element(m0, e0, 0.0), coupling_element(summed, e0, 0.0),
+            flux_from_field(e0))
 
 
 # The package's vessel on the 2p3/2-1s1/2 line with the catalog dipole ratio:
-# under a field e0 from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
+# under a flux S_mw from _rabi_and_coupling its beta is b32^2 t/(2 gamma_31) =
 # Omega^2 t/gamma_31 at theta = 0, the rate law of the two-level oracle.
 RATE_LAW_VESSEL = EnsembleConfig(length=10.0, area=1.0, gas_density=0.9e-4, rho22_0=1.0e-4,
                                  ratio=hydrogenic_dipole_ratio())
 STORED_ENERGY = RATE_LAW_VESSEL.n_atoms * RATE_LAW_VESSEL.rho22_0 * oracles.HBAR * OMEGA_31
 
 
-def _surviving(e0, decrement, times):
-    """rho22(t)/rho22(0) = exp(-beta) of an atom aligned with the field e0, with beta
-    the depletion exponent of ``evaluate`` on RATE_LAW_VESSEL."""
-    return [math.exp(-row[1]) for row in evaluate(RATE_LAW_VESSEL, e0, decrement, times)]
+def _surviving(s_mw, decrement, times):
+    """rho22(t)/rho22(0) = exp(-beta) of an atom aligned with the field of flux s_mw,
+    with beta the depletion exponent of ``evaluate`` on RATE_LAW_VESSEL."""
+    return [math.exp(-row[1]) for row in evaluate(RATE_LAW_VESSEL, s_mw, decrement, times)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,28 +54,28 @@ def _surviving(e0, decrement, times):
 # ---------------------------------------------------------------------------
 
 def test_rho22_initial_and_undriven():
-    _, _, e0 = _rabi_and_coupling(0.2)
-    assert _surviving(e0, 1.0, (0.0,)) == [1.0]
+    _, _, s_mw = _rabi_and_coupling(0.2)
+    assert _surviving(s_mw, 1.0, (0.0,)) == [1.0]
     assert _surviving(0.0, 1.0, (0.0, 1e-6, 1e-3)) == [1.0] * 3
 
 
 def test_rho22_e_folding_time():
-    _, b32, e0 = _rabi_and_coupling(0.2)
+    _, b32, s_mw = _rabi_and_coupling(0.2)
     dec = 0.8
     t_e = 2.0 * GAMMA_31 / (b32 * b32 * dec)
-    assert _surviving(e0, dec, (t_e,)) == [pytest.approx(1.0 / math.e, rel=1e-12)]
+    assert _surviving(s_mw, dec, (t_e,)) == [pytest.approx(1.0 / math.e, rel=1e-12)]
 
 
 def test_rho22_monotone_nonincreasing():
-    _, _, e0 = _rabi_and_coupling(0.2)
-    values = _surviving(e0, 1.0, [float(t) for t in np.linspace(0.0, 1e-6, 50)])
+    _, _, s_mw = _rabi_and_coupling(0.2)
+    values = _surviving(s_mw, 1.0, [float(t) for t in np.linspace(0.0, 1e-6, 50)])
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_rho22_semigroup():
-    _, _, e0 = _rabi_and_coupling(0.2)
+    _, _, s_mw = _rabi_and_coupling(0.2)
     for t1, t2 in [(1e-9, 3e-9), (2e-8, 5e-7), (0.0, 1e-6)]:
-        direct, first, second = _surviving(e0, 0.7, (t1 + t2, t1, t2))
+        direct, first, second = _surviving(s_mw, 0.7, (t1 + t2, t1, t2))
         assert direct == pytest.approx(first * second, rel=1e-12)
 
 
@@ -85,16 +87,16 @@ def test_rho22_is_the_exact_two_level_decay_at_weak_coupling():
     assert oracles.rho22_two_level(0.0, 0.1 * gamma, gamma) == pytest.approx(1.0, abs=1e-15)
     assert oracles.rho22_two_level(1e-6, 0.0, gamma) == 1.0
     for omega_over_gamma, tolerance in ((0.05, 1e-5), (0.2, 2e-3)):
-        rabi, b32, e0 = _rabi_and_coupling(omega_over_gamma)
+        rabi, b32, s_mw = _rabi_and_coupling(omega_over_gamma)
         t = 2.0 * gamma / rabi**2   # two e-foldings
-        [package] = _surviving(e0, 1.0, (t,))
+        [package] = _surviving(s_mw, 1.0, (t,))
         assert package == pytest.approx(math.exp(-rabi * rabi * t / gamma), rel=1e-14)
         assert package == pytest.approx(oracles.rho22_two_level(t, rabi, gamma),
                                         rel=tolerance)
     # read as the Rabi frequency itself, b would give twice the package's
     # exponent: the exact population is about e^-2 where the package reads e^-1
     t = 2.0 * gamma / b32**2
-    assert _surviving(e0, 1.0, (t,)) == [pytest.approx(math.exp(-1.0), rel=1e-14)]
+    assert _surviving(s_mw, 1.0, (t,)) == [pytest.approx(math.exp(-1.0), rel=1e-14)]
     assert oracles.rho22_two_level(t, b32, gamma) == pytest.approx(0.137, abs=1e-3)
 
 
@@ -103,9 +105,9 @@ def test_rate_law_fails_as_the_coupling_nears_critical_damping():
     # above the rate law's; past 0.5 the roots are complex, the atom
     # Rabi-oscillates and no rate law holds
     gamma = GAMMA_31
-    rabi, _, e0 = _rabi_and_coupling(0.375)
+    rabi, _, s_mw = _rabi_and_coupling(0.375)
     t = 2.0 * gamma / rabi**2
-    [package] = _surviving(e0, 1.0, (t,))
+    [package] = _surviving(s_mw, 1.0, (t,))
     excess = oracles.rho22_two_level(t, rabi, gamma) / package - 1.0
     assert 0.04 < excess < 0.05
 
@@ -116,8 +118,8 @@ def test_ensemble_emission_peaks_below_the_rate_law(omega_over_gamma, peak_ratio
     # adiabatic elimination at ensemble level: the rate law emits most at t = 0,
     # Omega^2/(3 gamma_31) per excited atom; the exact orientation average of
     # gamma_31 |c3|^2 rises from 0 over ~1/gamma_31 and peaks lower
-    rabi, _, e0 = _rabi_and_coupling(omega_over_gamma)
-    rate_law = evaluate(RATE_LAW_VESSEL, e0, 1.0, (0.0,))[0][3] / STORED_ENERGY
+    rabi, _, s_mw = _rabi_and_coupling(omega_over_gamma)
+    rate_law = evaluate(RATE_LAW_VESSEL, s_mw, 1.0, (0.0,))[0][3] / STORED_ENERGY
     assert rate_law == pytest.approx(rabi**2 / (3.0 * GAMMA_31), rel=1e-9)
     exact = max(oracles.two_level_ensemble(0.05 * i / GAMMA_31, rabi, GAMMA_31)[1]
                 for i in range(401))   # gamma_31 t on [0, 20]
@@ -130,11 +132,11 @@ def test_share_of_stored_energy_released_by_gamma_t_40(omega_over_gamma, exact_s
                                                        rate_law_share):
     # 1 - <|c2|^2 + |c3|^2> has been emitted; the package's pulse energy is the
     # rate law's share of the stored energy
-    rabi, _, e0 = _rabi_and_coupling(omega_over_gamma)
+    rabi, _, s_mw = _rabi_and_coupling(omega_over_gamma)
     t = 40.0 / GAMMA_31
     c2, c3 = oracles.two_level_ensemble(t, rabi, GAMMA_31)
     assert 1.0 - c2 - c3 == pytest.approx(exact_share, abs=0.01)
-    released = pulse_energy(RATE_LAW_VESSEL, e0, 1.0, 0.0, t) / STORED_ENERGY
+    released = pulse_energy(RATE_LAW_VESSEL, s_mw, 1.0, 0.0, t) / STORED_ENERGY
     assert released == pytest.approx(rate_law_share, abs=1e-3)
 
 

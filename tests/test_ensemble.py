@@ -30,13 +30,19 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
 )
-from mwoptical.units import HBAR_ERG_S, field_from_flux, flux_from_field, flux_si_to_cgs
+from mwoptical.units import C_CM_S, HBAR_ERG_S, field_from_flux, flux_from_field, flux_si_to_cgs
 
 LAMBDA_31 = 1.22e-5   # cm
 
 
-def _field(flux_w_cm2=1.0):
-    return field_from_flux(flux_si_to_cgs(flux_w_cm2))
+def _flux(flux_w_cm2=1.0):
+    """The drive flux S_mw (erg s^-1 cm^-2) that the ensemble functions take."""
+    return flux_si_to_cgs(flux_w_cm2)
+
+
+def _e0_squared(s_mw):
+    """E0^2 = 8*pi*S_mw/c, as the ensemble kernels form it wherever 8*pi*S_mw is finite."""
+    return 8.0 * math.pi * s_mw / C_CM_S
 
 
 def _vessel(**overrides):
@@ -146,19 +152,19 @@ def test_large_beta_asymptote():
 # beta
 # ---------------------------------------------------------------------------
 
-def _beta(cfg, e0, dec, t):
-    return evaluate(cfg, e0, dec, (t,))[0][1]
+def _beta(cfg, s_mw, dec, t):
+    return evaluate(cfg, s_mw, dec, (t,))[0][1]
 
 
 def test_beta_zeros():
-    e0 = _field()
-    assert _beta(_vessel(), e0, 1.0, 0.0) == 0.0
+    s_mw = _flux()
+    assert _beta(_vessel(), s_mw, 1.0, 0.0) == 0.0
     assert _beta(_vessel(), 0.0, 1.0, 1e-3) == 0.0
 
 
 def test_beta_rejects_negative_time():
     with pytest.raises(ValueError, match="t"):
-        _beta(_vessel(), _field(), 1.0, -1.0)
+        _beta(_vessel(), _flux(), 1.0, -1.0)
 
 
 def test_beta_matches_single_atom_exponent():
@@ -171,10 +177,10 @@ def test_beta_matches_single_atom_exponent():
         gamma31 = decay_rate(omega31, d31)
         ratio = (d32 / d31) ** 2
         for flux, dec, t in [(1.0, 1.0, 1e-7), (40.0, 0.3, 2e-9), (0.01, 2.0, 1e-4)]:
-            e0 = _field(flux)
-            b32 = coupling_element(d32, e0, 0.0)
+            s_mw = _flux(flux)
+            b32 = coupling_element(d32, field_from_flux(s_mw), 0.0)
             exponent = b32 * b32 * dec * t / (2.0 * gamma31)
-            direct = _beta(_vessel(ratio=ratio), e0, dec, t)
+            direct = _beta(_vessel(ratio=ratio), s_mw, dec, t)
             assert direct == pytest.approx(exponent, rel=1e-10)
 
 
@@ -185,55 +191,56 @@ def _draws(seed, *bounds, count=4000):
     return [tuple(map(float, draw)) for draw in zip(*columns)]
 
 
+def _exact_beta_numerator(s_mw, ratio, dec):
+    """3 * E0^2 * wavelength^3 * ratio * decrement in exact arithmetic, with
+    E0^2 = 8*pi*S_mw/c and pi the float that the kernels read."""
+    return (24 * Fraction(math.pi) * Fraction(s_mw) / Fraction(C_CM_S)
+            * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec))
+
+
 def test_beta_numerator_keeps_the_plain_product_where_its_head_is_normal():
     checked = 0
-    for e0, ratio, dec in _draws(22, *[(-323.5, 308.25)] * 3):
-        try:
-            head = 3.0 * e0**2 * LAMBDA_31**3
-        except OverflowError:   # e0^2 leaves the double range
-            continue
+    for s_mw, ratio, dec in _draws(22, *[(-323.5, 308.25)] * 3):
+        head = 3.0 * _e0_squared(s_mw) * LAMBDA_31**3
         if sys.float_info.min <= head < math.inf:
             checked += 1
-            assert _beta_numerator(e0, ratio, dec).hex() == (head * ratio * dec).hex()
+            assert _beta_numerator(s_mw, ratio, dec).hex() == (head * ratio * dec).hex()
     assert checked > 1500
 
 
 def test_beta_numerator_keeps_its_digits_where_its_head_is_subnormal():
     # where 3*E0^2*wavelength^3 is subnormal or 0 and the rate is normal, the rate keeps
-    # the rounding error of its six operations (four products within half an ulp, two
-    # powers within an ulp) against the exact product
+    # the rounding error of its operations against the exact product
     checked = 0
-    for e0, ratio, dec in _draws(23, (-301.0, -146.7), (150.0, 308.25), (-20.0, 0.0)):
-        if 3.0 * e0**2 * LAMBDA_31**3 >= sys.float_info.min:
+    for s_mw, ratio, dec in _draws(23, (-323.5, -284.4), (150.0, 308.25), (-20.0, 0.0)):
+        if 3.0 * _e0_squared(s_mw) * LAMBDA_31**3 >= sys.float_info.min:
             continue
-        got = _beta_numerator(e0, ratio, dec)
+        got = _beta_numerator(s_mw, ratio, dec)
         if not sys.float_info.min <= got < math.inf:
             continue
         checked += 1
-        exact = 3 * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec)
-        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (e0, ratio, dec)
+        exact = _exact_beta_numerator(s_mw, ratio, dec)
+        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec)
     assert checked > 2000
 
 
-def test_beta_numerator_keeps_its_digits_where_its_head_overflows():
-    # where 3*E0^2*wavelength^3, or E0^2 itself, overflows, a small ratio*decrement
-    # brings the rate back into range: it keeps the rounding error of its six
-    # operations, and reads inf only where the exact rate exceeds the largest float
-    finite = 0
-    for e0, ratio, dec in _draws(25, (153.9, 308.25), (-150.0, 0.0), (-20.0, 0.0)):
-        try:
-            if 3.0 * e0**2 * LAMBDA_31**3 < math.inf:
-                continue
-        except OverflowError:
-            pass
-        got = _beta_numerator(e0, ratio, dec)
-        exact = 3 * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec)
+def test_beta_numerator_is_finite_at_the_largest_flux():
+    # a finite S_mw gives a head 3*E0^2*wavelength^3 below about 1e285, and where
+    # 8*pi*S_mw overflows E0^2 is 8*pi/c times S_mw: at the largest float the rate keeps
+    # its bits, and reads inf only where ratio*decrement takes the exact rate past the
+    # largest float
+    s_mw = sys.float_info.max
+    assert _e0_squared(s_mw) == math.inf
+    head = 3.0 * (8.0 * math.pi / C_CM_S * s_mw) * LAMBDA_31**3
+    assert 1e284 < head < 1e286
+    for ratio, dec in ((1.0, 1.0), (1e-300, 0.5), (1e20, 2.0), (1e24, 1.0)):
+        got = _beta_numerator(s_mw, ratio, dec)
+        assert got.hex() == (head * ratio * dec).hex()
+        exact = _exact_beta_numerator(s_mw, ratio, dec)
         if got == math.inf:
-            assert exact > sys.float_info.max * (1 - 8 * 2.0**-53), (e0, ratio, dec)
-            continue
-        finite += 1
-        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (e0, ratio, dec)
-    assert finite > 1000
+            assert exact > sys.float_info.max, (ratio, dec)
+        else:
+            assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (ratio, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -294,39 +301,40 @@ def test_vessel_rejects_non_finite(name, value):
 # ensemble intensity and cross-sections
 # ---------------------------------------------------------------------------
 
-def _intensity(cfg, e0, dec, t):
-    return evaluate(cfg, e0, dec, (t,))[0][3]
+def _intensity(cfg, s_mw, dec, t):
+    return evaluate(cfg, s_mw, dec, (t,))[0][3]
 
 
 def test_intensity_matches_angular_quadrature_at_t0():
     cfg = _vessel()
-    e0 = _field()
+    s_mw = _flux()
     dec = 1.0
     omega31 = 2.0 * math.pi * 2.99792458e10 / LAMBDA_31
 
     def one_atom(theta):
-        return intensity_weak(e0, theta, cfg.ratio, omega31, dec, cfg.rho22_0)
+        return intensity_weak(field_from_flux(s_mw), theta, cfg.ratio, omega31, dec,
+                              cfg.rho22_0)
 
     brute = cfg.n_atoms * oracles.angular_average_quad(one_atom)
-    assert _intensity(cfg, e0, dec, 0.0) == pytest.approx(brute, rel=1e-10)
+    assert _intensity(cfg, s_mw, dec, 0.0) == pytest.approx(brute, rel=1e-10)
 
 
 def test_intensity_linear_in_flux_and_density():
     cfg = _vessel()
     dec = 1.0
-    base = _intensity(cfg, _field(1.0), dec, 0.0)
-    assert _intensity(cfg, _field(2.0), dec, 0.0) == pytest.approx(2.0 * base, rel=1e-12)
+    base = _intensity(cfg, _flux(1.0), dec, 0.0)
+    assert _intensity(cfg, _flux(2.0), dec, 0.0) == pytest.approx(2.0 * base, rel=1e-12)
     half = _vessel(gas_density=0.45e-4)
-    assert _intensity(half, _field(1.0), dec, 0.0) == pytest.approx(0.5 * base, rel=1e-12)
+    assert _intensity(half, _flux(1.0), dec, 0.0) == pytest.approx(0.5 * base, rel=1e-12)
 
 
 def test_sigma_and_eta_identities():
     # evaluate's I/S_mw is decrement * sigma_max and its eta is that over the area
-    cfg, e0 = _vessel(area=3.7), _field()
+    cfg, s_mw = _vessel(area=3.7), _flux()
     for dec in (1.0, 0.5):
-        for _, beta, _, intensity, eta in evaluate(cfg, e0, dec, [0.0, 1e-7, 1e-6]):
+        for _, beta, _, intensity, eta in evaluate(cfg, s_mw, dec, [0.0, 1e-7, 1e-6]):
             sigma = dec * sigma_max(cfg, beta)
-            assert intensity / flux_from_field(e0) == pytest.approx(sigma, rel=1e-14)
+            assert intensity / s_mw == pytest.approx(sigma, rel=1e-14)
             assert eta == pytest.approx(sigma / cfg.area, rel=1e-14)
 
 
@@ -350,67 +358,67 @@ def test_eta_worked_example():
 
 
 def test_evaluate_matches_pointwise_functions_bit_for_bit():
-    cfg, e0, dec = _vessel(area=2.5), _field(3.0), 0.7
+    cfg, s_mw, dec = _vessel(area=2.5), _flux(3.0), 0.7
     times = [0.0, 1e-9, 3e-8, 1e-6]
     denominator = 32.0 * math.pi**3 * HBAR_ERG_S
-    for row in evaluate(cfg, e0, dec, times):
+    for row in evaluate(cfg, s_mw, dec, times):
         t, beta, f, intensity, eta = row
-        assert row == evaluate(cfg, e0, dec, (t,))[0]
-        assert beta == (3.0 * e0**2 * LAMBDA_31**3 * cfg.ratio * dec * t
+        assert row == evaluate(cfg, s_mw, dec, (t,))[0]
+        assert beta == (3.0 * _e0_squared(s_mw) * LAMBDA_31**3 * cfg.ratio * dec * t
                         / denominator)
         assert f == f_beta(beta)
-        assert eta == intensity / (cfg.area * flux_from_field(e0))
+        assert eta == intensity / (cfg.area * s_mw)
     assert evaluate(cfg, 0.0, dec, [0.0, 1e-6]) == [(0.0, 0.0, f_beta(0.0), 0.0, 0.0),
                                                     (1e-6, 0.0, f_beta(0.0), 0.0, 0.0)]
 
 
 def test_evaluate_rejects_overflow_and_negative_time():
     with pytest.raises(ValueError, match="overflows at t = 1e"):
-        evaluate(_vessel(), _field(), 1.0, [0.0, 1e308])
+        evaluate(_vessel(), _flux(), 1.0, [0.0, 1e308])
     with pytest.raises(ValueError, match="overflows"):   # area * S_mw
-        evaluate(_vessel(area=1e30), _field(1e290), 1.0, [0.0])
+        evaluate(_vessel(area=1e30), _flux(1e290), 1.0, [0.0])
     for t in (-1e-9, math.nan):
         with pytest.raises(ValueError, match="t must be nonnegative"):
-            evaluate(_vessel(), _field(), 1.0, [t])
+            evaluate(_vessel(), _flux(), 1.0, [t])
     for decrement in (-0.5, math.nan):
         with pytest.raises(ValueError, match="decrement must be nonnegative"):
-            evaluate(_vessel(), _field(), decrement, [0.0])
+            evaluate(_vessel(), _flux(), decrement, [0.0])
     with pytest.raises(ValueError, match="overflows at t = 0.0 s"):   # I finite, power not
-        evaluate(_vessel(area=1e30, rho22_0=1e-300), _field(1e290), 1.0, [0.0])
+        evaluate(_vessel(area=1e30, rho22_0=1e-300), _flux(1e290), 1.0, [0.0])
     with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
-        evaluate(_vessel(area=1e-219), _field(1e-130), 1.0, [0.0])
+        evaluate(_vessel(area=1e-219), _flux(1e-130), 1.0, [0.0])
 
 
 def test_evaluate_rejects_an_intensity_or_efficiency_that_underflows():
     # N = 0.9e-4*1e-320/mu_H underflows to 0, and with it the cross-section scale
     tiny = _vessel(length=1e-320)
     with pytest.raises(ValueError, match=r"cross-section scale underflows to 0 \(N = 0.0"):
-        evaluate(tiny, _field(), 1.0, [0.0])
-    for cfg, e0 in ((_vessel(length=1e-35), _field(1e-305)),          # I_total
-                    (_vessel(length=1e-300, rho22_0=1e-35, area=1e100), _field())):  # eta
+        evaluate(tiny, _flux(), 1.0, [0.0])
+    for cfg, s_mw in ((_vessel(length=1e-35), _flux(1e-305)),          # I_total
+                    (_vessel(length=1e-300, rho22_0=1e-35, area=1e100), _flux())):  # eta
         with pytest.raises(ValueError, match="intensity or efficiency underflows to 0 at t = 0"):
-            evaluate(cfg, e0, 1.0, [0.0, 1e-6])
+            evaluate(cfg, s_mw, 1.0, [0.0, 1e-6])
     # a zero factor makes eta = 0 by convention, at any scale
-    for cfg, e0, dec in ((tiny.replace(ratio=0.0), _field(), 1.0),
-                         (tiny.replace(rho22_0=0.0), _field(), 1.0),
-                         (tiny, _field(), 0.0),
+    for cfg, s_mw, dec in ((tiny.replace(ratio=0.0), _flux(), 1.0),
+                         (tiny.replace(rho22_0=0.0), _flux(), 1.0),
+                         (tiny, _flux(), 0.0),
                          (tiny, 0.0, 1.0)):
-        assert [row[4] for row in evaluate(cfg, e0, dec, [0.0, 1e-6])] == [0.0, 0.0]
+        assert [row[4] for row in evaluate(cfg, s_mw, dec, [0.0, 1e-6])] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
 # pulse energy: exact time integral of the ensemble intensity
 # ---------------------------------------------------------------------------
 
-def _pulse_oracle(cfg, e0, dec, t0, t1):
+def _pulse_oracle(cfg, s_mw, dec, t0, t1):
     """I(0)/f(0) * integral of f(k*t) over [t0, t1], through the quadrature oracle."""
-    k = _beta(cfg, e0, dec, 1.0)
-    scale = 3.0 * _intensity(cfg, e0, dec, 0.0)
+    k = _beta(cfg, s_mw, dec, 1.0)
+    scale = 3.0 * _intensity(cfg, s_mw, dec, 0.0)
     return scale * (t1 * oracles.g_quad(k * t1) - t0 * oracles.g_quad(k * t0))
 
 
-def _time_of_beta(cfg, e0, dec, beta):
-    return beta / _beta(cfg, e0, dec, 1.0)
+def _time_of_beta(cfg, s_mw, dec, beta):
+    return beta / _beta(cfg, s_mw, dec, 1.0)
 
 
 def test_pulse_energy_zero_flux():
@@ -423,10 +431,10 @@ def test_pulse_energy_matches_quadrature_oracle(beta_end):
     # both sides of the f_beta series/erf cutoff at 0.1, one depletion time
     # (beta ~ 6) and deep depletion (beta >> 60), where the oracle's
     # breakpoints resolve the integrand's dip of width beta^(-1/2)
-    cfg, e0, dec = _vessel(), _field(2.0), 0.8
-    t1 = _time_of_beta(cfg, e0, dec, beta_end)
-    assert pulse_energy(cfg, e0, dec, 0.0, t1) == pytest.approx(
-        _pulse_oracle(cfg, e0, dec, 0.0, t1), rel=1e-12)
+    cfg, s_mw, dec = _vessel(), _flux(2.0), 0.8
+    t1 = _time_of_beta(cfg, s_mw, dec, beta_end)
+    assert pulse_energy(cfg, s_mw, dec, 0.0, t1) == pytest.approx(
+        _pulse_oracle(cfg, s_mw, dec, 0.0, t1), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta_start,beta_end", [(1e6, 1.05e6), (1e6, 1e8), (1e12, 4e12),
@@ -449,27 +457,27 @@ def test_pulse_energy_late_start(beta_start, beta_end):
     # deep in depletion both G values near 1 and their difference t1*g(k*t1) - t0*g(k*t0)
     # cancelled: at beta = 1e28 the energy read 0.34 off, and deeper it read negative.
     # beta(t0) = 0.999 and 1.001 lie either side of the E(beta0) - E(beta1) branch
-    cfg, e0, dec = _vessel(ratio=16.2), _field(0.3), 1.0
-    t0 = _time_of_beta(cfg, e0, dec, beta_start)
-    t1 = _time_of_beta(cfg, e0, dec, beta_end)
-    k = _beta(cfg, e0, dec, 1.0)
-    energy = pulse_energy(cfg, e0, dec, t0, t1)
-    want = 3.0 * _intensity(cfg, e0, dec, 0.0) * oracles.f_window_quad(k, t0, t1)
+    cfg, s_mw, dec = _vessel(ratio=16.2), _flux(0.3), 1.0
+    t0 = _time_of_beta(cfg, s_mw, dec, beta_start)
+    t1 = _time_of_beta(cfg, s_mw, dec, beta_end)
+    k = _beta(cfg, s_mw, dec, 1.0)
+    energy = pulse_energy(cfg, s_mw, dec, t0, t1)
+    want = 3.0 * _intensity(cfg, s_mw, dec, 0.0) * oracles.f_window_quad(k, t0, t1)
     assert energy > 0.0 and energy == pytest.approx(want, rel=1e-11)
-    whole = pulse_energy(cfg, e0, dec, 0.0, t1)
-    head = pulse_energy(cfg, e0, dec, 0.0, t0)
+    whole = pulse_energy(cfg, s_mw, dec, 0.0, t1)
+    head = pulse_energy(cfg, s_mw, dec, 0.0, t0)
     if whole < 100.0 * energy:   # whole - head cancels by whole/energy: well conditioned here
         assert energy == pytest.approx(whole - head, rel=1e-12)
 
 
 def test_trapezoid_converges_to_pulse_energy_at_second_order():
-    cfg, e0, dec = _vessel(), _field(), 1.0
-    t1 = _time_of_beta(cfg, e0, dec, 6.0)
-    exact = pulse_energy(cfg, e0, dec, 0.0, t1)
+    cfg, s_mw, dec = _vessel(), _flux(), 1.0
+    t1 = _time_of_beta(cfg, s_mw, dec, 6.0)
+    exact = pulse_energy(cfg, s_mw, dec, 0.0, t1)
     errors = []
     for steps in (51, 101, 201, 401):
         times = np.linspace(0.0, t1, steps)
-        values = [row[3] for row in evaluate(cfg, e0, dec, [float(t) for t in times])]
+        values = [row[3] for row in evaluate(cfg, s_mw, dec, [float(t) for t in times])]
         errors.append(float(np.trapezoid(values, times)) - exact)
     # the integrand is convex, so the trapezoid overshoots by c/N^2
     assert all(e > 0 for e in errors)
@@ -481,50 +489,50 @@ def test_trapezoid_converges_to_pulse_energy_at_second_order():
 @pytest.mark.parametrize("width", [1.0, 1e-3, 1e-7, "one ulp"])
 def test_pulse_energy_on_narrow_windows_matches_quadrature_oracle(beta_end, width):
     # t1*g(k*t1) - t0*g(k*t0) cancels as the window narrows: one ulp read a negative energy
-    cfg, e0, dec = _vessel(), _field(2.0), 0.8
-    t1 = _time_of_beta(cfg, e0, dec, beta_end)
+    cfg, s_mw, dec = _vessel(), _flux(2.0), 0.8
+    t1 = _time_of_beta(cfg, s_mw, dec, beta_end)
     t0 = math.nextafter(t1, 0.0) if width == "one ulp" else t1 * (1.0 - width)
-    k = _beta(cfg, e0, dec, 1.0)
-    want = 3.0 * _intensity(cfg, e0, dec, 0.0) * oracles.f_window_quad(k, t0, t1)
-    energy = pulse_energy(cfg, e0, dec, t0, t1)
+    k = _beta(cfg, s_mw, dec, 1.0)
+    want = 3.0 * _intensity(cfg, s_mw, dec, 0.0) * oracles.f_window_quad(k, t0, t1)
+    energy = pulse_energy(cfg, s_mw, dec, t0, t1)
     assert energy > 0.0 and energy == pytest.approx(want, rel=1e-9)
 
 
 def test_pulse_energy_rejects_a_reversed_window():
-    cfg, e0 = _vessel(), _field()
+    cfg, s_mw = _vessel(), _flux()
     with pytest.raises(ValueError, match="pulse window is reversed: t1 = 1e-07 s is below t0"):
-        pulse_energy(cfg, e0, 1.0, 2e-6, 1e-7)
-    assert pulse_energy(cfg, e0, 1.0, 1e-7, 1e-7) == 0.0
+        pulse_energy(cfg, s_mw, 1.0, 2e-6, 1e-7)
+    assert pulse_energy(cfg, s_mw, 1.0, 1e-7, 1e-7) == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
-        pulse_energy(cfg, e0, 1.0, -1e-6, 1e-6)
+        pulse_energy(cfg, s_mw, 1.0, -1e-6, 1e-6)
 
 
 def test_pulse_energy_is_zero_only_at_a_zero_factor():
-    cfg, e0 = _vessel(), _field()
+    cfg, s_mw = _vessel(), _flux()
     for zero in (_vessel(ratio=0.0), _vessel(rho22_0=0.0)):
-        assert pulse_energy(zero, e0, 1.0, 0.0, 1e-6) == 0.0
-    assert pulse_energy(cfg, e0, 0.0, 0.0, 1e-6) == 0.0
+        assert pulse_energy(zero, s_mw, 1.0, 0.0, 1e-6) == 0.0
+    assert pulse_energy(cfg, s_mw, 0.0, 0.0, 1e-6) == 0.0
     # every factor positive, N*S_mw*window below the smallest denormal: this printed 0 erg
     tiny = _vessel(area=1e-200, rho22_0=1e-125)
     with pytest.raises(ValueError, match="pulse energy underflows to 0"):
-        pulse_energy(tiny, e0, 1.0, 0.0, 1e-20)
+        pulse_energy(tiny, s_mw, 1.0, 0.0, 1e-20)
     # the energy reads only I_total: an efficiency I/(area*S_mw) that underflows, which
     # evaluate rejects, leaves the energy positive
     wide = _vessel(length=1e-300, rho22_0=1e-35, area=1e100)
     with pytest.raises(ValueError, match="intensity or efficiency underflows"):
-        evaluate(wide, e0, 1.0, [0.0])
-    assert pulse_energy(wide, e0, 1.0, 0.0, 1e-6) == pytest.approx(7.58176995e-227, rel=1e-8)
+        evaluate(wide, s_mw, 1.0, [0.0])
+    assert pulse_energy(wide, s_mw, 1.0, 0.0, 1e-6) == pytest.approx(7.58176995e-227, rel=1e-8)
 
 
 def test_pulse_energy_rejects_an_overflowing_beta_or_a_nan_time():
-    cfg, e0 = _vessel(), _field()
+    cfg, s_mw = _vessel(), _flux()
     with pytest.raises(ValueError, match="beta overflows at t = 1e"):
-        pulse_energy(cfg, e0, 1.0, 0.0, 1e308)
+        pulse_energy(cfg, s_mw, 1.0, 0.0, 1e308)
     for t0, t1 in ((math.nan, 1e-6), (0.0, math.nan)):
         with pytest.raises(ValueError, match="t must be nonnegative, got nan"):
-            pulse_energy(cfg, e0, 1.0, t0, t1)
+            pulse_energy(cfg, s_mw, 1.0, t0, t1)
     with pytest.raises(ValueError, match="decrement must be nonnegative"):
-        pulse_energy(cfg, e0, math.nan, 0.0, 1e-6)
+        pulse_energy(cfg, s_mw, math.nan, 0.0, 1e-6)
 
 
 def _counting(monkeypatch, name):
@@ -537,26 +545,26 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("beta_end", [1e-6, 0.05, 0.0999, 0.1001, 0.3, 6.0, 60.0, 1.0e4,
                                       1.0e8, 1.0e12])
 def test_window_memo_returns_the_bits_of_a_fresh_computation(beta_end, monkeypatch):
-    # the pulse kernel keeps the previous point's window where e0 and the decrement
+    # the pulse kernel keeps the previous point's window where S_mw and the decrement
     # compare equal, and -0.0 compares equal to 0.0: one multi-point call must give the
     # bits of fresh one-point calls, on all three window branches
-    e0, dec = _field(2.0), 0.8
-    t1 = _time_of_beta(_vessel(), e0, dec, beta_end)
+    s_mw, dec = _flux(2.0), 0.8
+    t1 = _time_of_beta(_vessel(), s_mw, dec, beta_end)
     narrow, half = t1 * (1.0 - 1e-3), t1 / 2.0
-    points = [(e0, dec, 1e-4), (e0, dec, 3e-4), (e0, 0.0, 1e-4), (e0, -0.0, 1e-4),
+    points = [(s_mw, dec, 1e-4), (s_mw, dec, 3e-4), (s_mw, 0.0, 1e-4), (s_mw, -0.0, 1e-4),
               (0.0, dec, 1e-4), (-0.0, dec, 1e-4)]
     for ratio, t0 in [(1.0, 0.0), (1.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0),
                       (1.0, narrow), (0.0, narrow), (-0.0, narrow), (1.0, half), (0.0, half)]:
         vessels = [_vessel(ratio=ratio, rho22_0=rho22_0) for _, _, rho22_0 in points]
-        fresh = [pulse_energy(cfg, field, decrement, t0, t1).hex()
-                 for cfg, (field, decrement, _) in zip(vessels, points)]
+        fresh = [pulse_energy(cfg, flux, decrement, t0, t1).hex()
+                 for cfg, (flux, decrement, _) in zip(vessels, points)]
         windows = _counting(monkeypatch, "_window")
         n_atoms = _operands(vessels[0])[0]
-        column = _pulse_energies([(field, decrement, n_atoms, rho22_0)
-                                  for field, decrement, rho22_0 in points],
+        column = _pulse_energies([(flux, decrement, n_atoms, rho22_0)
+                                  for flux, decrement, rho22_0 in points],
                                  ratio, t0, t1)
         assert [energy.hex() for energy in column] == fresh
-        # at the first point and where e0 or the decrement changes
+        # at the first point and where S_mw or the decrement changes
         assert len(windows) == 3
         monkeypatch.undo()
 
@@ -585,9 +593,9 @@ def test_a_window_from_time_zero_evaluates_f_once(monkeypatch):
     assert len(f_calls) == 7
 
 
-def _stored_oracle(cfg, e0, dec, t0, t1):
+def _stored_oracle(cfg, s_mw, dec, t0, t1):
     n_excited = cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
-    return oracles.stored_pulse_energy(n_excited, LAMBDA_31, e0, cfg.ratio,
+    return oracles.stored_pulse_energy(n_excited, LAMBDA_31, field_from_flux(s_mw), cfg.ratio,
                                        dec, t0, t1)
 
 
@@ -597,20 +605,20 @@ def _stored_oracle(cfg, e0, dec, t0, t1):
     (1.0, 1.0e4), (1e6, 1e8), (1e16, 1.1e16), (1e24, 1e26), (1e30, 3e30)])
 @pytest.mark.parametrize("ratio,dec", [(1.0, 1.0), (16.2, 0.4)])
 def test_pulse_energy_is_the_released_stored_energy(beta_start, beta_end, ratio, dec):
-    cfg, e0 = _vessel(ratio=ratio), _field(2.0)
-    t0 = _time_of_beta(cfg, e0, dec, beta_start)
-    t1 = _time_of_beta(cfg, e0, dec, beta_end)
-    assert pulse_energy(cfg, e0, dec, t0, t1) == pytest.approx(
-        _stored_oracle(cfg, e0, dec, t0, t1), rel=1e-10)
+    cfg, s_mw = _vessel(ratio=ratio), _flux(2.0)
+    t0 = _time_of_beta(cfg, s_mw, dec, beta_start)
+    t1 = _time_of_beta(cfg, s_mw, dec, beta_end)
+    assert pulse_energy(cfg, s_mw, dec, t0, t1) == pytest.approx(
+        _stored_oracle(cfg, s_mw, dec, t0, t1), rel=1e-10)
 
 
 @pytest.mark.parametrize("ratio", [1.0, hydrogenic_dipole_ratio()])
 def test_pulse_energy_never_exceeds_the_stored_energy(ratio):
-    cfg, e0 = _vessel(ratio=ratio), _field()
+    cfg, s_mw = _vessel(ratio=ratio), _flux()
     stored = (cfg.gas_density * cfg.area * cfg.length / oracles.MU_H * cfg.rho22_0
               * 2.0 * math.pi * oracles.HBAR * oracles.C / LAMBDA_31)
-    tau = depletion_time(cfg, e0, 1.0)
-    shares = [pulse_energy(cfg, e0, 1.0, 0.0, m * tau) / stored
+    tau = depletion_time(cfg, s_mw, 1.0)
+    shares = [pulse_energy(cfg, s_mw, 1.0, 0.0, m * tau) / stored
               for m in (1.0, 10.0, 1e3, 1e6, 1e12)]
     assert shares == sorted(shares) and shares[-1] < 1.0
     # G(6050) = 1 - sqrt(pi)/(2*sqrt(6050)) to 1e-9
@@ -621,14 +629,14 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
     # decrement*sigma*S_mw overflows here, the stored energy N*rho22*2*pi*hbar*c/wavelength
     # (~1e295 erg) does not, and neither does the energy
     cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0)
-    e0 = 1e3
-    assert pulse_energy(cfg, e0, 1.0, 0.0, 1e-15) == pytest.approx(
-        _stored_oracle(cfg, e0, 1.0, 0.0, 1e-15), rel=1e-10)
-    assert pulse_energy(cfg, e0, 1.0, 0.0, 0.0) == 0.0   # an empty window at t = 0
+    s_mw = flux_from_field(1e3)
+    assert pulse_energy(cfg, s_mw, 1.0, 0.0, 1e-15) == pytest.approx(
+        _stored_oracle(cfg, s_mw, 1.0, 0.0, 1e-15), rel=1e-10)
+    assert pulse_energy(cfg, s_mw, 1.0, 0.0, 0.0) == 0.0   # an empty window at t = 0
     # on the 122 nm line the stored energy overflows only where N itself does
     with pytest.raises(ValueError, match="pulse energy overflows"):
         pulse_energy(_vessel(length=1e200, area=1e200, gas_density=1.0, rho22_0=1.0),
-                     e0, 1.0, 0.0, 1e-15)
+                     s_mw, 1.0, 0.0, 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -636,18 +644,18 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
 # ---------------------------------------------------------------------------
 
 def test_depletion_time_inverse_in_flux_and_ratio():
-    vessel, e0 = _vessel(), _field(1.0)
-    tau = depletion_time(vessel, e0, 1.0)
-    assert depletion_time(vessel, _field(0.5), 1.0) == pytest.approx(2.0 * tau, rel=1e-12)
-    assert depletion_time(_vessel(ratio=4.0), e0, 1.0) == pytest.approx(tau / 4.0, rel=1e-12)
+    vessel, s_mw = _vessel(), _flux(1.0)
+    tau = depletion_time(vessel, s_mw, 1.0)
+    assert depletion_time(vessel, _flux(0.5), 1.0) == pytest.approx(2.0 * tau, rel=1e-12)
+    assert depletion_time(_vessel(ratio=4.0), s_mw, 1.0) == pytest.approx(tau / 4.0, rel=1e-12)
 
 
 def test_depletion_time_places_beta_near_six():
     # beta at t = tau is the pure number 3*2e3/(32*pi^3) ~ 6.05 for any inputs
     for flux, ratio, dec in [(1.0, 1.0, 1.0), (25.0, 16.2, 0.4), (1e-3, 0.07, 2.0)]:
-        e0 = _field(flux)
-        tau = depletion_time(_vessel(ratio=ratio), e0, dec)
-        beta_tau = _beta(_vessel(ratio=ratio), e0, dec, tau)
+        s_mw = _flux(flux)
+        tau = depletion_time(_vessel(ratio=ratio), s_mw, dec)
+        beta_tau = _beta(_vessel(ratio=ratio), s_mw, dec, tau)
         assert beta_tau == pytest.approx(6.047162706224905, rel=1e-12)
         assert 5.9 <= beta_tau <= 6.3
 
@@ -655,61 +663,59 @@ def test_depletion_time_places_beta_near_six():
 def test_depletion_time_reads_the_beta_rate():
     # tau = 6e3*hbar/_beta_numerator puts beta(tau) at 6e3/(32*pi^3) to rounding, and
     # keeps tau within 4 ulp of 2e3*hbar/(decrement * E0^2 * wavelength^3 * ratio)
+    # with E0^2 = 8*pi*S_mw/c
     for flux, ratio, dec in _draws(24, (-3.0, 3.0), (-2.0, 3.0), (-3.0, 0.0), count=2000):
-        e0 = _field(flux)
-        tau = depletion_time(_vessel(ratio=ratio), e0, dec)
-        assert _beta(_vessel(ratio=ratio), e0, dec, tau) == pytest.approx(
+        s_mw = _flux(flux)
+        tau = depletion_time(_vessel(ratio=ratio), s_mw, dec)
+        assert _beta(_vessel(ratio=ratio), s_mw, dec, tau) == pytest.approx(
             6.0e3 / (32.0 * math.pi**3), rel=1e-13)
-        plain = 2.0e3 * HBAR_ERG_S / (dec * e0**2 * LAMBDA_31**3 * ratio)
+        plain = 2.0e3 * HBAR_ERG_S / (dec * _e0_squared(s_mw) * LAMBDA_31**3 * ratio)
         assert abs(tau - plain) <= 4 * math.ulp(plain), (flux, ratio, dec)
 
 
 def test_depletion_time_where_the_beta_head_is_subnormal():
     # E0^2 * wavelength^3 is subnormal here and ratio ~3e282 brings the rate back
-    e0, dec = cli._field(1.4004939611837856e-304), cli._decrement(1e8)
+    s_mw, dec = cli._flux(1.4004939611837856e-304), cli._decrement(1e8)
     ratio = 3.027736961255513e+282
-    tau = depletion_time(_vessel(ratio=ratio), e0, dec)
-    exact = 2000 * Fraction(HBAR_ERG_S) / (
-        Fraction(dec) * Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3 * Fraction(ratio))
+    tau = depletion_time(_vessel(ratio=ratio), s_mw, dec)
+    exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, ratio, dec)
     assert f"{tau:.8e}" == "3.36448650e+26"
     assert float(Fraction(tau) / exact - 1) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("e0", [1.2e154, 1.3e154, 1e160, 1e300, sys.float_info.max])
 def test_a_huge_field_raises_value_error(e0):
-    # c*E0^2, or E0^2 itself, overflows: each raises ValueError, which names no nan
-    cfg = _vessel()
-    calls = [lambda: evaluate(cfg, e0, 1.0, [0.0, 1e-6]),
-             lambda: pulse_energy(cfg, e0, 1.0, 0.0, 1e-6),
-             lambda: intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 1e-4)]
-    if e0 > 1.3e154:
-        calls.append(lambda: depletion_time(cfg, e0, 1.0))
-    else:
-        # 3*E0^2*wavelength^3 overflows, but tau = 6e3*hbar/rate is subnormal and
-        # keeps the digits a subnormal holds (ROADMAP item 8's partial underflow)
-        tau = depletion_time(cfg, e0, 1.0)
-        exact = 2000 * Fraction(HBAR_ERG_S) / (Fraction(e0) ** 2 * Fraction(LAMBDA_31) ** 3)
-        assert 0 < tau < sys.float_info.min
-        assert abs(Fraction(tau) - exact) <= 2 * 5e-324
-    for call in calls:
-        with pytest.raises(ValueError) as exc:
+    # S_mw = c*E0^2/(8*pi) overflows: the ensemble functions reject the flux and
+    # intensity_weak the field, each with a ValueError that names no nan
+    cfg, s_mw = _vessel(), C_CM_S * e0 * e0 / (8.0 * math.pi)
+    assert s_mw == math.inf
+    for call in (lambda: evaluate(cfg, s_mw, 1.0, [0.0, 1e-6]),
+                 lambda: pulse_energy(cfg, s_mw, 1.0, 0.0, 1e-6),
+                 lambda: depletion_time(cfg, s_mw, 1.0)):
+        with pytest.raises(ValueError, match="flux S_mw must be finite and nonnegative, got inf"):
             call()
-        assert "nan" not in str(exc.value)
+    with pytest.raises(ValueError, match="energy flux overflows at field amplitude"):
+        intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 1e-4)
 
 
 def test_depletion_time_no_depletion_marker():
     assert depletion_time(_vessel(), 0.0, 1.0) is None
-    assert depletion_time(_vessel(ratio=0.0), _field(1.0), 1.0) is None
+    assert depletion_time(_vessel(ratio=0.0), _flux(1.0), 1.0) is None
 
 
 def test_depletion_time_validation():
     # the ratio is EnsembleConfig's to check (test_vessel_validation)
     for decrement in (0.0, math.nan):
         with pytest.raises(ValueError, match="decrement must be positive"):
-            depletion_time(_vessel(), _field(1.0), decrement)
-    # a nonzero field whose E0^2 * wavelength^3 underflows: no finite tau
+            depletion_time(_vessel(), _flux(1.0), decrement)
+    # a nonzero flux whose E0^2 * wavelength^3 underflows: no finite tau
     with pytest.raises(ValueError, match="depletion time overflows"):
-        depletion_time(_vessel(), _field(1e-310), 1.0)
+        depletion_time(_vessel(), _flux(1e-310), 1.0)
     # a rate so large that 2e3*hbar/rate underflows: tau would read 0
     with pytest.raises(ValueError, match="depletion time underflows to 0"):
-        depletion_time(_vessel(ratio=1e308), _field(1e10), 1.0)
+        depletion_time(_vessel(ratio=1e308), _flux(1e10), 1.0)
+    # a rate that puts tau below the smallest normal float, short of digits: the
+    # largest flux on the README vessel, and a ratio of 1e302 at 1 W/cm^2
+    for cfg, s_mw in ((_vessel(), sys.float_info.max), (_vessel(ratio=1e302), _flux(1.0))):
+        with pytest.raises(ValueError, match="depletion time underflows below the normal range"):
+            depletion_time(cfg, s_mw, 1.0)

@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 34 edge commands of
+(``perfbench/gen.py``) under "commands", and the 36 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -17,9 +17,10 @@ before the constants injection was removed, the sweep_pulse ones before the
 scenario and sweep physics were merged into one map, and the first 28 edge
 ones before the optical wavelength became a constant; the 29th edge command
 was recorded after its overflow was fixed, at exit 0, the next three after
-the deep-depletion pulse energy was fixed, and the last two after beta's rate
-kept its digits below a subnormal head), so these tests pin that refactors
-leave every byte unchanged.
+the deep-depletion pulse energy was fixed, the next two after beta's rate
+kept its digits below a subnormal head, and the last two after the drive became
+its flux S_mw and a subnormal tau or pulse energy exited 3), so these tests pin
+that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -130,7 +131,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 34
+    assert len(edge) == 36
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -194,18 +195,20 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the sixteen from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the eighteen from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
     flux; three print +0 where the ratio, rho22(0) or the flux is given as -0.0;
-    one exits 3 where the field amplitude underflows to 0 at a positive flux; one
-    prints a pulse energy below the stored energy where the cross-section scale
-    overflows; three print the pulse energy of a window that starts deep in
-    depletion, which read negative or up to 53% off, or exited 3 as underflowing
-    to 0; and the last two print the pulse energy and tau of a field whose
-    3*E0^2*wavelength^3 is subnormal, which read 1.8e-4 off or exited 3 as tau
-    overflowing."""
+    one exits 3 at a subnormal flux whose pulse energy falls below the normal
+    range (it exited 3 as the field amplitude underflowing to 0); one prints a
+    pulse energy below the stored energy where the cross-section scale overflows;
+    three print the pulse energy of a window that starts deep in depletion, which
+    read negative or up to 53% off, or exited 3 as underflowing to 0; two print
+    the pulse energy and tau of a flux whose 3*E0^2*wavelength^3 is subnormal,
+    which read 1.8e-4 off or exited 3 as tau overflowing; one exits 3 where tau
+    is subnormal, which it printed; and the last prints the pulse energy at a
+    subnormal flux, linear in the flux, which read 1.99 times too high."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -268,6 +271,10 @@ def _edge_commands():
         sweep(late, "flux_w_cm2", 1e18, 1e26, 9, "pulse_energy", "--log"),
         sweep(subnormal_head, "vessel_length_cm", 1.0, 5.249387779664677e+50, 2, "pulse_energy"),
         scenario(subnormal_head),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e302\n", "flux_w_cm2", 1.0, 2.0, 2,
+              "tau"),
+        sweep(plain + "vessel_area_cm2 = 1e10\nvessel_length_cm = 1e10\n",
+              "flux_w_cm2", 2.964e-322, 1e-300, 2, "pulse_energy"),
     ]
 
 

@@ -6,9 +6,10 @@ that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
 an efficiency eta that never rises with t and is positive wherever the flux,
 the ratio and rho22(0) are, and the same bytes when repeated.  Its summary's
 eta_peak, tau_s, n31, n_atoms and sigma_max_cm2, and every sweep objective, print
-0 only where one of their factors is 0.  Besides configs mostly inside the
-model's working range, the tests draw configs whose every positive float key is
-log-uniform over the whole double range at once; on those, ``run_sweep`` gives
+0 only where one of their factors is 0; a printed tau or pulse energy that is not 0
+is a normal float, never a subnormal one short of digits.  Besides configs mostly
+inside the model's working range, the tests draw configs whose every positive float
+key is log-uniform over the whole double range at once; on those, ``run_sweep`` gives
 the rows and record of a reference that rebuilds every point from the records,
 or raises the same error.
 Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
@@ -32,6 +33,7 @@ import io
 import math
 import os
 import random
+import sys
 import tempfile
 import traceback
 
@@ -40,7 +42,6 @@ from hypothesis import strategies as st
 
 from mwoptical import cli
 from test_cli import _per_point_sweep
-from mwoptical.units import flux_from_field
 
 PROPERTY_SETTINGS = settings(max_examples=75, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -117,6 +118,8 @@ SCALE_FACTORS = ("flux_w_cm2", "ratio", "rho22_initial")
 ZERO_FACTORS = {"eta_peak": SCALE_FACTORS, "eta_max_peak": SCALE_FACTORS,
                 "pulse_energy": SCALE_FACTORS, "sigma_max_cm2": SCALE_FACTORS[1:],
                 "tau_s": (), "tau": (), "n31": (), "n_atoms": ()}
+# The printed values that are 0 or a normal float, never subnormal
+NORMAL_ONLY = ("tau_s", "tau", "pulse_energy")
 
 # Sweep bounds around each parameter's valid interval, reaching past its edges
 # (the detuning range passes both channels' -resonance).
@@ -184,6 +187,12 @@ def _check_zeros(config, name, printed, **swept):
     assert 0 in factors.values(), (name, factors)
 
 
+def _check_normal(name, printed):
+    """A printed tau or pulse energy that is not 0 is at least the smallest normal float."""
+    if name in NORMAL_ONLY and printed != cli.NO_DEPLETION and float(printed) != 0:
+        assert float(printed) >= sys.float_info.min, (name, printed)
+
+
 def _check_scenario(config):
     result = _checked_run(config, ["scenario"])
     if result is None:
@@ -191,6 +200,7 @@ def _check_scenario(config):
     rows, record = result
     for name in ("eta_peak", "tau_s", "n31", "n_atoms", "sigma_max_cm2"):
         _check_zeros(config, name, record[name])
+        _check_normal(name, record[name])
     f_values = [float(row[3]) for row in rows]
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
     etas = [float(row[5]) for row in rows]
@@ -198,7 +208,7 @@ def _check_scenario(config):
     # eta reads 0 only where the flux, the ratio or rho22(0) does (the decrement
     # of an exit-0 run is positive)
     cfg = cli.parse_config(_config_text(config))
-    if flux_from_field(cli._field(cfg.flux_w_cm2)) > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
+    if cfg.flux_w_cm2 > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
         assert all(eta > 0 for eta in etas), etas
 
 
@@ -213,6 +223,7 @@ def _check_sweep(config, parameter, low, high, steps, log, objective):
     grid = cli.SweepSpec(parameter, low, high, steps, log, objective).grid()
     for value, (_, printed) in zip(grid, rows):
         _check_zeros(config, objective, printed, **{parameter: value})
+        _check_normal(objective, printed)
 
 
 @PROPERTY_SETTINGS
@@ -231,9 +242,12 @@ def test_sweep_exit_contract(config, sweep):
 @WHOLE_RANGE_SETTINGS
 @given(*WHOLE_RANGE_DRAWS)
 @example({"channel": "fine_structure", "flux_w_cm2": 1e-323}, ("flux_w_cm2", [1e-323, 2e-323]))
+@example({"channel": "fine_structure", "ratio_mode": "custom", "ratio_value": 1e302},
+         ("flux_w_cm2", [1.0, 2.0]))
 def test_whole_range_exit_contract(config, sweep):
-    # the example's field amplitude underflows to 0 at a positive flux, below the
-    # draws of POSITIVE
+    # the first example's flux, below the draws of POSITIVE, gives a subnormal S_mw,
+    # whose depletion rate underflows to 0 and whose pulse energy is subnormal; the
+    # second's tau at 1 and 2 W/cm^2 is subnormal
     parameter, bounds = sweep
     _check_scenario(config)
     for objective in cli.OBJECTIVES:

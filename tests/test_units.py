@@ -67,6 +67,16 @@ def test_field_for_one_watt_per_cm2():
     assert field_from_flux(flux_si_to_cgs(1.0)) == pytest.approx(0.0915607999517628, rel=1e-12)
 
 
+def test_field_from_flux_is_finite_at_every_finite_flux():
+    # 8*pi*S overflows above S ~ 7e306 while E0 = sqrt(8*pi*S/c) stays near 4e149: the
+    # field there is sqrt(8*pi/c * S), and below it every bit is sqrt(8*pi*S/c)'s
+    for s in (7.2e306, 1e307, 1e308, 1.7976931348623157e308):
+        assert 8.0 * math.pi * s == math.inf
+        assert field_from_flux(s) == math.sqrt(8.0 * math.pi / C_CM_S * s) < 4e149
+    for s in (1e-300, 1.0, 1e7, 7e306):
+        assert field_from_flux(s) == math.sqrt(8.0 * math.pi * s / C_CM_S)
+
+
 def test_field_from_flux_rejects_negative():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="flux"):
