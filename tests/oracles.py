@@ -6,6 +6,7 @@ Nothing here calls the library code paths it is used to check.
 
 import cmath
 import math
+from fractions import Fraction
 
 from scipy.integrate import quad
 
@@ -22,6 +23,27 @@ def f_beta_quad(beta: float) -> float:
     value, _ = quad(lambda x: x * x * math.exp(-beta * x * x), 0.0, 1.0,
                     epsabs=1e-13, epsrel=1e-12, limit=200)
     return value
+
+
+def _taylor_exact(beta: float, denominator) -> Fraction:
+    """sum_k (-beta)^k / denominator(k) over k = 0..29, exactly, with beta = n/d taken
+    exactly: the terms are summed as (-n)^k * d^(29-k) / denominator(k), whose
+    denominators stay small, and the sum is divided by d^29 once.  For beta below 0.1
+    the first dropped term is below 1e-63 of the sum."""
+    n, d = beta.as_integer_ratio()
+    return sum(Fraction((-n) ** k * d ** (29 - k), denominator(k)) for k in range(30)) / d**29
+
+
+def f_taylor_exact(beta: float) -> Fraction:
+    """f(beta), the integral of x^2 exp(-beta x^2) on [0, 1], as the Taylor series
+    sum_k (-beta)^k / (k! (2k+3)) in exact arithmetic (see ``_taylor_exact``)."""
+    return _taylor_exact(beta, lambda k: math.factorial(k) * (2 * k + 3))
+
+
+def g_taylor_exact(beta: float) -> Fraction:
+    """g(beta) = (1/beta) * integral of 1 - exp(-beta x^2) on [0, 1], as the Taylor series
+    sum_k (-beta)^k / ((k+1)! (2k+3)) in exact arithmetic (see ``_taylor_exact``)."""
+    return _taylor_exact(beta, lambda k: math.factorial(k + 1) * (2 * k + 3))
 
 
 def _dip_points(*rates):

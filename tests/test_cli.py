@@ -1038,9 +1038,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 36 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 37 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 210
+    assert len(commands) == 211
     return [command["argv"] for command in commands]
 
 

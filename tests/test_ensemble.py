@@ -87,6 +87,32 @@ def test_f_beta_continuous_across_series_cutoff():
         assert f_beta(beta) == pytest.approx(oracles.f_beta_quad(beta), rel=1e-12)
 
 
+def test_g_continuous_across_series_cutoff():
+    # series below 0.1, 1 - exp(-beta) - 2*beta*f(beta) over beta above
+    for beta in (0.0999, 0.1, 0.1001):
+        assert ensemble._g(beta) == pytest.approx(oracles.g_quad(beta), rel=1e-12)
+
+
+def test_taylor_coefficients_are_correctly_rounded():
+    assert ensemble._F_TAYLOR == tuple(
+        float(Fraction((-1) ** k, math.factorial(k) * (2 * k + 3))) for k in range(10))
+    assert ensemble._G_TAYLOR == tuple(
+        float(Fraction((-1) ** k, math.factorial(k + 1) * (2 * k + 3))) for k in range(10))
+
+
+@pytest.mark.parametrize("function, oracle", [(f_beta, oracles.f_taylor_exact),
+                                              (ensemble._g, oracles.g_taylor_exact)],
+                         ids=["f", "g"])
+def test_series_branch_is_within_one_ulp(function, oracle):
+    # below the cutoff f and g are degree-9 Taylor polynomials: uniform and log-uniform
+    # draws down to 1e-300, 0, a subnormal and the largest float below the cutoff
+    rng = np.random.default_rng(2701)
+    draws = np.concatenate([rng.uniform(0.0, 0.1, 250), 10.0 ** rng.uniform(-300.0, -1.0, 250)])
+    for beta in [*map(float, draws), 0.0, 5e-324, math.nextafter(0.1, 0.0)]:
+        exact = oracle(beta)
+        assert abs(Fraction(function(beta)) - exact) <= math.ulp(float(exact)), beta
+
+
 def test_f_beta_strictly_decreasing_and_bounded():
     grid = np.linspace(0.0, 60.0, 601)
     values = [f_beta(float(b)) for b in grid]
@@ -683,6 +709,31 @@ def test_depletion_time_where_the_beta_head_is_subnormal():
     assert float(Fraction(tau) / exact - 1) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
+    # where beta's rate is subnormal, or 0, tau is formed on its operands' mantissas: it
+    # keeps the rounding error of its operations against 6e3*hbar over the exact rate, and
+    # overflows only where that exact tau lies beyond the largest float
+    checked = overflows = 0
+    for s_mw, ratio, dec in _draws(27, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
+        if _beta_numerator(s_mw, ratio, dec) >= sys.float_info.min:
+            continue
+        exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, ratio, dec)
+        if exact > sys.float_info.max:
+            overflows += 1
+            with pytest.raises(ValueError, match="depletion time overflows"):
+                ensemble._depletion_time(s_mw, dec, ratio)
+            continue
+        checked += 1
+        tau = ensemble._depletion_time(s_mw, dec, ratio)
+        assert abs(Fraction(tau) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec)
+    assert checked > 500 and overflows > 500
+    # a scenario at 1e-306 W/cm^2 on resonance printed tau = 1.42298475e+299 s, 2.7% high
+    s_mw, dec = cli._flux(1e-306), cli._decrement(0.0)
+    exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, 1.0, dec)
+    tau = depletion_time(_vessel(), s_mw, dec)
+    assert f"{tau:.8e}" == f"{float(exact):.8e}" == "1.38550312e+299"
+
+
 @pytest.mark.parametrize("e0", [1.2e154, 1.3e154, 1e160, 1e300, sys.float_info.max])
 def test_a_huge_field_raises_value_error(e0):
     # S_mw = c*E0^2/(8*pi) overflows: the ensemble functions reject the flux and
@@ -708,9 +759,10 @@ def test_depletion_time_validation():
     for decrement in (0.0, math.nan):
         with pytest.raises(ValueError, match="decrement must be positive"):
             depletion_time(_vessel(), _flux(1.0), decrement)
-    # a nonzero flux whose E0^2 * wavelength^3 underflows: no finite tau
+    # a nonzero flux whose E0^2 * wavelength^3 underflows to 0 and whose tau, about
+    # 1.4e309 s, lies beyond the largest float
     with pytest.raises(ValueError, match="depletion time overflows"):
-        depletion_time(_vessel(), _flux(1e-310), 1.0)
+        depletion_time(_vessel(), _flux(1e-316), 1.0)
     # a rate so large that 2e3*hbar/rate underflows: tau would read 0
     with pytest.raises(ValueError, match="depletion time underflows to 0"):
         depletion_time(_vessel(ratio=1e308), _flux(1e10), 1.0)

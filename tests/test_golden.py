@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 36 edge commands of
+(``perfbench/gen.py``) under "commands", and the 37 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -18,8 +18,9 @@ scenario and sweep physics were merged into one map, and the first 28 edge
 ones before the optical wavelength became a constant; the 29th edge command
 was recorded after its overflow was fixed, at exit 0, the next three after
 the deep-depletion pulse energy was fixed, the next two after beta's rate
-kept its digits below a subnormal head, and the last two after the drive became
-its flux S_mw and a subnormal tau or pulse energy exited 3), so these tests pin
+kept its digits below a subnormal head, the next two after the drive became
+its flux S_mw and a subnormal tau or pulse energy exited 3, and the last after a tau
+from a subnormal rate of beta kept its digits), so these tests pin
 that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
@@ -131,7 +132,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 36
+    assert len(edge) == 37
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -195,7 +196,7 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the eighteen from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the nineteen from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
@@ -207,8 +208,9 @@ def _edge_commands():
     read negative or up to 53% off, or exited 3 as underflowing to 0; two print
     the pulse energy and tau of a flux whose 3*E0^2*wavelength^3 is subnormal,
     which read 1.8e-4 off or exited 3 as tau overflowing; one exits 3 where tau
-    is subnormal, which it printed; and the last prints the pulse energy at a
-    subnormal flux, linear in the flux, which read 1.99 times too high."""
+    is subnormal, which it printed; one prints the pulse energy at a subnormal
+    flux, linear in the flux, which read 1.99 times too high; and the last prints
+    the tau of a flux whose beta rate is subnormal, which read 2.7% high."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -275,6 +277,7 @@ def _edge_commands():
               "tau"),
         sweep(plain + "vessel_area_cm2 = 1e10\nvessel_length_cm = 1e10\n",
               "flux_w_cm2", 2.964e-322, 1e-300, 2, "pulse_energy"),
+        scenario(plain + "flux_w_cm2 = 1e-306\n"),
     ]
 
 
