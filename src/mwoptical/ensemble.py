@@ -165,14 +165,21 @@ def _beta_numerator(s_mw: float, ratio: float, decrement: float) -> float:
     """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator,
     with E0^2 = 8 * pi * S_mw / c, the value ``units.field_from_flux`` takes the root
     of; inf where it overflows.  A finite S_mw gives a head 3 * E0^2 * wavelength_31^3
-    below about 1e285; where the head is subnormal, the product is formed on S_mw's
-    mantissa and scaled back, so that a large ratio does not meet a head short of digits."""
+    below about 1e285; where the head is subnormal, the product is ``_rate_parts``
+    scaled back, so that a large ratio does not meet a head short of digits."""
     head = 3.0 * _field_squared(s_mw) * OPTICAL_ANCHOR_CM**3
     if head >= sys.float_info.min:
         return head * ratio * decrement
-    mantissa, exponent = math.frexp(s_mw)
-    return math.ldexp(3.0 * _field_squared(mantissa) * OPTICAL_ANCHOR_CM**3 * ratio * decrement,
-                      exponent)
+    return math.ldexp(*_rate_parts(s_mw, ratio, decrement))
+
+
+def _rate_parts(s_mw: float, ratio: float, decrement: float) -> tuple:
+    """(m, e) with ``_beta_numerator`` = m * 2^e, formed on the ``math.frexp`` mantissas
+    of S_mw, the ratio and the decrement, so that m lies near 1e-25 with every digit.
+    m is an eighth of the mantissas' product (e is their exponents' sum plus 3), which
+    keeps m * t / _BETA_DENOMINATOR finite at every finite t."""
+    (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
+    return 3.0 * _field_squared(s) * OPTICAL_ANCHOR_CM**3 * r * d / 8.0, s_exp + r_exp + d_exp + 3
 
 
 def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
@@ -188,12 +195,15 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
 
 def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
           area: float, times) -> list:
-    """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak."""
+    """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak.
+    Where ``_beta_numerator`` is short of digits, beta is formed on its ``_rate_parts``."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator = _beta_numerator(s_mw, ratio, decrement)
+    numerator, exponent = _beta_numerator(s_mw, ratio, decrement), 0
     if numerator == math.inf:   # inf * t would read nan at t = 0
         raise ValueError(f"beta's rate overflows at S_mw = {s_mw} erg/s/cm^2")
+    if numerator < sys.float_info.min and s_mw and ratio and decrement:  # else 0 is exact
+        numerator, exponent = _rate_parts(s_mw, ratio, decrement)
     denominator = _BETA_DENOMINATOR
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     power = area * s_mw
@@ -207,6 +217,8 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         beta = numerator * t / denominator
+        if exponent:
+            beta = math.ldexp(beta, exponent)
         f = f_beta(beta)
         intensity = scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0
@@ -303,7 +315,8 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             window, released = _window(_beta_numerator(s_mw, ratio, decrement), t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
         if window is not None:
-            # _sigma_prefactor, in its operand order
+            # _sigma_prefactor, in its operand order: calling it here made 201-point
+            # rho22_initial and vessel_length_cm pulse sweeps 18-21% slower, same bits
             scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
             energy = scale * s_mw * window
         if window is None or not math.isfinite(energy):
@@ -349,26 +362,18 @@ def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
 
 
 def _depletion_time(s_mw: float, decrement: float, ratio: float):
-    """``depletion_time`` on floats: 6e3 * hbar over ``_beta_numerator``, 3 times the rate.
-    Where that rate is subnormal, or 0, and short of digits, tau is formed on the
-    mantissas of S_mw, the ratio and the decrement and scaled back by their exponents."""
+    """``depletion_time`` on floats: 6e3 * hbar over ``_beta_numerator``, formed on its
+    ``_rate_parts`` (tau near 10) and scaled back, so that a subnormal or underflowed
+    product keeps its digits and only ``ldexp`` can leave the double range."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
     if s_mw == 0 or ratio == 0:
         return None
-    numerator = _beta_numerator(s_mw, ratio, decrement)
-    if numerator >= sys.float_info.min:
-        tau = 6.0e3 * HBAR_ERG_S / numerator
-    else:
-        # the mantissas' rate lies near 1e-24 and its tau near 10, so only ldexp can
-        # leave the double range, where it raises; S_mw's mantissa alone would leave
-        # the rate subnormal where ratio * decrement is below about 1e-284
-        (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
-        try:
-            tau = math.ldexp(6.0e3 * HBAR_ERG_S / _beta_numerator(s, r, d),
-                             -(s_exp + r_exp + d_exp))
-        except OverflowError:
-            tau = math.inf
+    mantissa, exponent = _rate_parts(s_mw, ratio, decrement)
+    try:
+        tau = math.ldexp(6.0e3 * HBAR_ERG_S / mantissa, -exponent)
+    except OverflowError:
+        tau = math.inf
     if tau == math.inf:
         raise ValueError(f"depletion time overflows at S_mw = {s_mw} erg/s/cm^2")
     if tau < sys.float_info.min:

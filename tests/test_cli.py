@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import test_golden
@@ -439,6 +441,35 @@ def test_sweep_rejects_a_grid_whose_extreme_is_out_of_range(tmp_path, capsys, ar
                  "--objective", "pulse_energy"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+# log-uniform magnitudes over the whole double range, subnormals included
+MAGNITUDES = st.floats(-323.5, 308.25).map(lambda x: 10.0 ** x)
+
+
+def _accepts(channel, parameter, value):
+    try:
+        cli.ScenarioConfig(channel, **{parameter: value})
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=700, derandomize=True, database=None, deadline=None)
+@given(st.lists(MAGNITUDES, min_size=3, max_size=3),
+       st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3))
+def test_every_sweepable_constraint_is_an_interval(magnitudes, signs):
+    # run_sweep checks the config only at the grid's min and max, which checks every
+    # point only where the accepted values of the parameter form an interval; detuning
+    # values take either sign, since its rule is the drive frequency's
+    for parameter in cli.SWEEP_PARAMETERS:
+        values = magnitudes
+        if parameter == "detuning_mhz":
+            values = [sign * magnitude for sign, magnitude in zip(signs, magnitudes)]
+        a, x, b = sorted(values)
+        for channel in cli.CHANNELS:
+            if _accepts(channel, parameter, a) and _accepts(channel, parameter, b):
+                assert _accepts(channel, parameter, x), (channel, parameter, a, x, b)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,34 @@ def test_beta_numerator_is_finite_at_the_largest_flux():
             assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (ratio, dec)
 
 
+def test_beta_from_a_subnormal_rate_keeps_its_digits():
+    # where beta's rate is subnormal, or 0, at nonzero operands, each row's beta is formed
+    # on the rate's mantissas: it keeps the rounding error of its operations against the
+    # exact rate * t / denominator wherever that beta is normal, up to the largest t
+    rng, denominator = np.random.default_rng(2801), Fraction(ensemble._BETA_DENOMINATOR)
+    checked = 0
+    for s_mw, ratio, dec in _draws(28, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
+        if _beta_numerator(s_mw, ratio, dec) >= sys.float_info.min:
+            continue
+        exact_rate = _exact_beta_numerator(s_mw, ratio, dec)
+        t = Fraction(10.0 ** rng.uniform(-300.0, 30.0)) * denominator / exact_rate
+        if t > sys.float_info.max:
+            continue
+        t = float(t)
+        # rho22_0 = 0 keeps the intensity out of the check
+        beta = ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [t])[0][1]
+        exact = exact_rate * Fraction(t) / denominator
+        if exact >= sys.float_info.min:
+            checked += 1
+            assert abs(Fraction(beta) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec, t)
+    assert checked > 1000
+    # a scenario at 1e-306 W/cm^2 on resonance printed beta = 0 at t = 1e-8 s
+    s_mw, dec = cli._flux(1e-306), cli._decrement(0.0)
+    exact = _exact_beta_numerator(s_mw, 1.0, dec) * Fraction(1e-8) / denominator
+    beta = evaluate(_vessel(), s_mw, dec, [1e-8])[0][1]
+    assert f"{beta:.8e}" == f"{float(exact):.8e}" == "4.36459696e-307"
+
+
 # ---------------------------------------------------------------------------
 # vessel configuration
 # ---------------------------------------------------------------------------
@@ -710,23 +738,34 @@ def test_depletion_time_where_the_beta_head_is_subnormal():
 
 
 def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
-    # where beta's rate is subnormal, or 0, tau is formed on its operands' mantissas: it
-    # keeps the rounding error of its operations against 6e3*hbar over the exact rate, and
-    # overflows only where that exact tau lies beyond the largest float
-    checked = overflows = 0
-    for s_mw, ratio, dec in _draws(27, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
-        if _beta_numerator(s_mw, ratio, dec) >= sys.float_info.min:
-            continue
+    # tau is formed on the mantissas of its operands at every rate, subnormal, 0 or normal
+    # (with fluxes up to the largest float, where 8*pi*S_mw overflows): it keeps the
+    # rounding error of its operations against 6e3*hbar over the exact rate, and leaves the
+    # range only where that exact tau does; where the rate is normal and 8*pi*S_mw finite
+    # it has the bits of 6e3*hbar over the rate
+    checked = overflows = plain = 0
+    draws = (_draws(27, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0))
+             + _draws(29, (-300.0, 308.25), (-60.0, 20.0), (-20.0, 0.0), count=2000)
+             + _draws(30, (306.86, 308.25), (-60.0, 20.0), (-20.0, 0.0), count=1000))
+    for s_mw, ratio, dec in draws:
         exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, ratio, dec)
         if exact > sys.float_info.max:
             overflows += 1
             with pytest.raises(ValueError, match="depletion time overflows"):
                 ensemble._depletion_time(s_mw, dec, ratio)
             continue
+        if exact < sys.float_info.min:
+            with pytest.raises(ValueError, match="depletion time underflows"):
+                ensemble._depletion_time(s_mw, dec, ratio)
+            continue
         checked += 1
         tau = ensemble._depletion_time(s_mw, dec, ratio)
         assert abs(Fraction(tau) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec)
-    assert checked > 500 and overflows > 500
+        rate = _beta_numerator(s_mw, ratio, dec)
+        if rate >= sys.float_info.min and _e0_squared(s_mw) < math.inf:
+            plain += 1
+            assert tau.hex() == (6.0e3 * HBAR_ERG_S / rate).hex(), (s_mw, ratio, dec)
+    assert checked > 3000 and overflows > 500 and plain > 1500
     # a scenario at 1e-306 W/cm^2 on resonance printed tau = 1.42298475e+299 s, 2.7% high
     s_mw, dec = cli._flux(1e-306), cli._decrement(0.0)
     exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, 1.0, dec)

@@ -20,8 +20,9 @@ was recorded after its overflow was fixed, at exit 0, the next three after
 the deep-depletion pulse energy was fixed, the next two after beta's rate
 kept its digits below a subnormal head, the next two after the drive became
 its flux S_mw and a subnormal tau or pulse energy exited 3, and the last after a tau
-from a subnormal rate of beta kept its digits), so these tests pin
-that refactors leave every byte unchanged.
+from a subnormal rate of beta kept its digits, its ``--out`` digest again after
+beta from that rate did), so these tests pin that refactors leave every byte
+unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -210,7 +211,8 @@ def _edge_commands():
     which read 1.8e-4 off or exited 3 as tau overflowing; one exits 3 where tau
     is subnormal, which it printed; one prints the pulse energy at a subnormal
     flux, linear in the flux, which read 1.99 times too high; and the last prints
-    the tau of a flux whose beta rate is subnormal, which read 2.7% high."""
+    the tau and the rows of a flux whose beta rate is subnormal, where tau read
+    2.7% high and beta read 0 at t > 0."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
