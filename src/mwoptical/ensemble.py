@@ -3,23 +3,24 @@ the depletion integral f(beta) with its closed form and asymptotics, the
 ensemble intensity and cross-sections, the depletion time, and the vessel
 figure of merit n31 that sets the peak conversion efficiency.
 
-The depletion parameter at drive flux S_mw (erg s^-1 cm^-2), with E0^2 = 8*pi*S_mw/c,
+The depletion parameter grows linearly in time, beta = k * t, at the rate (s^-1)
 
-    beta = 3 * E0^2 * wavelength_31^3 * ratio * decrement * t / (32 * pi^3 * hbar)
+    k = K * S_mw * ratio * decrement,  K = 3 * wavelength_31^3 / (4 * pi^2 * c * hbar)
 
-carries wavelength_31 (the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``) *cubed*: that
-is the only power for which the exponent of the single-atom depletion law stays
-dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3, hbar in erg s), and it is
-what substituting the coupling and decay-rate definitions into that law gives.
-beta equals |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, as the
-test suite checks through ``coupling_element`` and ``decay_rate``.
+at drive flux S_mw (erg s^-1 cm^-2): the depletion law's
+3 * E0^2 * wavelength_31^3 * ratio * decrement / (32 * pi^3 * hbar) with E0^2 = 8*pi*S_mw/c.
+wavelength_31 (the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``) enters *cubed*: the only
+power for which the exponent stays dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3,
+hbar in erg s), and what substituting the coupling and decay-rate definitions into that
+law gives.  beta equals |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically,
+as the test suite checks through ``coupling_element`` and ``decay_rate``.
 """
 
 import math
 import sys
 
 from .hydrogen import OMEGA_31, OPTICAL_ANCHOR_CM
-from .units import HBAR_ERG_S, MU_H_G, _checked, _field_squared, _Record
+from .units import C_CM_S, HBAR_ERG_S, MU_H_G, _checked, _Record
 
 __all__ = [
     "EnsembleConfig",
@@ -44,8 +45,10 @@ _G_TAYLOR = tuple((-1) ** k / (math.factorial(k + 1) * (2 * k + 3)) for k in ran
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# beta = numerator * t / _BETA_DENOMINATOR, with the numerator of _beta_numerator
-_BETA_DENOMINATOR = 32.0 * math.pi**3 * HBAR_ERG_S
+# beta's rate per unit S_mw * ratio * decrement (s^-1 per erg s^-1 cm^-2), and beta at
+# the depletion time, 6e3 / (32 * pi^3); each is the float nearest its exact value
+_K = 3.0 * OPTICAL_ANCHOR_CM**3 / (4.0 * math.pi**2 * C_CM_S * HBAR_ERG_S)
+_B = 187.5 / math.pi**3
 
 
 class EnsembleConfig(_Record):
@@ -161,25 +164,27 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
     return n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2 * ratio * rho22_0
 
 
-def _beta_numerator(s_mw: float, ratio: float, decrement: float) -> float:
-    """3 * E0^2 * wavelength_31^3 * ratio * decrement, beta's rate times the denominator,
-    with E0^2 = 8 * pi * S_mw / c, the value ``units.field_from_flux`` takes the root
-    of; inf where it overflows.  A finite S_mw gives a head 3 * E0^2 * wavelength_31^3
-    below about 1e285; where the head is subnormal, the product is ``_rate_parts``
-    scaled back, so that a large ratio does not meet a head short of digits."""
-    head = 3.0 * _field_squared(s_mw) * OPTICAL_ANCHOR_CM**3
-    if head >= sys.float_info.min:
-        return head * ratio * decrement
-    return math.ldexp(*_rate_parts(s_mw, ratio, decrement))
+def _beta_rate(s_mw: float, ratio: float, decrement: float) -> float:
+    """beta's rate k = K * S_mw * ratio * decrement (s^-1), in that order where K * S_mw and
+    k are finite normal numbers, else ``_rate_parts`` scaled back, so that no factor meets a
+    head short of digits (S_mw below about 5e-309) or overflowed; inf where k overflows."""
+    head = _K * s_mw
+    rate = head * ratio * decrement
+    if sys.float_info.min <= head and sys.float_info.min <= rate < math.inf:
+        return rate
+    try:
+        return math.ldexp(*_rate_parts(s_mw, ratio, decrement))
+    except OverflowError:
+        return math.inf
 
 
 def _rate_parts(s_mw: float, ratio: float, decrement: float) -> tuple:
-    """(m, e) with ``_beta_numerator`` = m * 2^e, formed on the ``math.frexp`` mantissas
-    of S_mw, the ratio and the decrement, so that m lies near 1e-25 with every digit.
-    m is an eighth of the mantissas' product (e is their exponents' sum plus 3), which
-    keeps m * t / _BETA_DENOMINATOR finite at every finite t."""
+    """(m, e) with ``_beta_rate`` = m * 2^e, formed on the ``math.frexp`` mantissas of
+    S_mw, the ratio and the decrement, so that m lies near 0.07-0.55 with every digit.
+    m is an eighth of K times the mantissas' product (e is their exponents' sum plus 3),
+    which keeps m * t finite at every finite t."""
     (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
-    return 3.0 * _field_squared(s) * OPTICAL_ANCHOR_CM**3 * r * d / 8.0, s_exp + r_exp + d_exp + 3
+    return _K * s * r * d / 8.0, s_exp + r_exp + d_exp + 3
 
 
 def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
@@ -196,15 +201,14 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
 def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
           area: float, times) -> list:
     """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak.
-    Where ``_beta_numerator`` is short of digits, beta is formed on its ``_rate_parts``."""
+    Where ``_beta_rate`` is short of digits, beta is formed on its ``_rate_parts``."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    numerator, exponent = _beta_numerator(s_mw, ratio, decrement), 0
-    if numerator == math.inf:   # inf * t would read nan at t = 0
+    rate, exponent = _beta_rate(s_mw, ratio, decrement), 0
+    if rate == math.inf:   # inf * t would read nan at t = 0
         raise ValueError(f"beta's rate overflows at S_mw = {s_mw} erg/s/cm^2")
-    if numerator < sys.float_info.min and s_mw and ratio and decrement:  # else 0 is exact
-        numerator, exponent = _rate_parts(s_mw, ratio, decrement)
-    denominator = _BETA_DENOMINATOR
+    if rate < sys.float_info.min and s_mw and ratio and decrement:  # else 0 is exact
+        rate, exponent = _rate_parts(s_mw, ratio, decrement)
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     power = area * s_mw
     if s_mw > 0 and power == 0:
@@ -216,7 +220,7 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
     for t in times:
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-        beta = numerator * t / denominator
+        beta = rate * t
         if exponent:
             beta = math.ldexp(beta, exponent)
         f = f_beta(beta)
@@ -249,23 +253,21 @@ def _stored_share(beta: float) -> float:
     return _SQRT_PI * math.erf(root) / (2.0 * root)
 
 
-def _window(numerator: float, t0: float, t1: float) -> tuple:
-    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = numerator * t /
-    _BETA_DENOMINATOR: W is the integral (s) of f(beta) over the window and R the share
-    G(beta(t1)) - G(beta(t0)) of the stored energy released over it; with beta = k*t,
-    the integral of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  A window narrower
-    than t1/32 is integrated by Gauss-Legendre; a wider one that starts at beta >= 1
-    gives (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta overflows."""
-    beta0 = numerator * t0 / _BETA_DENOMINATOR
-    beta1 = numerator * t1 / _BETA_DENOMINATOR
+def _window(rate: float, t0: float, t1: float) -> tuple:
+    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t = k*t: W is the
+    integral (s) of f(beta) over the window and R the share G(beta(t1)) - G(beta(t0)) of
+    the stored energy released over it; the integral of f(k*t) over [0, T] is T*g(k*T)
+    (see ``_g``).  A window narrower than t1/32 is integrated by Gauss-Legendre; a wider
+    one that starts at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError
+    where beta overflows."""
+    beta0, beta1 = rate * t0, rate * t1
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
     width = t1 - t0
     if width < t1 / 32.0:
         # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative
         mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
-        fa, fm, fb = [f_beta(numerator * t / _BETA_DENOMINATOR)
-                      for t in (mid - half, mid, mid + half)]
+        fa, fm, fb = [f_beta(rate * t) for t in (mid - half, mid, mid + half)]
         window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
     elif 1.0 <= beta0:
         # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
@@ -312,7 +314,7 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if s_mw != last_s_mw or decrement != last_decrement:
-            window, released = _window(_beta_numerator(s_mw, ratio, decrement), t0, t1)
+            window, released = _window(_beta_rate(s_mw, ratio, decrement), t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
         if window is not None:
             # _sigma_prefactor, in its operand order: calling it here made 201-point
@@ -350,9 +352,9 @@ def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
     """Characteristic time (s) for the ensemble emission to fall roughly tenfold at
     drive flux s_mw (erg s^-1 cm^-2):
 
-        tau = 2e3 * hbar / (decrement * E0^2 * wavelength_31^3 * ratio),  E0^2 = 8*pi*S_mw/c
+        tau = B / k,  B = 6e3 / (32 * pi^3) ~ 6.05
 
-    (2e3 rounds 64*pi^3 ~ 1984, placing beta(tau) ~ 6).  Inversely
+    with k beta's rate (see the module docstring), so that beta(tau) = B.  Inversely
     proportional to the drive flux.  Returns None ("no depletion") when the
     flux or the dipole ratio is zero, rather than an infinity that would
     poison downstream tables; a nonzero flux too weak for a finite tau, or so
@@ -362,16 +364,16 @@ def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
 
 
 def _depletion_time(s_mw: float, decrement: float, ratio: float):
-    """``depletion_time`` on floats: 6e3 * hbar over ``_beta_numerator``, formed on its
-    ``_rate_parts`` (tau near 10) and scaled back, so that a subnormal or underflowed
-    product keeps its digits and only ``ldexp`` can leave the double range."""
+    """``depletion_time`` on floats: B over ``_beta_rate``, formed on its ``_rate_parts``
+    (B / m between about 11 and 89) and scaled back, so that a subnormal, underflowed or
+    overflowed rate keeps its digits and only ``ldexp`` can leave the double range."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
     if s_mw == 0 or ratio == 0:
         return None
     mantissa, exponent = _rate_parts(s_mw, ratio, decrement)
     try:
-        tau = math.ldexp(6.0e3 * HBAR_ERG_S / mantissa, -exponent)
+        tau = math.ldexp(_B / mantissa, -exponent)
     except OverflowError:
         tau = math.inf
     if tau == math.inf:

@@ -95,17 +95,14 @@ def flux_si_to_cgs(flux_w_cm2: float) -> float:
 
 
 def field_from_flux(flux_cgs: float) -> float:
-    """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi)."""
+    """Field amplitude E0 (statV/cm) of a wave with energy flux S = c*E0^2/(8*pi), finite
+    at every finite S: where 8*pi*S overflows (S above about 7e306), 8*pi/c scales S first."""
     if not flux_cgs >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
-    return math.sqrt(_field_squared(flux_cgs))
-
-
-def _field_squared(flux_cgs: float) -> float:
-    """E0^2 = 8*pi*S/c (erg/cm^3) at energy flux S, finite at every finite S: where
-    8*pi*S overflows (S above about 7e306), 8*pi/c scales S first."""
     e0_squared = 8.0 * math.pi * flux_cgs / C_CM_S
-    return e0_squared if e0_squared < math.inf else 8.0 * math.pi / C_CM_S * flux_cgs
+    if e0_squared == math.inf:
+        e0_squared = 8.0 * math.pi / C_CM_S * flux_cgs
+    return math.sqrt(e0_squared)
 
 
 def flux_from_field(e0: float) -> float:

@@ -756,7 +756,7 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
      ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "2",
       "--objective", "pulse_energy"],
      "flux_w_cm2 = 1.0: pulse energy underflows to 0"),
-    # tau = 2e3*hbar/rate underflows at a rate near the largest float
+    # tau = B/rate underflows to 0 where beta's rate nears the largest float
     ("ratio_mode = custom\nratio_value = 1e308",
      ["sweep", "--param", "flux_w_cm2", "--min", "1e10", "--max", "2e10", "--steps", "2",
       "--objective", "tau"],
@@ -769,7 +769,7 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
      "sigma_max underflows to 0"),
-    # at a subnormal S_mw beta's rate underflows to 0, so tau overflows, and the pulse
+    # at a subnormal S_mw beta's rate is subnormal, so tau = B/rate overflows, and the pulse
     # energy falls below the normal range, where it keeps too few digits to print
     ("flux_w_cm2 = 1e-323", ["scenario"],
      "depletion time overflows at S_mw = 9.881313e-317 erg/s/cm^2"),

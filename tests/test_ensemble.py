@@ -11,7 +11,7 @@ from mwoptical.coupling import coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    _beta_numerator,
+    _beta_rate,
     _operands,
     _pulse_energies,
     depletion_time,
@@ -41,7 +41,7 @@ def _flux(flux_w_cm2=1.0):
 
 
 def _e0_squared(s_mw):
-    """E0^2 = 8*pi*S_mw/c, as the ensemble kernels form it wherever 8*pi*S_mw is finite."""
+    """E0^2 = 8*pi*S_mw/c in floats, finite wherever 8*pi*S_mw is."""
     return 8.0 * math.pi * s_mw / C_CM_S
 
 
@@ -217,82 +217,137 @@ def _draws(seed, *bounds, count=4000):
     return [tuple(map(float, draw)) for draw in zip(*columns)]
 
 
-def _exact_beta_numerator(s_mw, ratio, dec):
-    """3 * E0^2 * wavelength^3 * ratio * decrement in exact arithmetic, with
-    E0^2 = 8*pi*S_mw/c and pi the float that the kernels read."""
-    return (24 * Fraction(math.pi) * Fraction(s_mw) / Fraction(C_CM_S)
-            * Fraction(LAMBDA_31) ** 3 * Fraction(ratio) * Fraction(dec))
+# ensemble._K and ensemble._B in exact arithmetic, from the float constants and the float pi
+# that the kernels read: beta's rate is K * S_mw * ratio * decrement, and tau = B / rate
+_EXACT_K = (3 * Fraction(LAMBDA_31) ** 3
+            / (4 * Fraction(math.pi) ** 2 * Fraction(C_CM_S) * Fraction(HBAR_ERG_S)))
+_EXACT_B = Fraction(6000) / (32 * Fraction(math.pi) ** 3)
 
 
-def test_beta_numerator_keeps_the_plain_product_where_its_head_is_normal():
-    checked = 0
+def _exact_rate(s_mw, ratio, dec):
+    """beta's rate K * S_mw * ratio * decrement (s^-1) in exact arithmetic."""
+    return _EXACT_K * Fraction(s_mw) * Fraction(ratio) * Fraction(dec)
+
+
+def _within_8_ulp(got, exact):
+    """Whether got keeps the rounding error of a few operations against exact."""
+    return abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53
+
+
+def test_rate_constants_are_the_nearest_floats():
+    for got, exact in ((ensemble._K, _EXACT_K), (ensemble._B, _EXACT_B)):
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2
+    # beta(tau) = B = 6e3/(32*pi^3); K * S_mw * ratio * decrement is the old
+    # 3*E0^2*wavelength^3*ratio*decrement/(32*pi^3*hbar) with E0^2 = 8*pi*S_mw/c
+    assert ensemble._B == pytest.approx(6.047162706224905, rel=1e-15)
+    assert ensemble._K == pytest.approx(4.3645969646, rel=1e-10)
+    assert _EXACT_K == (3 * 8 * Fraction(math.pi) / Fraction(C_CM_S) * Fraction(LAMBDA_31) ** 3
+                        / (32 * Fraction(math.pi) ** 3 * Fraction(HBAR_ERG_S)))
+
+
+def test_beta_rate_keeps_the_plain_product_where_its_head_is_normal():
+    # where K*S_mw and the rate are finite normal numbers the rate is
+    # K*S_mw*ratio*decrement in that order, bit for bit, and close to the exact rate where
+    # the product on the way is normal too; where a product on the way overflows, the rate
+    # keeps its digits, and reads inf only where the exact rate exceeds the largest float
+    checked = accurate = overflowed = 0
     for s_mw, ratio, dec in _draws(22, *[(-323.5, 308.25)] * 3):
-        head = 3.0 * _e0_squared(s_mw) * LAMBDA_31**3
-        if sys.float_info.min <= head < math.inf:
-            checked += 1
-            assert _beta_numerator(s_mw, ratio, dec).hex() == (head * ratio * dec).hex()
-    assert checked > 1500
-
-
-def test_beta_numerator_keeps_its_digits_where_its_head_is_subnormal():
-    # where 3*E0^2*wavelength^3 is subnormal or 0 and the rate is normal, the rate keeps
-    # the rounding error of its operations against the exact product
-    checked = 0
-    for s_mw, ratio, dec in _draws(23, (-323.5, -284.4), (150.0, 308.25), (-20.0, 0.0)):
-        if 3.0 * _e0_squared(s_mw) * LAMBDA_31**3 >= sys.float_info.min:
+        head = ensemble._K * s_mw
+        if not sys.float_info.min <= head < math.inf:
             continue
-        got = _beta_numerator(s_mw, ratio, dec)
+        got, plain = _beta_rate(s_mw, ratio, dec), head * ratio * dec
+        if sys.float_info.min <= plain < math.inf:
+            checked += 1
+            assert got.hex() == plain.hex()
+            if head * ratio >= sys.float_info.min:
+                accurate += 1
+                assert _within_8_ulp(got, _exact_rate(s_mw, ratio, dec)), (s_mw, ratio, dec)
+        elif head * ratio == math.inf:
+            overflowed += 1
+            exact = _exact_rate(s_mw, ratio, dec)
+            assert got == math.inf if exact > sys.float_info.max else _within_8_ulp(got, exact)
+    assert checked > 2000 and accurate > 2000 and overflowed > 300
+
+
+def test_beta_rate_keeps_its_digits_where_its_head_is_subnormal():
+    # where K*S_mw is subnormal or 0 (S_mw below about 5e-309) and the rate is normal, the
+    # rate keeps the rounding error of its operations against the exact product
+    checked = 0
+    for s_mw, ratio, dec in _draws(23, (-323.5, -308.3), (150.0, 308.25), (-20.0, 0.0)):
+        if ensemble._K * s_mw >= sys.float_info.min:
+            continue
+        got = _beta_rate(s_mw, ratio, dec)
         if not sys.float_info.min <= got < math.inf:
             continue
         checked += 1
-        exact = _exact_beta_numerator(s_mw, ratio, dec)
-        assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec)
+        assert _within_8_ulp(got, _exact_rate(s_mw, ratio, dec)), (s_mw, ratio, dec)
     assert checked > 2000
 
 
-def test_beta_numerator_is_finite_at_the_largest_flux():
-    # a finite S_mw gives a head 3*E0^2*wavelength^3 below about 1e285, and where
-    # 8*pi*S_mw overflows E0^2 is 8*pi/c times S_mw: at the largest float the rate keeps
-    # its bits, and reads inf only where ratio*decrement takes the exact rate past the
-    # largest float
-    s_mw = sys.float_info.max
-    assert _e0_squared(s_mw) == math.inf
-    head = 3.0 * (8.0 * math.pi / C_CM_S * s_mw) * LAMBDA_31**3
-    assert 1e284 < head < 1e286
-    for ratio, dec in ((1.0, 1.0), (1e-300, 0.5), (1e20, 2.0), (1e24, 1.0)):
-        got = _beta_numerator(s_mw, ratio, dec)
-        assert got.hex() == (head * ratio * dec).hex()
-        exact = _exact_beta_numerator(s_mw, ratio, dec)
-        if got == math.inf:
-            assert exact > sys.float_info.max, (ratio, dec)
+def test_beta_rate_overflows_only_where_the_exact_rate_does():
+    # K*S_mw overflows above S_mw ~ 4.1e307 erg s^-1 cm^-2 (4.1e300 W/cm^2); every finite
+    # S_mw, up to the largest float (about 1.8e301 W/cm^2), still gives a rate that keeps
+    # its digits wherever the exact rate is finite, and inf only where it is not
+    checked = overflows = 0
+    draws = _draws(26, (307.6, 308.25), (-30.0, 30.0), (-20.0, 0.0), count=2000)
+    for s_mw, ratio, dec in draws + [(sys.float_info.max, 0.1, 1.0),
+                                     (sys.float_info.max, 1.0, 1.0)]:
+        if ensemble._K * s_mw < math.inf:
+            continue
+        got, exact = _beta_rate(s_mw, ratio, dec), _exact_rate(s_mw, ratio, dec)
+        if exact > sys.float_info.max:
+            overflows += 1
+            assert got == math.inf, (s_mw, ratio, dec)
         else:
-            assert abs(Fraction(got) / exact - 1) <= 8 * 2.0**-53, (ratio, dec)
+            checked += 1
+            assert _within_8_ulp(got, exact), (s_mw, ratio, dec)
+    assert checked > 1000 and overflows > 500
+    assert _beta_rate(sys.float_info.max, 0.1, 1.0) == pytest.approx(7.8461e307, rel=1e-4)
+
+
+def test_beta_and_tau_are_within_4_ulp_of_exact_over_the_working_range():
+    # beta = k*t from the row kernel and tau = B/k against exact K*S_mw*ratio*decrement,
+    # at fluxes of 1e-3 to 1e3 W/cm^2, ratios of 1e-2 to 1e3, decrements of 1e-3 to 1 and
+    # times of 1e-12 to 1e-3 s (20 000 such draws measured 3.24 and 3.49 ulp at worst)
+    draws = _draws(31, (-3.0, 3.0), (-2.0, 3.0), (-3.0, 0.0), (-12.0, -3.0), count=3000)
+    for flux, ratio, dec, t in draws:
+        s_mw = _flux(flux)
+        exact_rate = _exact_rate(s_mw, ratio, dec)
+        # rho22_0 = 0 keeps the intensity out of the check
+        beta = ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [t])[0][1]
+        tau = ensemble._depletion_time(s_mw, dec, ratio)
+        for got, exact in ((beta, exact_rate * Fraction(t)), (tau, _EXACT_B / exact_rate)):
+            assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(got)), (flux, ratio, dec, t)
 
 
 def test_beta_from_a_subnormal_rate_keeps_its_digits():
     # where beta's rate is subnormal, or 0, at nonzero operands, each row's beta is formed
     # on the rate's mantissas: it keeps the rounding error of its operations against the
-    # exact rate * t / denominator wherever that beta is normal, up to the largest t
-    rng, denominator = np.random.default_rng(2801), Fraction(ensemble._BETA_DENOMINATOR)
+    # exact rate * t wherever that beta is normal, up to the largest t
+    rng = np.random.default_rng(2801)
     checked = 0
     for s_mw, ratio, dec in _draws(28, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
-        if _beta_numerator(s_mw, ratio, dec) >= sys.float_info.min:
+        if _beta_rate(s_mw, ratio, dec) >= sys.float_info.min:
             continue
-        exact_rate = _exact_beta_numerator(s_mw, ratio, dec)
-        t = Fraction(10.0 ** rng.uniform(-300.0, 30.0)) * denominator / exact_rate
+        exact_rate = _exact_rate(s_mw, ratio, dec)
+        t = Fraction(10.0 ** rng.uniform(-300.0, 30.0)) / exact_rate
         if t > sys.float_info.max:
             continue
         t = float(t)
         # rho22_0 = 0 keeps the intensity out of the check
         beta = ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [t])[0][1]
-        exact = exact_rate * Fraction(t) / denominator
+        exact = exact_rate * Fraction(t)
         if exact >= sys.float_info.min:
             checked += 1
-            assert abs(Fraction(beta) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec, t)
+            assert _within_8_ulp(beta, exact), (s_mw, ratio, dec, t)
     assert checked > 1000
+    # at the largest t: m = K * mantissas / 8 keeps m * t finite where K * mantissas would not
+    s_mw, t = math.ldexp(0.999, -1029), sys.float_info.max
+    beta = ensemble._rows(s_mw, 0.999, 1.0, 0.0, 0.999, 1.0, [t])[0][1]
+    assert _within_8_ulp(beta, _exact_rate(s_mw, 0.999, 0.999) * Fraction(t))
     # a scenario at 1e-306 W/cm^2 on resonance printed beta = 0 at t = 1e-8 s
     s_mw, dec = cli._flux(1e-306), cli._decrement(0.0)
-    exact = _exact_beta_numerator(s_mw, 1.0, dec) * Fraction(1e-8) / denominator
+    exact = _exact_rate(s_mw, 1.0, dec) * Fraction(1e-8)
     beta = evaluate(_vessel(), s_mw, dec, [1e-8])[0][1]
     assert f"{beta:.8e}" == f"{float(exact):.8e}" == "4.36459696e-307"
 
@@ -414,12 +469,10 @@ def test_eta_worked_example():
 def test_evaluate_matches_pointwise_functions_bit_for_bit():
     cfg, s_mw, dec = _vessel(area=2.5), _flux(3.0), 0.7
     times = [0.0, 1e-9, 3e-8, 1e-6]
-    denominator = 32.0 * math.pi**3 * HBAR_ERG_S
     for row in evaluate(cfg, s_mw, dec, times):
         t, beta, f, intensity, eta = row
         assert row == evaluate(cfg, s_mw, dec, (t,))[0]
-        assert beta == (3.0 * _e0_squared(s_mw) * LAMBDA_31**3 * cfg.ratio * dec * t
-                        / denominator)
+        assert beta == _beta_rate(s_mw, cfg.ratio, dec) * t
         assert f == f_beta(beta)
         assert eta == intensity / (cfg.area * s_mw)
     assert evaluate(cfg, 0.0, dec, [0.0, 1e-6]) == [(0.0, 0.0, f_beta(0.0), 0.0, 0.0),
@@ -705,7 +758,7 @@ def test_depletion_time_inverse_in_flux_and_ratio():
 
 
 def test_depletion_time_places_beta_near_six():
-    # beta at t = tau is the pure number 3*2e3/(32*pi^3) ~ 6.05 for any inputs
+    # beta at t = tau is the pure number B = 6e3/(32*pi^3) ~ 6.05 for any inputs
     for flux, ratio, dec in [(1.0, 1.0, 1.0), (25.0, 16.2, 0.4), (1e-3, 0.07, 2.0)]:
         s_mw = _flux(flux)
         tau = depletion_time(_vessel(ratio=ratio), s_mw, dec)
@@ -715,7 +768,7 @@ def test_depletion_time_places_beta_near_six():
 
 
 def test_depletion_time_reads_the_beta_rate():
-    # tau = 6e3*hbar/_beta_numerator puts beta(tau) at 6e3/(32*pi^3) to rounding, and
+    # tau = B/_beta_rate puts beta(tau) at B = 6e3/(32*pi^3) to rounding, and
     # keeps tau within 4 ulp of 2e3*hbar/(decrement * E0^2 * wavelength^3 * ratio)
     # with E0^2 = 8*pi*S_mw/c
     for flux, ratio, dec in _draws(24, (-3.0, 3.0), (-2.0, 3.0), (-3.0, 0.0), count=2000):
@@ -728,11 +781,12 @@ def test_depletion_time_reads_the_beta_rate():
 
 
 def test_depletion_time_where_the_beta_head_is_subnormal():
-    # E0^2 * wavelength^3 is subnormal here and ratio ~3e282 brings the rate back
+    # E0^2 * wavelength^3, the head of the rate before K was folded, is subnormal here;
+    # K * S_mw is normal, and ratio ~3e282 brings the rate back to about 1.8e-26 s^-1
     s_mw, dec = cli._flux(1.4004939611837856e-304), cli._decrement(1e8)
     ratio = 3.027736961255513e+282
     tau = depletion_time(_vessel(ratio=ratio), s_mw, dec)
-    exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, ratio, dec)
+    exact = _EXACT_B / _exact_rate(s_mw, ratio, dec)
     assert f"{tau:.8e}" == "3.36448650e+26"
     assert float(Fraction(tau) / exact - 1) == pytest.approx(0.0, abs=1e-12)
 
@@ -740,15 +794,15 @@ def test_depletion_time_where_the_beta_head_is_subnormal():
 def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
     # tau is formed on the mantissas of its operands at every rate, subnormal, 0 or normal
     # (with fluxes up to the largest float, where 8*pi*S_mw overflows): it keeps the
-    # rounding error of its operations against 6e3*hbar over the exact rate, and leaves the
-    # range only where that exact tau does; where the rate is normal and 8*pi*S_mw finite
-    # it has the bits of 6e3*hbar over the rate
+    # rounding error of its operations against B over the exact rate, and leaves the
+    # range only where that exact tau does; where the rate is normal it has the bits of
+    # B over the rate
     checked = overflows = plain = 0
     draws = (_draws(27, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0))
              + _draws(29, (-300.0, 308.25), (-60.0, 20.0), (-20.0, 0.0), count=2000)
              + _draws(30, (306.86, 308.25), (-60.0, 20.0), (-20.0, 0.0), count=1000))
     for s_mw, ratio, dec in draws:
-        exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, ratio, dec)
+        exact = _EXACT_B / _exact_rate(s_mw, ratio, dec)
         if exact > sys.float_info.max:
             overflows += 1
             with pytest.raises(ValueError, match="depletion time overflows"):
@@ -760,15 +814,15 @@ def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
             continue
         checked += 1
         tau = ensemble._depletion_time(s_mw, dec, ratio)
-        assert abs(Fraction(tau) / exact - 1) <= 8 * 2.0**-53, (s_mw, ratio, dec)
-        rate = _beta_numerator(s_mw, ratio, dec)
-        if rate >= sys.float_info.min and _e0_squared(s_mw) < math.inf:
+        assert _within_8_ulp(tau, exact), (s_mw, ratio, dec)
+        rate = _beta_rate(s_mw, ratio, dec)
+        if sys.float_info.min <= rate < math.inf:
             plain += 1
-            assert tau.hex() == (6.0e3 * HBAR_ERG_S / rate).hex(), (s_mw, ratio, dec)
+            assert tau.hex() == (ensemble._B / rate).hex(), (s_mw, ratio, dec)
     assert checked > 3000 and overflows > 500 and plain > 1500
     # a scenario at 1e-306 W/cm^2 on resonance printed tau = 1.42298475e+299 s, 2.7% high
     s_mw, dec = cli._flux(1e-306), cli._decrement(0.0)
-    exact = 6000 * Fraction(HBAR_ERG_S) / _exact_beta_numerator(s_mw, 1.0, dec)
+    exact = _EXACT_B / _exact_rate(s_mw, 1.0, dec)
     tau = depletion_time(_vessel(), s_mw, dec)
     assert f"{tau:.8e}" == f"{float(exact):.8e}" == "1.38550312e+299"
 
@@ -798,11 +852,11 @@ def test_depletion_time_validation():
     for decrement in (0.0, math.nan):
         with pytest.raises(ValueError, match="decrement must be positive"):
             depletion_time(_vessel(), _flux(1.0), decrement)
-    # a nonzero flux whose E0^2 * wavelength^3 underflows to 0 and whose tau, about
+    # a nonzero flux whose rate K*S_mw is subnormal and whose tau, about
     # 1.4e309 s, lies beyond the largest float
     with pytest.raises(ValueError, match="depletion time overflows"):
         depletion_time(_vessel(), _flux(1e-316), 1.0)
-    # a rate so large that 2e3*hbar/rate underflows: tau would read 0
+    # a rate so large that B/rate underflows: tau would read 0
     with pytest.raises(ValueError, match="depletion time underflows to 0"):
         depletion_time(_vessel(ratio=1e308), _flux(1e10), 1.0)
     # a rate that puts tau below the smallest normal float, short of digits: the
