@@ -7,13 +7,12 @@ The depletion parameter grows linearly in time, beta = k * t, at the rate (s^-1)
 
     k = K * S_mw * ratio * decrement,  K = 3 * wavelength_31^3 / (4 * pi^2 * c * hbar)
 
-at drive flux S_mw (erg s^-1 cm^-2): the depletion law's
-3 * E0^2 * wavelength_31^3 * ratio * decrement / (32 * pi^3 * hbar) with E0^2 = 8*pi*S_mw/c.
-wavelength_31 (the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``) enters *cubed*: the only
-power for which the exponent stays dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3,
-hbar in erg s), and what substituting the coupling and decay-rate definitions into that
-law gives.  beta equals |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically,
-as the test suite checks through ``coupling_element`` and ``decay_rate``.
+at drive flux S_mw (erg s^-1 cm^-2), the depletion law's 3 * E0^2 * wavelength_31^3 *
+ratio * decrement / (32 * pi^3 * hbar) with E0^2 = 8*pi*S_mw/c.  wavelength_31 (the 2p-1s
+line ``hydrogen.OPTICAL_ANCHOR_CM``) enters *cubed*, the only power that keeps the exponent
+dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3, hbar in erg s); beta equals
+|b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, as the test suite checks
+through ``coupling_element`` and ``decay_rate``.
 """
 
 import math
@@ -165,26 +164,35 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
 
 
 def _beta_rate(s_mw: float, ratio: float, decrement: float) -> float:
-    """beta's rate k = K * S_mw * ratio * decrement (s^-1), in that order where K * S_mw and
-    k are finite normal numbers, else ``_rate_parts`` scaled back, so that no factor meets a
-    head short of digits (S_mw below about 5e-309) or overflowed; inf where k overflows."""
+    """beta's rate k = K * S_mw * ratio * decrement (s^-1), inf where it overflows."""
+    return _scaled(*_beta_scale(s_mw, ratio, decrement))
+
+
+def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
+    """(rate, e) with beta = rate * t * 2^e: k = K*S_mw*ratio*decrement in that order, e = 0,
+    where K * S_mw and k are finite normal numbers; else, to keep beta's digits, K times
+    the ``math.frexp`` mantissas of the operands over 8 (so rate * t is finite at every
+    finite t) with e their exponents' sum plus 3, scaled by 2^1020 above the largest float
+    (so rate * t is normal at every t > 0); (inf, 0) where 32*pi^3*hbar*k overflows (1.7e332)."""
     head = _K * s_mw
     rate = head * ratio * decrement
     if sys.float_info.min <= head and sys.float_info.min <= rate < math.inf:
-        return rate
+        return rate, 0
+    (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
+    rate, exponent = _K * s * r * d / 8.0, s_exp + r_exp + d_exp + 3
+    if _scaled(rate, exponent) < math.inf:
+        return rate, exponent
+    if _scaled(rate * 6.0e3 * HBAR_ERG_S / _B, exponent) < math.inf:
+        return math.ldexp(rate, 1020), exponent - 1020
+    return math.inf, 0
+
+
+def _scaled(x: float, exponent: int) -> float:
+    """x * 2^exponent, inf where that overflows."""
     try:
-        return math.ldexp(*_rate_parts(s_mw, ratio, decrement))
+        return math.ldexp(x, exponent)
     except OverflowError:
         return math.inf
-
-
-def _rate_parts(s_mw: float, ratio: float, decrement: float) -> tuple:
-    """(m, e) with ``_beta_rate`` = m * 2^e, formed on the ``math.frexp`` mantissas of
-    S_mw, the ratio and the decrement, so that m lies near 0.07-0.55 with every digit.
-    m is an eighth of K times the mantissas' product (e is their exponents' sum plus 3),
-    which keeps m * t finite at every finite t."""
-    (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
-    return _K * s * r * d / 8.0, s_exp + r_exp + d_exp + 3
 
 
 def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
@@ -200,15 +208,12 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
 
 def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: float,
           area: float, times) -> list:
-    """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak.
-    Where ``_beta_rate`` is short of digits, beta is formed on its ``_rate_parts``."""
+    """``evaluate`` on floats; at the one time 0 its eta is the sweep objective eta_max_peak."""
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
-    rate, exponent = _beta_rate(s_mw, ratio, decrement), 0
+    rate, exponent = _beta_scale(s_mw, ratio, decrement)
     if rate == math.inf:   # inf * t would read nan at t = 0
         raise ValueError(f"beta's rate overflows at S_mw = {s_mw} erg/s/cm^2")
-    if rate < sys.float_info.min and s_mw and ratio and decrement:  # else 0 is exact
-        rate, exponent = _rate_parts(s_mw, ratio, decrement)
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     power = area * s_mw
     if s_mw > 0 and power == 0:
@@ -222,7 +227,7 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
             raise ValueError(f"t must be nonnegative, got {t}")
         beta = rate * t
         if exponent:
-            beta = math.ldexp(beta, exponent)
+            beta = _scaled(beta, exponent)
         f = f_beta(beta)
         intensity = scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0
@@ -253,21 +258,23 @@ def _stored_share(beta: float) -> float:
     return _SQRT_PI * math.erf(root) / (2.0 * root)
 
 
-def _window(rate: float, t0: float, t1: float) -> tuple:
-    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t = k*t: W is the
-    integral (s) of f(beta) over the window and R the share G(beta(t1)) - G(beta(t0)) of
-    the stored energy released over it; the integral of f(k*t) over [0, T] is T*g(k*T)
-    (see ``_g``).  A window narrower than t1/32 is integrated by Gauss-Legendre; a wider
-    one that starts at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError
-    where beta overflows."""
-    beta0, beta1 = rate * t0, rate * t1
+def _window(rate: float, exponent: int, t0: float, t1: float) -> tuple:
+    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t
+    (see ``_beta_scale``): W is the integral (s) of f(beta) over the window and R the
+    share G(beta(t1)) - G(beta(t0)) of the stored energy released over it; the integral
+    of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  A window narrower than t1/32 is
+    integrated by Gauss-Legendre; a wider one that starts at beta >= 1 gives
+    (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta overflows."""
+    beta0, beta1 = ((_scaled(rate * t0, exponent), _scaled(rate * t1, exponent)) if exponent
+                    else (rate * t0, rate * t1))
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
     width = t1 - t0
     if width < t1 / 32.0:
         # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative
         mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
-        fa, fm, fb = [f_beta(rate * t) for t in (mid - half, mid, mid + half)]
+        fa, fm, fb = [f_beta(_scaled(rate * t, exponent) if exponent else rate * t)
+                      for t in (mid - half, mid, mid + half)]
         window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
     elif 1.0 <= beta0:
         # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
@@ -314,7 +321,7 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if s_mw != last_s_mw or decrement != last_decrement:
-            window, released = _window(_beta_rate(s_mw, ratio, decrement), t0, t1)
+            window, released = _window(*_beta_scale(s_mw, ratio, decrement), t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
         if window is not None:
             # _sigma_prefactor, in its operand order: calling it here made 201-point
@@ -364,18 +371,13 @@ def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
 
 
 def _depletion_time(s_mw: float, decrement: float, ratio: float):
-    """``depletion_time`` on floats: B over ``_beta_rate``, formed on its ``_rate_parts``
-    (B / m between about 11 and 89) and scaled back, so that a subnormal, underflowed or
-    overflowed rate keeps its digits and only ``ldexp`` can leave the double range."""
+    """``depletion_time`` on floats: B over ``_beta_scale``'s rate, scaled back by its e."""
     if not decrement > 0:
         raise ValueError(f"decrement must be positive, got {decrement}")
     if s_mw == 0 or ratio == 0:
         return None
-    mantissa, exponent = _rate_parts(s_mw, ratio, decrement)
-    try:
-        tau = math.ldexp(_B / mantissa, -exponent)
-    except OverflowError:
-        tau = math.inf
+    rate, exponent = _beta_scale(s_mw, ratio, decrement)
+    tau = _scaled(_B / rate, -exponent)
     if tau == math.inf:
         raise ValueError(f"depletion time overflows at S_mw = {s_mw} erg/s/cm^2")
     if tau < sys.float_info.min:

@@ -100,9 +100,7 @@ def field_from_flux(flux_cgs: float) -> float:
     if not flux_cgs >= 0:
         raise ValueError(f"flux must be nonnegative, got {flux_cgs} erg/s/cm^2")
     e0_squared = 8.0 * math.pi * flux_cgs / C_CM_S
-    if e0_squared == math.inf:
-        e0_squared = 8.0 * math.pi / C_CM_S * flux_cgs
-    return math.sqrt(e0_squared)
+    return math.sqrt(e0_squared if e0_squared < math.inf else 8.0 * math.pi / C_CM_S * flux_cgs)
 
 
 def flux_from_field(e0: float) -> float:

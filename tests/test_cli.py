@@ -716,6 +716,21 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
         assert "beta's rate overflows at S_mw = " in captured.err
 
 
+def test_a_rate_above_the_largest_float_still_computes(tmp_path, capsys):
+    # beta's rate K*S*ratio*decrement, about 4.4e309 s^-1 here, exceeds the largest float,
+    # but eta_max_peak reads beta only at t = 0 and the pulse window ends at 1e-300 s
+    config = tmp_path / "run.cfg"
+    config.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = 1e290\n"
+                      "rho22_initial = 1e-200\ntime_stop_s = 1e-300\n")
+    sweep = ["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "1e12",
+             "--max", "2e12", "--steps", "2", "--objective"]
+    for objective, rows in (("eta_max_peak", ("1.27393736e+100", "1.27393736e+100")),
+                            ("pulse_energy", ("8.75627427e-191", "8.75630867e-191"))):
+        assert main(sweep + [objective]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [f"1.00000000e+12,{rows[0]}", f"2.00000000e+12,{rows[1]}"]
+
+
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
 
 

@@ -323,9 +323,10 @@ def test_beta_and_tau_are_within_4_ulp_of_exact_over_the_working_range():
 def test_beta_from_a_subnormal_rate_keeps_its_digits():
     # where beta's rate is subnormal, or 0, at nonzero operands, each row's beta is formed
     # on the rate's mantissas: it keeps the rounding error of its operations against the
-    # exact rate * t wherever that beta is normal, up to the largest t
+    # exact rate * t wherever that beta is normal, up to the largest t; the pulse window's
+    # beta too, at both its window formulas
     rng = np.random.default_rng(2801)
-    checked = 0
+    checked = windows = 0
     for s_mw, ratio, dec in _draws(28, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
         if _beta_rate(s_mw, ratio, dec) >= sys.float_info.min:
             continue
@@ -340,7 +341,19 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
         if exact >= sys.float_info.min:
             checked += 1
             assert _within_8_ulp(beta, exact), (s_mw, ratio, dec, t)
-    assert checked > 1000
+        scale, t1 = ensemble._beta_scale(s_mw, ratio, dec), t + t / 64.0
+        if t1 == math.inf:
+            continue
+        # [0, t] integrates f(k*t') to t*g(k*t); [t, t1] by 3-point Gauss-Legendre
+        windows += 1
+        window = ensemble._window(*scale, 0.0, t)[0]
+        assert window == pytest.approx(t * ensemble._g(float(exact)), rel=1e-13)
+        mid, half = t + (t1 - t) / 2.0, math.sqrt(0.15) * (t1 - t)
+        fa, fm, fb = [f_beta(float(exact_rate * Fraction(x))) for x in (mid - half, mid,
+                                                                      mid + half)]
+        window = ensemble._window(*scale, t, t1)[0]
+        assert window == pytest.approx((t1 - t) * (5.0 * (fa + fb) + 8.0 * fm) / 18.0, rel=1e-13)
+    assert checked > 1000 and windows > 500
     # at the largest t: m = K * mantissas / 8 keeps m * t finite where K * mantissas would not
     s_mw, t = math.ldexp(0.999, -1029), sys.float_info.max
     beta = ensemble._rows(s_mw, 0.999, 1.0, 0.0, 0.999, 1.0, [t])[0][1]
@@ -350,6 +363,46 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
     exact = _exact_rate(s_mw, 1.0, dec) * Fraction(1e-8)
     beta = evaluate(_vessel(), s_mw, dec, [1e-8])[0][1]
     assert f"{beta:.8e}" == f"{float(exact):.8e}" == "4.36459696e-307"
+
+
+def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
+    # where beta's rate k exceeds the largest float but 32*pi^3*hbar*k does not (k below
+    # about 1.7e332 s^-1), the row kernel's beta keeps the rounding error of its operations
+    # against the exact k*t wherever f(beta) is positive, at subnormal t too, and so does
+    # the pulse window's; past that bound both kernels reject the rate
+    per_rate = 32 * Fraction(math.pi) ** 3 * Fraction(HBAR_ERG_S)
+    rng = np.random.default_rng(3201)
+    rows = windows = rejected = 0
+    for s_mw, ratio, dec in _draws(32, (25.0, 35.0), (297.0, 300.5), (-1.0, 0.0)):
+        exact_rate = _exact_rate(s_mw, ratio, dec)
+        margin = exact_rate * per_rate / Fraction(sys.float_info.max)
+        if exact_rate <= sys.float_info.max or abs(margin - 1) < 1e-12:
+            continue
+        scale = ensemble._beta_scale(s_mw, ratio, dec)
+        if margin > 1:
+            rejected += 1
+            with pytest.raises(ValueError, match="beta's rate overflows at S_mw"):
+                ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [0.0])
+            with pytest.raises(ValueError, match="beta overflows at t = 1e-300 s"):
+                ensemble._window(*scale, 0.0, 1e-300)
+            continue
+        t = float(Fraction(10.0 ** rng.uniform(-20.0, 200.0)) / exact_rate)
+        if t == 0:
+            continue
+        # rho22_0 = 0 keeps the intensity out of the check
+        beta = ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [t])[0][1]
+        exact = exact_rate * Fraction(t)
+        rows += 1
+        assert _within_8_ulp(beta, exact), (s_mw, ratio, dec, t)
+        if exact >= 1:
+            # a window [t, 2t] from beta >= 1 releases E(k*t) - E(2*k*t) of the stored
+            # energy, read from beta alone (its W is below the normal range at such rates)
+            windows += 1
+            window, released = ensemble._window(*scale, t, 2.0 * t)
+            expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
+                float(2 * exact))
+            assert window is None and released == pytest.approx(expected, rel=1e-13)
+    assert rows > 1000 and windows > 500 and rejected > 300
 
 
 # ---------------------------------------------------------------------------
