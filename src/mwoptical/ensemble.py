@@ -169,22 +169,20 @@ def _beta_rate(s_mw: float, ratio: float, decrement: float) -> float:
 
 
 def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
-    """(rate, e) with beta = rate * t * 2^e: k = K*S_mw*ratio*decrement in that order, e = 0,
-    where K * S_mw and k are finite normal numbers; else, to keep beta's digits, K times
-    the ``math.frexp`` mantissas of the operands over 8 (so rate * t is finite at every
-    finite t) with e their exponents' sum plus 3, scaled by 2^1020 above the largest float
-    (so rate * t is normal at every t > 0); (inf, 0) where 32*pi^3*hbar*k overflows (1.7e332)."""
+    """(rate, e) with beta = rate * t * 2^e, a finite rate at every finite operand: k =
+    K*S_mw*ratio*decrement in that order, e = 0, where K * S_mw and k are finite normal
+    numbers; else, to keep beta's digits, m = K times the ``math.frexp`` mantissas of the
+    operands over 8, below 0.55, and x their exponents' sum plus 3, as (m * 2^s, x - s)
+    with s = x clamped to [0, 1020]: m * t is finite at every finite t where x <= 0, and a
+    positive rate * t is normal at every t > 0 where x > 1020."""
     head = _K * s_mw
     rate = head * ratio * decrement
     if sys.float_info.min <= head and sys.float_info.min <= rate < math.inf:
         return rate, 0
     (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
     rate, exponent = _K * s * r * d / 8.0, s_exp + r_exp + d_exp + 3
-    if _scaled(rate, exponent) < math.inf:
-        return rate, exponent
-    if _scaled(rate * 6.0e3 * HBAR_ERG_S / _B, exponent) < math.inf:
-        return math.ldexp(rate, 1020), exponent - 1020
-    return math.inf, 0
+    shift = min(max(exponent, 0), 1020)
+    return math.ldexp(rate, shift), exponent - shift
 
 
 def _scaled(x: float, exponent: int) -> float:
@@ -200,7 +198,8 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
     (erg s^-1 cm^-2), beta and f(beta) evaluated once per time.
     I_total = decrement*sigma_max(cfg, beta)*S_mw is the
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
-    conversion efficiency, zero by convention at zero drive.  ValueError on overflow, on
+    conversion efficiency, zero by convention at zero drive.  beta's rate may exceed the
+    largest float.  ValueError where beta, I_total or eta overflows, on
     f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
     decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
     return _rows(_checked(s_mw, "flux S_mw"), decrement, *_operands(cfg), cfg.area, times)
@@ -212,8 +211,6 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     rate, exponent = _beta_scale(s_mw, ratio, decrement)
-    if rate == math.inf:   # inf * t would read nan at t = 0
-        raise ValueError(f"beta's rate overflows at S_mw = {s_mw} erg/s/cm^2")
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     power = area * s_mw
     if s_mw > 0 and power == 0:
@@ -262,28 +259,31 @@ def _window(rate: float, exponent: int, t0: float, t1: float) -> tuple:
     """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t
     (see ``_beta_scale``): W is the integral (s) of f(beta) over the window and R the
     share G(beta(t1)) - G(beta(t0)) of the stored energy released over it; the integral
-    of f(k*t) over [0, T] is T*g(k*T) (see ``_g``).  A window narrower than t1/32 is
-    integrated by Gauss-Legendre; a wider one that starts at beta >= 1 gives
-    (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta overflows."""
+    of f(k*t) over [0, T] is T*g(k*T) (see ``_g``), and G(B) = B*g(B).  R is formed from
+    beta, not from W, so it keeps its digits where W is below the normal range.  A window
+    narrower than t1/32 is integrated by Gauss-Legendre on nodes in beta; a wider
+    one that starts at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError
+    where beta overflows, the one limit on k."""
     beta0, beta1 = ((_scaled(rate * t0, exponent), _scaled(rate * t1, exponent)) if exponent
                     else (rate * t0, rate * t1))
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
     width = t1 - t0
     if width < t1 / 32.0:
-        # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative
-        mid, half = t0 + width / 2.0, math.sqrt(0.15) * width
-        fa, fm, fb = [f_beta(_scaled(rate * t, exponent) if exponent else rate * t)
-                      for t in (mid - half, mid, mid + half)]
-        window = width * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
-    elif 1.0 <= beta0:
+        # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative,
+        # on nodes placed in beta, which keep their digits at a subnormal t; the span
+        # beta1 - beta0 is exact, since beta0 >= 31*beta1/32
+        span = beta1 - beta0
+        mid, half = beta0 + span / 2.0, math.sqrt(0.15) * span
+        fa, fm, fb = [f_beta(beta) for beta in (mid - half, mid, mid + half)]
+        quadrature = 5.0 * (fa + fb) + 8.0 * fm
+        return width * quadrature / 18.0, span * quadrature / 18.0
+    if 1.0 <= beta0:
         # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
         # cancels; E(beta0) - E(beta1) cancels 120-fold at most
         return None, _stored_share(beta0) - _stored_share(beta1)
-    else:
-        window = t1 * _g(beta1) - t0 * _g(beta0)
-    # G(k*t1) - G(k*t0) = beta(t1)*window/t1, 0 for an empty window
-    return window, beta1 * window / t1 if window else 0.0
+    g0, g1 = _g(beta0), _g(beta1)
+    return t1 * g1 - t0 * g0, beta1 * g1 - beta0 * g0
 
 
 def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
@@ -294,8 +294,9 @@ def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
     decrement * _sigma_prefactor * S_mw times the window integral W.  Equally, it is the
     energy stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s
     line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released over the window, and it
-    is formed so where the product overflows or ``_window``, which picks one of the three
-    window formulas, gives no W.  ValueError on a reversed window, where beta or the stored
+    is formed so where the product overflows, where W is below the normal range and the
+    share is not, or where ``_window``, which picks one of the three window formulas,
+    gives no W.  ValueError on a reversed window, where beta or the stored
     energy overflows, where the energy is below the normal range but not 0, and where it
     is 0 at nonzero flux, decrement, ratio, rho22_0 and window width."""
     _checked(s_mw, "flux S_mw")
@@ -323,12 +324,14 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if s_mw != last_s_mw or decrement != last_decrement:
             window, released = _window(*_beta_scale(s_mw, ratio, decrement), t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
-        if window is not None:
+        # a W below the normal range keeps fewer digits than a normal R
+        stored = window is None or window < sys.float_info.min <= released
+        if not stored:
             # _sigma_prefactor, in its operand order: calling it here made 201-point
             # rho22_initial and vessel_length_cm pulse sweeps 18-21% slower, same bits
             scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
             energy = scale * s_mw * window
-        if window is None or not math.isfinite(energy):
+        if stored or not math.isfinite(energy):
             # the stored energy times the released share, which scale*S_mw can overflow
             # where this does not; N*rho22_0 first, since the other factors are below 1
             energy = n_atoms * rho22_0 * (quantum * released)

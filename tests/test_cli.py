@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import test_golden
-from mwoptical import cli
+from mwoptical import cli, ensemble
 from mwoptical.cli import (
     ConfigError,
     SweepSpec,
@@ -29,7 +30,8 @@ from mwoptical.cli import (
     run_sweep,
 )
 from mwoptical.ensemble import depletion_time, evaluate, pulse_energy
-from mwoptical.units import field_from_flux, freq_mhz_to_angular
+from mwoptical.hydrogen import OMEGA_31
+from mwoptical.units import HBAR_ERG_S, field_from_flux, freq_mhz_to_angular
 
 WORKED_VESSEL = """\
 # worked-example vessel
@@ -705,7 +707,9 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
     assert main(["scenario", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: n31 overflows (length = 1e+300")
-    # beta's rate overflows at a finite field: inf*t read nan at t = 0
+    # beta's rate, about 4.4e335 s^-1, exceeds the largest float at a finite flux, but the
+    # row kernel rejects only what overflows: here the intensity at t = 0, where beta = 0,
+    # since the cross-section scale reads ratio = 1e308 too
     config.write_text("channel = fine_structure\nflux_w_cm2 = 1e20\n"
                       "ratio_mode = custom\nratio_value = 1e308\n")
     for args in (["scenario"], ["sweep", "--param", "flux_w_cm2", "--min", "1e19", "--max",
@@ -713,7 +717,7 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
         assert main([args[0], "--config", str(config), *args[1:]]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "nan" not in captured.err
-        assert "beta's rate overflows at S_mw = " in captured.err
+        assert "beta, intensity or efficiency overflows at t = 0.0 s" in captured.err
 
 
 def test_a_rate_above_the_largest_float_still_computes(tmp_path, capsys):
@@ -729,6 +733,45 @@ def test_a_rate_above_the_largest_float_still_computes(tmp_path, capsys):
         assert main(sweep + [objective]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:3] == [f"1.00000000e+12,{rows[0]}", f"2.00000000e+12,{rows[1]}"]
+
+
+@pytest.mark.parametrize("config, low, high, energies", [
+    # beta's rate about 4.4e334 and 4.4e335 s^-1, the window ends at a subnormal 1e-320 s
+    ("ratio_value = 1e308\ntime_stop_s = 1e-320\n", 1e19, 1e20,
+     ("8.75639136e+05", "8.75639161e+05")),
+    # W = t1*g(k*t1) is subnormal (about 2.3e-318 s), the share released is not; the
+    # cross-section scale overflows here, and the energy reads the share
+    ("ratio_value = 1e300\nrho22_initial = 1e-200\ntime_stop_s = 1e-300\n", 1e10, 2e10,
+     ("8.75639172e-191", "8.75639172e-191")),
+    # the same W in a vessel whose scale times S_mw is finite: the energy reads the share
+    ("ratio_value = 1e300\nvessel_area_cm2 = 1e-3\nrho22_initial = 1e-20\n"
+     "time_stop_s = 1e-300\n", 1e10, 2e10, ("8.75639172e-14", "8.75639172e-14")),
+], ids=["rate_above_1e334", "subnormal_window_integral", "subnormal_window_integral_finite_scale"])
+def test_pulse_energy_at_a_subnormal_window_integral_reads_the_released_share(
+        config, low, high, energies):
+    # deep in depletion from t = 0 the energy is the stored energy N*rho22_0*hbar*omega_31
+    # times the share released, 1 - sqrt(pi)/(2*sqrt(beta1)) where erf(sqrt(beta1)) = 1
+    cfg = parse_config(f"channel = fine_structure\nratio_mode = custom\n{config}")
+    _, rows, _ = run_sweep(cfg, SweepSpec("flux_w_cm2", low, high, 2,
+                                          objective="pulse_energy"))
+    assert [f"{energy:.8e}" for _, energy in rows] == list(energies)
+    _, decrement, ens = cli._scenario_physics(cfg)
+    stored = ens.n_atoms * cfg.rho22_initial * HBAR_ERG_S * OMEGA_31
+    for flux, energy in rows:
+        beta1 = float(Fraction(ensemble._K) * Fraction(cli._flux(flux)) * Fraction(cfg.ratio)
+                      * Fraction(decrement) * Fraction(cfg.time_stop_s))
+        assert energy == pytest.approx(stored * (1.0 - math.sqrt(math.pi / beta1) / 2.0),
+                                       rel=1e-9)
+
+
+def test_pulse_energy_keeps_a_subnormal_window_integral_over_a_smaller_share():
+    # k is about 4.4e-3 s^-1 and t1 = 1e-318 s: W = t1*g(k*t1) and the share released,
+    # k*W, are both subnormal, and W, some 230 times larger and so 8 bits longer, sets
+    # the energy
+    config = "channel = fine_structure\nvessel_area_cm2 = 1e100\ntime_stop_s = 1e-318\n"
+    _, rows, _ = run_sweep(parse_config(config), SweepSpec("flux_w_cm2", 1e-10, 2e-10, 2,
+                                                           objective="pulse_energy"))
+    assert [f"{energy:.8e}" for _, energy in rows] == ["1.27392947e-215", "2.54785894e-215"]
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -1084,9 +1127,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 37 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 39 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 211
+    assert len(commands) == 213
     return [command["argv"] for command in commands]
 
 

@@ -305,6 +305,12 @@ def test_beta_rate_overflows_only_where_the_exact_rate_does():
     assert _beta_rate(sys.float_info.max, 0.1, 1.0) == pytest.approx(7.8461e307, rel=1e-4)
 
 
+def test_beta_scale_at_zero_flux_carries_no_exponent():
+    # the exponent is moved into the rate even where the rate is 0, so rows at zero
+    # flux skip the per-row scaling
+    assert ensemble._beta_scale(0.0, 1.0, 1.0) == (0.0, 0)
+
+
 def test_beta_and_tau_are_within_4_ulp_of_exact_over_the_working_range():
     # beta = k*t from the row kernel and tau = B/k against exact K*S_mw*ratio*decrement,
     # at fluxes of 1e-3 to 1e3 W/cm^2, ratios of 1e-2 to 1e3, decrements of 1e-3 to 1 and
@@ -366,26 +372,32 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
 
 
 def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
-    # where beta's rate k exceeds the largest float but 32*pi^3*hbar*k does not (k below
-    # about 1.7e332 s^-1), the row kernel's beta keeps the rounding error of its operations
+    # where beta's rate k exceeds the largest float (up to about 1.4e617 s^-1 at the largest
+    # S_mw and ratio), the row kernel's beta keeps the rounding error of its operations
     # against the exact k*t wherever f(beta) is positive, at subnormal t too, and so does
-    # the pulse window's; past that bound both kernels reject the rate
-    per_rate = 32 * Fraction(math.pi) ** 3 * Fraction(HBAR_ERG_S)
+    # the pulse window's; the window over [0, 1e-300] raises exactly where the exact
+    # k*1e-300 exceeds the largest float, and elsewhere releases 1 - E(k*1e-300)
     rng = np.random.default_rng(3201)
-    rows = windows = rejected = 0
-    for s_mw, ratio, dec in _draws(32, (25.0, 35.0), (297.0, 300.5), (-1.0, 0.0)):
-        exact_rate = _exact_rate(s_mw, ratio, dec)
-        margin = exact_rate * per_rate / Fraction(sys.float_info.max)
-        if exact_rate <= sys.float_info.max or abs(margin - 1) < 1e-12:
-            continue
+    rows = windows = rejected = accepted = 0
+    for s_mw, ratio, dec in _draws(33, (300.0, 308.25), (300.0, 308.25), (-1.0, 0.0),
+                                   count=2000):
+        exact_end = _exact_rate(s_mw, ratio, dec) * Fraction(1e-300)
+        margin = exact_end / Fraction(sys.float_info.max)
         scale = ensemble._beta_scale(s_mw, ratio, dec)
-        if margin > 1:
+        if margin > 1 + 1e-12:
             rejected += 1
-            with pytest.raises(ValueError, match="beta's rate overflows at S_mw"):
-                ensemble._rows(s_mw, dec, 1.0, 0.0, ratio, 1.0, [0.0])
             with pytest.raises(ValueError, match="beta overflows at t = 1e-300 s"):
                 ensemble._window(*scale, 0.0, 1e-300)
+        elif margin < 1 - 1e-12:
+            accepted += 1
+            released = ensemble._window(*scale, 0.0, 1e-300)[1]
+            assert released == pytest.approx(1.0 - ensemble._stored_share(float(exact_end)),
+                                             rel=1e-13)
+    for s_mw, ratio, dec in _draws(32, (25.0, 308.25), (297.0, 308.25), (-1.0, 0.0)):
+        exact_rate = _exact_rate(s_mw, ratio, dec)
+        if exact_rate <= sys.float_info.max:
             continue
+        scale = ensemble._beta_scale(s_mw, ratio, dec)
         t = float(Fraction(10.0 ** rng.uniform(-20.0, 200.0)) / exact_rate)
         if t == 0:
             continue
@@ -402,7 +414,14 @@ def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
             expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
                 float(2 * exact))
             assert window is None and released == pytest.approx(expected, rel=1e-13)
-    assert rows > 1000 and windows > 500 and rejected > 300
+            # a window [t, t + t/64] is integrated by Gauss-Legendre on nodes placed in
+            # beta, and its share keeps its digits at a subnormal t, where W is subnormal too
+            t1 = t + t / 64.0
+            released = ensemble._window(*scale, t, t1)[1]
+            expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
+                float(exact_rate * Fraction(t1)))
+            assert released == pytest.approx(expected, rel=1e-10)
+    assert rows > 1000 and windows > 500 and rejected > 300 and accepted > 300
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 37 edge commands of
+(``perfbench/gen.py``) under "commands", and the 39 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -19,10 +19,11 @@ ones before the optical wavelength became a constant; the 29th edge command
 was recorded after its overflow was fixed, at exit 0, the next three after
 the deep-depletion pulse energy was fixed, the next two after beta's rate
 kept its digits below a subnormal head, the next two after the drive became
-its flux S_mw and a subnormal tau or pulse energy exited 3, and the last after a tau
+its flux S_mw and a subnormal tau or pulse energy exited 3, the 37th after a tau
 from a subnormal rate of beta kept its digits, its ``--out`` digest again after
-beta from that rate did), so these tests pin that refactors leave every byte
-unchanged.
+beta from that rate did, and the last two after a pulse energy whose window
+integral is subnormal was read from the released share), so these tests pin that
+refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -133,7 +134,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 37
+    assert len(edge) == 39
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -197,7 +198,7 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the nineteen from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the twenty-one from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
@@ -212,7 +213,9 @@ def _edge_commands():
     is subnormal, which it printed; one prints the pulse energy at a subnormal
     flux, linear in the flux, which read 1.99 times too high; and the last prints
     the tau and the rows of a flux whose beta rate is subnormal, where tau read
-    2.7% high and beta read 0 at t > 0."""
+    2.7% high and beta read 0 at t > 0; the next prints the pulse energy at a rate
+    of beta above 1e334 s^-1, which exited 3; and the last prints a pulse energy
+    whose window integral is subnormal, which read 8.9e-7 low."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -280,6 +283,10 @@ def _edge_commands():
         sweep(plain + "vessel_area_cm2 = 1e10\nvessel_length_cm = 1e10\n",
               "flux_w_cm2", 2.964e-322, 1e-300, 2, "pulse_energy"),
         scenario(plain + "flux_w_cm2 = 1e-306\n"),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e308\ntime_stop_s = 1e-320\n",
+              "flux_w_cm2", 1e19, 1e20, 2, "pulse_energy"),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e300\nrho22_initial = 1e-200\n"
+              "time_stop_s = 1e-300\n", "flux_w_cm2", 1e10, 2e10, 2, "pulse_energy"),
     ]
 
 
