@@ -163,11 +163,6 @@ def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
     return n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2 * ratio * rho22_0
 
 
-def _beta_rate(s_mw: float, ratio: float, decrement: float) -> float:
-    """beta's rate k = K * S_mw * ratio * decrement (s^-1), inf where it overflows."""
-    return _scaled(*_beta_scale(s_mw, ratio, decrement))
-
-
 def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
     """(rate, e) with beta = rate * t * 2^e, a finite rate at every finite operand: k =
     K*S_mw*ratio*decrement in that order, e = 0, where K * S_mw and k are finite normal
@@ -241,10 +236,10 @@ def _g(beta: float) -> float:
     """G(B)/B, where G(B) = integral of 1 - exp(-B*x^2) over x in [0, 1]
     = 1 - exp(-B) - 2*B*f(B), formed so for B >= 0.1; below that, where it would
     cancel, the Taylor series sum_k (-B)^k / ((k+1)! * (2k+3)) up to k = 9, within
-    1 ulp, and g(0) = 1/3 without it."""
+    1 ulp."""
     if beta >= _SERIES_CUTOFF:
         return -math.expm1(-beta) / beta - 2.0 * f_beta(beta)
-    return _taylor(beta, _G_TAYLOR) if beta else 1.0 / 3.0
+    return _taylor(beta, _G_TAYLOR)
 
 
 def _stored_share(beta: float) -> float:
@@ -255,15 +250,17 @@ def _stored_share(beta: float) -> float:
     return _SQRT_PI * math.erf(root) / (2.0 * root)
 
 
-def _window(rate: float, exponent: int, t0: float, t1: float) -> tuple:
+def _window(rate: float, exponent: int, t0: float, t1: float, scale: float = 1.0) -> tuple:
     """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t
-    (see ``_beta_scale``): W is the integral (s) of f(beta) over the window and R the
-    share G(beta(t1)) - G(beta(t0)) of the stored energy released over it; the integral
-    of f(k*t) over [0, T] is T*g(k*T) (see ``_g``), and G(B) = B*g(B).  R is formed from
-    beta, not from W, so it keeps its digits where W is below the normal range.  A window
-    narrower than t1/32 is integrated by Gauss-Legendre on nodes in beta; a wider
-    one that starts at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError
-    where beta overflows, the one limit on k."""
+    (see ``_beta_scale``): W is scale times the integral (s) of f(beta) over the window,
+    each time multiplied by scale first, so that W keeps its digits at a subnormal t
+    wherever scale lifts it into the normal range; R is the share G(beta(t1)) -
+    G(beta(t0)) of the stored energy released over the window.  The integral of f(k*t)
+    over [0, T] is T*g(k*T) (see ``_g``), and G(B) = B*g(B).  R is formed from beta, not
+    from W, so it keeps its digits where W is below the normal range.  A window narrower
+    than t1/32 is integrated by Gauss-Legendre on nodes in beta; a wider one that starts
+    at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta
+    overflows, the one limit on k."""
     beta0, beta1 = ((_scaled(rate * t0, exponent), _scaled(rate * t1, exponent)) if exponent
                     else (rate * t0, rate * t1))
     if not math.isfinite(beta1):
@@ -277,13 +274,13 @@ def _window(rate: float, exponent: int, t0: float, t1: float) -> tuple:
         mid, half = beta0 + span / 2.0, math.sqrt(0.15) * span
         fa, fm, fb = [f_beta(beta) for beta in (mid - half, mid, mid + half)]
         quadrature = 5.0 * (fa + fb) + 8.0 * fm
-        return width * quadrature / 18.0, span * quadrature / 18.0
+        return scale * width * quadrature / 18.0, span * quadrature / 18.0
     if 1.0 <= beta0:
         # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
         # cancels; E(beta0) - E(beta1) cancels 120-fold at most
         return None, _stored_share(beta0) - _stored_share(beta1)
     g0, g1 = _g(beta0), _g(beta1)
-    return t1 * g1 - t0 * g0, beta1 * g1 - beta0 * g0
+    return scale * t1 * g1 - scale * t0 * g0, beta1 * g1 - beta0 * g0
 
 
 def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
@@ -291,7 +288,8 @@ def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
     """Emitted energy (erg) at drive flux s_mw (erg s^-1 cm^-2) over the window [t0, t1],
     0 <= t0 <= t1 (s): the time integral of ``evaluate``'s
     I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
-    decrement * _sigma_prefactor * S_mw times the window integral W.  Equally, it is the
+    decrement * _sigma_prefactor * S_mw times the window integral W, or, where W is below
+    the normal range, as ``_window``'s W scaled by that product.  Equally, it is the
     energy stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s
     line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released over the window, and it
     is formed so where the product overflows, where W is below the normal range and the
@@ -322,7 +320,8 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
         if not decrement >= 0:
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if s_mw != last_s_mw or decrement != last_decrement:
-            window, released = _window(*_beta_scale(s_mw, ratio, decrement), t0, t1)
+            rate, exponent = _beta_scale(s_mw, ratio, decrement)
+            window, released = _window(rate, exponent, t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
         # a W below the normal range keeps fewer digits than a normal R
         stored = window is None or window < sys.float_info.min <= released
@@ -330,7 +329,9 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             # _sigma_prefactor, in its operand order: calling it here made 201-point
             # rho22_initial and vessel_length_cm pulse sweeps 18-21% slower, same bits
             scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
-            energy = scale * s_mw * window
+            # a subnormal W holds fewer digits than the times it is formed from
+            energy = (scale * s_mw * window if window >= sys.float_info.min
+                      else _window(rate, exponent, t0, t1, scale * s_mw)[0])
         if stored or not math.isfinite(energy):
             # the stored energy times the released share, which scale*S_mw can overflow
             # where this does not; N*rho22_0 first, since the other factors are below 1

@@ -20,7 +20,6 @@ __all__ = [
     "wavelength_to_angular",
     "flux_si_to_cgs",
     "field_from_flux",
-    "flux_from_field",
 ]
 
 # fundamental constants in Gaussian CGS (CODATA 2018)
@@ -102,16 +101,3 @@ def field_from_flux(flux_cgs: float) -> float:
     e0_squared = 8.0 * math.pi * flux_cgs / C_CM_S
     return math.sqrt(e0_squared if e0_squared < math.inf else 8.0 * math.pi / C_CM_S * flux_cgs)
 
-
-def flux_from_field(e0: float) -> float:
-    """Energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) for field amplitude E0 (statV/cm);
-    ValueError where S is not finite."""
-    if not e0 >= 0:
-        raise ValueError(f"field amplitude must be nonnegative, got {e0} statV/cm")
-    try:
-        flux = C_CM_S * e0**2 / (8.0 * math.pi)
-    except OverflowError:   # E0^2 leaves the double range
-        flux = math.inf
-    if flux == math.inf:
-        raise ValueError(f"energy flux overflows at field amplitude {e0} statV/cm")
-    return flux

@@ -7,20 +7,20 @@ from mwoptical.coupling import coupling_element, damping_decrement, detuning_lin
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import EnsembleConfig, depletion_time, evaluate, pulse_energy
 from mwoptical.hydrogen import GAMMA_31
-from mwoptical.units import A0_CM, C_CM_S, E_STATC, HBAR_ERG_S, flux_from_field
+from mwoptical.units import A0_CM, E_STATC, HBAR_ERG_S
 
 VESSEL = EnsembleConfig(10.0, 1.0, 0.9e-4, 1.0e-4, 1.0)
 OMEGA_31 = 1.5e16   # rad/s, near the 2p-1s line
 
-# each function that takes the drive, called at the drive: the ensemble functions take
-# the flux S_mw (erg s^-1 cm^-2), coupling and dynamics the field amplitude E0 (statV/cm)
+# each function that takes the drive, called at the drive: the ensemble and dynamics
+# functions take the flux S_mw (erg s^-1 cm^-2), coupling the field amplitude E0 (statV/cm)
 DRIVE_TAKERS = {
     "evaluate": ("flux S_mw", lambda s_mw: evaluate(VESSEL, s_mw, 1.0, [0.0, 1e-7])),
     "pulse_energy": ("flux S_mw", lambda s_mw: pulse_energy(VESSEL, s_mw, 1.0, 0.0, 1e-7)),
     "depletion_time": ("flux S_mw", lambda s_mw: depletion_time(VESSEL, s_mw, 1.0)),
+    "intensity_weak": ("flux S_mw",
+                       lambda s_mw: intensity_weak(s_mw, 0.3, 1.0, OMEGA_31, 1.0, 0.5)),
     "coupling_element": ("field amplitude", lambda e0: coupling_element(1e-18, e0, 0.3)),
-    "intensity_weak": ("field amplitude",
-                       lambda e0: intensity_weak(e0, 0.3, 1.0, OMEGA_31, 1.0, 0.5)),
 }
 
 # each function that takes an angle theta (rad), called at theta
@@ -28,10 +28,6 @@ ANGLE_TAKERS = {
     "coupling_element": lambda theta: coupling_element(1e-18, 1.0, theta),
     "intensity_weak": lambda theta: intensity_weak(1.0, theta, 1.0, OMEGA_31, 1.0, 0.5),
 }
-
-
-def test_drive_flux_is_derived():
-    assert flux_from_field(0.5) == pytest.approx(C_CM_S * 0.25 / (8.0 * math.pi), rel=1e-14)
 
 
 def test_drive_validation():

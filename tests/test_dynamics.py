@@ -16,11 +16,11 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
 )
-from mwoptical.units import field_from_flux, flux_from_field, flux_si_to_cgs, wavelength_to_angular
+from mwoptical.units import C_CM_S, flux_si_to_cgs, wavelength_to_angular
 
 
-def _field(flux_w_cm2=1.0):
-    return field_from_flux(flux_si_to_cgs(flux_w_cm2))
+def _flux(flux_w_cm2=1.0):
+    return flux_si_to_cgs(flux_w_cm2)
 
 
 def _rabi_and_coupling(omega_over_gamma):
@@ -32,7 +32,7 @@ def _rabi_and_coupling(omega_over_gamma):
     summed = effective_dipole(mode("2p3/2"), mode("2s1/2"))
     e0 = omega_over_gamma * GAMMA_31 * oracles.HBAR / m0
     return (coupling_element(m0, e0, 0.0), coupling_element(summed, e0, 0.0),
-            flux_from_field(e0))
+            C_CM_S * e0**2 / (8.0 * math.pi))
 
 
 # The package's vessel on the 2p3/2-1s1/2 line with the catalog dipole ratio:
@@ -161,23 +161,23 @@ def test_intensity_full_rejects_zero_rate_transition():
 
 
 def test_intensity_weak_zeros():
-    e0 = _field()
-    assert intensity_weak(e0, math.pi / 2, 1.0, OMEGA_31, 1.0, 0.5) \
+    s_mw = _flux()
+    assert intensity_weak(s_mw, math.pi / 2, 1.0, OMEGA_31, 1.0, 0.5) \
         == pytest.approx(0.0, abs=1e-20)
-    assert intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 0.0) == 0.0
+    assert intensity_weak(s_mw, 0.0, 1.0, OMEGA_31, 1.0, 0.0) == 0.0
 
 
 def test_intensity_weak_validation():
-    e0 = _field()
+    s_mw = _flux()
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="omega_31"):
-            intensity_weak(e0, 0.0, 1.0, bad, 1.0, 0.5)
+            intensity_weak(s_mw, 0.0, 1.0, bad, 1.0, 0.5)
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="ratio"):
-            intensity_weak(e0, 0.0, bad, OMEGA_31, 1.0, 0.5)
+            intensity_weak(s_mw, 0.0, bad, OMEGA_31, 1.0, 0.5)
     for bad in (0.0, -0.5, 2.5, math.nan):
         with pytest.raises(ValueError, match=r"damping decrement must lie in \(0, 2\]"):
-            intensity_weak(e0, 0.0, 1.0, OMEGA_31, bad, 0.5)
+            intensity_weak(s_mw, 0.0, 1.0, OMEGA_31, bad, 0.5)
     with pytest.raises(ValueError, match=r"damping decrement must lie in \(0, 2\]"):
         intensity_full(OMEGA_31, GAMMA_31, 2.0e6, 0.0, 0.1)
 
@@ -198,40 +198,40 @@ def test_weak_equals_full_at_zero_rho33():
         b32 = coupling_element(math.sqrt(ratio) * d31, e0, theta)
 
         full = intensity_full(omega31, decay_rate(omega31, d31), b32, dec, rho22)
-        weak = intensity_weak(e0, theta, ratio, omega31, dec, rho22)
+        weak = intensity_weak(C_CM_S * e0**2 / (8.0 * math.pi), theta, ratio, omega31, dec,
+                              rho22)
         assert weak == pytest.approx(full, rel=1e-12, abs=1e-300)
 
 
-def _sigma(e0, theta, ratio, omega31, dec, rho22):
+def _sigma(s_mw, theta, ratio, omega31, dec, rho22):
     """Single-atom cross-section sigma = I/S_mw (cm^2)."""
-    return intensity_weak(e0, theta, ratio, omega31, dec, rho22) / flux_from_field(e0)
+    return intensity_weak(s_mw, theta, ratio, omega31, dec, rho22) / s_mw
 
 
 def test_single_atom_cross_section_value():
     # resonance, aligned, unit ratio and excitation on the 122 nm line:
     # sigma = (3/2pi) * wavelength^2, frozen from the flux-form arithmetic
     omega31 = wavelength_to_angular(1.22e-5)
-    e0 = _field()
-    sigma = _sigma(e0, 0.0, 1.0, omega31, 1.0, 1.0)
+    sigma = _sigma(_flux(), 0.0, 1.0, omega31, 1.0, 1.0)
     assert sigma == pytest.approx(7.10658651893931e-11, rel=1e-12)
     assert sigma == pytest.approx(3.0 / (2.0 * math.pi) * (1.22e-5) ** 2, rel=1e-12)
 
 
 def test_single_atom_cross_section_flux_invariant():
-    # the E0^2 in I cancels against S_mw
+    # I is linear in S_mw
     omega31 = OMEGA_31
-    base = _sigma(_field(1.0), 0.4, 2.0, omega31, 0.9, 0.3)
-    quadrupled = _sigma(_field(4.0), 0.4, 2.0, omega31, 0.9, 0.3)
+    base = _sigma(_flux(1.0), 0.4, 2.0, omega31, 0.9, 0.3)
+    quadrupled = _sigma(_flux(4.0), 0.4, 2.0, omega31, 0.9, 0.3)
     assert quadrupled == pytest.approx(base, rel=1e-12)
 
 
 def test_single_atom_cross_section_linearities():
     omega31 = OMEGA_31
-    e0 = _field()
-    base = _sigma(e0, 0.0, 1.0, omega31, 1.0, 0.25)
-    assert _sigma(e0, 0.0, 3.0, omega31, 1.0, 0.25) \
+    s_mw = _flux()
+    base = _sigma(s_mw, 0.0, 1.0, omega31, 1.0, 0.25)
+    assert _sigma(s_mw, 0.0, 3.0, omega31, 1.0, 0.25) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert _sigma(e0, 0.0, 1.0, omega31, 1.0, 0.75) \
+    assert _sigma(s_mw, 0.0, 1.0, omega31, 1.0, 0.75) \
         == pytest.approx(3.0 * base, rel=1e-12)
-    assert _sigma(e0, math.pi / 2, 1.0, omega31, 1.0, 0.25) \
+    assert _sigma(s_mw, math.pi / 2, 1.0, omega31, 1.0, 0.25) \
         == pytest.approx(0.0, abs=1e-20)

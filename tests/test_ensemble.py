@@ -11,7 +11,6 @@ from mwoptical.coupling import coupling_element
 from mwoptical.dynamics import intensity_weak
 from mwoptical.ensemble import (
     EnsembleConfig,
-    _beta_rate,
     _operands,
     _pulse_energies,
     depletion_time,
@@ -30,7 +29,7 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
 )
-from mwoptical.units import C_CM_S, HBAR_ERG_S, field_from_flux, flux_from_field, flux_si_to_cgs
+from mwoptical.units import C_CM_S, HBAR_ERG_S, field_from_flux, flux_si_to_cgs
 
 LAMBDA_31 = 1.22e-5   # cm
 
@@ -38,6 +37,12 @@ LAMBDA_31 = 1.22e-5   # cm
 def _flux(flux_w_cm2=1.0):
     """The drive flux S_mw (erg s^-1 cm^-2) that the ensemble functions take."""
     return flux_si_to_cgs(flux_w_cm2)
+
+
+def _beta_rate(s_mw, ratio, dec):
+    """beta's rate k = K * S_mw * ratio * decrement (s^-1) as one float, inf where it
+    overflows."""
+    return ensemble._scaled(*ensemble._beta_scale(s_mw, ratio, dec))
 
 
 def _e0_squared(s_mw):
@@ -88,9 +93,12 @@ def test_f_beta_continuous_across_series_cutoff():
 
 
 def test_g_continuous_across_series_cutoff():
-    # series below 0.1, 1 - exp(-beta) - 2*beta*f(beta) over beta above
+    # series below 0.1, 1 - exp(-beta) - 2*beta*f(beta) over beta above; the series
+    # is 1/3 bit for bit at beta = 0 and -0
     for beta in (0.0999, 0.1, 0.1001):
         assert ensemble._g(beta) == pytest.approx(oracles.g_quad(beta), rel=1e-12)
+    for beta in (0.0, -0.0):
+        assert ensemble._g(beta) == 1.0 / 3.0
 
 
 def test_taylor_coefficients_are_correctly_rounded():
@@ -493,8 +501,7 @@ def test_intensity_matches_angular_quadrature_at_t0():
     omega31 = 2.0 * math.pi * 2.99792458e10 / LAMBDA_31
 
     def one_atom(theta):
-        return intensity_weak(field_from_flux(s_mw), theta, cfg.ratio, omega31, dec,
-                              cfg.rho22_0)
+        return intensity_weak(s_mw, theta, cfg.ratio, omega31, dec, cfg.rho22_0)
 
     brute = cfg.n_atoms * oracles.angular_average_quad(one_atom)
     assert _intensity(cfg, s_mw, dec, 0.0) == pytest.approx(brute, rel=1e-10)
@@ -808,7 +815,7 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
     # decrement*sigma*S_mw overflows here, the stored energy N*rho22*2*pi*hbar*c/wavelength
     # (~1e295 erg) does not, and neither does the energy
     cfg = _vessel(length=1e100, area=1e100, gas_density=1e82, rho22_0=1.0)
-    s_mw = flux_from_field(1e3)
+    s_mw = C_CM_S * 1e3**2 / (8.0 * math.pi)
     assert pulse_energy(cfg, s_mw, 1.0, 0.0, 1e-15) == pytest.approx(
         _stored_oracle(cfg, s_mw, 1.0, 0.0, 1e-15), rel=1e-10)
     assert pulse_energy(cfg, s_mw, 1.0, 0.0, 0.0) == 0.0   # an empty window at t = 0
@@ -901,17 +908,16 @@ def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
 
 @pytest.mark.parametrize("e0", [1.2e154, 1.3e154, 1e160, 1e300, sys.float_info.max])
 def test_a_huge_field_raises_value_error(e0):
-    # S_mw = c*E0^2/(8*pi) overflows: the ensemble functions reject the flux and
-    # intensity_weak the field, each with a ValueError that names no nan
+    # S_mw = c*E0^2/(8*pi) overflows: the ensemble functions and intensity_weak reject
+    # the flux, each with a ValueError that names no nan
     cfg, s_mw = _vessel(), C_CM_S * e0 * e0 / (8.0 * math.pi)
     assert s_mw == math.inf
     for call in (lambda: evaluate(cfg, s_mw, 1.0, [0.0, 1e-6]),
                  lambda: pulse_energy(cfg, s_mw, 1.0, 0.0, 1e-6),
-                 lambda: depletion_time(cfg, s_mw, 1.0)):
+                 lambda: depletion_time(cfg, s_mw, 1.0),
+                 lambda: intensity_weak(s_mw, 0.0, 1.0, OMEGA_31, 1.0, 1e-4)):
         with pytest.raises(ValueError, match="flux S_mw must be finite and nonnegative, got inf"):
             call()
-    with pytest.raises(ValueError, match="energy flux overflows at field amplitude"):
-        intensity_weak(e0, 0.0, 1.0, OMEGA_31, 1.0, 1e-4)
 
 
 def test_depletion_time_no_depletion_marker():

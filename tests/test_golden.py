@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 39 edge commands of
+(``perfbench/gen.py``) under "commands", and the 40 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -21,8 +21,9 @@ the deep-depletion pulse energy was fixed, the next two after beta's rate
 kept its digits below a subnormal head, the next two after the drive became
 its flux S_mw and a subnormal tau or pulse energy exited 3, the 37th after a tau
 from a subnormal rate of beta kept its digits, its ``--out`` digest again after
-beta from that rate did, and the last two after a pulse energy whose window
-integral is subnormal was read from the released share), so these tests pin that
+beta from that rate did, the next two after a pulse energy whose window
+integral is subnormal was read from the released share, and the last after the
+window integral of a subnormal time kept its digits), so these tests pin that
 refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
@@ -134,7 +135,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 39
+    assert len(edge) == 40
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -198,7 +199,7 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the twenty-one from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the twenty-two from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
@@ -211,11 +212,13 @@ def _edge_commands():
     the pulse energy and tau of a flux whose 3*E0^2*wavelength^3 is subnormal,
     which read 1.8e-4 off or exited 3 as tau overflowing; one exits 3 where tau
     is subnormal, which it printed; one prints the pulse energy at a subnormal
-    flux, linear in the flux, which read 1.99 times too high; and the last prints
-    the tau and the rows of a flux whose beta rate is subnormal, where tau read
-    2.7% high and beta read 0 at t > 0; the next prints the pulse energy at a rate
-    of beta above 1e334 s^-1, which exited 3; and the last prints a pulse energy
-    whose window integral is subnormal, which read 8.9e-7 low."""
+    flux, linear in the flux, which read 1.99 times too high; one prints the tau
+    and the rows of a flux whose beta rate is subnormal, where tau read 2.7% high
+    and beta read 0 at t > 0; the next prints the pulse energy at a rate
+    of beta above 1e334 s^-1, which exited 3; the next prints a pulse energy
+    whose window integral is subnormal, which read 8.9e-7 low; and the last prints
+    the pulse energy of a subnormal window whose released share is smaller still,
+    which read 4.9e-6 low."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -287,6 +290,8 @@ def _edge_commands():
               "flux_w_cm2", 1e19, 1e20, 2, "pulse_energy"),
         sweep(plain + "ratio_mode = custom\nratio_value = 1e300\nrho22_initial = 1e-200\n"
               "time_stop_s = 1e-300\n", "flux_w_cm2", 1e10, 2e10, 2, "pulse_energy"),
+        sweep(plain + "vessel_area_cm2 = 1e100\ntime_stop_s = 1e-318\n",
+              "flux_w_cm2", 1e-10, 2e-10, 2, "pulse_energy"),
     ]
 
 

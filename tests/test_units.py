@@ -11,7 +11,6 @@ from mwoptical.units import (
     HBAR_ERG_S,
     MU_H_G,
     field_from_flux,
-    flux_from_field,
     flux_si_to_cgs,
     freq_mhz_to_angular,
     wavelength_to_angular,
@@ -81,15 +80,18 @@ def test_field_from_flux_rejects_negative():
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="flux"):
             field_from_flux(bad)
-        with pytest.raises(ValueError, match="field amplitude must be nonnegative"):
-            flux_from_field(bad)
+
+
+def _flux_of(e0):
+    """The energy flux S = c*E0^2/(8*pi) (erg s^-1 cm^-2) of a field of amplitude E0."""
+    return C_CM_S * e0**2 / (8.0 * math.pi)
 
 
 def test_flux_field_bijection():
     for e0 in np.geomspace(1e-6, 1e3, 40):
-        assert field_from_flux(flux_from_field(e0)) == pytest.approx(e0, rel=1e-12)
+        assert field_from_flux(_flux_of(e0)) == pytest.approx(e0, rel=1e-12)
     for s in np.geomspace(1e-9, 1e9, 40):
-        assert flux_from_field(field_from_flux(s)) == pytest.approx(s, rel=1e-12)
+        assert _flux_of(field_from_flux(s)) == pytest.approx(s, rel=1e-12)
 
 
 def test_constants_are_the_codata_values():
