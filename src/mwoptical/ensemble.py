@@ -236,10 +236,11 @@ def _g(beta: float) -> float:
     """G(B)/B, where G(B) = integral of 1 - exp(-B*x^2) over x in [0, 1]
     = 1 - exp(-B) - 2*B*f(B), formed so for B >= 0.1; below that, where it would
     cancel, the Taylor series sum_k (-B)^k / ((k+1)! * (2k+3)) up to k = 9, within
-    1 ulp."""
+    1 ulp.  g(0) = 1/3 skips the series, which gives the same bits: every pulse
+    window from t = 0 reads g(0), and the series costs about four times as much."""
     if beta >= _SERIES_CUTOFF:
         return -math.expm1(-beta) / beta - 2.0 * f_beta(beta)
-    return _taylor(beta, _G_TAYLOR)
+    return _taylor(beta, _G_TAYLOR) if beta else 1.0 / 3.0
 
 
 def _stored_share(beta: float) -> float:

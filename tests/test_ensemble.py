@@ -93,12 +93,12 @@ def test_f_beta_continuous_across_series_cutoff():
 
 
 def test_g_continuous_across_series_cutoff():
-    # series below 0.1, 1 - exp(-beta) - 2*beta*f(beta) over beta above; the series
-    # is 1/3 bit for bit at beta = 0 and -0
+    # series below 0.1, 1 - exp(-beta) - 2*beta*f(beta) over beta above; g(0) = 1/3
+    # skips the series, which gives the same bits at beta = 0 and -0
     for beta in (0.0999, 0.1, 0.1001):
         assert ensemble._g(beta) == pytest.approx(oracles.g_quad(beta), rel=1e-12)
     for beta in (0.0, -0.0):
-        assert ensemble._g(beta) == 1.0 / 3.0
+        assert ensemble._g(beta) == ensemble._taylor(beta, ensemble._G_TAYLOR) == 1.0 / 3.0
 
 
 def test_taylor_coefficients_are_correctly_rounded():
