@@ -765,21 +765,26 @@ def test_pulse_energy_at_a_subnormal_window_integral_reads_the_released_share(
 
 
 def test_pulse_energy_keeps_a_subnormal_window_integral_over_a_smaller_share():
-    # k is about 4.4e-3 s^-1 and t1 = 1e-318 s: W = t1*g(k*t1) and the share released,
-    # k*W, are both subnormal, so the energy is the window integral of scale*S_mw, with
-    # each time scaled first, and keeps the digits of the exact scale*S_mw*t1*g(k*t1)
-    # (a subnormal W, about 16 bits long, read 1.27392947e-215 and 2.54785894e-215)
-    cfg = parse_config("channel = fine_structure\nvessel_area_cm2 = 1e100\n"
-                       "time_stop_s = 1e-318\n")
-    _, rows, _ = run_sweep(cfg, SweepSpec("flux_w_cm2", 1e-10, 2e-10, 2,
-                                          objective="pulse_energy"))
-    assert [f"{energy:.8e}" for _, energy in rows] == ["1.27393576e-215", "2.54787153e-215"]
-    # g(k*t1) is 1/3 to about 1e-322 here
-    _, decrement, ens = cli._scenario_physics(cfg)
-    scale = Fraction(decrement * ensemble._sigma_prefactor(*ensemble._operands(ens)))
-    for flux, energy in rows:
-        exact = scale * Fraction(cli._flux(flux)) * Fraction(cfg.time_stop_s) / 3
-        assert float(Fraction(energy) / exact - 1) == pytest.approx(0.0, abs=1e-15)
+    # k is about 4.4e-3 s^-1 and t1 = 1e-318 s: W and the share released, k*W, are both
+    # subnormal, so the energy is the window integral of scale*S_mw, with each time
+    # scaled first, and keeps the digits of the exact scale*S_mw*(t1 - t0)/3 (f and g
+    # are 1/3 to about 1e-322 here).  From t0 = 0, W = t1*g(k*t1) holds about 16 bits
+    # and read 1.27392947e-215 and 2.54785894e-215; on a window narrower than t1/32,
+    # Gauss-Legendre's W = (t1 - t0)*mean(f) holds about 10 and read 1.27455259e-217
+    # and 2.54910517e-217
+    for window, energies in (("time_stop_s = 1e-318\n", ["1.27393576e-215", "2.54787153e-215"]),
+                             ("time_start_s = 9.9e-319\ntime_stop_s = 1e-318\n",
+                              ["1.27392318e-217", "2.54784635e-217"])):
+        cfg = parse_config(f"channel = fine_structure\nvessel_area_cm2 = 1e100\n{window}")
+        _, rows, _ = run_sweep(cfg, SweepSpec("flux_w_cm2", 1e-10, 2e-10, 2,
+                                              objective="pulse_energy"))
+        assert [f"{energy:.8e}" for _, energy in rows] == energies
+        _, decrement, ens = cli._scenario_physics(cfg)
+        scale = Fraction(decrement * ensemble._sigma_prefactor(*ensemble._operands(ens)))
+        width = Fraction(cfg.time_stop_s) - Fraction(cfg.time_start_s)
+        for flux, energy in rows:
+            exact = scale * Fraction(cli._flux(flux)) * width / 3
+            assert float(Fraction(energy) / exact - 1) == pytest.approx(0.0, abs=1e-15)
 
 
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
