@@ -251,53 +251,51 @@ def _stored_share(beta: float) -> float:
     return _SQRT_PI * math.erf(root) / (2.0 * root)
 
 
-def _window(rate: float, exponent: int, t0: float, t1: float, scale: float = 1.0) -> tuple:
-    """(W, R) over t in [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t
-    (see ``_beta_scale``): W is scale times the integral (s) of f(beta) over the window,
-    each time multiplied by scale first, so that W keeps its digits at a subnormal t
-    wherever scale lifts it into the normal range; R is the share G(beta(t1)) -
-    G(beta(t0)) of the stored energy released over the window.  The integral of f(k*t)
-    over [0, T] is T*g(k*T) (see ``_g``), and G(B) = B*g(B).  R is formed from beta, not
-    from W, so it keeps its digits where W is below the normal range.  A window narrower
-    than t1/32 is integrated by Gauss-Legendre on nodes in beta; a wider one that starts
-    at beta >= 1 gives (None, E(beta(t0)) - E(beta(t1))).  ValueError where beta
-    overflows, the one limit on k."""
+def _window(rate: float, exponent: int, t0: float, t1: float) -> float:
+    """The share G(beta(t1)) - G(beta(t0)) of the stored energy released over the window
+    [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t (see ``_beta_scale``)
+    and G(B) = B*g(B) (see ``_g``), the integral of f(beta) over [0, B].  A window narrower
+    than t1/32 is integrated by Gauss-Legendre on nodes in beta, or in closed form where it
+    starts at beta >= 40; a wider one that starts at beta >= 1 releases
+    E(beta(t0)) - E(beta(t1)).  ValueError where beta overflows, the one limit on k."""
     beta0, beta1 = ((_scaled(rate * t0, exponent), _scaled(rate * t1, exponent)) if exponent
                     else (rate * t0, rate * t1))
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
     width = t1 - t0
     if width < t1 / 32.0:
-        # t1*g(k*t1) - t0*g(k*t0) would cancel: 3-point Gauss-Legendre, 2e-12 relative,
-        # on nodes placed in beta, which keep their digits at a subnormal t; the span
-        # beta1 - beta0 is exact, since beta0 >= 31*beta1/32
-        span = beta1 - beta0
+        # G(beta1) - G(beta0) would cancel.  The span is k*(t1 - t0), since t1 - t0 is
+        # exact where t0 >= 31*t1/32 and beta1 - beta0 is not; rate * width is finite
+        # wherever rate * t1 is
+        span = _scaled(rate * width, exponent) if exponent else rate * width
+        if beta0 >= 40.0:
+            # erf(sqrt(beta)) is 1 here and exp(-beta) about 3e-17 of f, so the share is
+            # E(beta0) - E(beta1) = sqrt(pi)/2 * (beta0^(-1/2) - beta1^(-1/2)), taken without
+            # the difference and divided in steps, which do not overflow; f at the nodes
+            # underflows above about 1e213
+            root0, root1 = math.sqrt(beta0), math.sqrt(beta1)
+            return _SQRT_PI / 2.0 * span / root0 / root1 / (root0 + root1)
+        # 3-point Gauss-Legendre, 2e-12 relative, on nodes placed in beta
         mid, half = beta0 + span / 2.0, math.sqrt(0.15) * span
         fa, fm, fb = [f_beta(beta) for beta in (mid - half, mid, mid + half)]
-        quadrature = 5.0 * (fa + fb) + 8.0 * fm
-        return scale * width * quadrature / 18.0, span * quadrature / 18.0
+        return span * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
     if 1.0 <= beta0:
         # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
         # cancels; E(beta0) - E(beta1) cancels 120-fold at most
-        return None, _stored_share(beta0) - _stored_share(beta1)
-    g0, g1 = _g(beta0), _g(beta1)
-    return scale * t1 * g1 - scale * t0 * g0, beta1 * g1 - beta0 * g0
+        return _stored_share(beta0) - _stored_share(beta1)
+    return beta1 * _g(beta1) - beta0 * _g(beta0)
 
 
 def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
                  t1: float) -> float:
     """Emitted energy (erg) at drive flux s_mw (erg s^-1 cm^-2) over the window [t0, t1],
-    0 <= t0 <= t1 (s): the time integral of ``evaluate``'s
-    I_total = decrement * _sigma_prefactor * f(beta) * S_mw, formed as
-    decrement * _sigma_prefactor * S_mw times the window integral W, or, where W is below
-    the normal range, as ``_window``'s W scaled by that product.  Equally, it is the
-    energy stored in the metastable level, N*rho22_0*hbar*omega_31 (omega_31 of the 2p-1s
-    line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released over the window, and it
-    is formed so where the product overflows, where W is below the normal range and the
-    share is not, or where ``_window``, which picks one of the three window formulas,
-    gives no W.  ValueError on a reversed window, where beta or the stored
-    energy overflows, where the energy is below the normal range but not 0, and where it
-    is 0 at nonzero flux, decrement, ratio, rho22_0 and window width."""
+    0 <= t0 <= t1 (s): the energy stored in the metastable level, N*rho22_0*hbar*omega_31
+    (omega_31 of the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released
+    over the window (see ``_window``).  It equals the time integral of ``evaluate``'s
+    I_total, since hbar*omega_31*K = (3/2pi)*wavelength_31^2.  ValueError on a reversed
+    window, where beta or the stored energy overflows, where the energy is below the
+    normal range but not 0, and where it is 0 at nonzero flux, decrement, ratio, rho22_0
+    and window width."""
     _checked(s_mw, "flux S_mw")
     n_atoms, rho22_0, ratio = _operands(cfg)
     return next(_pulse_energies([(s_mw, decrement, n_atoms, rho22_0)], ratio, t0, t1))
@@ -306,15 +304,13 @@ def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
 def _pulse_energies(points, ratio: float, t0: float, t1: float):
     """``pulse_energy`` at each (S_mw, decrement, N, rho22_0) of points, yielded before
     the next point is read.  The window checks run once, before the first point, and
-    the rest at every point; the window integral and the released share are
-    recomputed only where S_mw or the decrement changes, since beta reads no other
-    operand that varies in a sweep."""
+    the rest at every point; the released share is recomputed only where S_mw or the
+    decrement changes, since beta reads no other operand that varies in a sweep."""
     if t1 < t0:
         raise ValueError(f"pulse window is reversed: t1 = {t1} s is below t0 = {t0} s")
     for t in (t0, t1):
         if not t >= 0:
             raise ValueError(f"t must be nonnegative, got {t}")
-    two_pi, wavelength_sq = 2.0 * math.pi, OPTICAL_ANCHOR_CM**2
     quantum = HBAR_ERG_S * OMEGA_31   # hbar*omega_31 (erg)
     last_s_mw = last_decrement = None
     for s_mw, decrement, n_atoms, rho22_0 in points:
@@ -322,23 +318,23 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             raise ValueError(f"decrement must be nonnegative, got {decrement}")
         if s_mw != last_s_mw or decrement != last_decrement:
             rate, exponent = _beta_scale(s_mw, ratio, decrement)
-            window, released = _window(rate, exponent, t0, t1)
+            released = _window(rate, exponent, t0, t1)
             last_s_mw, last_decrement = s_mw, decrement
-        # a W below the normal range keeps fewer digits than a normal R
-        stored = window is None or window < sys.float_info.min <= released
-        if not stored:
-            # _sigma_prefactor, in its operand order: calling it here made 201-point
-            # rho22_initial and vessel_length_cm pulse sweeps 18-21% slower, same bits
-            scale = decrement * (n_atoms * 3.0 / two_pi * wavelength_sq * ratio * rho22_0)
-            # a subnormal W holds fewer digits than the times it is formed from
-            energy = (scale * s_mw * window if window >= sys.float_info.min
-                      else _window(rate, exponent, t0, t1, scale * s_mw)[0])
-        if stored or not math.isfinite(energy):
-            # the stored energy times the released share, which scale*S_mw can overflow
-            # where this does not; N*rho22_0 first, since the other factors are below 1
-            energy = n_atoms * rho22_0 * (quantum * released)
-            if not math.isfinite(energy):
-                raise ValueError("pulse energy overflows")
+        if released >= sys.float_info.min:
+            # left to right, each partial product bounds the energy from above, so none is
+            # below the normal range where the energy is not
+            energy = n_atoms * rho22_0 * quantum * released
+        else:
+            # at a positive rate and width the share is at least about beta1 * 2^-56, so
+            # here beta1 < 2e-291, where f and g are 1/3 to the last bit: the share is
+            # k*(t1 - t0)/3, formed on the mantissas of the rate and of t1 - t0 to keep the
+            # digits a subnormal share drops (abs: a zero rate is signed as its operands
+            # are, and the memo reads -0.0 as 0.0)
+            (r, r_exp), (w, w_exp) = math.frexp(abs(rate)), math.frexp(t1 - t0)
+            energy = _scaled(n_atoms * rho22_0 * quantum * (r * w / 3.0),
+                             exponent + r_exp + w_exp)
+        if not math.isfinite(energy):
+            raise ValueError("pulse energy overflows")
         if energy < sys.float_info.min and (energy or t1 > t0 and s_mw > 0 and decrement > 0
                                             and ratio > 0 and rho22_0 > 0):
             raise ValueError("pulse energy underflows "

@@ -787,6 +787,46 @@ def test_pulse_energy_keeps_a_subnormal_window_integral_over_a_smaller_share():
             assert float(Fraction(energy) / exact - 1) == pytest.approx(0.0, abs=1e-15)
 
 
+RELEASED_WHOLE = "channel = fine_structure\nrho22_initial = 1e-160\ntime_stop_s = 1e300\n"
+
+
+@pytest.mark.parametrize("config, parameter, low, high", [
+    # the window releases the whole stored energy; the cross-section scale times S_mw
+    # underflowed, and 1e-200 W/cm^2 exited 3 as underflowing to 0 and 1e-180 read 3.4% high
+    (RELEASED_WHOLE, "flux_w_cm2", "1e-200", "1e-180"),
+    (RELEASED_WHOLE, "flux_w_cm2", "1e-180", "1e-150"),
+    (RELEASED_WHOLE + "flux_w_cm2 = 1e-200\n", "rho22_initial", "1e-160", "1e-150"),
+    # a narrow window at beta up to 4e217, where f underflows at the Gauss nodes: it exited 3
+    ("channel = fine_structure\nratio_mode = custom\nratio_value = 1e10\n"
+     "time_start_s = 0.99\ntime_stop_s = 1\n", "flux_w_cm2", "1e180", "1e200"),
+], ids=["flux_to_1e-180", "flux_to_1e-150", "rho22_initial", "narrow_window_beta_above_1e213"])
+def test_pulse_energy_prints_the_stored_energy_times_the_released_share(
+        tmp_path, capsys, config, parameter, low, high):
+    # the exact N*rho22_0*hbar*omega_31*(E(beta0) - E(beta1)), with E(0) = 1 and
+    # E(beta) = sqrt(pi)/(2*sqrt(beta)) wherever erf(sqrt(beta)) is 1
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(["sweep", "--config", str(path), "--param", parameter, "--min", low, "--max",
+                 high, "--steps", "3", "--log", "--objective", "pulse_energy"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:4]
+    assert len(lines) == 3
+    for line in lines:
+        value, printed = line.split(",")
+        point = parse_config(config).replace(**{parameter: float(value)})
+        s_mw, decrement, ens = cli._scenario_physics(point)
+        rate = (Fraction(ensemble._K) * Fraction(s_mw) * Fraction(point.ratio)
+                * Fraction(decrement))
+        beta0, beta1 = (float(rate * Fraction(t)) for t in (point.time_start_s,
+                                                           point.time_stop_s))
+        assert beta0 == 0 or math.erf(math.sqrt(beta0)) == 1.0
+        assert math.erf(math.sqrt(beta1)) == 1.0
+        share = (1.0 - math.sqrt(math.pi / beta1) / 2.0 if beta0 == 0
+                 else math.sqrt(math.pi) / 2.0 * (beta0**-0.5 - beta1**-0.5))
+        exact = (Fraction(ens.n_atoms) * Fraction(point.rho22_initial) * Fraction(HBAR_ERG_S)
+                 * Fraction(OMEGA_31) * Fraction(share))
+        assert printed == f"{float(exact):.8e}", line
+
+
 UNDERFLOWED_POWER = "channel = fine_structure\nflux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
 
 
@@ -1140,9 +1180,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 40 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 44 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 214
+    assert len(commands) == 218
     return [command["argv"] for command in commands]
 
 

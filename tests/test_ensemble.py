@@ -1,9 +1,11 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import oracles
 from mwoptical import cli, ensemble
@@ -338,7 +340,7 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
     # where beta's rate is subnormal, or 0, at nonzero operands, each row's beta is formed
     # on the rate's mantissas: it keeps the rounding error of its operations against the
     # exact rate * t wherever that beta is normal, up to the largest t; the pulse window's
-    # beta too, at both its window formulas
+    # released share too, at both its window formulas
     rng = np.random.default_rng(2801)
     checked = windows = 0
     for s_mw, ratio, dec in _draws(28, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0)):
@@ -358,15 +360,17 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
         scale, t1 = ensemble._beta_scale(s_mw, ratio, dec), t + t / 64.0
         if t1 == math.inf:
             continue
-        # [0, t] integrates f(k*t') to t*g(k*t); [t, t1] by 3-point Gauss-Legendre
+        # [0, t] releases G(k*t) = k*t*g(k*t); [t, t1] k*(t1 - t) times f's mean by 3-point
+        # Gauss-Legendre (from beta = 40 on, the closed form, within 2e-14 of it here)
         windows += 1
-        window = ensemble._window(*scale, 0.0, t)[0]
-        assert window == pytest.approx(t * ensemble._g(float(exact)), rel=1e-13)
+        released = ensemble._window(*scale, 0.0, t)
+        assert released == pytest.approx(float(exact) * ensemble._g(float(exact)), rel=1e-13)
         mid, half = t + (t1 - t) / 2.0, math.sqrt(0.15) * (t1 - t)
         fa, fm, fb = [f_beta(float(exact_rate * Fraction(x))) for x in (mid - half, mid,
                                                                       mid + half)]
-        window = ensemble._window(*scale, t, t1)[0]
-        assert window == pytest.approx((t1 - t) * (5.0 * (fa + fb) + 8.0 * fm) / 18.0, rel=1e-13)
+        span = float(exact_rate * (Fraction(t1) - Fraction(t)))
+        released = ensemble._window(*scale, t, t1)
+        assert released == pytest.approx(span * (5.0 * (fa + fb) + 8.0 * fm) / 18.0, rel=1e-13)
     assert checked > 1000 and windows > 500
     # at the largest t: m = K * mantissas / 8 keeps m * t finite where K * mantissas would not
     s_mw, t = math.ldexp(0.999, -1029), sys.float_info.max
@@ -398,7 +402,7 @@ def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
                 ensemble._window(*scale, 0.0, 1e-300)
         elif margin < 1 - 1e-12:
             accepted += 1
-            released = ensemble._window(*scale, 0.0, 1e-300)[1]
+            released = ensemble._window(*scale, 0.0, 1e-300)
             assert released == pytest.approx(1.0 - ensemble._stored_share(float(exact_end)),
                                              rel=1e-13)
     for s_mw, ratio, dec in _draws(32, (25.0, 308.25), (297.0, 308.25), (-1.0, 0.0)):
@@ -416,16 +420,16 @@ def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
         assert _within_8_ulp(beta, exact), (s_mw, ratio, dec, t)
         if exact >= 1:
             # a window [t, 2t] from beta >= 1 releases E(k*t) - E(2*k*t) of the stored
-            # energy, read from beta alone (its W is below the normal range at such rates)
+            # energy, read from beta alone
             windows += 1
-            window, released = ensemble._window(*scale, t, 2.0 * t)
+            released = ensemble._window(*scale, t, 2.0 * t)
             expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
                 float(2 * exact))
-            assert window is None and released == pytest.approx(expected, rel=1e-13)
-            # a window [t, t + t/64] is integrated by Gauss-Legendre on nodes placed in
-            # beta, and its share keeps its digits at a subnormal t, where W is subnormal too
+            assert released == pytest.approx(expected, rel=1e-13)
+            # a window [t, t + t/64] is integrated on its span in beta, and its share keeps
+            # its digits at a subnormal t
             t1 = t + t / 64.0
-            released = ensemble._window(*scale, t, t1)[1]
+            released = ensemble._window(*scale, t, t1)
             expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
                 float(exact_rate * Fraction(t1)))
             assert released == pytest.approx(expected, rel=1e-10)
@@ -825,6 +829,74 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
                      s_mw, 1.0, 0.0, 1e-15)
 
 
+def _pulse_draws(rng, count):
+    """count points (S_mw, ratio, decrement, N, rho22_0, t0, t1): S_mw, the ratio, N and t1
+    log-uniform over [1e-320, 1e308], the decrement and rho22_0 over [1e-320, 1], and
+    windows that start, in turn, at t0 = 0, one ulp below t1, up to t1/32 below it
+    (narrow) and further below it (wide)."""
+    for index in range(count):
+        s_mw, ratio, n_atoms, t1 = map(float, 10.0 ** rng.uniform(-320.0, 308.0, 4))
+        decrement, rho22_0 = map(float, 10.0 ** rng.uniform(-320.0, 0.0, 2))
+        t0 = [0.0, math.nextafter(t1, 0.0),
+              t1 * (1.0 - 10.0 ** rng.uniform(-15.0, -1.51)),
+              t1 * 10.0 ** rng.uniform(-300.0, -0.014)][index % 4]
+        yield s_mw, ratio, decrement, n_atoms, rho22_0, t0, t1
+
+
+def _released_reference(rate, t0, t1):
+    """The share of the stored energy released over [t0, t1] at the exact rate k: exactly
+    k*(t1 - t0)/3 where k*t1 < 1e-12, since f is 1/3 to 4e-13 there, and else the
+    quadrature oracle at the correctly rounded k*t0 and k*(t1 - t0)."""
+    span = rate * (Fraction(t1) - Fraction(t0))
+    if rate * Fraction(t1) < Fraction(1, 10**12):
+        return span / 3
+    with warnings.catch_warnings():
+        # quad flags roundoff on windows of a few ulp deep in depletion, where its value
+        # agrees with the closed form sqrt(pi)/2 * ((k*t0)^(-1/2) - (k*t1)^(-1/2)) to 5e-16
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return Fraction(oracles._released_quad(float(rate * Fraction(t0)), float(span)))
+
+
+def _check_pulse_energies(seed, count):
+    """Check ``_pulse_energies`` on count draws of ``_pulse_draws`` against the stored
+    energy N*rho22_0*hbar*omega_31 times ``_released_reference``: every energy returned
+    lies within 1e-9 of it, an energy that underflows has a reference below the normal
+    range, and beta overflows where the exact k*t1 exceeds the largest float.  Returns
+    the counts of energies returned, underflows and overflows."""
+    quantum = Fraction(HBAR_ERG_S) * Fraction(OMEGA_31)
+    returned = underflows = overflows = 0
+    for draw in _pulse_draws(np.random.default_rng(seed), count):
+        s_mw, ratio, dec, n_atoms, rho22_0, t0, t1 = draw
+        rate = _exact_rate(s_mw, ratio, dec)
+        try:
+            energy = next(_pulse_energies([(s_mw, dec, n_atoms, rho22_0)], ratio, t0, t1))
+        except ValueError as error:
+            if str(error).startswith("beta overflows"):
+                overflows += 1
+                assert rate * Fraction(t1) > sys.float_info.max * (1 - 1e-12), draw
+                continue
+            assert str(error).startswith("pulse energy underflows"), (draw, error)
+            underflows += 1
+            reference = (Fraction(n_atoms) * Fraction(rho22_0) * quantum
+                         * _released_reference(rate, t0, t1))
+            assert reference < sys.float_info.min * (1 + 1e-9), (draw, error)
+            continue
+        returned += 1
+        reference = (Fraction(n_atoms) * Fraction(rho22_0) * quantum
+                     * _released_reference(rate, t0, t1))
+        assert abs(Fraction(energy) - reference) <= reference * Fraction(1e-9), draw
+    return returned, underflows, overflows
+
+
+def test_pulse_energies_match_the_stored_energy_oracle_over_the_whole_range():
+    # the cross-section form scale*S_mw*W formed scale*S_mw before W lifted it: where the
+    # energy is normal, it exited as underflowing to 0 on 183 of these draws and read more
+    # than 1e-9 off, up to 49%, on 68.  Fresh draws run outside the suite:
+    #     PYTHONPATH=src python tests/test_ensemble.py --draws N [--seed S]
+    returned, underflows, overflows = _check_pulse_energies(3401, 2000)
+    assert returned > 500 and underflows > 1000 and overflows > 100
+
+
 # ---------------------------------------------------------------------------
 # depletion time
 # ---------------------------------------------------------------------------
@@ -942,3 +1014,18 @@ def test_depletion_time_validation():
     for cfg, s_mw in ((_vessel(), sys.float_info.max), (_vessel(ratio=1e302), _flux(1.0))):
         with pytest.raises(ValueError, match="depletion time underflows below the normal range"):
             depletion_time(cfg, s_mw, 1.0)
+
+
+if __name__ == "__main__":
+    import argparse
+    import random
+
+    parser = argparse.ArgumentParser(
+        description="Check the pulse kernel against its oracle on fresh whole-range draws.")
+    parser.add_argument("--draws", type=int, required=True, help="number of draws")
+    parser.add_argument("--seed", type=int, default=random.randrange(2**32),
+                        help="numpy seed (default: a random one)")
+    args = parser.parse_args()
+    print(f"seed {args.seed}, {args.draws} draws")
+    print("returned %d, underflows %d, beta overflows %d" % _check_pulse_energies(args.seed,
+                                                                                args.draws))

@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 40 edge commands of
+(``perfbench/gen.py``) under "commands", and the 44 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -22,9 +22,10 @@ kept its digits below a subnormal head, the next two after the drive became
 its flux S_mw and a subnormal tau or pulse energy exited 3, the 37th after a tau
 from a subnormal rate of beta kept its digits, its ``--out`` digest again after
 beta from that rate did, the next two after a pulse energy whose window
-integral is subnormal was read from the released share, and the last after the
-window integral of a subnormal time kept its digits), so these tests pin that
-refactors leave every byte unchanged.
+integral is subnormal was read from the released share, the 40th after the
+window integral of a subnormal time kept its digits, and the last four after the
+pulse energy became the stored energy times the released share), so these tests pin
+that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -135,7 +136,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 40
+    assert len(edge) == 44
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -199,7 +200,7 @@ def _regenerate():
 def _edge_commands():
     """Commands whose exit code or bytes a past change fixed on an overflow,
     underflow or cancellation branch, or in reading a config that starts with
-    a UTF-8 byte-order mark.  Of the twenty-two from the 19th on, the first four
+    a UTF-8 byte-order mark.  Of the twenty-six from the 19th on, the first four
     print a positive pulse energy where only the efficiency underflows, and exit
     3 where the pulse energy, tau or n31 underflows to 0 at nonzero factors; two
     exit 3 where the summary's n_atoms or sigma_max_cm2 underflows to 0 at zero
@@ -216,9 +217,13 @@ def _edge_commands():
     and the rows of a flux whose beta rate is subnormal, where tau read 2.7% high
     and beta read 0 at t > 0; the next prints the pulse energy at a rate
     of beta above 1e334 s^-1, which exited 3; the next prints a pulse energy
-    whose window integral is subnormal, which read 8.9e-7 low; and the last prints
+    whose window integral is subnormal, which read 8.9e-7 low; the next prints
     the pulse energy of a subnormal window whose released share is smaller still,
-    which read 4.9e-6 low."""
+    which read 4.9e-6 low; the next three print the whole stored energy released
+    at a flux or rho22(0) where the cross-section scale times S_mw underflows, which
+    exited 3 as underflowing to 0 or read 3.4% high; and the last prints the pulse
+    energy of a narrow window at beta above 1e213, where f at the quadrature nodes
+    underflows, which exited 3 as underflowing to 0."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -227,6 +232,7 @@ def _edge_commands():
                       "detuning_mhz = 1e8\nvessel_area_cm2 = 10\n"
                       "gas_density_g_cm3 = 3.292595919092061e-220\nrho22_initial = 1\n"
                       "time_start_s = 4.258347710216384e+50\ntime_stop_s = 5.249387779664677e+50\n")
+    released_whole = plain + "rho22_initial = 1e-160\ntime_stop_s = 1e300\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
                            "ratio_mode = custom\nratio_value = 1e92\nrho22_initial = 1\n")
 
@@ -292,6 +298,12 @@ def _edge_commands():
               "time_stop_s = 1e-300\n", "flux_w_cm2", 1e10, 2e10, 2, "pulse_energy"),
         sweep(plain + "vessel_area_cm2 = 1e100\ntime_stop_s = 1e-318\n",
               "flux_w_cm2", 1e-10, 2e-10, 2, "pulse_energy"),
+        sweep(released_whole, "flux_w_cm2", 1e-200, 1e-180, 3, "pulse_energy", "--log"),
+        sweep(released_whole, "flux_w_cm2", 1e-180, 1e-150, 3, "pulse_energy", "--log"),
+        sweep(released_whole + "flux_w_cm2 = 1e-200\n", "rho22_initial", 1e-160, 1e-150, 3,
+              "pulse_energy", "--log"),
+        sweep(plain + "ratio_mode = custom\nratio_value = 1e10\ntime_start_s = 0.99\n"
+              "time_stop_s = 1\n", "flux_w_cm2", 1e180, 1e200, 3, "pulse_energy", "--log"),
     ]
 
 
