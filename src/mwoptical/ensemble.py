@@ -243,46 +243,33 @@ def _g(beta: float) -> float:
     return _taylor(beta, _G_TAYLOR) if beta else 1.0 / 3.0
 
 
-def _stored_share(beta: float) -> float:
-    """E(B) = 1 - G(B), the integral of exp(-B*x^2) over x in [0, 1]
-    = sqrt(pi)*erf(sqrt(B))/(2*sqrt(B)) for B > 0: the share of the stored energy
-    not yet released at beta = B.  It exceeds 6e-155 at every finite B."""
-    root = math.sqrt(beta)
-    return _SQRT_PI * math.erf(root) / (2.0 * root)
-
-
 def _window(rate: float, exponent: int, t0: float, t1: float) -> float:
     """The share G(beta(t1)) - G(beta(t0)) of the stored energy released over the window
     [t0, t1], 0 <= t0 <= t1, with beta = rate * t * 2^exponent = k*t (see ``_beta_scale``)
-    and G(B) = B*g(B) (see ``_g``), the integral of f(beta) over [0, B].  A window narrower
-    than t1/32 is integrated by Gauss-Legendre on nodes in beta, or in closed form where it
-    starts at beta >= 40; a wider one that starts at beta >= 1 releases
-    E(beta(t0)) - E(beta(t1)).  ValueError where beta overflows, the one limit on k."""
+    and G(B) = B*g(B) (see ``_g``), the integral of f(beta) over [0, B].  A window that
+    starts at beta >= 40 takes a closed form; any other window narrower than t1/32 is
+    integrated by Gauss-Legendre on nodes in beta, and the rest take the difference of G.
+    ValueError where beta overflows, the one limit on k."""
     beta0, beta1 = ((_scaled(rate * t0, exponent), _scaled(rate * t1, exponent)) if exponent
                     else (rate * t0, rate * t1))
     if not math.isfinite(beta1):
         raise ValueError(f"beta overflows at t = {t1} s")
+    # The span is k*(t1 - t0), since t1 - t0 is exact where t0 >= t1/2 and beta1 - beta0
+    # is not; rate * width is finite wherever rate * t1 is
     width = t1 - t0
+    span = _scaled(rate * width, exponent) if exponent else rate * width
+    if beta0 >= 40.0:
+        # erf(sqrt(beta)) is 1 here, so the share is E(beta0) - E(beta1) with
+        # E(B) = sqrt(pi)/(2*sqrt(B)), the integral of exp(-B*x^2) over x in [0, 1]: taken
+        # without the difference and divided in steps, which do not overflow
+        root0, root1 = math.sqrt(beta0), math.sqrt(beta1)
+        return _SQRT_PI / 2.0 * span / root0 / root1 / (root0 + root1)
     if width < t1 / 32.0:
-        # G(beta1) - G(beta0) would cancel.  The span is k*(t1 - t0), since t1 - t0 is
-        # exact where t0 >= 31*t1/32 and beta1 - beta0 is not; rate * width is finite
-        # wherever rate * t1 is
-        span = _scaled(rate * width, exponent) if exponent else rate * width
-        if beta0 >= 40.0:
-            # erf(sqrt(beta)) is 1 here and exp(-beta) about 3e-17 of f, so the share is
-            # E(beta0) - E(beta1) = sqrt(pi)/2 * (beta0^(-1/2) - beta1^(-1/2)), taken without
-            # the difference and divided in steps, which do not overflow; f at the nodes
-            # underflows above about 1e213
-            root0, root1 = math.sqrt(beta0), math.sqrt(beta1)
-            return _SQRT_PI / 2.0 * span / root0 / root1 / (root0 + root1)
-        # 3-point Gauss-Legendre, 2e-12 relative, on nodes placed in beta
+        # G(beta1) - G(beta0) would cancel: 3-point Gauss-Legendre, 2e-12 relative, on
+        # nodes placed in beta
         mid, half = beta0 + span / 2.0, math.sqrt(0.15) * span
         fa, fm, fb = [f_beta(beta) for beta in (mid - half, mid, mid + half)]
         return span * (5.0 * (fa + fb) + 8.0 * fm) / 18.0
-    if 1.0 <= beta0:
-        # deep in depletion both G values lie near 1 and G(beta1) - G(beta0)
-        # cancels; E(beta0) - E(beta1) cancels 120-fold at most
-        return _stored_share(beta0) - _stored_share(beta1)
     return beta1 * _g(beta1) - beta0 * _g(beta0)
 
 

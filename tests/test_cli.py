@@ -739,11 +739,13 @@ def test_a_rate_above_the_largest_float_still_computes(tmp_path, capsys):
     # beta's rate about 4.4e334 and 4.4e335 s^-1, the window ends at a subnormal 1e-320 s
     ("ratio_value = 1e308\ntime_stop_s = 1e-320\n", 1e19, 1e20,
      ("8.75639136e+05", "8.75639161e+05")),
-    # W = t1*g(k*t1) is subnormal (about 2.3e-318 s), the share released is not; the
-    # cross-section scale overflows here, and the energy reads the share
+    # the share released, R = k*t1*g(k*t1), is normal where the time integral of f,
+    # t1*g(k*t1), is subnormal (about 2.3e-318 s); the cross-section scale overflows here,
+    # and the energy is N*rho22_0*hbar*omega_31*R
     ("ratio_value = 1e300\nrho22_initial = 1e-200\ntime_stop_s = 1e-300\n", 1e10, 2e10,
      ("8.75639172e-191", "8.75639172e-191")),
-    # the same W in a vessel whose scale times S_mw is finite: the energy reads the share
+    # the same window in a vessel whose cross-section scale times S_mw is finite: the
+    # energy still reads R
     ("ratio_value = 1e300\nvessel_area_cm2 = 1e-3\nrho22_initial = 1e-20\n"
      "time_stop_s = 1e-300\n", 1e10, 2e10, ("8.75639172e-14", "8.75639172e-14")),
 ], ids=["rate_above_1e334", "subnormal_window_integral", "subnormal_window_integral_finite_scale"])
@@ -765,13 +767,14 @@ def test_pulse_energy_at_a_subnormal_window_integral_reads_the_released_share(
 
 
 def test_pulse_energy_keeps_a_subnormal_window_integral_over_a_smaller_share():
-    # k is about 4.4e-3 s^-1 and t1 = 1e-318 s: W and the share released, k*W, are both
-    # subnormal, so the energy is the window integral of scale*S_mw, with each time
-    # scaled first, and keeps the digits of the exact scale*S_mw*(t1 - t0)/3 (f and g
-    # are 1/3 to about 1e-322 here).  From t0 = 0, W = t1*g(k*t1) holds about 16 bits
-    # and read 1.27392947e-215 and 2.54785894e-215; on a window narrower than t1/32,
-    # Gauss-Legendre's W = (t1 - t0)*mean(f) holds about 10 and read 1.27455259e-217
-    # and 2.54910517e-217
+    # k is about 4.4e-3 s^-1 and t1 = 1e-318 s: the share released, R, is below the
+    # normal range, so the energy is N*rho22_0*hbar*omega_31*k*(t1 - t0)/3 (f and g are
+    # 1/3 to about 1e-322 here), formed on the mantissas of k and of t1 - t0, and keeps
+    # the digits of the exact scale*S_mw*(t1 - t0)/3, the same quantity.  Where the energy
+    # read the subnormal time integral of f, t1*g(k*t1) held about 16 bits from t0 = 0 and
+    # gave 1.27392947e-215 and 2.54785894e-215; on a window narrower than t1/32, the
+    # Gauss-Legendre (t1 - t0)*mean(f) held about 10 and gave 1.27455259e-217 and
+    # 2.54910517e-217
     for window, energies in (("time_stop_s = 1e-318\n", ["1.27393576e-215", "2.54787153e-215"]),
                              ("time_start_s = 9.9e-319\ntime_stop_s = 1e-318\n",
                               ["1.27392318e-217", "2.54784635e-217"])):

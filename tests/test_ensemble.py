@@ -383,6 +383,13 @@ def test_beta_from_a_subnormal_rate_keeps_its_digits():
     assert f"{beta:.8e}" == f"{float(exact):.8e}" == "4.36459696e-307"
 
 
+def _stored_share(beta):
+    """E(B) = sqrt(pi)*erf(sqrt(B))/(2*sqrt(B)), the integral of exp(-B*x^2) over x in
+    [0, 1] for B > 0: the share of the stored energy not yet released at beta = B."""
+    root = math.sqrt(beta)
+    return math.sqrt(math.pi) * math.erf(root) / (2.0 * root)
+
+
 def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
     # where beta's rate k exceeds the largest float (up to about 1.4e617 s^-1 at the largest
     # S_mw and ratio), the row kernel's beta keeps the rounding error of its operations
@@ -403,7 +410,7 @@ def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
         elif margin < 1 - 1e-12:
             accepted += 1
             released = ensemble._window(*scale, 0.0, 1e-300)
-            assert released == pytest.approx(1.0 - ensemble._stored_share(float(exact_end)),
+            assert released == pytest.approx(1.0 - _stored_share(float(exact_end)),
                                              rel=1e-13)
     for s_mw, ratio, dec in _draws(32, (25.0, 308.25), (297.0, 308.25), (-1.0, 0.0)):
         exact_rate = _exact_rate(s_mw, ratio, dec)
@@ -423,14 +430,13 @@ def test_beta_at_a_rate_above_the_largest_float_keeps_its_digits():
             # energy, read from beta alone
             windows += 1
             released = ensemble._window(*scale, t, 2.0 * t)
-            expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
-                float(2 * exact))
+            expected = _stored_share(float(exact)) - _stored_share(float(2 * exact))
             assert released == pytest.approx(expected, rel=1e-13)
             # a window [t, t + t/64] is integrated on its span in beta, and its share keeps
             # its digits at a subnormal t
             t1 = t + t / 64.0
             released = ensemble._window(*scale, t, t1)
-            expected = ensemble._stored_share(float(exact)) - ensemble._stored_share(
+            expected = _stored_share(float(exact)) - _stored_share(
                 float(exact_rate * Fraction(t1)))
             assert released == pytest.approx(expected, rel=1e-10)
     assert rows > 1000 and windows > 500 and rejected > 300 and accepted > 300
@@ -792,7 +798,8 @@ def _stored_oracle(cfg, s_mw, dec, t0, t1):
 @pytest.mark.parametrize("beta_start,beta_end", [
     (0.0, 1e-6), (0.0, 0.05), (0.0, 6.0), (0.0, 1.0e4),
     (1e-6, 1e-3), (0.05, 0.5), (3.0, 9.0), (70.0, 400.0), (100.0, 1.0e4),
-    (1.0, 1.0e4), (1e6, 1e8), (1e16, 1.1e16), (1e24, 1e26), (1e30, 3e30)])
+    (1.0, 1.0e4), (1e6, 1e8), (1e16, 1.1e16), (1e24, 1e26), (1e30, 3e30),
+    (1.0, 40.0), (39.0, 80.0), (40.0, 41.5), (40.0, 1.0e3)])
 @pytest.mark.parametrize("ratio,dec", [(1.0, 1.0), (16.2, 0.4)])
 def test_pulse_energy_is_the_released_stored_energy(beta_start, beta_end, ratio, dec):
     cfg, s_mw = _vessel(ratio=ratio), _flux(2.0)
@@ -800,6 +807,21 @@ def test_pulse_energy_is_the_released_stored_energy(beta_start, beta_end, ratio,
     t1 = _time_of_beta(cfg, s_mw, dec, beta_end)
     assert pulse_energy(cfg, s_mw, dec, t0, t1) == pytest.approx(
         _stored_oracle(cfg, s_mw, dec, t0, t1), rel=1e-10)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, math.log10(40.0)), (math.log10(40.0), 30.0)],
+                         ids=["beta0-below-40", "beta0-from-40"])
+def test_wide_windows_release_the_quadrature_share(low, high):
+    # a window wider than t1/32 takes the difference of G from beta0 < 40 and the closed
+    # form from beta0 >= 40; at rate 1 the kernel's beta is t, so the oracle reads the
+    # kernel's own beta0 and span
+    rng = np.random.default_rng(3501)
+    for _ in range(1000):
+        beta0 = float(10.0 ** rng.uniform(low, high))
+        beta1 = beta0 * 32.0 / 31.0 * (1.0 + float(10.0 ** rng.uniform(-8.0, 3.0)))
+        assert beta1 - beta0 >= beta1 / 32.0
+        expected = oracles._released_quad(beta0, beta1 - beta0)
+        assert ensemble._window(1.0, 0, beta0, beta1) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("ratio", [1.0, hydrogenic_dipole_ratio()])
