@@ -434,25 +434,35 @@ def _format_value(value) -> str:
     return f"{value:.8e}"
 
 
-def format_csv(header, rows) -> str:
-    """Header line plus one line per row; a row of numbers formats through one
-    template, with the bytes of ``_format_value``, and a row that holds None or
-    text, which the template rejects, cell by cell."""
-    template = ",".join(["%.8e"] * len(header))
+def _format_table(header, rows, template) -> str:
+    """Header line plus one line per row through template, whose cells are "%.8e", with
+    the bytes of ``_format_value``; a row that holds None or text formats cell by cell."""
     lines = [",".join(header)]
     for row in rows:
         try:
             lines.append(template % tuple(row))
-        except TypeError:
-            lines.append(",".join(map(_format_value, row)))
+        except TypeError:   # "%.8e" rejects None and text
+            lines.append(template.replace("%.8e", "%s") % tuple(map(_format_value, row)))
     return "\n".join(lines) + "\n"
 
 
+def _csv_table(header, rows):
+    return header, rows, ",".join(["%.8e"] * len(header))
+
+
+def format_csv(header, rows) -> str:
+    """Header line plus one line per row, each cell with the bytes of ``_format_value``."""
+    return _format_table(*_csv_table(header, rows))
+
+
+def _scenario_table(series, summary):
+    """``run_scenario``'s rows with the drive frequency in MHz, formatted once, as second column."""
+    drive = _format_value(summary["microwave_drive_mhz"])
+    return SCENARIO_HEADER, series, "%.8e," + drive + ",%.8e,%.8e,%.8e,%.8e"
+
+
 def format_scenario(series, summary) -> str:
-    """The scenario CSV: ``run_scenario``'s rows with the drive frequency in MHz
-    as second column, one template per row with the bytes of ``_format_value``."""
-    template = "%.8e," + _format_value(summary["microwave_drive_mhz"]) + ",%.8e,%.8e,%.8e,%.8e"
-    return "\n".join([",".join(SCENARIO_HEADER), *map(template.__mod__, series)]) + "\n"
+    return _format_table(*_scenario_table(series, summary))
 
 
 def format_summary(record) -> str:
@@ -506,7 +516,7 @@ def _read_config_file(path: str) -> ScenarioConfig:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_constants(args) -> None:
+def _cmd_constants(args) -> list:
     record = {
         "hbar_erg_s": HBAR_ERG_S,
         "c_cm_s": C_CM_S,
@@ -515,10 +525,10 @@ def _cmd_constants(args) -> None:
         "mu_H_g": MU_H_G,
         "fine_structure_constant": E_STATC**2 / (HBAR_ERG_S * C_CM_S),
     }
-    _write_text((format_summary(record), None, "stdout"))
+    return [(record, None, "stdout")]
 
 
-def _cmd_transition(args) -> None:
+def _cmd_transition(args) -> list:
     resonance_mhz, (upper_label, lower_label) = CHANNELS[args.channel]
     upper, lower = mode(upper_label), mode(lower_label)
     omega_32 = upper.omega - lower.omega
@@ -537,34 +547,24 @@ def _cmd_transition(args) -> None:
         "lifetime_metastable_s": LIFETIME_2S_S,
         "decrement_at_resonance": damping_decrement(omega_32, omega_32),
     }
-    _write_text((format_summary(record), None, "stdout"))
+    return [(record, None, "stdout")]
 
 
-def _cmd_fig1(args) -> None:
-    header, rows = fig1_rows(args.beta_max, args.steps)
-    _write_text((format_csv(header, rows), args.out, "stdout"))
+def _cmd_fig1(args) -> list:
+    return [(_csv_table(*fig1_rows(args.beta_max, args.steps)), args.out, "stdout")]
 
 
-def _cmd_scenario(args) -> None:
+def _cmd_scenario(args) -> list:
+    series, summary = run_scenario(_read_config_file(args.config))
+    return [(_scenario_table(series, summary), args.out, "stdout"),
+            (summary, args.summary, "stderr")]
+
+
+def _cmd_sweep(args) -> list:
     cfg = _read_config_file(args.config)
-    series, summary = run_scenario(cfg)
-    _write_text((format_scenario(series, summary), args.out, "stdout"),
-                (format_summary(summary), args.summary, "stderr"))
-
-
-def _cmd_sweep(args) -> None:
-    cfg = _read_config_file(args.config)
-    spec = SweepSpec(
-        parameter=args.param,
-        minimum=args.min,
-        maximum=args.max,
-        steps=args.steps,
-        log=args.log,
-        objective=args.objective,
-    )
+    spec = SweepSpec(args.param, args.min, args.max, args.steps, args.log, args.objective)
     header, rows, record = run_sweep(cfg, spec)
-    _write_text((format_csv(header, rows), args.out, "stdout"),
-                (format_summary(record), args.summary, "stderr"))
+    return [(_csv_table(header, rows), args.out, "stdout"), (record, args.summary, "stderr")]
 
 
 def _argument(name, kind=str, required=False, choices=None, help=""):
@@ -718,7 +718,10 @@ def _parse_args(argv=None) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        args.func(args)
+        # a command returns its outputs as (value, path, stream); a value is a record
+        # (a mapping) or a table (header, rows, row template), formatted before any write
+        _write_text(*((format_summary(value) if isinstance(value, dict) else _format_table(*value),
+                       path, stream) for value, path, stream in args.func(args)))
     except ValueError as exc:
         with contextlib.suppress(ConfigError):   # stderr failed: the exit code alone reports it
             _write_text((f"error: {exc}\n", None, "stderr"))

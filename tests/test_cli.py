@@ -249,6 +249,12 @@ def test_format_csv_row_template_matches_per_cell_format():
     header = [f"c{i}[-]" for i in range(len(edge))]
     rows = [tuple(edge), tuple(reversed(edge))]
     assert format_csv(header, rows) == _per_cell_csv(header, rows)
+    # the scenario template, with the drive frequency formatted once, on the same values
+    cells = edge + edge[::-1] + edge[:3]
+    series = [tuple(cells[i:i + 5]) for i in range(0, len(cells), 5)]
+    for drive in (10949.0, 5e-324, sys.float_info.max):
+        assert format_scenario(series, {"microwave_drive_mhz": drive}) == _per_cell_csv(
+            cli.SCENARIO_HEADER, [(t, drive, *rest) for t, *rest in series])
     # rows holding None or str keep the per-cell path
     mixed = [(None, "x", 3.0, 1.5), (1.0, None, 2.0, 7.0), (0.5, 0.25, 0.125, 1.0)]
     text = format_csv(["a", "b", "c", "d"], mixed)
@@ -1115,6 +1121,42 @@ def test_main_transition_and_constants(capsys):
     assert main(["constants"]) == 0
     out = capsys.readouterr().out
     assert "hbar_erg_s = 1.05457182e-27" in out
+
+
+@pytest.mark.parametrize("command", ["constants", "transition", "fig1", "scenario", "sweep"])
+def test_main_writes_each_command_in_one_call(tmp_path, monkeypatch, command):
+    # every output is formatted before the one write: the CSV to --out or stdout,
+    # then the record to --summary or stderr
+    config = tmp_path / "run.cfg"
+    config.write_text(WORKED_VESSEL)
+    cfg = parse_config(WORKED_VESSEL)
+    out, summary = str(tmp_path / "out.csv"), str(tmp_path / "summary.txt")
+    series, record = run_scenario(cfg)
+    header, rows, argmax = run_sweep(cfg, SweepSpec("flux_w_cm2", 0.0, 2.0, 5, objective="tau"))
+    argv, expected = {
+        "constants": (["constants"], [(None, None, "stdout")]),
+        "transition": (["transition", "lamb_shift"], [(None, None, "stdout")]),
+        "fig1": (["fig1", "--beta-max", "6", "--steps", "4", "--out", out],
+                 [(format_csv(*fig1_rows(6.0, 4)), out, "stdout")]),
+        "scenario": (["scenario", "--config", str(config), "--out", out, "--summary", summary],
+                     [(format_scenario(series, record), out, "stdout"),
+                      (format_summary(record), summary, "stderr")]),
+        "sweep": (["sweep", "--config", str(config), "--param", "flux_w_cm2", "--min", "0",
+                   "--max", "2", "--steps", "5", "--objective", "tau"],
+                  [(format_csv(header, rows), None, "stdout"),
+                   (format_summary(argmax), None, "stderr")]),
+    }[command]
+    calls = []
+    write = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda *outputs: calls.append(outputs) or write(*outputs))
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert [(path, stream) for _, path, stream in calls[0]] == [(p, s) for _, p, s in expected]
+    for (text, _, _), (want, _, _) in zip(calls[0], expected):
+        if want is None:   # a record of constants or catalog data
+            assert re.fullmatch(r"(\w+ = [^\n]+\n)+", text)
+        else:
+            assert text == want
 
 
 def test_main_rejects_unknown_sweep_param():
