@@ -388,8 +388,9 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
         raise type(exc)(f"{spec.parameter} = {grid[len(rows)]}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
-    record = {"parameter": spec.parameter, "objective": spec.objective,
-              "argmax": argmax, "objective_max": best}
+    # argmax_ties: the scored points that reach the maximum exactly, 0 with none scored
+    record = {"parameter": spec.parameter, "objective": spec.objective, "argmax": argmax,
+              "objective_max": best, "argmax_ties": sum(row[1] == best for row in scored)}
     return header, rows, record
 
 

@@ -376,7 +376,8 @@ def _per_point_sweep(cfg, spec):
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (cli.NO_DEPLETION,) * 2
     return rows, {"parameter": spec.parameter, "objective": spec.objective,
-                  "argmax": argmax, "objective_max": best}
+                  "argmax": argmax, "objective_max": best,
+                  "argmax_ties": [value for _, value in rows].count(best)}
 
 
 # parameter -> (linear range, log range); the linear flux range starts at zero
@@ -406,6 +407,27 @@ def test_sweep_equals_per_point_reference_bit_for_bit(parameter, ratio_line):
             assert repr(record) == repr(want_record), (log, objective)
             if (parameter, log, objective) == ("flux_w_cm2", False, "tau"):
                 assert rows[0] == (0.0, None)   # zero drive: no_depletion
+
+
+@pytest.mark.parametrize("objective, parameter, lo, hi, ties", [
+    ("tau", "rho22_initial", 1e-5, 1e-2, 21),
+    ("tau", "vessel_length_cm", 1.0, 100.0, 21),
+    ("tau", "gas_density_g_cm3", 1e-6, 1e-3, 21),
+    ("tau", "detuning_mhz", -500.0, 500.0, 2),
+    ("eta_max_peak", "flux_w_cm2", 0.01, 100.0, 21),
+    # the 20 nonzero fluxes tie in exact arithmetic, but rounding leaves one a bit low
+    ("eta_max_peak", "flux_w_cm2", 0.0, 100.0, 19),
+    ("pulse_energy", "flux_w_cm2", 0.0, 100.0, 1),
+    ("tau", "detuning_mhz", -1.0, 1.0, 0),   # at zero flux: no point is scored
+])
+def test_sweep_record_counts_the_points_that_tie_the_maximum(objective, parameter, lo, hi, ties):
+    # the default config on a 21-point grid; the argmax is the first tied point
+    cfg = parse_config("channel = fine_structure\n" + ("" if ties else "flux_w_cm2 = 0\n"))
+    _, rows, record = run_sweep(cfg, SweepSpec(parameter, lo, hi, 21, objective=objective))
+    assert record["argmax_ties"] == ties
+    assert list(record)[-2:] == ["objective_max", "argmax_ties"]
+    if ties:
+        assert record["argmax"] == next(x for x, y in rows if y == record["objective_max"])
 
 
 @pytest.mark.parametrize("parameter, line", [("flux_w_cm2", "flux_w_cm2 = 1e305"),

@@ -24,8 +24,10 @@ from a subnormal rate of beta kept its digits, its ``--out`` digest again after
 beta from that rate did, the next two after a pulse energy whose window
 integral is subnormal was read from the released share, the 40th after the
 window integral of a subnormal time kept its digits, and the last four after the
-pulse energy became the stored energy times the released share), so these tests pin
-that refactors leave every byte unchanged.
+pulse energy became the stored energy times the released share; the ``--summary``
+digest of every sweep that exits 0, 75 generator and 19 edge ones, was recorded again
+after the argmax record gained ``argmax_ties``), so these tests pin that refactors
+leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
