@@ -360,7 +360,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
     """Grid sweep of one parameter; returns (header, rows, argmax record).
 
     Objectives are cheap closed forms, so the maximizer is an exhaustive grid
-    scan; 'no depletion' points are excluded from the argmax.
+    scan; 'no depletion' points are excluded from the argmax, and the record's
+    ``argmax_ties`` counts the scored points equal to ``objective_max`` (0 if none).
 
     Every ScenarioConfig constraint on a sweepable parameter is an interval,
     and so is every record check on one, so checking the config at the grid's
@@ -388,7 +389,6 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec):
         raise type(exc)(f"{spec.parameter} = {grid[len(rows)]}: {exc}") from None
     scored = [row for row in rows if row[1] is not None]
     argmax, best = max(scored, key=lambda row: row[1]) if scored else (NO_DEPLETION,) * 2
-    # argmax_ties: the scored points that reach the maximum exactly, 0 with none scored
     record = {"parameter": spec.parameter, "objective": spec.objective, "argmax": argmax,
               "objective_max": best, "argmax_ties": sum(row[1] == best for row in scored)}
     return header, rows, record
@@ -457,12 +457,12 @@ def format_csv(header, rows) -> str:
 
 
 def _scenario_table(series, summary):
-    """``run_scenario``'s rows with the drive frequency in MHz, formatted once, as second column."""
     drive = _format_value(summary["microwave_drive_mhz"])
     return SCENARIO_HEADER, series, "%.8e," + drive + ",%.8e,%.8e,%.8e,%.8e"
 
 
 def format_scenario(series, summary) -> str:
+    """``run_scenario``'s rows with the drive frequency in MHz, formatted once, as second column."""
     return _format_table(*_scenario_table(series, summary))
 
 
