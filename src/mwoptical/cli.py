@@ -101,6 +101,9 @@ NO_DEPLETION = "no_depletion"
 
 SCENARIO_HEADER = ("t[s]", "f_mw[MHz]", "beta[-]", "f_beta[-]", "I_total[erg/s]", "eta[-]")
 
+# fig1's comparison columns, printed as they are (inf at beta = 0): exempt from ``_check_range``
+_APPROXIMATION_COLUMNS = ("f_small_approx[-]", "f_large_approx[-]")
+
 # Largest scenario, sweep or fig1 grid; grids are Python lists built point by point.
 MAX_GRID_POINTS = 10**7
 
@@ -323,7 +326,7 @@ def fig1_rows(beta_max: float, steps: int):
     if not 0 < beta_max < math.inf:
         raise ConfigError(f"beta-max: must be positive and finite, got {beta_max}")
     _check_grid_size("steps", steps)
-    header = ["beta[-]", "f_exact[-]", "f_small_approx[-]", "f_large_approx[-]"]
+    header = ["beta[-]", "f_exact[-]", *_APPROXIMATION_COLUMNS]
     rows = [(b, f_beta(b), f_beta_approx_small(b), f_beta_approx_large(b))
             for b in _linspace(0.0, beta_max, steps)]
     return header, rows
@@ -464,6 +467,27 @@ def _scenario_table(series, summary):
 def format_scenario(series, summary) -> str:
     """``run_scenario``'s rows with the drive frequency in MHz, formatted once, as second column."""
     return _format_table(*_scenario_table(series, summary))
+
+
+def _check_range(value):
+    """ValueError on the first number of a record or table that is not finite, or is not
+    0 and lies below the normal range, where it keeps fewer than 53 bits; a table names
+    the row by its first cell.  The one range rule for every printed number."""
+    table = not isinstance(value, dict)
+    if table:   # every column the template formats: it holds the scenario's drive as text
+        names = [name for name, cell in zip(value[0], value[2].split(",")) if cell == "%.8e"]
+        rows = value[1]
+    else:   # text, such as a channel or a parameter, is no number
+        names, rows = list(value), [[None if isinstance(x, str) else x for x in value.values()]]
+    low, high = sys.float_info.min, math.inf
+    for row in rows:
+        for x in row:
+            if x and not low <= abs(x) < high:   # a fast scan; then the row's cells by name
+                for name, x in zip(names, row):
+                    if x and not low <= abs(x) < high and name not in _APPROXIMATION_COLUMNS:
+                        point = f" at {names[0]} = {row[0]}" if table and name != names[0] else ""
+                        raise ValueError(f"{name} = {x}{point} " + ("lies below the normal "
+                                         "range" if math.isfinite(x) else "is not finite"))
 
 
 def format_summary(record) -> str:
@@ -719,10 +743,13 @@ def _parse_args(argv=None) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        # a command returns its outputs as (value, path, stream); a value is a record
-        # (a mapping) or a table (header, rows, row template), formatted before any write
+        # a command returns its outputs as (value, path, stream); a value is a record (a
+        # mapping) or a table (header, rows, row template), all checked, then formatted
+        outputs = args.func(args)
+        for value, _, _ in outputs:
+            _check_range(value)
         _write_text(*((format_summary(value) if isinstance(value, dict) else _format_table(*value),
-                       path, stream) for value, path, stream in args.func(args)))
+                       path, stream) for value, path, stream in outputs))
     except ValueError as exc:
         with contextlib.suppress(ConfigError):   # stderr failed: the exit code alone reports it
             _write_text((f"error: {exc}\n", None, "stderr"))

@@ -13,6 +13,11 @@ line ``hydrogen.OPTICAL_ANCHOR_CM``) enters *cubed*, the only power that keeps t
 dimensionless (E0^2 in erg/cm^3, wavelength^3 in cm^3, hbar in erg s); beta equals
 |b_32(theta=0)|^2 * decrement * t / (2 * gamma_31) identically, as the test suite checks
 through ``coupling_element`` and ``decay_rate``.
+
+The functions raise ValueError on an invalid operand, on a computation that cannot go
+on, and on a 0 that stands for a nonzero value ("underflows to 0"); a result that
+overflows or falls below the normal range is returned as its IEEE value (inf, nan where
+inf meets 0, or a subnormal), and ``cli.main`` refuses to print it.
 """
 
 import math
@@ -74,22 +79,21 @@ class EnsembleConfig(_Record):
     @property
     def n_atoms(self) -> float:
         """Number of atoms in the vessel, gas_density * area * length / mu_H;
-        ValueError where it overflows or underflows to 0 (its factors are positive)."""
+        ValueError where it underflows to 0 (its factors are positive)."""
         n_atoms = _n_atoms(self.length, self.area, self.gas_density)
-        if not 0 < n_atoms < math.inf:
-            raise ValueError(f"n_atoms {'overflows' if n_atoms else 'underflows to 0'} (length = "
-                             f"{self.length} cm, area = {self.area} cm^2, gas density = "
-                             f"{self.gas_density} g/cm^3)")
+        if n_atoms == 0:
+            raise ValueError(f"n_atoms underflows to 0 (length = {self.length} cm, area = "
+                             f"{self.area} cm^2, gas density = {self.gas_density} g/cm^3)")
         return n_atoms
 
     @property
     def n31(self) -> float:
         """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H;
-        ValueError where it overflows or underflows to 0 (its factors are positive)."""
+        ValueError where it underflows to 0 (its factors are positive)."""
         n31 = self.gas_density * self.length * OPTICAL_ANCHOR_CM**2 / MU_H_G
-        if not 0 < n31 < math.inf:
-            raise ValueError(f"n31 {'overflows' if n31 else 'underflows to 0'} (length = "
-                             f"{self.length} cm, gas density = {self.gas_density} g/cm^3)")
+        if n31 == 0:
+            raise ValueError(f"n31 underflows to 0 (length = {self.length} cm, gas density = "
+                             f"{self.gas_density} g/cm^3)")
         return n31
 
 
@@ -194,9 +198,9 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
     I_total = decrement*sigma_max(cfg, beta)*S_mw is the
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
     conversion efficiency, zero by convention at zero drive.  beta's rate may exceed the
-    largest float.  ValueError where beta, I_total or eta overflows, on
-    f(beta) = 0 (beta above about 3e215), on area*S_mw = 0 at S_mw > 0, and on a zero
-    decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
+    largest float.  ValueError where area*S_mw overflows or is 0 at S_mw > 0, on
+    f(beta) = 0 (beta above about 3e215), and on a zero decrement*sigma_max/f, I_total
+    or eta at nonzero S_mw, decrement, ratio and rho22_0."""
     return _rows(_checked(s_mw, "flux S_mw"), decrement, *_operands(cfg), cfg.area, times)
 
 
@@ -208,11 +212,11 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
     rate, exponent = _beta_scale(s_mw, ratio, decrement)
     scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
     power = area * s_mw
-    if s_mw > 0 and power == 0:
-        raise ValueError(f"vessel power area*S_mw underflows to 0 (S_mw = {s_mw} erg/s/cm^2)")
+    if s_mw > 0 and not 0 < power < math.inf:   # eta = I/power would read 0, inf or nan
+        raise ValueError(f"vessel power area*S_mw {'overflows' if power else 'underflows to 0'}"
+                         f" (S_mw = {s_mw} erg/s/cm^2)")
     if scale == 0 and s_mw > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0:
         raise ValueError(f"cross-section scale underflows to 0 (N = {n_atoms} atoms)")
-    isfinite = math.isfinite
     rows = []
     for t in times:
         if not t >= 0:
@@ -223,8 +227,6 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
         f = f_beta(beta)
         intensity = scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0
-        if not (isfinite(beta) and isfinite(intensity) and isfinite(eta) and isfinite(power)):
-            raise ValueError(f"beta, intensity or efficiency overflows at t = {t} s")
         if eta == 0 and (f == 0 or s_mw > 0 and scale > 0):
             raise ValueError(f"{'f(beta)' if f == 0 else 'intensity or efficiency'} underflows "
                              f"to 0 at t = {t} s (beta = {beta})")
@@ -280,9 +282,8 @@ def pulse_energy(cfg: EnsembleConfig, s_mw: float, decrement: float, t0: float,
     (omega_31 of the 2p-1s line ``hydrogen.OPTICAL_ANCHOR_CM``), times the share released
     over the window (see ``_window``).  It equals the time integral of ``evaluate``'s
     I_total, since hbar*omega_31*K = (3/2pi)*wavelength_31^2.  ValueError on a reversed
-    window, where beta or the stored energy overflows, where the energy is below the
-    normal range but not 0, and where it is 0 at nonzero flux, decrement, ratio, rho22_0
-    and window width."""
+    window, where beta overflows, and where the energy is 0 at nonzero flux, decrement,
+    ratio, rho22_0 and window width."""
     _checked(s_mw, "flux S_mw")
     n_atoms, rho22_0, ratio = _operands(cfg)
     return next(_pulse_energies([(s_mw, decrement, n_atoms, rho22_0)], ratio, t0, t1))
@@ -320,12 +321,8 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             (r, r_exp), (w, w_exp) = math.frexp(abs(rate)), math.frexp(t1 - t0)
             energy = _scaled(n_atoms * rho22_0 * quantum * (r * w / 3.0),
                              exponent + r_exp + w_exp)
-        if not math.isfinite(energy):
-            raise ValueError("pulse energy overflows")
-        if energy < sys.float_info.min and (energy or t1 > t0 and s_mw > 0 and decrement > 0
-                                            and ratio > 0 and rho22_0 > 0):
-            raise ValueError("pulse energy underflows "
-                             + ("below the normal range" if energy else "to 0"))
+        if energy == 0 and t1 > t0 and s_mw > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0:
+            raise ValueError("pulse energy underflows to 0")
         yield energy
 
 
@@ -334,8 +331,8 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     value, which is 1 to within gamma^2/omega_32^2 corrections.  sigma_max/area is
     the peak conversion efficiency (3/2pi)*n31*ratio*rho22_0*f(beta); with the
     worked-example vessel (length 10 cm, density 0.9e-4 g/cm^3, 122 nm) the
-    prefactor (3/2pi)*n31 is ~4e10.  ValueError where N leaves the double range (see
-    ``n_atoms``) and where sigma_max underflows to 0 at nonzero ratio and rho22_0."""
+    prefactor (3/2pi)*n31 is ~4e10.  ValueError where N (see ``n_atoms``) or sigma_max
+    underflows to 0 at nonzero ratio and rho22_0."""
     n_atoms = cfg.n_atoms
     sigma = _sigma_prefactor(n_atoms, cfg.rho22_0, cfg.ratio) * f_beta(beta)
     if sigma == 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
@@ -352,8 +349,8 @@ def depletion_time(cfg: EnsembleConfig, s_mw: float, decrement: float):
     with k beta's rate (see the module docstring), so that beta(tau) = B.  Inversely
     proportional to the drive flux.  Returns None ("no depletion") when the
     flux or the dipole ratio is zero, rather than an infinity that would
-    poison downstream tables; a nonzero flux too weak for a finite tau, or so
-    strong that tau falls below the normal range, raises ValueError.
+    poison downstream tables; a nonzero flux so strong that tau underflows to 0
+    raises ValueError.
     """
     return _depletion_time(_checked(s_mw, "flux S_mw"), decrement, cfg.ratio)
 
@@ -366,9 +363,6 @@ def _depletion_time(s_mw: float, decrement: float, ratio: float):
         return None
     rate, exponent = _beta_scale(s_mw, ratio, decrement)
     tau = _scaled(_B / rate, -exponent)
-    if tau == math.inf:
-        raise ValueError(f"depletion time overflows at S_mw = {s_mw} erg/s/cm^2")
-    if tau < sys.float_info.min:
-        raise ValueError(f"depletion time underflows {'below the normal range' if tau else 'to 0'}"
-                         f" at S_mw = {s_mw} erg/s/cm^2")
+    if tau == 0:
+        raise ValueError(f"depletion time underflows to 0 at S_mw = {s_mw} erg/s/cm^2")
     return tau

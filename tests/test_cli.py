@@ -734,18 +734,19 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
                       "gas_density_g_cm3 = 1e10\nvessel_area_cm2 = 1e-100\n")
     assert main(["scenario", "--config", str(config)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: n31 overflows (length = 1e+300")
-    # beta's rate, about 4.4e335 s^-1, exceeds the largest float at a finite flux, but the
-    # row kernel rejects only what overflows: here the intensity at t = 0, where beta = 0,
-    # since the cross-section scale reads ratio = 1e308 too
+    assert captured.out == "" and captured.err == "error: n31 = inf is not finite\n"
+    # beta's rate, about 4.4e335 s^-1, exceeds the largest float at a finite flux, but
+    # eta_max_peak reads beta only at t = 0, where the intensity overflows, since the
+    # cross-section scale reads ratio = 1e308 too; the scenario's tau reads 0
     config.write_text("channel = fine_structure\nflux_w_cm2 = 1e20\n"
                       "ratio_mode = custom\nratio_value = 1e308\n")
-    for args in (["scenario"], ["sweep", "--param", "flux_w_cm2", "--min", "1e19", "--max",
-                                "1e20", "--steps", "2", "--objective", "eta_max_peak"]):
+    for args, message in (
+            (["scenario"], "depletion time underflows to 0 at S_mw = 1e+27 erg/s/cm^2"),
+            (["sweep", "--param", "flux_w_cm2", "--min", "1e19", "--max", "1e20", "--steps", "2",
+              "--objective", "eta_max_peak"],
+             "eta_max_peak[-] = inf at flux_w_cm2[W/cm^2] = 1e+19 is not finite")):
         assert main([args[0], "--config", str(config), *args[1:]]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "nan" not in captured.err
-        assert "beta, intensity or efficiency overflows at t = 0.0 s" in captured.err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_a_rate_above_the_largest_float_still_computes(tmp_path, capsys):
@@ -911,14 +912,14 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
      "sigma_max underflows to 0"),
-    # at a subnormal S_mw beta's rate is subnormal, so tau = B/rate overflows, and the pulse
-    # energy falls below the normal range, where it keeps too few digits to print
+    # a subnormal flux prints an intensity, or is itself a grid point, below the normal
+    # range, where it keeps too few digits to print
     ("flux_w_cm2 = 1e-323", ["scenario"],
-     "depletion time overflows at S_mw = 9.881313e-317 erg/s/cm^2"),
+     "I_total[erg/s] = 1.25881736821883e-310 at t[s] = 0.0 lies below the normal range"),
     ("flux_w_cm2 = 1",
      ["sweep", "--param", "flux_w_cm2", "--min", "0", "--max", "1e-322", "--steps", "3",
       "--objective", "pulse_energy"],
-     "flux_w_cm2 = 5e-323: pulse energy underflows below the normal range"),
+     "flux_w_cm2[W/cm^2] = 5e-323 lies below the normal range"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):
@@ -953,17 +954,77 @@ def test_main_lineshape_underflow_is_a_numerical_error(tmp_path, capsys, detunin
 
 
 def test_main_scenario_at_huge_beta(tmp_path, capsys):
-    # beta reaches ~4e206 by the window's end: f is a positive denormal, not 0
+    # beta reaches ~4e206 by the window's end: f is a positive subnormal, not 0, which
+    # keeps too few digits to print
     config = tmp_path / "run.cfg"
     config.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = 1e205\n")
-    assert main(["scenario", "--config", str(config)]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert float(rows[-1][2]) > 1e206 and all(float(row[3]) > 0 for row in rows)
+    assert main(["scenario", "--config", str(config)]) == 3
+    assert capsys.readouterr() == ("", "error: f_beta[-] = 1.7181209445708363e-308 at t[s] = "
+                                       "2e-08 lies below the normal range\n")
     # past beta ~ 3e215 f underflows to 0, which would print I = eta = 0: exit 3
     config.write_text("channel = fine_structure\nratio_mode = custom\nratio_value = 1e215\n")
     assert main(["scenario", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "f(beta) underflows to 0" in captured.err
+
+
+@pytest.mark.parametrize("config, args, message", [
+    # N = rho*A*L/mu_H overflows: I is inf at a nonzero flux, and inf*0 = nan at zero flux
+    ("vessel_area_cm2 = 1e300\nvessel_length_cm = 1e300", ["scenario"],
+     "I_total[erg/s] = inf at t[s] = 0.0 is not finite"),
+    ("vessel_area_cm2 = 1e300\nvessel_length_cm = 1e300\nflux_w_cm2 = 0", ["scenario"],
+     "I_total[erg/s] = nan at t[s] = 0.0 is not finite"),
+    # the stored energy, and with it the pulse energy, overflows
+    ("vessel_area_cm2 = 1e200\nvessel_length_cm = 1e200\ngas_density_g_cm3 = 1\n"
+     "time_stop_s = 1e-15",
+     ["sweep", "--param", "rho22_initial", "--min", "0.5", "--max", "1", "--steps", "2",
+      "--objective", "pulse_energy"],
+     "pulse_energy[erg] = inf at rho22_initial[-] = 0.5 is not finite"),
+    # tau = B/rate overflows at a subnormal rate, and is subnormal at a rate near 1e308
+    ("flux_w_cm2 = 1e-316",
+     ["sweep", "--param", "rho22_initial", "--min", "0.5", "--max", "1", "--steps", "2",
+      "--objective", "tau"],
+     "tau[s] = inf at rho22_initial[-] = 0.5 is not finite"),
+    ("ratio_mode = custom\nratio_value = 1e302",
+     ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "2",
+      "--objective", "tau"],
+     "tau[s] = 1.38550311868357e-309 at flux_w_cm2[W/cm^2] = 1.0 lies below the normal range"),
+    # a subnormal flux that no column prints gives a subnormal pulse energy
+    ("flux_w_cm2 = 5e-323",
+     ["sweep", "--param", "rho22_initial", "--min", "0.5", "--max", "1", "--steps", "2",
+      "--objective", "pulse_energy"],
+     "pulse_energy[erg] = 3.14704342055e-312 at rho22_initial[-] = 0.5 lies below the normal "
+     "range"),
+    # a subnormal input is printed back like any other number: in the summary, or as a
+    # grid point
+    ("rho22_initial = 1e-310", ["scenario"], "rho22_initial = 1e-310 lies below the normal range"),
+    ("", ["sweep", "--param", "rho22_initial", "--min", "1e-310", "--max", "1e-300", "--steps",
+          "2", "--objective", "eta_max_peak"],
+     "rho22_initial[-] = 1e-310 lies below the normal range"),
+])
+def test_main_value_out_of_the_normal_range_exits_3(tmp_path, capsys, config, args, message):
+    # the library returns these values as inf, nan or a subnormal (where it raised for
+    # the first five); cli.main checks every printed number before it writes any, and
+    # names the column or summary key, the value and the row's grid point
+    path = tmp_path / "run.cfg"
+    path.write_text(f"channel = fine_structure\n{config}\n")
+    assert main([args[0], "--config", str(path), *args[1:]]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_main_fig1_range_rule_exempts_only_the_approximations(capsys):
+    # f_exact at beta = 5e209 is subnormal: exit 3, naming the column and the row's beta
+    assert main(["fig1", "--beta-max", "1e210", "--steps", "3"]) == 3
+    assert capsys.readouterr() == ("", "error: f_exact[-] = 1.253314135e-315 at beta[-] = "
+                                       "5e+209 lies below the normal range\n")
+    # the comparison columns print as they are: the small-beta approximation is subnormal
+    # on 74 rows here, and the large-beta one is inf at beta = 0
+    assert main(["fig1", "--beta-max", "1500", "--steps", "1501"]) == 0
+    rows = [[float(cell) for cell in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert sum(0 < row[2] < sys.float_info.min for row in rows) == 74
+    assert rows[0][3] == math.inf
+    assert all(sys.float_info.min <= row[1] < math.inf for row in rows)
 
 
 def test_main_fig1_large_approx_is_inf_at_tiny_beta(tmp_path):

@@ -452,17 +452,16 @@ def test_vessel_counts():
     assert cfg.n_atoms == pytest.approx(0.9e-4 * 1.0 * 10.0 / 1.6735328e-24, rel=1e-12)
     assert cfg.n31 == pytest.approx(8.004384497274269e10, rel=1e-12)
     assert cfg.n31 == pytest.approx(0.8e11, rel=0.03)
-    # positive factors whose product leaves the double range leave no n31 to report
+    # positive factors whose product underflows to 0 leave no n31 to report; one that
+    # overflows is inf, which the CLI refuses to print (test_cli's overflow tests)
     with pytest.raises(ValueError, match="n31 underflows to 0"):
         _vessel(length=1e-300, gas_density=1e-30).n31
-    with pytest.raises(ValueError, match="n31 overflows"):
-        _vessel(length=1e300, gas_density=1e10).n31
-    # and no atom count: rho*A underflows first, or rho*A*L overflows
+    assert _vessel(length=1e300, gas_density=1e10).n31 == math.inf
+    # and no atom count where rho*A underflows first; where rho*A*L overflows N is inf
     with pytest.raises(ValueError, match=r"n_atoms underflows to 0 \(length = 10.0 cm, "
                                          r"area = 1e-320 cm\^2, gas density = 9e-05 g/cm\^3\)"):
         _vessel(area=1e-320).n_atoms
-    with pytest.raises(ValueError, match="n_atoms overflows"):
-        _vessel(area=1e300, length=1e300).n_atoms
+    assert _vessel(area=1e300, length=1e300).n_atoms == math.inf
 
 
 def test_sigma_max_is_zero_only_at_a_zero_factor():
@@ -569,9 +568,11 @@ def test_evaluate_matches_pointwise_functions_bit_for_bit():
 
 
 def test_evaluate_rejects_overflow_and_negative_time():
-    with pytest.raises(ValueError, match="overflows at t = 1e"):
+    # beta overflows to inf, where f reads 0
+    with pytest.raises(ValueError, match=r"f\(beta\) underflows to 0 at t = 1e\+308 s "
+                                         r"\(beta = inf\)"):
         evaluate(_vessel(), _flux(), 1.0, [0.0, 1e308])
-    with pytest.raises(ValueError, match="overflows"):   # area * S_mw
+    with pytest.raises(ValueError, match="vessel power area.S_mw overflows"):
         evaluate(_vessel(area=1e30), _flux(1e290), 1.0, [0.0])
     for t in (-1e-9, math.nan):
         with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -579,8 +580,14 @@ def test_evaluate_rejects_overflow_and_negative_time():
     for decrement in (-0.5, math.nan):
         with pytest.raises(ValueError, match="decrement must be nonnegative"):
             evaluate(_vessel(), _flux(), decrement, [0.0])
-    with pytest.raises(ValueError, match="overflows at t = 0.0 s"):   # I finite, power not
+    with pytest.raises(ValueError, match="vessel power area.S_mw overflows"):   # I finite
         evaluate(_vessel(area=1e30, rho22_0=1e-300), _flux(1e290), 1.0, [0.0])
+    # an intensity that overflows, or falls below the normal range, is its IEEE value,
+    # which the CLI refuses to print (test_cli's overflow and underflow tests)
+    (_, _, _, intensity, eta), = evaluate(_vessel(), _flux(1e300), 1.0, [0.0])
+    assert intensity == eta == math.inf
+    (_, _, _, intensity, _), = evaluate(_vessel(), _flux(1e-323), 1.0, [0.0])
+    assert 0 < intensity < sys.float_info.min
     with pytest.raises(ValueError, match="underflows"):  # area * S_mw = 0 < S_mw
         evaluate(_vessel(area=1e-219), _flux(1e-130), 1.0, [0.0])
 
@@ -845,10 +852,10 @@ def test_pulse_energy_overflows_only_past_the_stored_energy():
     assert pulse_energy(cfg, s_mw, 1.0, 0.0, 1e-15) == pytest.approx(
         _stored_oracle(cfg, s_mw, 1.0, 0.0, 1e-15), rel=1e-10)
     assert pulse_energy(cfg, s_mw, 1.0, 0.0, 0.0) == 0.0   # an empty window at t = 0
-    # on the 122 nm line the stored energy overflows only where N itself does
-    with pytest.raises(ValueError, match="pulse energy overflows"):
-        pulse_energy(_vessel(length=1e200, area=1e200, gas_density=1.0, rho22_0=1.0),
-                     s_mw, 1.0, 0.0, 1e-15)
+    # on the 122 nm line the stored energy overflows only where N itself does, and the
+    # energy is then inf, which the CLI refuses to print
+    assert pulse_energy(_vessel(length=1e200, area=1e200, gas_density=1.0, rho22_0=1.0),
+                        s_mw, 1.0, 0.0, 1e-15) == math.inf
 
 
 def _pulse_draws(rng, count):
@@ -881,10 +888,11 @@ def _released_reference(rate, t0, t1):
 
 def _check_pulse_energies(seed, count):
     """Check ``_pulse_energies`` on count draws of ``_pulse_draws`` against the stored
-    energy N*rho22_0*hbar*omega_31 times ``_released_reference``: every energy returned
-    lies within 1e-9 of it, an energy that underflows has a reference below the normal
-    range, and beta overflows where the exact k*t1 exceeds the largest float.  Returns
-    the counts of energies returned, underflows and overflows."""
+    energy N*rho22_0*hbar*omega_31 times ``_released_reference``: every normal energy
+    lies within 1e-9 of it, an energy that underflows, to 0 or below the normal range,
+    has a reference below the normal range, and beta overflows where the exact k*t1
+    exceeds the largest float.  Returns the counts of normal energies, underflows and
+    overflows."""
     quantum = Fraction(HBAR_ERG_S) * Fraction(OMEGA_31)
     returned = underflows = overflows = 0
     for draw in _pulse_draws(np.random.default_rng(seed), count):
@@ -897,15 +905,15 @@ def _check_pulse_energies(seed, count):
                 overflows += 1
                 assert rate * Fraction(t1) > sys.float_info.max * (1 - 1e-12), draw
                 continue
-            assert str(error).startswith("pulse energy underflows"), (draw, error)
-            underflows += 1
-            reference = (Fraction(n_atoms) * Fraction(rho22_0) * quantum
-                         * _released_reference(rate, t0, t1))
-            assert reference < sys.float_info.min * (1 + 1e-9), (draw, error)
-            continue
-        returned += 1
+            assert str(error) == "pulse energy underflows to 0", (draw, error)
+            energy = 0.0
         reference = (Fraction(n_atoms) * Fraction(rho22_0) * quantum
                      * _released_reference(rate, t0, t1))
+        if energy < sys.float_info.min:
+            underflows += 1
+            assert reference < sys.float_info.min * (1 + 1e-9), (draw, energy)
+            continue
+        returned += 1
         assert abs(Fraction(energy) - reference) <= reference * Fraction(1e-9), draw
     return returned, underflows, overflows
 
@@ -968,8 +976,8 @@ def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
     # tau is formed on the mantissas of its operands at every rate, subnormal, 0 or normal
     # (with fluxes up to the largest float, where 8*pi*S_mw overflows): it keeps the
     # rounding error of its operations against B over the exact rate, and leaves the
-    # range only where that exact tau does; where the rate is normal it has the bits of
-    # B over the rate
+    # range (inf, a subnormal, or an error where it underflows to 0) only where that exact
+    # tau does; where the rate is normal it has the bits of B over the rate
     checked = overflows = plain = 0
     draws = (_draws(27, (-317.0, -250.0), (-60.0, 20.0), (-20.0, 0.0))
              + _draws(29, (-300.0, 308.25), (-60.0, 20.0), (-20.0, 0.0), count=2000)
@@ -978,12 +986,13 @@ def test_depletion_time_from_a_subnormal_rate_keeps_its_digits():
         exact = _EXACT_B / _exact_rate(s_mw, ratio, dec)
         if exact > sys.float_info.max:
             overflows += 1
-            with pytest.raises(ValueError, match="depletion time overflows"):
-                ensemble._depletion_time(s_mw, dec, ratio)
+            assert ensemble._depletion_time(s_mw, dec, ratio) == math.inf
             continue
         if exact < sys.float_info.min:
-            with pytest.raises(ValueError, match="depletion time underflows"):
-                ensemble._depletion_time(s_mw, dec, ratio)
+            try:
+                assert 0 < ensemble._depletion_time(s_mw, dec, ratio) < sys.float_info.min
+            except ValueError as error:
+                assert str(error).startswith("depletion time underflows to 0"), error
             continue
         checked += 1
         tau = ensemble._depletion_time(s_mw, dec, ratio)
@@ -1024,18 +1033,20 @@ def test_depletion_time_validation():
     for decrement in (0.0, math.nan):
         with pytest.raises(ValueError, match="decrement must be positive"):
             depletion_time(_vessel(), _flux(1.0), decrement)
-    # a nonzero flux whose rate K*S_mw is subnormal and whose tau, about
-    # 1.4e309 s, lies beyond the largest float
-    with pytest.raises(ValueError, match="depletion time overflows"):
-        depletion_time(_vessel(), _flux(1e-316), 1.0)
     # a rate so large that B/rate underflows: tau would read 0
     with pytest.raises(ValueError, match="depletion time underflows to 0"):
         depletion_time(_vessel(ratio=1e308), _flux(1e10), 1.0)
-    # a rate that puts tau below the smallest normal float, short of digits: the
-    # largest flux on the README vessel, and a ratio of 1e302 at 1 W/cm^2
+
+
+def test_depletion_time_out_of_the_normal_range_is_its_ieee_value():
+    # a nonzero flux whose rate K*S_mw is subnormal and whose tau, about 1.4e309 s, lies
+    # beyond the largest float is inf; a rate that puts tau below the smallest normal
+    # float, short of digits, gives that subnormal: the largest flux on the README
+    # vessel, and a ratio of 1e302 at 1 W/cm^2.  The CLI refuses to print either
+    # (test_cli's test_main_value_out_of_the_normal_range_exits_3).
+    assert depletion_time(_vessel(), _flux(1e-316), 1.0) == math.inf
     for cfg, s_mw in ((_vessel(), sys.float_info.max), (_vessel(ratio=1e302), _flux(1.0))):
-        with pytest.raises(ValueError, match="depletion time underflows below the normal range"):
-            depletion_time(cfg, s_mw, 1.0)
+        assert 0 < depletion_time(cfg, s_mw, 1.0) < sys.float_info.min
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ integral is subnormal was read from the released share, the 40th after the
 window integral of a subnormal time kept its digits, and the last four after the
 pulse energy became the stored energy times the released share; the ``--summary``
 digest of every sweep that exits 0, 75 generator and 19 edge ones, was recorded again
-after the argmax record gained ``argmax_ties``), so these tests pin that refactors
-leave every byte unchanged.
+after the argmax record gained ``argmax_ties``, and the 7th, 8th, 28th, 35th and 36th
+edge ones after one range rule for every printed number replaced the kernels' overflow
+and below-normal checks), so these tests pin that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,

@@ -6,8 +6,8 @@ that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
 an efficiency eta that never rises with t and is positive wherever the flux,
 the ratio and rho22(0) are, and the same bytes when repeated.  Its summary's
 eta_peak, tau_s, n31, n_atoms and sigma_max_cm2, and every sweep objective, print
-0 only where one of their factors is 0; a printed tau or pulse energy that is not 0
-is a normal float, never a subnormal one short of digits.  Besides configs mostly
+0 only where one of their factors is 0; every printed number that is not 0 is a
+normal float, never a subnormal one short of digits.  Besides configs mostly
 inside the model's working range, the tests draw configs whose every positive float
 key is log-uniform over the whole double range at once; on those, ``run_sweep`` gives
 the rows and record of a reference that rebuilds every point from the records,
@@ -118,8 +118,6 @@ SCALE_FACTORS = ("flux_w_cm2", "ratio", "rho22_initial")
 ZERO_FACTORS = {"eta_peak": SCALE_FACTORS, "eta_max_peak": SCALE_FACTORS,
                 "pulse_energy": SCALE_FACTORS, "sigma_max_cm2": SCALE_FACTORS[1:],
                 "tau_s": (), "tau": (), "n31": (), "n_atoms": ()}
-# The printed values that are 0 or a normal float, never subnormal
-NORMAL_ONLY = ("tau_s", "tau", "pulse_energy")
 
 # Sweep bounds around each parameter's valid interval, reaching past its edges
 # (the detuning range passes both channels' -resonance).
@@ -158,8 +156,9 @@ def _run(config, args):
 
 
 def _checked_run(config, args):
-    """Run twice; check the exit code, byte identity and finite numbers.  None on an
-    error exit, else the CSV rows and the summary record as strings."""
+    """Run twice; check the exit code, byte identity and that every number is finite, and
+    0 or normal.  None on an error exit, else the CSV rows and the summary record as
+    strings."""
     first = _run(config, args)
     assert first == _run(config, args)
     code, out, err = first
@@ -173,7 +172,7 @@ def _checked_run(config, args):
                 value = float(cell)
             except ValueError:
                 continue   # a channel name, a parameter name or no_depletion
-            assert math.isfinite(value), line
+            assert value == 0 or sys.float_info.min <= abs(value) < math.inf, line
     return ([line.split(",") for line in out.splitlines()[1:]],
             dict(line.split(" = ") for line in err.splitlines()))
 
@@ -187,12 +186,6 @@ def _check_zeros(config, name, printed, **swept):
     assert 0 in factors.values(), (name, factors)
 
 
-def _check_normal(name, printed):
-    """A printed tau or pulse energy that is not 0 is at least the smallest normal float."""
-    if name in NORMAL_ONLY and printed != cli.NO_DEPLETION and float(printed) != 0:
-        assert float(printed) >= sys.float_info.min, (name, printed)
-
-
 def _check_scenario(config):
     result = _checked_run(config, ["scenario"])
     if result is None:
@@ -200,7 +193,6 @@ def _check_scenario(config):
     rows, record = result
     for name in ("eta_peak", "tau_s", "n31", "n_atoms", "sigma_max_cm2"):
         _check_zeros(config, name, record[name])
-        _check_normal(name, record[name])
     f_values = [float(row[3]) for row in rows]
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
     etas = [float(row[5]) for row in rows]
@@ -223,7 +215,6 @@ def _check_sweep(config, parameter, low, high, steps, log, objective):
     grid = cli.SweepSpec(parameter, low, high, steps, log, objective).grid()
     for value, (_, printed) in zip(grid, rows):
         _check_zeros(config, objective, printed, **{parameter: value})
-        _check_normal(objective, printed)
 
 
 @PROPERTY_SETTINGS
@@ -244,10 +235,16 @@ def test_sweep_exit_contract(config, sweep):
 @example({"channel": "fine_structure", "flux_w_cm2": 1e-323}, ("flux_w_cm2", [1e-323, 2e-323]))
 @example({"channel": "fine_structure", "ratio_mode": "custom", "ratio_value": 1e302},
          ("flux_w_cm2", [1.0, 2.0]))
+@example({"channel": "fine_structure", "vessel_area_cm2": 1e-280, "vessel_length_cm": 1e-20,
+          "rho22_initial": 1e-31, "flux_w_cm2": 1e20, "time_stop_s": 1e-40, "time_steps": 3},
+         ("flux_w_cm2", [1e19, 1e20]))
+@example({"channel": "fine_structure", "flux_w_cm2": 1e-309}, ("flux_w_cm2", [1.0, 2.0]))
 def test_whole_range_exit_contract(config, sweep):
     # the first example's flux, below the draws of POSITIVE, gives a subnormal S_mw,
     # whose depletion rate underflows to 0 and whose pulse energy is subnormal; the
-    # second's tau at 1 and 2 W/cm^2 is subnormal
+    # second's tau at 1 and 2 W/cm^2 is subnormal; the third's sigma_max_cm2 is
+    # subnormal (the scenario printed it at exit 0), and so is the fourth's flux, which
+    # the summary prints back
     parameter, bounds = sweep
     _check_scenario(config)
     for objective in cli.OBJECTIVES:
