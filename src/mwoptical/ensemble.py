@@ -88,9 +88,10 @@ class EnsembleConfig(_Record):
 
     @property
     def n31(self) -> float:
-        """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H;
-        ValueError where it underflows to 0 (its factors are positive)."""
-        n31 = self.gas_density * self.length * OPTICAL_ANCHOR_CM**2 / MU_H_G
+        """Dimensionless vessel parameter gas_density * length * wavelength_31^2 / mu_H, the
+        atom count of a column of cross-section wavelength_31^2; ValueError where it
+        underflows to 0 (its factors are positive)."""
+        n31 = _n_atoms(OPTICAL_ANCHOR_CM**2, self.length, self.gas_density)
         if n31 == 0:
             raise ValueError(f"n31 underflows to 0 (length = {self.length} cm, gas density = "
                              f"{self.gas_density} g/cm^3)")
@@ -153,8 +154,16 @@ def f_beta_approx_large(beta: float) -> float:
 # the pulse kernel takes the whole sweep column at once.
 
 def _n_atoms(length: float, area: float, gas_density: float) -> float:
-    """gas_density * area * length / mu_H, which may over- or underflow."""
-    return gas_density * area * length / MU_H_G
+    """gas_density * area * length / mu_H in that order, which may over- or underflow;
+    where gas_density * area leaves the normal range, or the product of all three falls
+    below it, to keep N's digits, on the ``math.frexp`` mantissas of the factors, as
+    ``_beta_scale`` forms beta's rate."""
+    head = gas_density * area
+    product = head * length
+    if sys.float_info.min <= head < math.inf and sys.float_info.min <= product:
+        return product / MU_H_G
+    (d, d_exp), (a, a_exp), (z, z_exp) = map(math.frexp, (gas_density, area, length))
+    return _scaled(d * a * z / MU_H_G, d_exp + a_exp + z_exp)
 
 
 def _operands(cfg: EnsembleConfig) -> tuple:

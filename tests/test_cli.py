@@ -880,12 +880,15 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("config, args, message", [
-    # N = 0.9e-4*1e-320/mu_H: the atom count, and with it I and eta, underflows to 0
-    ("vessel_length_cm = 1e-320", ["scenario"], "cross-section scale underflows to 0"),
+    # N = 0.9e-4*1e-320/mu_H: the atom count underflowed to 0, and with it I and eta; N is
+    # now formed on mantissas, and I and eta are subnormal
+    ("vessel_length_cm = 1e-320", ["scenario"],
+     "I_total[erg/s] = 1.273923174207502e-308 at t[s] = 0.0 lies below the normal range"),
     ("vessel_length_cm = 1e-320",
      ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "3",
       "--objective", "eta_max_peak"],
-     "flux_w_cm2 = 1.0: cross-section scale underflows to 0"),
+     "eta_max_peak[-] = 1.273923174e-315 at flux_w_cm2[W/cm^2] = 1.0 lies below the normal "
+     "range"),
     # I_total = scale*f*S_mw underflows while each factor is positive
     ("flux_w_cm2 = 1e-305\nvessel_length_cm = 1e-35", ["scenario"],
      "intensity or efficiency underflows to 0 at t = 0.0 s"),
@@ -904,12 +907,16 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
      ["sweep", "--param", "flux_w_cm2", "--min", "1e10", "--max", "2e10", "--steps", "2",
       "--objective", "tau"],
      "flux_w_cm2 = 10000000000.0: depletion time underflows to 0"),
-    # n31 = rho*L*lambda^2/mu_H underflows where N = rho*A*L/mu_H does not
+    # n31 = rho*L*lambda^2/mu_H underflowed to 0 where N = rho*A*L/mu_H did not; n31 is
+    # now subnormal, and so is eta, which is checked first
     ("vessel_length_cm = 1e-300\ngas_density_g_cm3 = 1e-30\nvessel_area_cm2 = 1e280\n"
-     "rho22_initial = 1\nflux_w_cm2 = 1e-5", ["scenario"], "n31 underflows to 0"),
+     "rho22_initial = 1\nflux_w_cm2 = 1e-5", ["scenario"],
+     "eta[-] = 1.4154857e-317 at t[s] = 0.0 lies below the normal range"),
     # at zero flux evaluate checks no cross-section scale: the summary's N, or its
-    # sigma_max at a positive N, underflows to 0
-    ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"], "n_atoms underflows to 0"),
+    # sigma_max at a positive N, underflows to 0; at an area of 1e-320 N underflowed to 0,
+    # and is now normal, while sigma_max is subnormal (N underflows to 0 below)
+    ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320", ["scenario"],
+     "sigma_max_cm2 = 1.2739231767e-314 lies below the normal range"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-20\nrho22_initial = 1e-320", ["scenario"],
      "sigma_max underflows to 0"),
     # a subnormal flux prints an intensity, or is itself a grid point, below the normal
@@ -920,10 +927,23 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
      ["sweep", "--param", "flux_w_cm2", "--min", "0", "--max", "1e-322", "--steps", "3",
       "--objective", "pulse_energy"],
      "flux_w_cm2[W/cm^2] = 5e-323 lies below the normal range"),
+    # N, and n31 where rho*L is smaller still, underflow to 0 on mantissas too
+    ("vessel_length_cm = 1e-320\nvessel_area_cm2 = 1e-30", ["scenario"],
+     "cross-section scale underflows to 0 (N = 0.0 atoms)"),
+    ("vessel_length_cm = 1e-320\nvessel_area_cm2 = 1e-30",
+     ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "3",
+      "--objective", "eta_max_peak"],
+     "flux_w_cm2 = 1.0: cross-section scale underflows to 0"),
+    ("vessel_length_cm = 1e-310\ngas_density_g_cm3 = 1e-30\nvessel_area_cm2 = 1e300\n"
+     "ratio_mode = custom\nratio_value = 1e300\nrho22_initial = 1\nflux_w_cm2 = 1e-5\n"
+     "time_stop_s = 1e-300", ["scenario"], "n31 underflows to 0"),
+    ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320\nvessel_length_cm = 1e-30", ["scenario"],
+     "n_atoms underflows to 0"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):
-    # each printed a 0 at exit 0 where every factor of the value was nonzero
+    # each printed a 0 at exit 0 where every factor of the value was nonzero, or printed
+    # a value below the normal range
     path = tmp_path / "run.cfg"
     path.write_text(f"channel = fine_structure\n{config}\n")
     assert main([args[0], "--config", str(path), *args[1:]]) == 3

@@ -31,7 +31,7 @@ from mwoptical.hydrogen import (
     hydrogenic_dipole_ratio,
     mode,
 )
-from mwoptical.units import C_CM_S, HBAR_ERG_S, field_from_flux, flux_si_to_cgs
+from mwoptical.units import C_CM_S, HBAR_ERG_S, MU_H_G, field_from_flux, flux_si_to_cgs
 
 LAMBDA_31 = 1.22e-5   # cm
 
@@ -453,15 +453,41 @@ def test_vessel_counts():
     assert cfg.n31 == pytest.approx(8.004384497274269e10, rel=1e-12)
     assert cfg.n31 == pytest.approx(0.8e11, rel=0.03)
     # positive factors whose product underflows to 0 leave no n31 to report; one that
-    # overflows is inf, which the CLI refuses to print (test_cli's overflow tests)
+    # overflows is inf, and one below the normal range a subnormal, which the CLI refuses
+    # to print (test_cli's overflow and range tests)
     with pytest.raises(ValueError, match="n31 underflows to 0"):
-        _vessel(length=1e-300, gas_density=1e-30).n31
+        _vessel(length=1e-310, gas_density=1e-30).n31
+    assert 0 < _vessel(length=1e-300, gas_density=1e-30).n31 < sys.float_info.min
     assert _vessel(length=1e300, gas_density=1e10).n31 == math.inf
-    # and no atom count where rho*A underflows first; where rho*A*L overflows N is inf
-    with pytest.raises(ValueError, match=r"n_atoms underflows to 0 \(length = 10.0 cm, "
+    # and no atom count where rho*A*L/mu_H underflows to 0; where it overflows N is inf
+    with pytest.raises(ValueError, match=r"n_atoms underflows to 0 \(length = 1e-30 cm, "
                                          r"area = 1e-320 cm\^2, gas density = 9e-05 g/cm\^3\)"):
-        _vessel(area=1e-320).n_atoms
+        _vessel(area=1e-320, length=1e-30).n_atoms
     assert _vessel(area=1e300, length=1e300).n_atoms == math.inf
+
+
+def test_atom_counts_keep_their_digits_where_the_product_is_subnormal():
+    # N = rho*A*L/mu_H is formed on the mantissas where rho*A leaves the normal range or
+    # rho*A*L falls below it, so a normal N keeps the rounding error of its operations
+    # against the exact value; elsewhere it has the bits of the plain product, and so has
+    # n31, the count of a column of cross-section wavelength^2.  The plain product printed
+    # N = 5.97531681e-297, 1.1e-5 low, for the first vessel below.
+    vessel = _vessel(area=1e-300, length=1e-20, gas_density=1.0)
+    assert f"{vessel.n_atoms:.8e}" == "5.97538333e-297"
+    checked = plain = 0
+    for length, area, density in _draws(64, (-320.0, 308.0), (-320.0, 308.0), (-320.0, 308.0)):
+        exact = Fraction(density) * Fraction(area) * Fraction(length) / Fraction(MU_H_G)
+        n_atoms = ensemble._n_atoms(length, area, density)
+        if sys.float_info.min <= exact <= sys.float_info.max:
+            checked += 1
+            assert _within_8_ulp(n_atoms, exact), (length, area, density)
+        for head, tail, n_plain in ((density * area, length, n_atoms),
+                                    (density * length, LAMBDA_31**2,
+                                     ensemble._n_atoms(LAMBDA_31**2, length, density))):
+            if sys.float_info.min <= head < math.inf and sys.float_info.min <= head * tail:
+                plain += 1
+                assert n_plain == head * tail / MU_H_G
+    assert checked > 1000 and plain > 1000
 
 
 def test_sigma_max_is_zero_only_at_a_zero_factor():
@@ -469,7 +495,7 @@ def test_sigma_max_is_zero_only_at_a_zero_factor():
     assert sigma_max(_vessel(rho22_0=0.0), 0.0) == 0.0
     # every factor positive: N underflows, or N is positive and the product is not
     with pytest.raises(ValueError, match="n_atoms underflows to 0"):
-        sigma_max(_vessel(area=1e-320), 0.0)
+        sigma_max(_vessel(area=1e-320, length=1e-30), 0.0)
     with pytest.raises(ValueError, match=r"sigma_max underflows to 0 \(N = 5.37"):
         sigma_max(_vessel(area=1e-20, rho22_0=1e-320), 0.0)
 
@@ -593,8 +619,8 @@ def test_evaluate_rejects_overflow_and_negative_time():
 
 
 def test_evaluate_rejects_an_intensity_or_efficiency_that_underflows():
-    # N = 0.9e-4*1e-320/mu_H underflows to 0, and with it the cross-section scale
-    tiny = _vessel(length=1e-320)
+    # N = 0.9e-4*1e-30*1e-320/mu_H underflows to 0, and with it the cross-section scale
+    tiny = _vessel(length=1e-320, area=1e-30)
     with pytest.raises(ValueError, match=r"cross-section scale underflows to 0 \(N = 0.0"):
         evaluate(tiny, _flux(), 1.0, [0.0])
     for cfg, s_mw in ((_vessel(length=1e-35), _flux(1e-305)),          # I_total

@@ -28,7 +28,9 @@ pulse energy became the stored energy times the released share; the ``--summary`
 digest of every sweep that exits 0, 75 generator and 19 edge ones, was recorded again
 after the argmax record gained ``argmax_ties``, and the 7th, 8th, 28th, 35th and 36th
 edge ones after one range rule for every printed number replaced the kernels' overflow
-and below-normal checks), so these tests pin that refactors leave every byte unchanged.
+and below-normal checks, and the stderr digests of the 15th, 22nd and 23rd after the atom
+count kept its digits where its product is subnormal), so these tests pin that
+refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
