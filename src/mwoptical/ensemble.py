@@ -171,9 +171,22 @@ def _operands(cfg: EnsembleConfig) -> tuple:
     return _n_atoms(cfg.length, cfg.area, cfg.gas_density), cfg.rho22_0, cfg.ratio
 
 
-def _sigma_prefactor(n_atoms: float, rho22_0: float, ratio: float) -> float:
-    """N * (3/2pi) * wavelength^2 * ratio * rho22_0, the cross-section scale (cm^2)."""
-    return n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2 * ratio * rho22_0
+def _sigma_scale(n_atoms: float, rho22_0: float, ratio: float, decrement: float = 1.0) -> tuple:
+    """(scale, e) with the cross-section scale decrement*N*(3/2pi)*wavelength^2*ratio*rho22_0
+    (cm^2) = scale * 2^e: that product, e = 0, where every partial product is finite and
+    normal, or an operand is 0 or inf; else, to keep its digits, the product of the
+    operands' ``math.frexp`` mantissas, whose partial products all are, and e their
+    exponents' sum."""
+    head = n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2
+    prefactor = head * ratio * rho22_0
+    scale = decrement * prefactor
+    operands = (n_atoms, rho22_0, ratio, decrement)
+    if (sys.float_info.min <= min(head, prefactor, scale) and scale < math.inf
+            or not 0 < min(operands) <= max(operands) < math.inf):
+        return scale, 0
+    (n, n_exp), (p, p_exp), (r, r_exp), (d, d_exp) = map(math.frexp, operands)
+    # the mantissas take the plain product above
+    return _sigma_scale(n, p, r, d)[0], n_exp + p_exp + r_exp + d_exp
 
 
 def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
@@ -201,6 +214,15 @@ def _scaled(x: float, exponent: int) -> float:
         return math.inf
 
 
+def _scaled_product(x: float, exponent: int, *factors) -> float:
+    """x * 2^exponent times the factors, multiplied in as their ``math.frexp`` mantissas
+    and exponents, so that no partial product leaves the normal range."""
+    for factor in factors:
+        mantissa, factor_exp = math.frexp(factor)
+        x, exponent = x * mantissa, exponent + factor_exp
+    return _scaled(x, exponent)
+
+
 def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
     """Rows (t, beta, f(beta), I_total, eta) for each time t (s) at drive flux s_mw
     (erg s^-1 cm^-2), beta and f(beta) evaluated once per time.
@@ -219,7 +241,7 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
     if not decrement >= 0:
         raise ValueError(f"decrement must be nonnegative, got {decrement}")
     rate, exponent = _beta_scale(s_mw, ratio, decrement)
-    scale = decrement * _sigma_prefactor(n_atoms, rho22_0, ratio)
+    scale, shift = _sigma_scale(n_atoms, rho22_0, ratio, decrement)
     power = area * s_mw
     if s_mw > 0 and not 0 < power < math.inf:   # eta = I/power would read 0, inf or nan
         raise ValueError(f"vessel power area*S_mw {'overflows' if power else 'underflows to 0'}"
@@ -234,7 +256,7 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
         if exponent:
             beta = _scaled(beta, exponent)
         f = f_beta(beta)
-        intensity = scale * f * s_mw
+        intensity = _scaled_product(scale, shift, f, s_mw) if shift else scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0
         if eta == 0 and (f == 0 or s_mw > 0 and scale > 0):
             raise ValueError(f"{'f(beta)' if f == 0 else 'intensity or efficiency'} underflows "
@@ -343,7 +365,9 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     prefactor (3/2pi)*n31 is ~4e10.  ValueError where N (see ``n_atoms``) or sigma_max
     underflows to 0 at nonzero ratio and rho22_0."""
     n_atoms = cfg.n_atoms
-    sigma = _sigma_prefactor(n_atoms, cfg.rho22_0, cfg.ratio) * f_beta(beta)
+    scale, shift = _sigma_scale(n_atoms, cfg.rho22_0, cfg.ratio)
+    f = f_beta(beta)
+    sigma = _scaled_product(scale, shift, f) if shift else scale * f
     if sigma == 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
         raise ValueError(f"sigma_max underflows to 0 (N = {n_atoms} atoms, beta = {beta})")
     return sigma

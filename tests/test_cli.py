@@ -737,11 +737,11 @@ def test_main_overflow_is_a_numerical_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: n31 = inf is not finite\n"
     # beta's rate, about 4.4e335 s^-1, exceeds the largest float at a finite flux, but
     # eta_max_peak reads beta only at t = 0, where the intensity overflows, since the
-    # cross-section scale reads ratio = 1e308 too; the scenario's tau reads 0
+    # cross-section scale reads ratio = 1e308 too; the scenario's beta is inf at t > 0
     config.write_text("channel = fine_structure\nflux_w_cm2 = 1e20\n"
                       "ratio_mode = custom\nratio_value = 1e308\n")
     for args, message in (
-            (["scenario"], "depletion time underflows to 0 at S_mw = 1e+27 erg/s/cm^2"),
+            (["scenario"], "f(beta) underflows to 0 at t = 1e-08 s (beta = inf)"),
             (["sweep", "--param", "flux_w_cm2", "--min", "1e19", "--max", "1e20", "--steps", "2",
               "--objective", "eta_max_peak"],
              "eta_max_peak[-] = inf at flux_w_cm2[W/cm^2] = 1e+19 is not finite")):
@@ -812,7 +812,8 @@ def test_pulse_energy_keeps_a_subnormal_window_integral_over_a_smaller_share():
                                               objective="pulse_energy"))
         assert [f"{energy:.8e}" for _, energy in rows] == energies
         _, decrement, ens = cli._scenario_physics(cfg)
-        scale = Fraction(decrement * ensemble._sigma_prefactor(*ensemble._operands(ens)))
+        scale, shift = ensemble._sigma_scale(*ensemble._operands(ens), decrement)
+        scale = Fraction(scale) * Fraction(2) ** shift
         width = Fraction(cfg.time_stop_s) - Fraction(cfg.time_start_s)
         for flux, energy in rows:
             exact = scale * Fraction(cli._flux(flux)) * width / 3
@@ -880,10 +881,10 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("config, args, message", [
-    # N = 0.9e-4*1e-320/mu_H: the atom count underflowed to 0, and with it I and eta; N is
-    # now formed on mantissas, and I and eta are subnormal
+    # N = 0.9e-4*1e-320/mu_H: the atom count underflowed to 0, and with it I and eta; N and
+    # the cross-section scale are now formed on mantissas, and I and eta are subnormal
     ("vessel_length_cm = 1e-320", ["scenario"],
-     "I_total[erg/s] = 1.273923174207502e-308 at t[s] = 0.0 lies below the normal range"),
+     "I_total[erg/s] = 1.2739231766374433e-308 at t[s] = 0.0 lies below the normal range"),
     ("vessel_length_cm = 1e-320",
      ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "3",
       "--objective", "eta_max_peak"],

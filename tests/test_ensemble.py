@@ -551,6 +551,53 @@ def test_intensity_linear_in_flux_and_density():
     assert _intensity(half, _flux(1.0), dec, 0.0) == pytest.approx(0.5 * base, rel=1e-12)
 
 
+# the cross-section scale's constant (3/2pi)*wavelength^2 in exact arithmetic, from the
+# float pi and wavelength that the kernels read
+_EXACT_SIGMA_UNIT = 3 * Fraction(LAMBDA_31) ** 2 / (2 * Fraction(math.pi))
+
+
+def test_cross_section_scale_keeps_its_digits_below_the_normal_range():
+    # I_total = decrement*N*(3/2pi)*wavelength^2*ratio*rho22_0*f*S_mw is formed on the
+    # mantissas where a partial product of the cross-section scale leaves the normal
+    # range, so a normal I at t = 0 (f = 1/3) keeps the rounding error of its operations
+    # against the exact value, and so does sigma_max; where none does, both have the bits
+    # of the plain products.  The second draws put the scale near or below the normal range.
+    checked = mantissas = 0
+    for n_atoms, ratio, rho22_0, dec, s_mw in (
+            _draws(63, (-300.0, 300.0), (-20.0, 300.0), (-320.0, 0.0), (-20.0, 0.0),
+                   (-300.0, 300.0), count=2000)
+            + _draws(65, (-60.0, 40.0), (-10.0, 10.0), (-320.0, -240.0), (-10.0, 0.0),
+                     (0.0, 300.0), count=2000)):
+        scale = Fraction(dec) * Fraction(n_atoms) * _EXACT_SIGMA_UNIT * Fraction(ratio) \
+            * Fraction(rho22_0)
+        exact = scale * Fraction(s_mw) / 3
+        try:
+            (_, _, _, intensity, _), = ensemble._rows(s_mw, dec, n_atoms, rho22_0, ratio, 1.0,
+                                                      (0.0,))
+        except ValueError as error:   # I, or eta = I/S_mw, underflows to 0
+            assert "underflows to 0" in str(error), error
+            assert min(exact, exact / Fraction(s_mw)) < sys.float_info.min
+            continue
+        head = n_atoms * 3.0 / (2.0 * math.pi) * LAMBDA_31**2
+        partials = (head, head * ratio * rho22_0, dec * (head * ratio * rho22_0))
+        if sys.float_info.min <= min(partials) and max(partials) < math.inf:
+            assert intensity == partials[2] * f_beta(0.0) * s_mw
+        elif sys.float_info.min <= exact <= sys.float_info.max:
+            mantissas += 1
+        if sys.float_info.min <= exact <= sys.float_info.max:
+            checked += 1
+            assert _within_8_ulp(intensity, exact), (n_atoms, ratio, rho22_0, dec, s_mw)
+    assert checked > 2000 and mantissas > 500
+    # FOUND in an eta_max_peak sweep: the scale was about 3.8e-322, and eta printed 0.83% high
+    cfg = cli.parse_config("channel = fine_structure\nvessel_area_cm2 = 1e-280\n"
+                           "vessel_length_cm = 1e-20\nrho22_initial = 1e-31\n")
+    _, rows, _ = cli.run_sweep(cfg, cli.SweepSpec("flux_w_cm2", 1e19, 1e20, 2))
+    assert [f"{eta:.8e}" for _, eta in rows] == ["1.27393736e-42"] * 2
+    vessel = _vessel(area=1e-20, length=1e-20, gas_density=1.0, rho22_0=1e-280, ratio=1e10)
+    exact = Fraction(vessel.n_atoms) * _EXACT_SIGMA_UNIT * Fraction(1e10) * Fraction(1e-280) / 3
+    assert _within_8_ulp(sigma_max(vessel, 0.0), exact)
+
+
 def test_sigma_and_eta_identities():
     # evaluate's I/S_mw is decrement * sigma_max and its eta is that over the area
     cfg, s_mw = _vessel(area=3.7), _flux()

@@ -29,8 +29,8 @@ digest of every sweep that exits 0, 75 generator and 19 edge ones, was recorded 
 after the argmax record gained ``argmax_ties``, and the 7th, 8th, 28th, 35th and 36th
 edge ones after one range rule for every printed number replaced the kernels' overflow
 and below-normal checks, and the stderr digests of the 15th, 22nd and 23rd after the atom
-count kept its digits where its product is subnormal), so these tests pin that
-refactors leave every byte unchanged.
+count kept its digits where its product is subnormal, the 15th's again after the
+cross-section scale did), so these tests pin that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
