@@ -1329,9 +1329,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 44 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 50 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 218
+    assert len(commands) == 224
     return [command["argv"] for command in commands]
 
 

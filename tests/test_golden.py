@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 44 edge commands of
+(``perfbench/gen.py``) under "commands", and the 50 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -30,7 +30,8 @@ after the argmax record gained ``argmax_ties``, and the 7th, 8th, 28th, 35th and
 edge ones after one range rule for every printed number replaced the kernels' overflow
 and below-normal checks, and the stderr digests of the 15th, 22nd and 23rd after the atom
 count kept its digits where its product is subnormal, the 15th's again after the
-cross-section scale did), so these tests pin that refactors leave every byte unchanged.
+cross-section scale did, and the last six were recorded with that rule), so these tests
+pin that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -141,7 +142,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 44
+    assert len(edge) == 50
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -226,9 +227,14 @@ def _edge_commands():
     the pulse energy of a subnormal window whose released share is smaller still,
     which read 4.9e-6 low; the next three print the whole stored energy released
     at a flux or rho22(0) where the cross-section scale times S_mw underflows, which
-    exited 3 as underflowing to 0 or read 3.4% high; and the last prints the pulse
+    exited 3 as underflowing to 0 or read 3.4% high; the next prints the pulse
     energy of a narrow window at beta above 1e213, where f at the quadrature nodes
-    underflows, which exited 3 as underflowing to 0."""
+    underflows, which exited 3 as underflowing to 0.  The last six hold the one range
+    rule for printed numbers: fig1 exits 3 on a subnormal f_exact and exits 0 where only
+    its exempt small-beta approximation is subnormal; a scenario exits 3 on its subnormal
+    sigma_max, and the eta_max_peak sweep of its flux prints eta with every digit, which
+    read 0.83% high; a scenario prints N with every digit, which read 1.1e-5 low; and a
+    scenario exits 3 on the subnormal flux it prints back."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -240,6 +246,9 @@ def _edge_commands():
     released_whole = plain + "rho22_initial = 1e-160\ntime_stop_s = 1e300\n"
     huge_vessel = plain + ("vessel_area_cm2 = 1e100\nvessel_length_cm = 1e100\n"
                            "ratio_mode = custom\nratio_value = 1e92\nrho22_initial = 1\n")
+    subnormal_scale = plain + ("vessel_area_cm2 = 1e-280\nvessel_length_cm = 1e-20\n"
+                               "rho22_initial = 1e-31\nflux_w_cm2 = 1e20\ntime_stop_s = 1e-40\n"
+                               "time_steps = 3\n")
 
     def sweep(config, parameter, low, high, steps, objective, *log):
         return {"config": config,
@@ -309,6 +318,13 @@ def _edge_commands():
               "pulse_energy", "--log"),
         sweep(plain + "ratio_mode = custom\nratio_value = 1e10\ntime_start_s = 0.99\n"
               "time_stop_s = 1\n", "flux_w_cm2", 1e180, 1e200, 3, "pulse_energy", "--log"),
+        {"config": "", "argv": ["fig1", "--beta-max", "1e210", "--steps", "3", "--out", "{out}"]},
+        {"config": "", "argv": ["fig1", "--beta-max", "1500", "--steps", "1501", "--out", "{out}"]},
+        scenario(subnormal_scale),
+        sweep(subnormal_scale, "flux_w_cm2", 1e19, 1e20, 2, "eta_max_peak"),
+        scenario(plain + "vessel_area_cm2 = 1e-300\nvessel_length_cm = 1e-20\n"
+                 "gas_density_g_cm3 = 1\nrho22_initial = 1\nflux_w_cm2 = 0\n"),
+        scenario(plain + "flux_w_cm2 = 1e-309\n"),
     ]
 
 
