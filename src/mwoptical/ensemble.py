@@ -156,14 +156,12 @@ def f_beta_approx_large(beta: float) -> float:
 def _n_atoms(length: float, area: float, gas_density: float) -> float:
     """gas_density * area * length / mu_H in that order, which may over- or underflow;
     where gas_density * area leaves the normal range, or the product of all three falls
-    below it, to keep N's digits, on the ``math.frexp`` mantissas of the factors, as
-    ``_beta_scale`` forms beta's rate."""
+    below it, 1/mu_H times the factors by ``_frexp_product``, which keeps N's digits."""
     head = gas_density * area
     product = head * length
     if sys.float_info.min <= head < math.inf and sys.float_info.min <= product:
         return product / MU_H_G
-    (d, d_exp), (a, a_exp), (z, z_exp) = map(math.frexp, (gas_density, area, length))
-    return _scaled(d * a * z / MU_H_G, d_exp + a_exp + z_exp)
+    return _scaled(*_frexp_product(1.0 / MU_H_G, 0, gas_density, area, length))
 
 
 def _operands(cfg: EnsembleConfig) -> tuple:
@@ -174,9 +172,8 @@ def _operands(cfg: EnsembleConfig) -> tuple:
 def _sigma_scale(n_atoms: float, rho22_0: float, ratio: float, decrement: float = 1.0) -> tuple:
     """(scale, e) with the cross-section scale decrement*N*(3/2pi)*wavelength^2*ratio*rho22_0
     (cm^2) = scale * 2^e: that product, e = 0, where every partial product is finite and
-    normal, or an operand is 0 or inf; else, to keep its digits, the product of the
-    operands' ``math.frexp`` mantissas, whose partial products all are, and e their
-    exponents' sum."""
+    normal, or an operand is 0 or inf; else, to keep its digits, (3/2pi)*wavelength^2
+    times the operands by ``_frexp_product``."""
     head = n_atoms * 3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2
     prefactor = head * ratio * rho22_0
     scale = decrement * prefactor
@@ -184,9 +181,7 @@ def _sigma_scale(n_atoms: float, rho22_0: float, ratio: float, decrement: float 
     if (sys.float_info.min <= min(head, prefactor, scale) and scale < math.inf
             or not 0 < min(operands) <= max(operands) < math.inf):
         return scale, 0
-    (n, n_exp), (p, p_exp), (r, r_exp), (d, d_exp) = map(math.frexp, operands)
-    # the mantissas take the plain product above
-    return _sigma_scale(n, p, r, d)[0], n_exp + p_exp + r_exp + d_exp
+    return _frexp_product(3.0 / (2.0 * math.pi) * OPTICAL_ANCHOR_CM**2, 0, *operands)
 
 
 def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
@@ -200,8 +195,7 @@ def _beta_scale(s_mw: float, ratio: float, decrement: float) -> tuple:
     rate = head * ratio * decrement
     if sys.float_info.min <= head and sys.float_info.min <= rate < math.inf:
         return rate, 0
-    (s, s_exp), (r, r_exp), (d, d_exp) = map(math.frexp, (s_mw, ratio, decrement))
-    rate, exponent = _K * s * r * d / 8.0, s_exp + r_exp + d_exp + 3
+    rate, exponent = _frexp_product(_K / 8.0, 3, s_mw, ratio, decrement)
     shift = min(max(exponent, 0), 1020)
     return math.ldexp(rate, shift), exponent - shift
 
@@ -214,13 +208,14 @@ def _scaled(x: float, exponent: int) -> float:
         return math.inf
 
 
-def _scaled_product(x: float, exponent: int, *factors) -> float:
-    """x * 2^exponent times the factors, multiplied in as their ``math.frexp`` mantissas
-    and exponents, so that no partial product leaves the normal range."""
+def _frexp_product(x: float, exponent: int, *factors) -> tuple:
+    """(m, e) with m * 2^e = x * 2^exponent times the factors, each multiplied in as its
+    ``math.frexp`` mantissa and exponent, so that m keeps the digits that a partial
+    product below the normal range would drop."""
     for factor in factors:
         mantissa, factor_exp = math.frexp(factor)
         x, exponent = x * mantissa, exponent + factor_exp
-    return _scaled(x, exponent)
+    return x, exponent
 
 
 def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
@@ -256,7 +251,7 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
         if exponent:
             beta = _scaled(beta, exponent)
         f = f_beta(beta)
-        intensity = _scaled_product(scale, shift, f, s_mw) if shift else scale * f * s_mw
+        intensity = _scaled(*_frexp_product(scale, shift, f, s_mw)) if shift else scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0
         if eta == 0 and (f == 0 or s_mw > 0 and scale > 0):
             raise ValueError(f"{'f(beta)' if f == 0 else 'intensity or efficiency'} underflows "
@@ -349,9 +344,8 @@ def _pulse_energies(points, ratio: float, t0: float, t1: float):
             # k*(t1 - t0)/3, formed on the mantissas of the rate and of t1 - t0 to keep the
             # digits a subnormal share drops (abs: a zero rate is signed as its operands
             # are, and the memo reads -0.0 as 0.0)
-            (r, r_exp), (w, w_exp) = math.frexp(abs(rate)), math.frexp(t1 - t0)
-            energy = _scaled(n_atoms * rho22_0 * quantum * (r * w / 3.0),
-                             exponent + r_exp + w_exp)
+            energy = _scaled(*_frexp_product(n_atoms * rho22_0 * quantum / 3.0, exponent,
+                                             abs(rate), t1 - t0))
         if energy == 0 and t1 > t0 and s_mw > 0 and decrement > 0 and ratio > 0 and rho22_0 > 0:
             raise ValueError("pulse energy underflows to 0")
         yield energy
@@ -367,7 +361,7 @@ def sigma_max(cfg: EnsembleConfig, beta: float) -> float:
     n_atoms = cfg.n_atoms
     scale, shift = _sigma_scale(n_atoms, cfg.rho22_0, cfg.ratio)
     f = f_beta(beta)
-    sigma = _scaled_product(scale, shift, f) if shift else scale * f
+    sigma = _scaled(*_frexp_product(scale, shift, f)) if shift else scale * f
     if sigma == 0 and cfg.ratio > 0 and cfg.rho22_0 > 0:
         raise ValueError(f"sigma_max underflows to 0 (N = {n_atoms} atoms, beta = {beta})")
     return sigma

@@ -884,7 +884,7 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
     # N = 0.9e-4*1e-320/mu_H: the atom count underflowed to 0, and with it I and eta; N and
     # the cross-section scale are now formed on mantissas, and I and eta are subnormal
     ("vessel_length_cm = 1e-320", ["scenario"],
-     "I_total[erg/s] = 1.2739231766374433e-308 at t[s] = 0.0 lies below the normal range"),
+     "I_total[erg/s] = 1.273923176637443e-308 at t[s] = 0.0 lies below the normal range"),
     ("vessel_length_cm = 1e-320",
      ["sweep", "--param", "flux_w_cm2", "--min", "1", "--max", "2", "--steps", "3",
       "--objective", "eta_max_peak"],
