@@ -481,13 +481,16 @@ def _check_range(value):
         names, rows = list(value), [[None if isinstance(x, str) else x for x in value.values()]]
     low, high = sys.float_info.min, math.inf
     for row in rows:
+        # a fast scan for a number that is neither 0 (nor None) nor a normal number of
+        # either sign, without abs, which costs a float per cell; then the row's cells
         for x in row:
-            if x and not low <= abs(x) < high:   # a fast scan; then the row's cells by name
-                for name, x in zip(names, row):
-                    if x and not low <= abs(x) < high and name not in _APPROXIMATION_COLUMNS:
+            if x and not low <= x < high and not -high < x <= -low:
+                for name, cell in zip(names, row):
+                    if (cell and not low <= cell < high and not -high < cell <= -low
+                            and name not in _APPROXIMATION_COLUMNS):
                         point = f" at {names[0]} = {row[0]}" if table and name != names[0] else ""
-                        raise ValueError(f"{name} = {x}{point} " + ("lies below the normal "
-                                         "range" if math.isfinite(x) else "is not finite"))
+                        raise ValueError(f"{name} = {cell}{point} " + ("lies below the normal "
+                                         "range" if math.isfinite(cell) else "is not finite"))
 
 
 def format_summary(record) -> str:

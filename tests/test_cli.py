@@ -1022,6 +1022,9 @@ def test_main_scenario_at_huge_beta(tmp_path, capsys):
     ("", ["sweep", "--param", "rho22_initial", "--min", "1e-310", "--max", "1e-300", "--steps",
           "2", "--objective", "eta_max_peak"],
      "rho22_initial[-] = 1e-310 lies below the normal range"),
+    ("", ["sweep", "--param", "detuning_mhz", "--min=-1e-310", "--max", "1", "--steps", "2",
+          "--objective", "eta_max_peak"],
+     "detuning_mhz[MHz] = -1e-310 lies below the normal range"),
 ])
 def test_main_value_out_of_the_normal_range_exits_3(tmp_path, capsys, config, args, message):
     # the library returns these values as inf, nan or a subnormal (where it raised for
