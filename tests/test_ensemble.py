@@ -588,7 +588,7 @@ def test_cross_section_scale_keeps_its_digits_below_the_normal_range():
             checked += 1
             assert _within_8_ulp(intensity, exact), (n_atoms, ratio, rho22_0, dec, s_mw)
     assert checked > 2000 and mantissas > 500
-    # FOUND in an eta_max_peak sweep: the scale was about 3.8e-322, and eta printed 0.83% high
+    # an eta_max_peak sweep where the scale is about 3.8e-322 printed eta 0.83% high
     cfg = cli.parse_config("channel = fine_structure\nvessel_area_cm2 = 1e-280\n"
                            "vessel_length_cm = 1e-20\nrho22_initial = 1e-31\n")
     _, rows, _ = cli.run_sweep(cfg, cli.SweepSpec("flux_w_cm2", 1e19, 1e20, 2))
