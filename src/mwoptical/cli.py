@@ -322,13 +322,16 @@ def _scenario_physics(cfg: ScenarioConfig):
 
 
 def fig1_rows(beta_max: float, steps: int):
-    """Depletion-curve table: beta, exact f, and both approximations."""
+    """Depletion-curve table: beta, exact f, and both approximations; ValueError on f = 0."""
     if not 0 < beta_max < math.inf:
         raise ConfigError(f"beta-max: must be positive and finite, got {beta_max}")
     _check_grid_size("steps", steps)
     header = ["beta[-]", "f_exact[-]", *_APPROXIMATION_COLUMNS]
     rows = [(b, f_beta(b), f_beta_approx_small(b), f_beta_approx_large(b))
             for b in _linspace(0.0, beta_max, steps)]
+    for b, f, *_ in rows:
+        if f == 0:
+            raise ValueError(f"f(beta) underflows to 0 at beta = {b}")
     return header, rows
 
 

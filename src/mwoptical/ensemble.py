@@ -225,8 +225,8 @@ def evaluate(cfg: EnsembleConfig, s_mw: float, decrement: float, times) -> list:
     ensemble stimulated intensity (erg/s) and eta = I_total/(area*S_mw) the
     conversion efficiency, zero by convention at zero drive.  beta's rate may exceed the
     largest float.  ValueError where area*S_mw overflows or is 0 at S_mw > 0, on
-    f(beta) = 0 (beta above about 3e215), and on a zero decrement*sigma_max/f, I_total
-    or eta at nonzero S_mw, decrement, ratio and rho22_0."""
+    beta = 0 at t > 0 and a positive rate, on f(beta) = 0 (beta above about 3e215), and on
+    a zero decrement*sigma_max/f, I_total or eta at nonzero S_mw, decrement, ratio and rho22_0."""
     return _rows(_checked(s_mw, "flux S_mw"), decrement, *_operands(cfg), cfg.area, times)
 
 
@@ -250,6 +250,8 @@ def _rows(s_mw: float, decrement: float, n_atoms: float, rho22_0: float, ratio: 
         beta = rate * t
         if exponent:
             beta = _scaled(beta, exponent)
+        if beta == 0.0 and t > 0 and rate > 0:   # a float 0.0 compares faster than an int
+            raise ValueError(f"beta underflows to 0 at t = {t} s")
         f = f_beta(beta)
         intensity = _scaled(*_frexp_product(scale, shift, f, s_mw)) if shift else scale * f * s_mw
         eta = intensity / power if s_mw > 0 else 0.0

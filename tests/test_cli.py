@@ -940,6 +940,10 @@ def test_main_underflowed_vessel_power_is_a_numerical_error(tmp_path, capsys, ar
      "time_stop_s = 1e-300", ["scenario"], "n31 underflows to 0"),
     ("flux_w_cm2 = 0\nvessel_area_cm2 = 1e-320\nvessel_length_cm = 1e-30", ["scenario"],
      "n_atoms underflows to 0"),
+    # k ~ 1.0e-307 s^-1, so beta at t = 5e-21 s is about 5e-328, which printed 0 at exit 0,
+    # while the same config at time_stop_s = 1e-5 exits 3 on its subnormal beta
+    ("flux_w_cm2 = 1e-300\nratio_mode = custom\nratio_value = 2.3e-15\ntime_stop_s = 1e-20\n"
+     "time_steps = 3", ["scenario"], "beta underflows to 0 at t = 5e-21 s\n"),
 ])
 def test_main_underflowed_intensity_is_a_numerical_error(tmp_path, capsys, config, args,
                                                          message):
@@ -1049,6 +1053,13 @@ def test_main_fig1_range_rule_exempts_only_the_approximations(capsys):
     assert sum(0 < row[2] < sys.float_info.min for row in rows) == 74
     assert rows[0][3] == math.inf
     assert all(sys.float_info.min <= row[1] < math.inf for row in rows)
+
+
+def test_main_fig1_zero_f_exact_is_a_numerical_error(capsys):
+    # f(beta) > 0 at every beta, but it underflows to 0 above beta ~ 3e215, which printed
+    # f_exact = 0 at exit 0
+    assert main(["fig1", "--beta-max", "5e215", "--steps", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: f(beta) underflows to 0 at beta = 5e+215\n")
 
 
 def test_main_fig1_large_approx_is_inf_at_tiny_beta(tmp_path):
@@ -1332,9 +1343,9 @@ def _both(argv):
 
 
 def _recorded_argv():
-    """The argv of the 174 generator and 50 edge commands of ``test_golden``."""
+    """The argv of the 174 generator and 52 edge commands of ``test_golden``."""
     commands = test_golden._generator_commands() + test_golden._edge_commands()
-    assert len(commands) == 224
+    assert len(commands) == 226
     return [command["argv"] for command in commands]
 
 

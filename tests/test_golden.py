@@ -2,7 +2,7 @@
 README's library example.
 
 ``golden_cli.json`` holds 129 commands of the benchmark generator
-(``perfbench/gen.py``) under "commands", and the 50 edge commands of
+(``perfbench/gen.py``) under "commands", and the 52 edge commands of
 ``_edge_commands`` under "edge".  The first 63 generator commands are its
 ``cold_cli`` workload (seeds 0-2, cycles 0-2), which covers constants, both
 transitions, fig1, scenarios at zero and nonzero flux and a sweep with each of
@@ -11,27 +11,8 @@ cycles 0-1): pulse-energy sweeps over all five parameters on linear and log
 grids, with unity, hydrogenic and custom ratios.  For every command it stores
 the config text, the argv with ``{config}``, ``{out}`` and ``{summary}``
 path placeholders, the exit code, and the sha256 digests of stdout, stderr
-and the ``--out`` and ``--summary`` files (null where none is written).  The
-digests were recorded from the code before a refactor (the cold_cli ones
-before the constants injection was removed, the sweep_pulse ones before the
-scenario and sweep physics were merged into one map, and the first 28 edge
-ones before the optical wavelength became a constant; the 29th edge command
-was recorded after its overflow was fixed, at exit 0, the next three after
-the deep-depletion pulse energy was fixed, the next two after beta's rate
-kept its digits below a subnormal head, the next two after the drive became
-its flux S_mw and a subnormal tau or pulse energy exited 3, the 37th after a tau
-from a subnormal rate of beta kept its digits, its ``--out`` digest again after
-beta from that rate did, the next two after a pulse energy whose window
-integral is subnormal was read from the released share, the 40th after the
-window integral of a subnormal time kept its digits, and the last four after the
-pulse energy became the stored energy times the released share; the ``--summary``
-digest of every sweep that exits 0, 75 generator and 19 edge ones, was recorded again
-after the argmax record gained ``argmax_ties``, and the 7th, 8th, 28th, 35th and 36th
-edge ones after one range rule for every printed number replaced the kernels' overflow
-and below-normal checks, and the stderr digests of the 15th, 22nd and 23rd after the atom
-count kept its digits where its product is subnormal, the 15th's again after the
-cross-section scale did, and the last six were recorded with that rule), so these tests
-pin that refactors leave every byte unchanged.
+and the ``--out`` and ``--summary`` files (null where none is written), so these
+tests pin that refactors leave every byte unchanged.
 
 An intended numeric change regenerates the digests from the stored generator
 commands and the current ``_edge_commands``,
@@ -63,6 +44,7 @@ import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -142,7 +124,7 @@ def test_cli_output_matches_recorded_digests(tmp_path):
 
 def test_edge_commands_match_recorded_digests(tmp_path):
     edge = _load()["edge"]
-    assert len(edge) == 50
+    assert len(edge) == 52
     assert [{"config": c["config"], "argv": c["argv"]} for c in edge] == _edge_commands()
     _assert_replays_match(edge, str(tmp_path))
 
@@ -192,6 +174,21 @@ def test_readme_config_block_names_every_key_with_its_default():
             assert cli._CONFIG_PARSERS[key](value) == parameters[key].default, key
 
 
+def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # each mwoptical line of README's CLI block, with its continuations joined, its
+    # comment dropped and its optional arguments given, runs and exits 0
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [shlex.split(line.split("#", 1)[0].replace("[", "").replace("]", ""))
+             for line in block.splitlines()]
+    assert lines and all(line[0] == "mwoptical" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("channel = fine_structure\n")
+    for line in lines:
+        assert cli.main(line[1:]) == 0, (line, capsys.readouterr().err)
+
+
 def _regenerate():
     data = _load()
     data["edge"] = _edge_commands()
@@ -229,12 +226,13 @@ def _edge_commands():
     at a flux or rho22(0) where the cross-section scale times S_mw underflows, which
     exited 3 as underflowing to 0 or read 3.4% high; the next prints the pulse
     energy of a narrow window at beta above 1e213, where f at the quadrature nodes
-    underflows, which exited 3 as underflowing to 0.  The last six hold the one range
+    underflows, which exited 3 as underflowing to 0.  The next six hold the one range
     rule for printed numbers: fig1 exits 3 on a subnormal f_exact and exits 0 where only
     its exempt small-beta approximation is subnormal; a scenario exits 3 on its subnormal
     sigma_max, and the eta_max_peak sweep of its flux prints eta with every digit, which
     read 0.83% high; a scenario prints N with every digit, which read 1.1e-5 low; and a
-    scenario exits 3 on the subnormal flux it prints back."""
+    scenario exits 3 on the subnormal flux it prints back.  The last two exit 3 where
+    beta at t > 0, or fig1's f_exact, underflows to 0, which each printed at exit 0."""
     plain = "channel = fine_structure\n"
     late = plain + "time_start_s = 0.9e-6\ntime_stop_s = 1e-6\n"
     underflowed_power = plain + "flux_w_cm2 = 1e-130\nvessel_area_cm2 = 1e-219\n"
@@ -325,6 +323,9 @@ def _edge_commands():
         scenario(plain + "vessel_area_cm2 = 1e-300\nvessel_length_cm = 1e-20\n"
                  "gas_density_g_cm3 = 1\nrho22_initial = 1\nflux_w_cm2 = 0\n"),
         scenario(plain + "flux_w_cm2 = 1e-309\n"),
+        scenario(plain + "flux_w_cm2 = 1e-300\nratio_mode = custom\nratio_value = 2.3e-15\n"
+                 "time_stop_s = 1e-20\ntime_steps = 3\n"),
+        {"config": "", "argv": ["fig1", "--beta-max", "5e215", "--steps", "2", "--out", "{out}"]},
     ]
 
 

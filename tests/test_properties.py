@@ -1,17 +1,17 @@
 """Property tests of the exit-code contract, run in process through ``cli.main``.
 
-For any finite config, a ``scenario`` and a short ``sweep`` (whose range may
-leave the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run
-that exits 0 prints only finite numbers, a depletion integral f in (0, 1/3],
-an efficiency eta that never rises with t and is positive wherever the flux,
-the ratio and rho22(0) are, and the same bytes when repeated.  Its summary's
-eta_peak, tau_s, n31, n_atoms and sigma_max_cm2, and every sweep objective, print
-0 only where one of their factors is 0; every printed number that is not 0 is a
-normal float, never a subnormal one short of digits.  Besides configs mostly
-inside the model's working range, the tests draw configs whose every positive float
-key is log-uniform over the whole double range at once; on those, ``run_sweep`` gives
-the rows and record of a reference that rebuilds every point from the records,
-or raises the same error.
+For any finite config, a ``scenario`` and a short ``sweep`` (whose range may leave
+the parameter's valid interval) exit 0, 2 or 3 and never raise.  A run that exits 0
+prints only finite numbers, a depletion integral f in (0, 1/3], an efficiency eta
+that never rises with t and is positive wherever the flux, the ratio and rho22(0)
+are, a beta that is positive at t > 0 there too, and the same bytes when repeated.
+Its summary's eta_peak, tau_s, n31, n_atoms and sigma_max_cm2, and every sweep
+objective, print 0 only where one of their factors is 0; every printed number that
+is not 0 is a normal float, never a subnormal one short of digits.  Besides configs
+mostly inside the model's working range, the tests draw configs whose every positive
+float key is log-uniform over the whole double range at once; on those,
+``run_sweep`` gives the rows and record of a reference that rebuilds every point
+from the records, or raises the same error.
 Any bytes at all as the config file make a scenario exit 0 or 2, and 2 when
 they are not UTF-8.
 The examples are derandomized and no database is kept, so every run of the
@@ -197,11 +197,12 @@ def _check_scenario(config):
     assert all(0.0 < f <= 1.0 / 3.0 for f in f_values), f_values
     etas = [float(row[5]) for row in rows]
     assert all(later <= earlier for earlier, later in zip(etas, etas[1:])), etas
-    # eta reads 0 only where the flux, the ratio or rho22(0) does (the decrement
-    # of an exit-0 run is positive)
+    # eta reads 0, and beta reads 0 at t > 0, only where the flux, the ratio or rho22(0)
+    # does (the decrement of an exit-0 run is positive)
     cfg = cli.parse_config(_config_text(config))
     if cfg.flux_w_cm2 > 0 and cfg.ratio > 0 and cfg.rho22_initial > 0:
         assert all(eta > 0 for eta in etas), etas
+        assert all(float(row[2]) > 0 for row in rows if float(row[0]) > 0), rows
 
 
 def _check_sweep(config, parameter, low, high, steps, log, objective):
@@ -239,12 +240,16 @@ def test_sweep_exit_contract(config, sweep):
           "rho22_initial": 1e-31, "flux_w_cm2": 1e20, "time_stop_s": 1e-40, "time_steps": 3},
          ("flux_w_cm2", [1e19, 1e20]))
 @example({"channel": "fine_structure", "flux_w_cm2": 1e-309}, ("flux_w_cm2", [1.0, 2.0]))
+@example({"channel": "fine_structure", "flux_w_cm2": 1e-300, "ratio_mode": "custom",
+          "ratio_value": 2.3e-15, "time_stop_s": 1e-20, "time_steps": 3},
+         ("flux_w_cm2", [1.0, 2.0]))
 def test_whole_range_exit_contract(config, sweep):
     # the first example's flux, below the draws of POSITIVE, gives a subnormal S_mw,
     # whose depletion rate underflows to 0 and whose pulse energy is subnormal; the
     # second's tau at 1 and 2 W/cm^2 is subnormal; the third's sigma_max_cm2 is
     # subnormal (the scenario printed it at exit 0), and so is the fourth's flux, which
-    # the summary prints back
+    # the summary prints back; the fifth's beta at t > 0 underflows to 0 (the scenario
+    # printed it at exit 0)
     parameter, bounds = sweep
     _check_scenario(config)
     for objective in cli.OBJECTIVES:
